@@ -26,7 +26,7 @@ from .repair import (RepairProblem, RepairResult, estimate_travel_time,
                      prescribe_endpoint_jet, repair_exponential,
                      repair_tangential)
 from .profile import VelocityProfile, plan_velocity, time_along
-from .cli import LayoutDocument, parse_layout, serialize_layout
+from .layout import LayoutDocument, parse_layout, serialize_layout
 from .errors import (DegenerateGeometryError, DiscontinuousPathError,
                      LayoutError, RepairInfeasibleError,
                      SingularParameterizationError)

@@ -1,12 +1,13 @@
-"""Command-line front end and layout file I/O.
+"""Command-line front end.
 
-Layout documents are JSON (angles in degrees, meters and seconds
-throughout; radians are internal only). Three subcommands cover the
-workflow: ``check`` lints every junction and sets the exit code, ``repair``
-rewrites control points near a chosen junction, and ``profile`` plans a
-velocity profile and writes per-sample kinematic tracks as CSV.
+Three subcommands cover the workflow: ``check`` lints every junction and
+sets the exit code, ``repair`` rewrites control points near a chosen
+junction, and ``profile`` plans a velocity profile and writes per-sample
+kinematic tracks as CSV. Layout files are read and written by
+`agv_path_kit.layout`.
 
-Exit codes: 0 success, 1 discontinuity or infeasible repair, 2 bad input.
+Exit codes: 0 success, 1 discontinuity or infeasible repair, 2 bad input
+(malformed layout, unreadable path, bad flag or bad AGV_PATH_KIT_TOL).
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .continuity import (DISCONTINUOUS, SMOOTH, SMOOTH_AT_REST_ONLY,
-                         JunctionContext, Tolerances, analyze_junction)
-from .curve import BezierCurve
+from .continuity import (SMOOTH, SMOOTH_AT_REST_ONLY, JunctionContext,
+                         Tolerances, check_junctions)
 from .errors import (DegenerateGeometryError, DiscontinuousPathError,
                      LayoutError, RepairInfeasibleError)
-from .motion import Crab, ExponentialAnticipated, ExponentialDelayed, Tangential
+from .layout import (LayoutDocument, LayoutSegment, load_layout, parse_layout,
+                     serialize_layout)
+from .motion import ExponentialAnticipated, Tangential
 from .profile import plan_velocity
 from .repair import RepairProblem, repair_exponential, repair_tangential
-from .vehicle import Path, PathSegment, VehicleModel, Wheel, validate_vehicle
+from .vehicle import PathSegment
 
 __all__ = [
     "LayoutDocument",
@@ -35,240 +36,10 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 1
-
-_MODE_TAGS = ("tangential", "crab", "exponential_delayed", "exponential_anticipated")
-
-
-@dataclass(frozen=True)
-class LayoutSegment:
-    id: str
-    segment: PathSegment
-
-
-@dataclass(frozen=True)
-class LayoutDocument:
-    """A parsed layout: vehicle, ordered segments, and junction adjacency."""
-
-    name: str
-    vehicle: VehicleModel
-    segments: tuple[LayoutSegment, ...]
-    adjacency: tuple[tuple[str, str], ...]
-
-    def segment_by_id(self, seg_id: str) -> LayoutSegment:
-        for ls in self.segments:
-            if ls.id == seg_id:
-                return ls
-        raise KeyError(seg_id)
-
-    def junction_ids(self) -> list[str]:
-        return [f"{a}:{b}" for a, b in self.adjacency]
-
-    def path(self) -> Path:
-        return Path(tuple(ls.segment for ls in self.segments))
-
-
-def _require(obj: dict, key: str, kind, location: str):
-    if key not in obj:
-        raise LayoutError(f"missing required field {key!r}", location)
-    value = obj[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(float(value)):
-            raise LayoutError(f"{key!r} must be a finite number", f"{location}.{key}")
-        return float(value)
-    if not isinstance(value, kind):
-        raise LayoutError(f"{key!r} must be of type {kind.__name__}",
-                          f"{location}.{key}")
-    return value
-
-
-def _parse_mode(obj, location: str):
-    if not isinstance(obj, dict):
-        raise LayoutError("mode must be an object", location)
-    tag = _require(obj, "type", str, location)
-    if tag not in _MODE_TAGS:
-        raise LayoutError(f"unknown mode tag {tag!r}; expected one of {_MODE_TAGS}",
-                          f"{location}.type")
-    alpha = math.radians(_require(obj, "alpha_deg", float, location))
-    if tag == "tangential":
-        return Tangential(alpha)
-    if tag == "crab":
-        return Crab(alpha)
-    n = _require(obj, "n", float, location)
-    if not n > 1.0:
-        raise LayoutError(f"n must exceed 1, got {n}", f"{location}.n")
-    if tag == "exponential_delayed":
-        return ExponentialDelayed(alpha, n)
-    return ExponentialAnticipated(alpha, n)
-
-
-def _parse_wheel(obj, idx: int) -> Wheel:
-    loc = f"vehicle.wheels[{idx}]"
-    if not isinstance(obj, dict):
-        raise LayoutError("wheel must be an object", loc)
-    wid = _require(obj, "id", str, loc)
-    pos = _require(obj, "position_m", list, loc)
-    if len(pos) != 2 or not all(isinstance(c, (int, float)) for c in pos):
-        raise LayoutError("position_m must be [x, y]", f"{loc}.position_m")
-    v_max = _require(obj, "v_max_mps", float, loc)
-    omega_max_deg = _require(obj, "omega_max_degps", float, loc)
-    if not v_max > 0.0:
-        raise LayoutError("v_max_mps must be > 0", f"{loc}.v_max_mps")
-    if not omega_max_deg > 0.0:
-        raise LayoutError("omega_max_degps must be > 0", f"{loc}.omega_max_degps")
-    return Wheel(wid, (float(pos[0]), float(pos[1])), v_max,
-                 math.radians(omega_max_deg))
-
-
-def parse_layout(data) -> LayoutDocument:
-    """Parse and validate a layout document (JSON text, bytes, or dict)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise LayoutError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise LayoutError("layout document must be a JSON object")
-    version = _require(data, "schema_version", int, "")
-    if version != SCHEMA_VERSION:
-        raise LayoutError(f"unsupported schema_version {version}; this tool reads "
-                          f"{SCHEMA_VERSION}", "schema_version")
-    name = str(data.get("name", ""))
-    vehicle_obj = _require(data, "vehicle", dict, "")
-    wheels_obj = _require(vehicle_obj, "wheels", list, "vehicle")
-    if not wheels_obj:
-        raise LayoutError("vehicle needs at least one wheel", "vehicle.wheels")
-    wheels = tuple(_parse_wheel(w, i) for i, w in enumerate(wheels_obj))
-    vehicle = VehicleModel(wheels)
-    for violation in validate_vehicle(vehicle):
-        raise LayoutError(violation.message, f"vehicle.wheels({violation.wheel_id})")
-
-    segments_obj = _require(data, "segments", list, "")
-    if not segments_obj:
-        raise LayoutError("layout needs at least one segment", "segments")
-    segments = []
-    seen_ids = set()
-    for i, seg in enumerate(segments_obj):
-        loc = f"segments[{i}]"
-        if not isinstance(seg, dict):
-            raise LayoutError("segment must be an object", loc)
-        seg_id = _require(seg, "id", str, loc)
-        if seg_id in seen_ids:
-            raise LayoutError(f"duplicate segment id {seg_id!r}", f"{loc}.id")
-        seen_ids.add(seg_id)
-        pts = _require(seg, "control_points_m", list, loc)
-        if len(pts) < 2:
-            raise LayoutError("a curve needs at least two control points (degree >= 1)",
-                              f"{loc}.control_points_m")
-        for j, p in enumerate(pts):
-            if (not isinstance(p, list) or len(p) != 2
-                    or not all(isinstance(c, (int, float)) for c in p)):
-                raise LayoutError("control point must be [x, y]",
-                                  f"{loc}.control_points_m[{j}]")
-        mode = _parse_mode(seg.get("mode"), f"{loc}.mode")
-        v_max = _require(seg, "v_max_mps", float, loc)
-        if not v_max > 0.0:
-            raise LayoutError("v_max_mps must be > 0", f"{loc}.v_max_mps")
-        try:
-            segment = PathSegment(BezierCurve(pts), mode, v_max)
-        except ValueError as exc:
-            raise LayoutError(str(exc), loc) from exc
-        segments.append(LayoutSegment(seg_id, segment))
-
-    adjacency_obj = data.get("adjacency")
-    if adjacency_obj is None:
-        adjacency = tuple((segments[k].id, segments[k + 1].id)
-                          for k in range(len(segments) - 1))
-    else:
-        if not isinstance(adjacency_obj, list):
-            raise LayoutError("adjacency must be a list of [left, right] pairs",
-                              "adjacency")
-        pairs = []
-        for i, pair in enumerate(adjacency_obj):
-            loc = f"adjacency[{i}]"
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise LayoutError("adjacency entry must be [left_id, right_id]", loc)
-            for sid in pair:
-                if sid not in seen_ids:
-                    raise LayoutError(f"unknown segment id {sid!r}", loc)
-            pairs.append((str(pair[0]), str(pair[1])))
-        adjacency = tuple(pairs)
-    return LayoutDocument(name, vehicle, tuple(segments), adjacency)
-
-
-def _mode_to_json(mode) -> dict:
-    if isinstance(mode, Tangential):
-        return {"type": "tangential", "alpha_deg": math.degrees(mode.alpha)}
-    if isinstance(mode, Crab):
-        return {"type": "crab", "alpha_deg": math.degrees(mode.alpha)}
-    tag = ("exponential_delayed" if isinstance(mode, ExponentialDelayed)
-           else "exponential_anticipated")
-    return {"type": tag, "alpha_deg": math.degrees(mode.alpha), "n": mode.n}
-
-
-def serialize_layout(doc: LayoutDocument, annotations: dict | None = None) -> str:
-    """Canonical JSON text for a layout document (stable key order)."""
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "name": doc.name,
-        "vehicle": {"wheels": [
-            {"id": w.id, "position_m": [w.r_w[0], w.r_w[1]],
-             "v_max_mps": w.v_max, "omega_max_degps": math.degrees(w.omega_max)}
-            for w in doc.vehicle.wheels]},
-        "segments": [
-            {"id": ls.id,
-             "control_points_m": [[float(x), float(y)]
-                                  for x, y in ls.segment.curve.control_points],
-             "mode": _mode_to_json(ls.segment.mode),
-             "v_max_mps": ls.segment.v_max}
-            for ls in doc.segments],
-        "adjacency": [[a, b] for a, b in doc.adjacency],
-    }
-    if annotations:
-        out["annotations"] = annotations
-    return json.dumps(out, indent=2) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Subcommands.
-
-def _load_document(path: str) -> LayoutDocument:
-    with open(path, "rb") as fh:
-        return parse_layout(fh.read())
-
-
-def _junction_contexts(doc: LayoutDocument):
-    for left_id, right_id in doc.adjacency:
-        yield JunctionContext(doc.segment_by_id(left_id).segment,
-                              doc.segment_by_id(right_id).segment,
-                              doc.vehicle, left_id, right_id)
-
-
-def _tolerances(args) -> Tolerances:
-    if getattr(args, "tol", None):
-        return Tolerances(relative=args.tol)
-    return Tolerances.default()
-
 
 def cmd_check(args) -> int:
-    doc = _load_document(args.layout)
-    tol = _tolerances(args)
-    reports = []
-    for left_id, right_id in doc.adjacency:
-        try:
-            ctx = JunctionContext(doc.segment_by_id(left_id).segment,
-                                  doc.segment_by_id(right_id).segment,
-                                  doc.vehicle, left_id, right_id)
-            reports.append(analyze_junction(ctx, tol))
-        except DegenerateGeometryError as exc:
-            from .continuity import ContinuityReport
-            reports.append(ContinuityReport(left_id, right_id, math.inf, math.inf,
-                                            None, math.inf, math.inf, math.inf,
-                                            math.inf, math.inf, DISCONTINUOUS,
-                                            [str(exc)]))
+    doc = load_layout(args.layout)
+    reports = check_junctions(doc.junctions(), doc.vehicle, args.tolerances)
     acceptable = {SMOOTH}
     if args.allow_rest:
         acceptable.add(SMOOTH_AT_REST_ONLY)
@@ -290,7 +61,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    doc = _load_document(args.layout)
+    doc = load_layout(args.layout)
     junction_ids = doc.junction_ids()
     target = args.junction or (junction_ids[0] if junction_ids else None)
     if target is None:
@@ -300,22 +71,22 @@ def cmd_repair(args) -> int:
         print(f"error: unknown junction {target!r}; have {junction_ids}",
               file=sys.stderr)
         return 2
-    left_id, right_id = target.split(":", 1)
-    left = doc.segment_by_id(left_id)
-    right = doc.segment_by_id(right_id)
-    ctx = JunctionContext(left.segment, right.segment, doc.vehicle,
-                          left_id, right_id)
+    left_id, left, right_id, right = list(doc.junctions())[junction_ids.index(target)]
+    try:
+        ctx = JunctionContext(left, right, doc.vehicle, left_id, right_id)
+    except DegenerateGeometryError as exc:
+        print(f"error: junction {target}: {exc}", file=sys.stderr)
+        return 2
     problem = RepairProblem(ctx, objective=args.objective)
     try:
-        if isinstance(right.segment.mode, ExponentialAnticipated):
+        if isinstance(right.mode, ExponentialAnticipated):
             result = repair_exponential(problem)
-        elif isinstance(left.segment.mode, Tangential) and \
-                isinstance(right.segment.mode, Tangential):
+        elif isinstance(left.mode, Tangential) and isinstance(right.mode, Tangential):
             result = repair_tangential(problem)
         else:
             print(f"error: no repair rule for mode pair "
-                  f"({type(left.segment.mode).__name__}, "
-                  f"{type(right.segment.mode).__name__})", file=sys.stderr)
+                  f"({type(left.mode).__name__}, {type(right.mode).__name__})",
+                  file=sys.stderr)
             return 1
     except RepairInfeasibleError as exc:
         print(f"error: repair infeasible: {exc}", file=sys.stderr)
@@ -352,15 +123,8 @@ def cmd_repair(args) -> int:
     return 0
 
 
-def _format_float(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
 def cmd_profile(args) -> int:
-    doc = _load_document(args.layout)
-    tol = _tolerances(args)
+    doc = load_layout(args.layout)
     try:
         path = doc.path()
     except ValueError as exc:
@@ -369,30 +133,25 @@ def cmd_profile(args) -> int:
     try:
         profile = plan_velocity(path, doc.vehicle, a_max=args.a_max,
                                 resolution=args.samples,
-                                diagnostic=args.diagnostic, tol=tol)
+                                diagnostic=args.diagnostic, tol=args.tolerances)
     except DiscontinuousPathError as exc:
         print(f"error: {exc} (use --diagnostic to profile anyway)", file=sys.stderr)
         return 1
-    wheel_ids = [w.id for w in doc.vehicle.sorted_wheels()]
     header = ["u", "s_m", "t_s", "v_mps", "v_max_mps", "binding"]
-    for wid in wheel_ids:
-        header += [f"v_w_mps_{wid}", f"omega_w_degps_{wid}", f"delta_deg_{wid}",
-                   f"omega_ratio_{wid}", f"R_v_{wid}", f"kappa_w_{wid}"]
-    lines = [",".join(header)]
-    for i in range(profile.s.size):
-        row = [_format_float(profile.u[i]), _format_float(profile.s[i]),
-               _format_float(profile.t[i]), _format_float(profile.v[i]),
-               _format_float(profile.v_limit[i]), profile.binding[i]]
-        for wid in wheel_ids:
-            row += [
-                _format_float(profile.wheel_speeds[wid][i]),
-                _format_float(math.degrees(profile.wheel_steering_rates[wid][i])),
-                _format_float(math.degrees(profile.wheel_deltas[wid][i])),
-                _format_float(profile.wheel_r_omega[wid][i]),
-                _format_float(profile.wheel_r_v[wid][i]),
-                _format_float(profile.wheel_kappa[wid][i]),
-            ]
-        lines.append(",".join(row))
+    columns = [profile.u, profile.s, profile.t, profile.v, profile.v_limit,
+               profile.binding]
+    for wid in (w.id for w in doc.vehicle.sorted_wheels()):
+        header += [f"{name}_{wid}" for name in ("v_w_mps", "omega_w_degps", "delta_deg",
+                                                 "omega_ratio", "R_v", "kappa_w")]
+        columns += [profile.wheel_speeds[wid],
+                    [math.degrees(x) for x in profile.wheel_steering_rates[wid]],
+                    [math.degrees(x) for x in profile.wheel_deltas[wid]],
+                    profile.wheel_r_omega[wid], profile.wheel_r_v[wid],
+                    profile.wheel_kappa[wid]]
+    # Binding names are the only text cells; numbers print as Python reprs.
+    lines = [",".join(header)] + [
+        ",".join(x if isinstance(x, str) else repr(float(x)) for x in row)
+        for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -404,6 +163,21 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _number(accept, requirement: str, convert=float):
+    """argparse type: ``convert(text)`` when ``accept`` holds, else a usage error."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+    return parse
+
+
+_TOLERANCE = _number(lambda x: math.isfinite(x) and x >= 0.0, "a finite number >= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agv-path-kit",
@@ -413,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="lint every junction of a layout")
     p_check.add_argument("layout", help="layout JSON file")
-    p_check.add_argument("--tol", type=float, default=None,
+    p_check.add_argument("--tol", type=_TOLERANCE, default=None,
                          help="relative tolerance override")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--allow-rest", action="store_true",
@@ -431,12 +205,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", help="plan a velocity profile, write CSV")
     p_profile.add_argument("layout")
-    p_profile.add_argument("--samples", type=int, default=1000,
+    p_profile.add_argument("--samples", default=1000,
+                           type=_number(lambda n: n >= 2, "an integer >= 2", int),
                            help="samples per segment")
-    p_profile.add_argument("--a-max", type=float, default=0.5,
+    p_profile.add_argument("--a-max", default=0.5,
+                           type=_number(lambda x: x > 0.0, "a number > 0"),
                            help="acceleration bound, m/s^2")
     p_profile.add_argument("--out", default=None, help="output CSV file")
-    p_profile.add_argument("--tol", type=float, default=None)
+    p_profile.add_argument("--tol", type=_TOLERANCE, default=None)
     p_profile.add_argument("--diagnostic", action="store_true",
                            help="profile even when junctions are discontinuous")
     p_profile.set_defaults(func=cmd_profile)
@@ -446,12 +222,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    tol = getattr(args, "tol", None)
+    try:
+        args.tolerances = Tolerances.default() if tol is None else Tolerances(relative=tol)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
-    except LayoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

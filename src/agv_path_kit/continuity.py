@@ -38,6 +38,7 @@ __all__ = [
     "audit_wheel_continuity",
     "check_tangential_junction",
     "check_exponential_junction",
+    "check_junctions",
     "check_path",
 ]
 
@@ -54,18 +55,28 @@ class Tolerances:
 
     Derivative conditions compare residual / max(1, |rhs|) against
     ``relative``. The environment variable AGV_PATH_KIT_TOL, when set,
-    overrides ``relative`` for `default()`.
+    overrides ``relative`` for `default()`. Fields must be finite and >= 0.
     """
 
     position: float = 1e-6
     angle: float = 1e-8
     relative: float = 1e-6
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"tolerance {name!r} must be a finite number >= 0, got {value!r}")
+
     @staticmethod
     def default() -> "Tolerances":
         env = os.environ.get("AGV_PATH_KIT_TOL")
         if env:
-            return Tolerances(relative=float(env))
+            try:
+                return Tolerances(relative=float(env))
+            except ValueError:
+                raise ValueError("AGV_PATH_KIT_TOL must be a finite number >= 0, "
+                                 f"got {env!r}") from None
         return Tolerances()
 
 
@@ -102,11 +113,8 @@ class _BetaExtraction:
     beta1: float | None          # signed; None when indeterminate
     beta2: float
     beta3: float
-    source: str                  # "mode" or "curve"
     reversal: bool = False
     indeterminate: bool = False
-    mode_beta1: float | None = None
-    mode_beta2: float | None = None
 
 
 def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
@@ -115,7 +123,7 @@ def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     t_minus, t_plus = left.d1, right.d1
     n_minus, n_plus = np.linalg.norm(t_minus), np.linalg.norm(t_plus)
     if n_plus <= 1e-12 or n_minus <= 1e-12:
-        return _BetaExtraction(None, 0.0, 0.0, "curve", indeterminate=True)
+        return _BetaExtraction(None, 0.0, 0.0, indeterminate=True)
     beta1 = n_minus / n_plus
     if float(t_minus @ t_plus) < 0.0:
         beta1 = -beta1
@@ -123,7 +131,7 @@ def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     beta2 = float((left.d2 - beta1**2 * right.d2) @ t_plus) / q
     r3 = left.d3 - beta1**3 * right.d3 - 3.0 * beta1 * beta2 * right.d2
     beta3 = float(r3 @ t_plus) / q
-    return _BetaExtraction(beta1, beta2, beta3, "curve", reversal=beta1 < 0.0)
+    return _BetaExtraction(beta1, beta2, beta3, reversal=beta1 < 0.0)
 
 
 def _extract_mode_route(left: OrientationJet, right: OrientationJet):
@@ -218,11 +226,8 @@ def _mode_residuals(left: OrientationJet, right: OrientationJet,
     rhs2 = beta1**2 * right.ddtheta + beta2 * right.dtheta
     if math.isfinite(left.ddtheta) and math.isfinite(rhs2):
         g2 = _relative(abs(left.ddtheta - rhs2), abs(rhs2))
-    elif math.isinf(left.ddtheta) and math.isinf(rhs2) and \
-            math.copysign(1.0, left.ddtheta) == math.copysign(1.0, rhs2):
-        g2 = math.inf  # same-signed infinities still have no finite shared beta2
     else:
-        g2 = math.inf
+        g2 = math.inf  # even same-signed infinities have no finite shared beta2
     return g1, g2
 
 
@@ -324,13 +329,11 @@ def audit_wheel_continuity(ctx: JunctionContext,
         q = float(rw.d1 @ rw.d1)
         beta_w1 = float(lw.d1 @ rw.d1) / q
         beta_w2 = float((lw.d2 - beta_w1**2 * rw.d2) @ rw.d1) / q
-        rhs1 = params.beta1 * rw.d1
-        g1 = _relative(float(np.linalg.norm(lw.d1 - rhs1)),
-                       float(np.linalg.norm(rhs1)))
-        rhs2 = params.beta1**2 * rw.d2 + params.beta2 * rw.d1
-        g2 = _relative(float(np.linalg.norm(lw.d2 - rhs2)),
-                       float(np.linalg.norm(rhs2)))
-        audits.append(WheelContinuityAudit(wheel.id, beta_w1, beta_w2, g1, g2))
+        residuals, scales = _continuity_defects(lw, rw, params.beta1, params.beta2,
+                                                None, order=2)
+        audits.append(WheelContinuityAudit(
+            wheel.id, beta_w1, beta_w2, _relative(residuals[1], scales[1]),
+            _relative(residuals[2], scales[2])))
     return audits
 
 
@@ -446,19 +449,28 @@ def check_exponential_junction(ctx: JunctionContext,
                                      d2_left, d2_right, third, beta1, n, verdict)
 
 
-def check_path(path: Path, vehicle: VehicleModel,
-               tol: Tolerances | None = None) -> list[ContinuityReport]:
-    """One report per interior junction of ``path``, in travel order."""
+def check_junctions(junctions, vehicle: VehicleModel,
+                    tol: Tolerances | None = None) -> list[ContinuityReport]:
+    """One report per labelled junction ``(left_id, left, right_id, right)``.
+
+    Junctions that `JunctionContext` refuses (no shared end point) are
+    reported discontinuous, with infinite residuals and the refusal as note."""
     reports = []
-    for k, (left, right) in enumerate(path.junctions()):
+    for left_id, left, right_id, right in junctions:
         try:
-            ctx = JunctionContext(left, right, vehicle,
-                                  left_id=f"segment{k}", right_id=f"segment{k + 1}")
+            ctx = JunctionContext(left, right, vehicle, left_id, right_id)
         except DegenerateGeometryError as exc:
             reports.append(ContinuityReport(
-                f"segment{k}", f"segment{k + 1}", math.inf, math.inf, None,
-                math.inf, math.inf, math.inf, math.inf, math.inf,
-                DISCONTINUOUS, [str(exc)]))
+                left_id, right_id, math.inf, math.inf, None, math.inf, math.inf,
+                math.inf, math.inf, math.inf, DISCONTINUOUS, [str(exc)]))
             continue
         reports.append(analyze_junction(ctx, tol))
     return reports
+
+
+def check_path(path: Path, vehicle: VehicleModel,
+               tol: Tolerances | None = None) -> list[ContinuityReport]:
+    """One report per interior junction of ``path``, in travel order."""
+    return check_junctions(
+        ((f"segment{k}", left, f"segment{k + 1}", right)
+         for k, (left, right) in enumerate(path.junctions())), vehicle, tol)

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, arc_length
-from .motion import (orientation_at_end, orientation_many,
-                     orientation_third_derivative, wrap_angle)
+from .motion import (_UNWRAP_U, _angle, _nearest_branch, orientation_at_end,
+                     orientation_many, orientation_third_derivative, wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _WHEEL_SINGULAR = 1e-12
-_UNWRAP_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -87,25 +86,37 @@ def _rotations(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rot, _J[None, :, :] @ rot
 
 
-def _wheel_derivative_arrays(curve: BezierCurve, mode, wheel: Wheel,
-                             us: np.ndarray, theta_jets=None):
+class _Jets:
+    """Curve derivatives, |C'|, orientation jets and rotations at ``us``.
+
+    Evaluated once per call and shared by every wheel. ``unwrap=False``
+    keeps theta on the principal branch: cheaper, and enough where theta
+    only feeds the rotations. ``theta_jets`` overrides the orientation law.
+    """
+
+    def __init__(self, curve: BezierCurve, mode, us: np.ndarray,
+                 unwrap: bool = True, theta_jets=None):
+        us = np.asarray(us, dtype=float)
+        self.c0, self.c1, self.c2 = curve.derivatives_many(us, 2)
+        self.speed = np.hypot(self.c1[:, 0], self.c1[:, 1])
+        self.theta, self.dtheta, self.ddtheta = (
+            orientation_many(mode, curve, us, unwrap=unwrap)
+            if theta_jets is None else theta_jets)
+        self.rot, self.jrot = _rotations(self.theta)
+
+
+def _wheel_derivative_arrays(jets: _Jets, wheel: Wheel):
     """Position and first two derivatives of the wheel curve at each u."""
-    us = np.asarray(us, dtype=float)
-    c0, c1, c2 = curve.derivatives_many(us, 2)
-    if theta_jets is None:
-        theta_jets = orientation_many(mode, curve, us)
-    theta, dtheta, ddtheta = theta_jets
     r = wheel.r_vec
     if not np.any(r):
-        return c0, c1, c2, theta, dtheta
-    rot, jrot = _rotations(theta)
-    rr = rot @ r
-    jr = jrot @ r
-    pos = c0 + rr
-    d1 = c1 + dtheta[:, None] * jr
+        return jets.c0, jets.c1, jets.c2
+    rr = jets.rot @ r
+    jr = jets.jrot @ r
+    pos = jets.c0 + rr
+    d1 = jets.c1 + jets.dtheta[:, None] * jr
     with np.errstate(invalid="ignore"):
-        d2 = c2 - (dtheta**2)[:, None] * rr + ddtheta[:, None] * jr
-    return pos, d1, d2, theta, dtheta
+        d2 = jets.c2 - (jets.dtheta**2)[:, None] * rr + jets.ddtheta[:, None] * jr
+    return pos, d1, d2
 
 
 def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
@@ -118,22 +129,17 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in 0..3, got {order}")
     us = np.array([float(u)])
-    pos, d1, d2, theta, dtheta = _wheel_derivative_arrays(
-        segment.curve, segment.mode, wheel, us)
+    jets = _Jets(segment.curve, segment.mode, us)
+    pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
     d3 = np.zeros(2)
     if order >= 3:
-        c3 = segment.curve.derivatives_many(us, 3)[3][0]
+        d3 = segment.curve.derivatives_many(us, 3)[3][0]
         r = wheel.r_vec
         if np.any(r):
-            ddtheta = orientation_many(segment.mode, segment.curve, us)[2][0]
             dddtheta = orientation_third_derivative(segment.mode, segment.curve, u)
-            rot, jrot = _rotations(theta)
-            rr = (rot @ r)[0]
-            jr = (jrot @ r)[0]
-            th1 = dtheta[0]
-            d3 = c3 - 3.0 * th1 * ddtheta * rr + (dddtheta - th1**3) * jr
-        else:
-            d3 = c3
+            rr, jr = (jets.rot @ r)[0], (jets.jrot @ r)[0]
+            th1, th2 = jets.dtheta[0], jets.ddtheta[0]
+            d3 = d3 - 3.0 * th1 * th2 * rr + (dddtheta - th1**3) * jr
     return CurveJet(pos[0], d1[0],
                     d2[0] if order >= 2 else np.zeros(2),
                     d3)
@@ -143,31 +149,19 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
     """One-sided wheel jet at a segment end, using one-sided orientation limits."""
     u = 0.0 if end == "start" else 1.0
     jet = orientation_at_end(segment.mode, segment.curve, end)
-    arrays = _wheel_derivative_arrays(
-        segment.curve, segment.mode, wheel, np.array([u]),
-        theta_jets=(np.array([jet.theta]), np.array([jet.dtheta]),
-                    np.array([jet.ddtheta])))
-    pos, d1, d2 = arrays[0][0], arrays[1][0], arrays[2][0]
-    return CurveJet(pos, d1, d2, np.zeros(2))
+    jets = _Jets(segment.curve, segment.mode, np.array([u]), theta_jets=tuple(
+        np.array([x]) for x in (jet.theta, jet.dtheta, jet.ddtheta)))
+    pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
+    return CurveJet(pos[0], d1[0], d2[0], np.zeros(2))
 
 
 @lru_cache(maxsize=512)
-def _wheel_heading_grid(segment: PathSegment, wheel: Wheel):
+def _wheel_heading_grid(segment: PathSegment, wheel: Wheel) -> np.ndarray:
     """Dense unwrapped wheel-heading samples for branch selection."""
-    us = np.linspace(0.0, 1.0, _UNWRAP_GRID + 1)
-    _, d1, _, _, _ = _wheel_derivative_arrays(segment.curve, segment.mode, wheel, us)
-    unwrapped = np.unwrap(np.arctan2(d1[:, 1], d1[:, 0]))
-    us.setflags(write=False)
+    jets = _Jets(segment.curve, segment.mode, _UNWRAP_U)
+    unwrapped = np.unwrap(_angle(_wheel_derivative_arrays(jets, wheel)[1]))
     unwrapped.setflags(write=False)
-    return us, unwrapped
-
-
-def _unwrapped_wheel_heading(segment: PathSegment, wheel: Wheel,
-                             us: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    grid_u, grid_z = _wheel_heading_grid(segment, wheel)
-    reference = np.interp(us, grid_u, grid_z)
-    principal = np.arctan2(d1[:, 1], d1[:, 0])
-    return reference + np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi
+    return unwrapped
 
 
 def _ratios_from_derivatives(d1, d2, dtheta, vehicle_speed):
@@ -192,45 +186,44 @@ def _ratios_from_derivatives(d1, d2, dtheta, vehicle_speed):
     return r_v, r_omega, kappa, singular
 
 
-def _ratio_tracks(curve: BezierCurve, mode, vehicle: VehicleModel,
-                  us: np.ndarray) -> dict[str, dict]:
-    """Speed/steering ratios for every wheel, on the cheap principal-angle path."""
-    us = np.asarray(us, dtype=float)
-    theta_jets = orientation_many(mode, curve, us, unwrap=False)
-    c1 = curve.derivatives_many(us, 1)[1]
-    vehicle_speed = np.hypot(c1[:, 0], c1[:, 1])
-    out = {}
-    for w in vehicle.sorted_wheels():
-        _, d1, d2, _, dtheta = _wheel_derivative_arrays(curve, mode, w, us,
-                                                        theta_jets)
-        r_v, r_omega, kappa, singular = _ratios_from_derivatives(
-            d1, d2, dtheta, vehicle_speed)
-        out[w.id] = {"r_v": r_v, "r_omega": r_omega, "kappa_w": kappa,
-                     "singular": singular}
-    return out
+def _wheel_tracks(jets: _Jets, wheel: Wheel) -> tuple[np.ndarray, dict]:
+    """First derivative of the wheel path, plus its position and ratio tracks."""
+    pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
+    r_v, r_omega, kappa, singular = _ratios_from_derivatives(
+        d1, d2, jets.dtheta, jets.speed)
+    return d1, {"position": pos, "r_v": r_v, "r_omega": r_omega,
+                "kappa_w": kappa, "singular": singular}
+
+
+def _ratio_tracks(jets: _Jets, vehicle: VehicleModel) -> dict[str, dict]:
+    """Speed/steering ratios for every wheel of ``vehicle``."""
+    return {w.id: _wheel_tracks(jets, w)[1] for w in vehicle.sorted_wheels()}
+
+
+def _steering_tracks(segment: PathSegment, wheels,
+                     us: np.ndarray) -> tuple[_Jets, dict[str, dict]]:
+    """Jets at ``us`` and, per wheel, ratio tracks plus heading and steering angle."""
+    jets = _Jets(segment.curve, segment.mode, us)
+    start = _Jets(segment.curve, segment.mode, np.array([0.0]))
+    theta0 = start.theta[0]
+    tracks = {}
+    for w in wheels:
+        d1, track = _wheel_tracks(jets, w)
+        grid = _wheel_heading_grid(segment, w)
+        zeta = _nearest_branch(us, grid, _angle(d1))
+        zeta0 = _nearest_branch(np.array([0.0]), grid,
+                                _angle(_wheel_derivative_arrays(start, w)[1]))[0]
+        # Steering angle continuous along u, anchored at its principal value at u=0.
+        track["zeta_w"] = zeta
+        track["delta_w"] = (wrap_angle(zeta0 - theta0) + (zeta - zeta0)
+                            - (jets.theta - theta0))
+        tracks[w.id] = track
+    return jets, tracks
 
 
 def _wheel_track_arrays(segment: PathSegment, wheel: Wheel, us: np.ndarray):
     """Vectorized wheel-state quantities across many parameters."""
-    us = np.asarray(us, dtype=float)
-    pos, d1, d2, theta, dtheta = _wheel_derivative_arrays(
-        segment.curve, segment.mode, wheel, us)
-    c1 = segment.curve.derivatives_many(us, 1)[1]
-    vehicle_speed = np.hypot(c1[:, 0], c1[:, 1])
-    r_v, r_omega, kappa, singular = _ratios_from_derivatives(
-        d1, d2, dtheta, vehicle_speed)
-    zeta = _unwrapped_wheel_heading(segment, wheel, us, d1)
-    # Steering angle continuous along u, anchored at its principal value at u=0.
-    theta0 = orientation_many(segment.mode, segment.curve, np.array([0.0]))[0][0]
-    zeta0 = _unwrapped_wheel_heading(
-        segment, wheel, np.array([0.0]),
-        _wheel_derivative_arrays(segment.curve, segment.mode, wheel,
-                                 np.array([0.0]))[1])[0]
-    delta = wrap_angle(zeta0 - theta0) + (zeta - zeta0) - (theta - theta0)
-    return {
-        "position": pos, "zeta_w": zeta, "delta_w": delta, "r_v": r_v,
-        "r_omega": r_omega, "kappa_w": kappa, "singular": singular,
-    }
+    return _steering_tracks(segment, [wheel], np.asarray(us, dtype=float))[1][wheel.id]
 
 
 def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarray:
@@ -286,54 +279,39 @@ def _limit_from_tracks(v_segment: float, vehicle: VehicleModel,
     v = np.full(size, float(v_segment))
     binding = np.array(["segment"] * size, dtype=object)
     flagged = np.zeros(size, dtype=bool)
+    for kind, ratio, limit in (("traction", "r_v", "v_max"),
+                               ("steering", "r_omega", "omega_max")):
+        for w in vehicle.sorted_wheels():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mag = np.abs(tracks[w.id][ratio])
+                quota = np.where(mag > 0.0, getattr(w, limit) / mag, np.inf)
+            quota = np.where(np.isnan(quota), np.inf, quota)
+            better = quota < v
+            v = np.where(better, quota, v)
+            binding[better] = f"{kind}({w.id})"
     for w in vehicle.sorted_wheels():
-        t = tracks[w.id]
-        flagged |= t["singular"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quota = np.where(t["r_v"] > 0.0, w.v_max / t["r_v"], np.inf)
-        quota = np.where(np.isnan(quota), np.inf, quota)
-        better = quota < v
-        v = np.where(better, quota, v)
-        binding[better] = f"traction({w.id})"
-    for w in vehicle.sorted_wheels():
-        t = tracks[w.id]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = np.abs(t["r_omega"])
-            quota = np.where(mag > 0.0, w.omega_max / mag, np.inf)
-        quota = np.where(np.isnan(quota), np.inf, quota)
-        flagged |= ~np.isfinite(mag) & ~t["singular"]
-        better = quota < v
-        v = np.where(better, quota, v)
-        binding[better] = f"steering({w.id})"
+        flagged |= tracks[w.id]["singular"] | ~np.isfinite(tracks[w.id]["r_omega"])
     return v, binding, flagged
-
-
-def _limit_arrays(segment: PathSegment, vehicle: VehicleModel, us: np.ndarray):
-    """Speed limit plus full wheel tracks (used by profiling and scalar queries)."""
-    us = np.asarray(us, dtype=float)
-    tracks = {w.id: _wheel_track_arrays(segment, w, us)
-              for w in vehicle.sorted_wheels()}
-    v, binding, flagged = _limit_from_tracks(segment.v_max, vehicle, tracks,
-                                             us.size)
-    return v, binding, flagged, tracks
 
 
 def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
                        vehicle: VehicleModel, us: np.ndarray) -> np.ndarray:
-    """Speed-limit values only, skipping steering-angle bookkeeping.
+    """Speed-limit values only, on principal-branch orientation jets.
 
     Candidate evaluation during repair calls this in a tight loop.
     """
     us = np.asarray(us, dtype=float)
-    tracks = _ratio_tracks(curve, mode, vehicle, us)
-    v, _, _ = _limit_from_tracks(v_segment, vehicle, tracks, us.size)
-    return v
+    jets = _Jets(curve, mode, us, unwrap=False)
+    return _limit_from_tracks(v_segment, vehicle, _ratio_tracks(jets, vehicle),
+                              us.size)[0]
 
 
 def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
                 s: float | None = None) -> SpeedLimitSample:
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
-    v, binding, flagged, _ = _limit_arrays(segment, vehicle, np.array([float(u)]))
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
+    v, binding, flagged = _limit_from_tracks(
+        segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)
     if s is None:
         s = arc_length(segment.curve, 0.0, float(u))
     return SpeedLimitSample(float(u), float(s), float(v[0]), str(binding[0]),
@@ -343,9 +321,9 @@ def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
 def wheel_speed_limit(segment: PathSegment, vehicle: VehicleModel,
                       wheel: Wheel, u: float) -> float:
     """Traction-speed limit of one wheel: vehicle limit scaled by its R_v."""
-    sample = speed_limit(segment, vehicle, u)
-    state = wheel_state(segment, wheel, u)
-    return sample.v_max * state.r_v
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
+    v = _limit_from_tracks(segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)[0]
+    return float(v[0]) * float(_wheel_tracks(jets, wheel)[1]["r_v"][0])
 
 
 @dataclass(frozen=True)
@@ -386,8 +364,8 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         raise ValueError(f"need at least 2 samples, got {samples}")
     us = np.linspace(0.0, 1.0, samples)
     s = np.array([arc_length(segment.curve, 0.0, float(u)) for u in us])
-    v, binding, flagged, tracks = _limit_arrays(segment, vehicle, us)
-    theta, dtheta, _ = orientation_many(segment.mode, segment.curve, us)
+    jets, tracks = _steering_tracks(segment, vehicle.sorted_wheels(), us)
+    v, binding, flagged = _limit_from_tracks(segment.v_max, vehicle, tracks, samples)
     # At an isolated wheel-cusp sample the cusp wheel imposes no constraint
     # of its own; borrow the nearest clean sample's limit instead of leaving
     # the optimistic value.
@@ -406,4 +384,4 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         for wid, t in tracks.items()
     }
     return SegmentProfile(us, s, v, tuple(str(b) for b in binding), flagged,
-                          theta, dtheta, wheel_tracks)
+                          jets.theta, jets.dtheta, wheel_tracks)

@@ -1,0 +1,230 @@
+"""Layout documents: JSON parsing, validation, serialization and loading.
+
+Layout documents are JSON, schema version 1: angles in degrees, meters and
+seconds throughout (radians are internal only). Every validation failure
+raises `LayoutError` with a path into the document.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+
+from .curve import BezierCurve
+from .errors import LayoutError
+from .motion import Crab, ExponentialAnticipated, ExponentialDelayed, Tangential
+from .vehicle import Path, PathSegment, VehicleModel, Wheel, validate_vehicle
+
+__all__ = [
+    "SCHEMA_VERSION",
+    "LayoutDocument",
+    "LayoutSegment",
+    "parse_layout",
+    "serialize_layout",
+    "load_layout",
+]
+
+SCHEMA_VERSION = 1
+
+_MODES = {"tangential": Tangential, "crab": Crab,
+          "exponential_delayed": ExponentialDelayed,
+          "exponential_anticipated": ExponentialAnticipated}
+
+
+@dataclass(frozen=True)
+class LayoutSegment:
+    id: str
+    segment: PathSegment
+
+
+@dataclass(frozen=True)
+class LayoutDocument:
+    """A parsed layout: vehicle, ordered segments, and junction adjacency."""
+
+    name: str
+    vehicle: VehicleModel
+    segments: tuple[LayoutSegment, ...]
+    adjacency: tuple[tuple[str, str], ...]
+
+    def segment_by_id(self, seg_id: str) -> LayoutSegment:
+        for ls in self.segments:
+            if ls.id == seg_id:
+                return ls
+        raise KeyError(seg_id)
+
+    def junction_ids(self) -> list[str]:
+        return [f"{a}:{b}" for a, b in self.adjacency]
+
+    def junctions(self):
+        """Labelled junctions ``(left_id, left, right_id, right)`` in adjacency order."""
+        for left_id, right_id in self.adjacency:
+            yield (left_id, self.segment_by_id(left_id).segment,
+                   right_id, self.segment_by_id(right_id).segment)
+
+    def path(self) -> Path:
+        return Path(tuple(ls.segment for ls in self.segments))
+
+
+def _require(obj: dict, key: str, kind, location: str):
+    if key not in obj:
+        raise LayoutError(f"missing required field {key!r}", location)
+    value = obj[key]
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not math.isfinite(float(value)):
+            raise LayoutError(f"{key!r} must be a finite number", f"{location}.{key}")
+        return float(value)
+    if not isinstance(value, kind):
+        raise LayoutError(f"{key!r} must be of type {kind.__name__}",
+                          f"{location}.{key}")
+    return value
+
+
+def _parse_mode(obj, location: str):
+    if not isinstance(obj, dict):
+        raise LayoutError("mode must be an object", location)
+    tag = _require(obj, "type", str, location)
+    if tag not in _MODES:
+        raise LayoutError(f"unknown mode tag {tag!r}; expected one of {tuple(_MODES)}",
+                          f"{location}.type")
+    alpha = math.radians(_require(obj, "alpha_deg", float, location))
+    if tag in ("tangential", "crab"):
+        return _MODES[tag](alpha)
+    n = _require(obj, "n", float, location)
+    if not n > 1.0:
+        raise LayoutError(f"n must exceed 1, got {n}", f"{location}.n")
+    return _MODES[tag](alpha, n)
+
+
+def _parse_wheel(obj, idx: int) -> Wheel:
+    loc = f"vehicle.wheels[{idx}]"
+    if not isinstance(obj, dict):
+        raise LayoutError("wheel must be an object", loc)
+    wid = _require(obj, "id", str, loc)
+    pos = _require(obj, "position_m", list, loc)
+    if len(pos) != 2 or not all(isinstance(c, (int, float)) for c in pos):
+        raise LayoutError("position_m must be [x, y]", f"{loc}.position_m")
+    v_max = _require(obj, "v_max_mps", float, loc)
+    omega_max_deg = _require(obj, "omega_max_degps", float, loc)
+    if not v_max > 0.0:
+        raise LayoutError("v_max_mps must be > 0", f"{loc}.v_max_mps")
+    if not omega_max_deg > 0.0:
+        raise LayoutError("omega_max_degps must be > 0", f"{loc}.omega_max_degps")
+    return Wheel(wid, (float(pos[0]), float(pos[1])), v_max,
+                 math.radians(omega_max_deg))
+
+
+def parse_layout(data) -> LayoutDocument:
+    """Parse and validate a layout document (JSON text, bytes, or dict)."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise LayoutError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise LayoutError("layout document must be a JSON object")
+    version = _require(data, "schema_version", int, "")
+    if version != SCHEMA_VERSION:
+        raise LayoutError(f"unsupported schema_version {version}; this tool reads "
+                          f"{SCHEMA_VERSION}", "schema_version")
+    name = str(data.get("name", ""))
+    vehicle_obj = _require(data, "vehicle", dict, "")
+    wheels_obj = _require(vehicle_obj, "wheels", list, "vehicle")
+    if not wheels_obj:
+        raise LayoutError("vehicle needs at least one wheel", "vehicle.wheels")
+    wheels = tuple(_parse_wheel(w, i) for i, w in enumerate(wheels_obj))
+    vehicle = VehicleModel(wheels)
+    for violation in validate_vehicle(vehicle):
+        raise LayoutError(violation.message, f"vehicle.wheels({violation.wheel_id})")
+
+    segments_obj = _require(data, "segments", list, "")
+    if not segments_obj:
+        raise LayoutError("layout needs at least one segment", "segments")
+    segments = []
+    seen_ids = set()
+    for i, seg in enumerate(segments_obj):
+        loc = f"segments[{i}]"
+        if not isinstance(seg, dict):
+            raise LayoutError("segment must be an object", loc)
+        seg_id = _require(seg, "id", str, loc)
+        if seg_id in seen_ids:
+            raise LayoutError(f"duplicate segment id {seg_id!r}", f"{loc}.id")
+        seen_ids.add(seg_id)
+        pts = _require(seg, "control_points_m", list, loc)
+        if len(pts) < 2:
+            raise LayoutError("a curve needs at least two control points (degree >= 1)",
+                              f"{loc}.control_points_m")
+        for j, p in enumerate(pts):
+            if (not isinstance(p, list) or len(p) != 2
+                    or not all(isinstance(c, (int, float)) for c in p)):
+                raise LayoutError("control point must be [x, y]",
+                                  f"{loc}.control_points_m[{j}]")
+        mode = _parse_mode(seg.get("mode"), f"{loc}.mode")
+        v_max = _require(seg, "v_max_mps", float, loc)
+        if not v_max > 0.0:
+            raise LayoutError("v_max_mps must be > 0", f"{loc}.v_max_mps")
+        try:
+            segment = PathSegment(BezierCurve(pts), mode, v_max)
+        except ValueError as exc:
+            raise LayoutError(str(exc), loc) from exc
+        segments.append(LayoutSegment(seg_id, segment))
+
+    adjacency_obj = data.get("adjacency")
+    if adjacency_obj is None:
+        adjacency = tuple((segments[k].id, segments[k + 1].id)
+                          for k in range(len(segments) - 1))
+    else:
+        if not isinstance(adjacency_obj, list):
+            raise LayoutError("adjacency must be a list of [left, right] pairs",
+                              "adjacency")
+        pairs = []
+        for i, pair in enumerate(adjacency_obj):
+            loc = f"adjacency[{i}]"
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise LayoutError("adjacency entry must be [left_id, right_id]", loc)
+            for sid in pair:
+                if sid not in seen_ids:
+                    raise LayoutError(f"unknown segment id {sid!r}", loc)
+            pairs.append((str(pair[0]), str(pair[1])))
+        adjacency = tuple(pairs)
+    return LayoutDocument(name, vehicle, tuple(segments), adjacency)
+
+
+def _mode_to_json(mode) -> dict:
+    tag = next(tag for tag, cls in _MODES.items() if isinstance(mode, cls))
+    out = {"type": tag, "alpha_deg": math.degrees(mode.alpha)}
+    if tag.startswith("exponential"):
+        out["n"] = mode.n
+    return out
+
+
+def serialize_layout(doc: LayoutDocument, annotations: dict | None = None) -> str:
+    """Canonical JSON text for a layout document (stable key order)."""
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "name": doc.name,
+        "vehicle": {"wheels": [
+            {"id": w.id, "position_m": [w.r_w[0], w.r_w[1]],
+             "v_max_mps": w.v_max, "omega_max_degps": math.degrees(w.omega_max)}
+            for w in doc.vehicle.wheels]},
+        "segments": [
+            {"id": ls.id,
+             "control_points_m": [[float(x), float(y)]
+                                  for x, y in ls.segment.curve.control_points],
+             "mode": _mode_to_json(ls.segment.mode),
+             "v_max_mps": ls.segment.v_max}
+            for ls in doc.segments],
+        "adjacency": [[a, b] for a, b in doc.adjacency],
+    }
+    if annotations:
+        out["annotations"] = annotations
+    return json.dumps(out, indent=2) + "\n"
+
+
+def load_layout(path: str) -> LayoutDocument:
+    """Read and parse the layout file at ``path``."""
+    with open(path, "rb") as fh:
+        return parse_layout(fh.read())

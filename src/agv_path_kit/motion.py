@@ -37,7 +37,9 @@ __all__ = [
     "orientation_third_derivative",
 ]
 
-_UNWRAP_GRID = 4096
+# Read-only parameter grid shared by the body- and wheel-heading branch caches.
+_UNWRAP_U = np.linspace(0.0, 1.0, 4097)
+_UNWRAP_U.setflags(write=False)
 
 
 def wrap_angle(a: float) -> float:
@@ -108,30 +110,33 @@ MotionMode = Union[Tangential, Crab, ExponentialDelayed, ExponentialAnticipated]
 # --------------------------------------------------------------------------
 # Heading (tangent angle) of a curve and its analytic u-derivatives.
 
-def _heading_principal(curve: BezierCurve, us: np.ndarray) -> np.ndarray:
-    d1 = curve.derivatives_many(us, 1)[1]
+def _angle(d1: np.ndarray) -> np.ndarray:
     return np.arctan2(d1[:, 1], d1[:, 0])
 
 
+def _heading_principal(curve: BezierCurve, us: np.ndarray) -> np.ndarray:
+    return _angle(curve.derivatives_many(us, 1)[1])
+
+
+def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
+                    principal: np.ndarray) -> np.ndarray:
+    """Principal angles at ``us`` moved onto the branch of the unwrapped grid samples."""
+    reference = np.interp(us, _UNWRAP_U, grid_angles)
+    return reference + np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi
+
+
 @lru_cache(maxsize=256)
-def _heading_grid(curve: BezierCurve) -> tuple[np.ndarray, np.ndarray]:
+def _heading_grid(curve: BezierCurve) -> np.ndarray:
     """Dense unwrapped tangent-angle samples used for branch selection."""
-    us = np.linspace(0.0, 1.0, _UNWRAP_GRID + 1)
-    unwrapped = np.unwrap(_heading_principal(curve, us))
+    unwrapped = np.unwrap(_heading_principal(curve, _UNWRAP_U))
     unwrapped.setflags(write=False)
-    us.setflags(write=False)
-    return us, unwrapped
+    return unwrapped
 
 
 def unwrapped_heading_many(curve: BezierCurve, us: np.ndarray) -> np.ndarray:
     """Tangent angle continuous along u, anchored at the principal value of u=0."""
     us = np.asarray(us, dtype=float)
-    grid_u, grid_z = _heading_grid(curve)
-    reference = np.interp(us, grid_u, grid_z)
-    principal = _heading_principal(curve, us)
-    # Nearest-branch selection: exact principal value shifted to the branch
-    # tracked by the dense grid.
-    return reference + np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi
+    return _nearest_branch(us, _heading_grid(curve), _heading_principal(curve, us))
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:

@@ -178,9 +178,9 @@ def _multistart_minimize(objective, starts, bounds):
     return best
 
 
-def _tangential_candidate(problem: RepairProblem, beta: np.ndarray,
-                          order: int) -> tuple[BezierCurve, BezierCurve] | None:
-    """Curves with the junction jet rewritten for the given beta triple."""
+def _tangential_candidate(problem: RepairProblem, beta: np.ndarray
+                          ) -> tuple[BezierCurve, BezierCurve] | None:
+    """Curves with the third-order junction jet rewritten for the given beta triple."""
     b1, b2, b3 = float(beta[0]), float(beta[1]), float(beta[2])
     if b1 <= 0.0:
         return None
@@ -190,10 +190,9 @@ def _tangential_candidate(problem: RepairProblem, beta: np.ndarray,
         d1 = lj.d1 / b1
         d2 = (lj.d2 - b2 * d1) / b1**2
         d3 = (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
-        if ctx.right.curve.degree < order + 1:
+        if ctx.right.curve.degree < 4:
             return None
-        new_right = prescribe_endpoint_jet(ctx.right.curve, "start", d1, d2,
-                                           d3 if order >= 3 else None)
+        new_right = prescribe_endpoint_jet(ctx.right.curve, "start", d1, d2, d3)
         if not _regular(new_right):
             return None
         return ctx.left.curve, new_right
@@ -201,10 +200,9 @@ def _tangential_candidate(problem: RepairProblem, beta: np.ndarray,
     d1 = b1 * rj.d1
     d2 = b1**2 * rj.d2 + b2 * rj.d1
     d3 = b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1
-    if ctx.left.curve.degree < order + 1:
+    if ctx.left.curve.degree < 4:
         return None
-    new_left = prescribe_endpoint_jet(ctx.left.curve, "end", d1, d2,
-                                      d3 if order >= 3 else None)
+    new_left = prescribe_endpoint_jet(ctx.left.curve, "end", d1, d2, d3)
     if not _regular(new_left):
         return None
     return new_left, ctx.right.curve
@@ -235,6 +233,28 @@ def _candidate_objective(problem: RepairProblem, left_curve, right_curve) -> flo
     return total
 
 
+def _search(problem: RepairProblem, candidate, starts, bounds, what: str):
+    """Minimize the objective over ``candidate``'s parameters; verify the winner.
+
+    Returns (objective value, parameters, curves, report after repair)."""
+    def objective(x):
+        curves = candidate(problem, x)
+        if curves is None:
+            return 1e9
+        return _candidate_objective(problem, *curves)
+
+    best = _multistart_minimize(objective, starts, bounds)
+    if best is None or best[0] >= 1e9:
+        raise RepairInfeasibleError(f"no admissible {what} found in bounds")
+    value, x = best
+    curves = candidate(problem, np.array(x))
+    report = _verify(problem, *curves)
+    if report.verdict != SMOOTH:
+        raise RepairInfeasibleError(
+            f"repair verification failed (verdict {report.verdict})")
+    return value, x, curves, report
+
+
 def repair_tangential(problem: RepairProblem) -> RepairResult:
     """Restore shared second-order continuity for tangential-mode segments.
 
@@ -258,13 +278,6 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
         1.0, float(np.linalg.norm(ctx.left_jet.d2))
         / float(np.linalg.norm(ctx.left_jet.d1)))
     bounds = [problem.beta1_bounds, (-cb, cb), (-cb * 3.0, cb * 3.0)]
-
-    def objective(x):
-        curves = _tangential_candidate(problem, x, order=3)
-        if curves is None:
-            return 1e9
-        return _candidate_objective(problem, *curves)
-
     if problem.objective == "min_displacement":
         # Displacement is near-quadratic around the least-squares seed.
         starts = [seed]
@@ -272,15 +285,8 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
         starts = [seed] + [np.array([b1 * extraction.beta1, extraction.beta2,
                                      extraction.beta3])
                            for b1 in (0.5, 1.0, 2.0)]
-    best = _multistart_minimize(objective, starts, bounds)
-    if best is None or best[0] >= 1e9:
-        raise RepairInfeasibleError("no admissible shape parameters found in bounds")
-    value, x = best
-    curves = _tangential_candidate(problem, np.array(x), order=3)
-    report = _verify(problem, *curves)
-    if report.verdict != SMOOTH:
-        raise RepairInfeasibleError(
-            f"repair verification failed (verdict {report.verdict})")
+    value, x, curves, report = _search(problem, _tangential_candidate, starts,
+                                       bounds, "shape parameters")
     beta = ShapeParameters(x[0], x[1], x[2])
     moved = (_moved_points(ctx.right.curve, curves[1], "right")
              + _moved_points(ctx.left.curve, curves[0], "left"))
@@ -341,13 +347,6 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
     ])
     cb = problem.coefficient_bound
     bounds = [problem.beta1_bounds, (-cb, cb), problem.beta1_bounds, (-cb, cb)]
-
-    def objective(x):
-        curves = _exponential_candidate(problem, x)
-        if curves is None:
-            return 1e9
-        return _candidate_objective(problem, *curves)
-
     starts = [seed]
     if problem.objective != "min_displacement":
         for scale in (0.75, 1.25):
@@ -355,15 +354,8 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
             s[0] *= scale
             s[2] /= scale
             starts.append(s)
-    best = _multistart_minimize(objective, starts, bounds)
-    if best is None or best[0] >= 1e9:
-        raise RepairInfeasibleError("no admissible multipliers found in bounds")
-    value, x = best
-    curves = _exponential_candidate(problem, np.array(x))
-    report = _verify(problem, *curves)
-    if report.verdict != SMOOTH:
-        raise RepairInfeasibleError(
-            f"repair verification failed (verdict {report.verdict})")
+    value, x, curves, report = _search(problem, _exponential_candidate, starts,
+                                       bounds, "multipliers")
     moved = (_moved_points(ctx.left.curve, curves[0], "left")
              + _moved_points(ctx.right.curve, curves[1], "right"))
     return RepairResult(curves[0], curves[1],

@@ -266,3 +266,123 @@ class TestProfileCommand:
             for prefix in ("v_w_mps", "omega_w_degps", "delta_deg",
                            "omega_ratio", "R_v", "kappa_w"):
                 assert f"{prefix}_{wid}" in header
+
+
+def run_cli(argv):
+    """Exit code of the CLI, whether ``main`` returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SMOOTHED = str(bundled_layout_path("two_wheel_smoothed"))
+LAYOUT_DIR = str(bundled_layout_path("two_wheel_smoothed").parent)
+
+
+def gap_doc():
+    """Two straight segments whose ends are 1 cm apart: JunctionContext refuses them."""
+    doc = minimal_doc()
+    doc["segments"][1]["control_points_m"] = [[3.01, 0.0], [6.0, 0.0]]
+    return doc
+
+
+def test_layout_names_resolve_from_cli_and_layout_modules():
+    from agv_path_kit import cli, layout
+    for name in ("parse_layout", "serialize_layout", "LayoutDocument",
+                 "LayoutSegment"):
+        assert getattr(cli, name) is getattr(layout, name)
+
+
+def test_document_junctions_follow_adjacency():
+    doc = minimal_doc()
+    doc["segments"].append({"id": "c", "control_points_m": [[3.0, 0.0], [3.0, 3.0]],
+                            "mode": {"type": "crab", "alpha_deg": 0.0},
+                            "v_max_mps": 1.0})
+    doc["adjacency"] = [["a", "c"], ["a", "b"]]
+    parsed = parse_layout(json.dumps(doc))
+    junctions = list(parsed.junctions())
+    assert [(j[0], j[2]) for j in junctions] == [("a", "c"), ("a", "b")]
+    assert junctions[0][1] is parsed.segment_by_id("a").segment
+    assert junctions[0][3] is parsed.segment_by_id("c").segment
+
+
+def test_check_reports_refused_junction(tmp_path, capsys):
+    layout = tmp_path / "gap.json"
+    layout.write_text(json.dumps(gap_doc()))
+    note = ("segments 'a' and 'b' do not share a junction point "
+            "(gap 1.000e-02 m)")
+    assert main(["check", str(layout)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "a:b  discontinuous  g0=inf m  curve_g1=inf curve_g2=inf"
+        "  mode_g1=inf mode_g2=inf",
+        f"    note: {note}",
+        "FAIL: 1 junction(s) checked"]
+    assert main(["check", str(layout), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    (junction,) = payload["junctions"]
+    assert junction["junction"] == "a:b"
+    assert junction["verdict"] == "discontinuous"
+    assert junction["notes"] == [note]
+    assert junction["beta"] is None
+    assert junction["g0_position_m"] == float("inf")
+
+
+def test_zero_tolerance_is_not_replaced_by_the_default(capsys):
+    # The smoothed junction's residuals are tiny but not zero.
+    assert main(["check", SMOOTHED]) == 0
+    assert main(["check", SMOOTHED, "--tol", "0"]) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-1e-6", "nan"])
+@pytest.mark.parametrize("command", ["check", "repair", "profile"])
+def test_bad_tolerance_environment_exits_2(monkeypatch, capsys, command, value):
+    monkeypatch.setenv("AGV_PATH_KIT_TOL", value)
+    assert run_cli([command, SMOOTHED]) == 2
+    assert "AGV_PATH_KIT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["profile", SMOOTHED, "--samples", "1"], "--samples", id="samples-1"),
+    pytest.param(["profile", SMOOTHED, "--a-max", "-1"], "--a-max", id="a-max-negative"),
+    pytest.param(["profile", SMOOTHED, "--a-max", "0"], "--a-max", id="a-max-zero"),
+    pytest.param(["profile", SMOOTHED, "--a-max", "nan"], "--a-max", id="a-max-nan"),
+    pytest.param(["profile", SMOOTHED, "--tol", "-1"], "--tol", id="profile-tol-negative"),
+    pytest.param(["check", SMOOTHED, "--tol", "-1"], "--tol", id="check-tol-negative"),
+    pytest.param(["check", SMOOTHED, "--tol", "inf"], "--tol", id="check-tol-inf"),
+    pytest.param(["check", LAYOUT_DIR], LAYOUT_DIR, id="check-directory"),
+    pytest.param(["repair", LAYOUT_DIR], LAYOUT_DIR, id="repair-directory"),
+    pytest.param(["profile", LAYOUT_DIR], LAYOUT_DIR, id="profile-directory"),
+])
+def test_bad_flag_or_path_exits_2(argv, named, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_repair_refused_junction_exits_2(tmp_path, capsys):
+    layout = tmp_path / "gap.json"
+    layout.write_text(json.dumps(gap_doc()))
+    assert main(["repair", str(layout)]) == 2
+    err = capsys.readouterr().err
+    assert "junction a:b" in err
+    assert "do not share a junction point" in err
+
+
+def test_repair_junction_ids_may_contain_colons(tmp_path, capsys):
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    renamed = {"s1": "s:1", "s2": "s:2"}
+    for seg in doc["segments"]:
+        seg["id"] = renamed[seg["id"]]
+    assert "adjacency" not in doc   # consecutive segments are adjacent
+    layout = tmp_path / "colons.json"
+    layout.write_text(json.dumps(doc))
+    out_file = tmp_path / "repaired.json"
+    assert main(["repair", str(layout), "--junction", "s:1:s:2",
+                 "--objective", "min_displacement", "--out", str(out_file)]) == 0
+    repair = json.loads(out_file.read_text())["annotations"]["repair"]
+    assert repair["junction"] == "s:1:s:2"
+    assert repair["verdict_after"] == "smooth"

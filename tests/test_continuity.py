@@ -1,5 +1,7 @@
 """Junction analysis: extraction, verdicts, audits, and the special rule sets."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -311,3 +313,37 @@ def test_tolerance_environment_override(monkeypatch):
     assert Tolerances.default().relative == 1e-6
     monkeypatch.setenv("AGV_PATH_KIT_TOL", "1e-4")
     assert Tolerances.default().relative == 1e-4
+
+
+@pytest.mark.parametrize("name", ["position", "angle", "relative"])
+@pytest.mark.parametrize("value", [-1e-6, math.nan, math.inf, -math.inf])
+def test_tolerances_reject_negative_and_non_finite(name, value):
+    from agv_path_kit import Tolerances
+    with pytest.raises(ValueError, match=name):
+        Tolerances(**{name: value})
+
+
+def test_tolerances_accept_zero():
+    from agv_path_kit import Tolerances
+    assert Tolerances(0.0, 0.0, 0.0).relative == 0.0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1e-4", "nan"])
+def test_tolerance_environment_rejects_bad_values(monkeypatch, value):
+    from agv_path_kit import Tolerances
+    monkeypatch.setenv("AGV_PATH_KIT_TOL", value)
+    with pytest.raises(ValueError, match="AGV_PATH_KIT_TOL"):
+        Tolerances.default()
+
+
+def test_check_junctions_labels_and_refuses(layout_smoothed):
+    from agv_path_kit.continuity import check_junctions
+    left, right = (ls.segment for ls in layout_smoothed.segments)
+    shifted = PathSegment(BezierCurve(right.curve.control_points + [0.01, 0.0]),
+                          right.mode, right.v_max)
+    reports = check_junctions([("L", left, "R", right), ("L", left, "X", shifted)],
+                              layout_smoothed.vehicle)
+    assert [(r.left_id, r.right_id, r.verdict) for r in reports] == [
+        ("L", "R", SMOOTH), ("L", "X", DISCONTINUOUS)]
+    assert math.isinf(reports[1].curve_g1) and reports[1].beta is None
+    assert "do not share a junction point" in reports[1].notes[0]
