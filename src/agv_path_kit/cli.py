@@ -127,7 +127,9 @@ def cmd_profile(args) -> int:
     doc = load_layout(args.layout)
     try:
         path = doc.path()
-    except ValueError as exc:
+    except LayoutError:             # adjacency is not one chain: main exits 2
+        raise
+    except ValueError as exc:       # chained segments that do not meet
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -137,21 +139,24 @@ def cmd_profile(args) -> int:
     except DiscontinuousPathError as exc:
         print(f"error: {exc} (use --diagnostic to profile anyway)", file=sys.stderr)
         return 1
+
+    def cells(values, convert=None):
+        # Numbers print as Python float reprs, formatted one column at a time.
+        values = values.tolist()
+        return map(repr, values if convert is None else map(convert, values))
+
     header = ["u", "s_m", "t_s", "v_mps", "v_max_mps", "binding"]
-    columns = [profile.u, profile.s, profile.t, profile.v, profile.v_limit,
-               profile.binding]
+    columns = [cells(profile.u), cells(profile.s), cells(profile.t), cells(profile.v),
+               cells(profile.v_limit), profile.binding]
     for wid in (w.id for w in doc.vehicle.sorted_wheels()):
         header += [f"{name}_{wid}" for name in ("v_w_mps", "omega_w_degps", "delta_deg",
                                                  "omega_ratio", "R_v", "kappa_w")]
-        columns += [profile.wheel_speeds[wid],
-                    [math.degrees(x) for x in profile.wheel_steering_rates[wid]],
-                    [math.degrees(x) for x in profile.wheel_deltas[wid]],
-                    profile.wheel_r_omega[wid], profile.wheel_r_v[wid],
-                    profile.wheel_kappa[wid]]
-    # Binding names are the only text cells; numbers print as Python reprs.
-    lines = [",".join(header)] + [
-        ",".join(x if isinstance(x, str) else repr(float(x)) for x in row)
-        for row in zip(*columns)]
+        columns += [cells(profile.wheel_speeds[wid]),
+                    cells(profile.wheel_steering_rates[wid], math.degrees),
+                    cells(profile.wheel_deltas[wid], math.degrees),
+                    cells(profile.wheel_r_omega[wid]), cells(profile.wheel_r_v[wid]),
+                    cells(profile.wheel_kappa[wid])]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
 SINGULAR_SPEED = 1e-12
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Most quadrature nodes per curve evaluation in a batched arc length; bounds its memory.
+_ARC_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,12 @@ def _control_array(control_points) -> np.ndarray:
     return arr
 
 
-def _decasteljau(net: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate the Bezier polygon ``net`` (m, 2) at parameters ``u`` (N,)."""
-    pts = np.repeat(net[None, :, :], u.size, axis=0)
-    w = u[:, None, None]
-    while pts.shape[1] > 1:
-        pts = (1.0 - w) * pts[:, :-1, :] + w * pts[:, 1:, :]
-    return pts[:, 0, :]
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """Binomial coefficients C(n, 0..n), built the first time degree n is evaluated."""
+    row = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    row.setflags(write=False)
+    return row
 
 
 class BezierCurve:
@@ -140,15 +141,35 @@ class BezierCurve:
         return tuple(nets)
 
     def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
-        """Arrays (N, 2) of the 0th..order-th derivative at each u."""
+        """Arrays (N, 2) of the 0th..order-th derivative at each u.
+
+        Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
+        derivative net D_k (degree m = n - k), with the power tables shared
+        by every order. The sum runs elementwise in j order, so each row
+        depends on its own u only; the basis is a unit row at u = 0 and
+        u = 1, so endpoint values are exact.
+        """
         us = np.asarray(us, dtype=float)
         nets = self._derivative_nets
+        n = self.degree
+        up = np.empty((n + 1, us.size))
+        down = np.empty((n + 1, us.size))
+        up[0] = down[0] = 1.0
+        rest = 1.0 - us
+        for j in range(1, n + 1):
+            up[j] = up[j - 1] * us
+            down[j] = down[j - 1] * rest
         out = []
         for k in range(order + 1):
-            if k < len(nets):
-                out.append(_decasteljau(nets[k], us))
-            else:
+            if k > n:
                 out.append(np.zeros((us.size, 2)))
+                continue
+            m, net = n - k, nets[k]
+            basis = _binomials(m)[:, None] * up[:m + 1] * down[m::-1]
+            value = net[0][:, None] * basis[0]
+            for j in range(1, m + 1):
+                value += net[j][:, None] * basis[j]
+            out.append(value.T)
         return out
 
     def jet(self, u: float, order: int = 3) -> CurveJet:
@@ -194,36 +215,53 @@ def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
     return CurveJet(vals[0], vals[1], vals[2], vals[3])
 
 
-def _panel_quadrature(curve: BezierCurve, u1: float, u2: float, panels: int) -> float:
-    edges = np.linspace(u1, u2, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    us = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
+def _panel_quadrature(curve: BezierCurve, u1: float, u2: np.ndarray,
+                      panels: int) -> np.ndarray:
+    """Composite Gauss-Legendre length over [u1, u2[i]] with ``panels`` panels each."""
+    edges = np.linspace(u1, u2, panels + 1, axis=-1)
+    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    us = (centers[:, :, None] + half[:, None, None] * _GL_NODES).ravel()
     d1 = curve.derivatives_many(us, 1)[1]
-    speeds = np.hypot(d1[:, 0], d1[:, 1]).reshape(panels, -1)
-    return float(half * np.sum(speeds @ _GL_WEIGHTS))
+    speeds = np.hypot(d1[:, 0], d1[:, 1]).reshape(u2.size, panels, _GL_NODES.size)
+    return half * np.sum(np.sum(speeds * _GL_WEIGHTS, axis=-1), axis=-1)
 
 
-def arc_length(curve: BezierCurve, u1: float = 0.0, u2: float = 1.0,
-               tol: float = 1e-9) -> float:
+def _panel_estimates(curve: BezierCurve, u1: float, u2: np.ndarray,
+                     panels: int) -> np.ndarray:
+    """`_panel_quadrature` for every end in ``u2``, at most _ARC_POINTS nodes per call."""
+    step = max(1, _ARC_POINTS // (panels * _GL_NODES.size))
+    parts = [_panel_quadrature(curve, u1, u2[i:i + step], panels)
+             for i in range(0, u2.size, step)]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def arc_length(curve: BezierCurve, u1: float = 0.0, u2: float | np.ndarray = 1.0,
+               tol: float = 1e-9) -> float | np.ndarray:
     """Arc length of ``curve`` over [u1, u2] in meters.
 
     24-point Gauss-Legendre per panel, with the panel count doubled until
-    two successive estimates agree to ``tol``.
+    two successive estimates agree to ``tol``. An array ``u2`` gives an
+    array of lengths, one per end: all ends run the rule together, each
+    doubling evaluates the curve once for the ends still unconverged, and
+    every length equals the scalar call's bit for bit.
     """
-    if not 0.0 <= u1 <= u2 <= 1.0:
+    ends = np.asarray(u2, dtype=float)
+    flat = ends.ravel()
+    if not (0.0 <= u1 and np.all((u1 <= flat) & (flat <= 1.0))):
         raise ValueError(f"need 0 <= u1 <= u2 <= 1, got ({u1}, {u2})")
-    if u1 == u2:
-        return 0.0
-    previous = _panel_quadrature(curve, u1, u2, 1)
+    lengths = np.zeros(flat.size)
+    live = np.flatnonzero(flat > u1)
+    previous = _panel_estimates(curve, u1, flat[live], 1)
     panels = 2
-    while panels <= 4096:
-        current = _panel_quadrature(curve, u1, u2, panels)
-        if abs(current - previous) < tol:
-            return current
-        previous = current
+    while live.size and panels <= 4096:
+        current = _panel_estimates(curve, u1, flat[live], panels)
+        done = np.abs(current - previous) < tol
+        lengths[live[done]] = current[done]
+        live, previous = live[~done], current[~done]
         panels *= 2
-    return previous
+    lengths[live] = previous
+    return float(lengths[0]) if ends.ndim == 0 else lengths.reshape(ends.shape)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> float:

@@ -155,10 +155,16 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
     return CurveJet(pos[0], d1[0], d2[0], np.zeros(2))
 
 
+@lru_cache(maxsize=1)
+def _grid_jets(segment: PathSegment) -> _Jets:
+    """Jets on the unwrap grid, kept while one segment's wheel grids are built."""
+    return _Jets(segment.curve, segment.mode, _UNWRAP_U)
+
+
 @lru_cache(maxsize=512)
 def _wheel_heading_grid(segment: PathSegment, wheel: Wheel) -> np.ndarray:
     """Dense unwrapped wheel-heading samples for branch selection."""
-    jets = _Jets(segment.curve, segment.mode, _UNWRAP_U)
+    jets = _grid_jets(segment)
     unwrapped = np.unwrap(_angle(_wheel_derivative_arrays(jets, wheel)[1]))
     unwrapped.setflags(write=False)
     return unwrapped
@@ -295,15 +301,16 @@ def _limit_from_tracks(v_segment: float, vehicle: VehicleModel,
 
 
 def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
-                       vehicle: VehicleModel, us: np.ndarray) -> np.ndarray:
-    """Speed-limit values only, on principal-branch orientation jets.
+                       vehicle: VehicleModel,
+                       us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Speed-limit values and |C'| at ``us``, on principal-branch orientation jets.
 
     Candidate evaluation during repair calls this in a tight loop.
     """
     us = np.asarray(us, dtype=float)
     jets = _Jets(curve, mode, us, unwrap=False)
-    return _limit_from_tracks(v_segment, vehicle, _ratio_tracks(jets, vehicle),
-                              us.size)[0]
+    v = _limit_from_tracks(v_segment, vehicle, _ratio_tracks(jets, vehicle), us.size)[0]
+    return v, jets.speed
 
 
 def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
@@ -355,15 +362,16 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
                     samples: int) -> SegmentProfile:
     """Uniform-u sampling of the limit profile and all wheel tracks.
 
-    Arc length is computed independently per sample, so evaluation order
-    (or parallel evaluation) cannot change the result. Samples flagged as
-    singular take the speed limit of their nearest unflagged neighbor
-    rather than a silently interpolated value.
+    Arc length from u=0 comes from one batched `arc_length` call over all
+    samples: the adaptive rule runs for every sample at once, and each value
+    equals a per-sample call bit for bit, so evaluation order cannot change
+    the result. Samples flagged as singular take the speed limit of their
+    nearest unflagged neighbor rather than a silently interpolated value.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     us = np.linspace(0.0, 1.0, samples)
-    s = np.array([arc_length(segment.curve, 0.0, float(u)) for u in us])
+    s = arc_length(segment.curve, 0.0, us)
     jets, tracks = _steering_tracks(segment, vehicle.sorted_wheels(), us)
     v, binding, flagged = _limit_from_tracks(segment.v_max, vehicle, tracks, samples)
     # At an isolated wheel-cusp sample the cusp wheel imposes no constraint

@@ -63,7 +63,37 @@ class LayoutDocument:
                    right_id, self.segment_by_id(right_id).segment)
 
     def path(self) -> Path:
-        return Path(tuple(ls.segment for ls in self.segments))
+        """The segments in the order the adjacency chains them.
+
+        A chain that closes on itself starts at the first segment in the
+        file. Raises `LayoutError` when the adjacency forks, merges or
+        leaves a segment off the chain: a profile needs one unbranched path.
+        """
+        successor: dict[str, str] = {}
+        predecessor: dict[str, str] = {}
+        for left, right in self.adjacency:
+            if left in successor:
+                raise LayoutError(f"segment {left!r} forks into {successor[left]!r} "
+                                  f"and {right!r}; a profile needs one unbranched "
+                                  "chain", "adjacency")
+            if right in predecessor:
+                raise LayoutError(f"segment {right!r} is entered from both "
+                                  f"{predecessor[right]!r} and {left!r}; a profile "
+                                  "needs one unbranched chain", "adjacency")
+            successor[left], predecessor[right] = right, left
+        segments = {ls.id: ls.segment for ls in self.segments}
+        start = next((sid for sid in segments if sid not in predecessor),
+                     self.segments[0].id)
+        order = [start]
+        while successor.get(order[-1], start) != start:
+            order.append(successor[order[-1]])
+        on_chain = set(order)
+        off = [sid for sid in segments if sid not in on_chain]
+        if off:
+            raise LayoutError(f"segment {off[0]!r} is not on the chain that starts at "
+                              f"{start!r}; a profile needs one unbranched chain",
+                              "adjacency")
+        return Path(tuple(segments[sid] for sid in order))
 
 
 def _require(obj: dict, key: str, kind, location: str):

@@ -88,9 +88,7 @@ def _travel_time(curve: BezierCurve, mode, v_segment: float,
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     us = (centers[:, None] + half * _TIME_GL_NODES[None, :]).ravel()
-    v_max = limit_profile_fast(curve, mode, v_segment, vehicle, us)
-    d1 = curve.derivatives_many(us, 1)[1]
-    speed = np.hypot(d1[:, 0], d1[:, 1])
+    v_max, speed = limit_profile_fast(curve, mode, v_segment, vehicle, us)
     if np.any(v_max <= 0.0) or not np.all(np.isfinite(v_max)):
         return math.inf
     integrand = (speed / v_max).reshape(_TIME_PANELS, -1)

@@ -386,3 +386,55 @@ def test_repair_junction_ids_may_contain_colons(tmp_path, capsys):
     repair = json.loads(out_file.read_text())["annotations"]["repair"]
     assert repair["junction"] == "s:1:s:2"
     assert repair["verdict_after"] == "smooth"
+
+
+def crab_fork_doc():
+    """Crab trunk 'a' that forks at (3, 0) into 'b' (left) and 'c' (right)."""
+    doc = minimal_doc()
+    crab = {"type": "crab", "alpha_deg": 0.0}
+    for seg in doc["segments"]:
+        seg["mode"] = dict(crab)
+    doc["segments"][1]["control_points_m"] = [[3.0, 0.0], [3.0, 3.0]]
+    doc["segments"].append({"id": "c", "control_points_m": [[3.0, 0.0], [3.0, -3.0]],
+                            "mode": dict(crab), "v_max_mps": 1.5})
+    doc["adjacency"] = [["a", "b"], ["a", "c"]]
+    return doc
+
+
+@pytest.mark.parametrize("adjacency, named", [
+    pytest.param([["a", "b"], ["a", "c"]], "segment 'a' forks", id="fork"),
+    pytest.param([["a", "c"], ["b", "c"]], "segment 'c' is entered from both",
+                 id="merge"),
+    pytest.param([["a", "b"]], "segment 'c' is not on the chain", id="off-chain"),
+])
+def test_profile_refuses_unchained_adjacency(tmp_path, capsys, adjacency, named):
+    doc = crab_fork_doc()
+    doc["adjacency"] = adjacency
+    layout = tmp_path / "fork.json"
+    layout.write_text(json.dumps(doc))
+    assert main(["check", str(layout)]) == 1      # the fork is still lintable
+    capsys.readouterr()
+    assert run_cli(["profile", str(layout), "--samples", "20"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "adjacency" in captured.err
+    assert captured.out == ""
+
+
+def test_profile_follows_adjacency_not_file_order(tmp_path, capsys):
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    doc["segments"].reverse()
+    doc["adjacency"] = [["s1", "s2"]]
+    layout = tmp_path / "reversed.json"
+    layout.write_text(json.dumps(doc))
+    ordered, reversed_ = tmp_path / "ordered.csv", tmp_path / "reversed.csv"
+    assert main(["profile", SMOOTHED, "--samples", "50", "--out", str(ordered)]) == 0
+    assert main(["profile", str(layout), "--samples", "50", "--out", str(reversed_)]) == 0
+    assert reversed_.read_bytes() == ordered.read_bytes()
+
+
+def test_closed_chain_starts_at_the_first_segment():
+    doc = minimal_doc()
+    doc["adjacency"] = [["b", "a"], ["a", "b"]]
+    path = parse_layout(json.dumps(doc)).path()
+    assert [s.curve.control_points[0, 0] for s in path.segments] == [0.0, 3.0]

@@ -115,6 +115,33 @@ class TestArcLength:
         with pytest.raises(ValueError):
             arc_length(BezierCurve([(0, 0), (1, 0)]), 0.8, 0.2)
 
+    def test_array_ends_match_scalar_calls_bit_for_bit(self):
+        # These curves need up to 128 panels, so the batch is split into chunks.
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            curve = BezierCurve(rng.normal(size=(6, 2)))
+            us = np.sort(rng.uniform(size=200))
+            us[0] = 0.0
+            batched = arc_length(curve, 0.0, us)
+            assert batched.dtype == float and batched.shape == us.shape
+            scalar = [arc_length(curve, 0.0, float(u)) for u in us]
+            assert batched.tolist() == scalar
+
+    def test_array_shape_and_scalar_type(self):
+        curve = BezierCurve(NOMINAL_INITIAL_LEFT)
+        assert type(arc_length(curve, 0.2, 0.7)) is float
+        ends = np.array([[0.25, 0.5], [0.25, 1.0]])
+        lengths = arc_length(curve, 0.25, ends)
+        assert lengths.shape == (2, 2)
+        assert lengths[0, 0] == lengths[1, 0] == 0.0
+        assert lengths[1, 1] == arc_length(curve, 0.25, 1.0)
+        assert arc_length(curve, 0.0, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("ends", [[0.5, 1.01], [0.5, 0.1], [0.5, float("nan")]])
+    def test_array_ends_validated(self, ends):
+        with pytest.raises(ValueError):
+            arc_length(BezierCurve([(0, 0), (1, 0)]), 0.2, np.array(ends))
+
 
 class TestCurvature:
     def test_collinear_is_zero(self):

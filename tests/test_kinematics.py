@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from agv_path_kit import (Crab, PathSegment, Tangential,
+from agv_path_kit import (BezierCurve, Crab, PathSegment, Tangential,
                           VehicleModel, Wheel, curvature, evaluate,
                           profile_segment, speed_limit, wheel_curve_jet,
                           wheel_speed_limit, wheel_state)
-from agv_path_kit.kinematics import _wheel_track_arrays, wheel_end_jet
+from agv_path_kit.kinematics import (_Jets, _wheel_derivative_arrays,
+                                     _wheel_heading_grid, _wheel_track_arrays,
+                                     wheel_end_jet)
+from agv_path_kit.motion import _UNWRAP_U, _angle
 
 from conftest import random_regular_curve, straight_segment
 from test_curve import circle_arc
@@ -236,6 +239,30 @@ class TestSegmentProfile:
         v_left = speed_limit(left, vehicle, 1.0 - eps).v_max
         v_right = speed_limit(right, vehicle, eps).v_max
         assert abs(v_left - v_right) > 0.05
+
+    def test_wheel_grids_share_one_grid_evaluation(self, layout_exponential,
+                                                   monkeypatch):
+        seg = layout_exponential.segments[0].segment
+        # A fresh curve and segment: every per-curve and per-segment cache is cold.
+        fresh = PathSegment(BezierCurve(seg.curve.control_points), seg.mode, seg.v_max)
+        vehicle = layout_exponential.vehicle
+        grid_orders = []
+        original = BezierCurve.derivatives_many
+
+        def counting(curve, us, order):
+            if np.size(us) == _UNWRAP_U.size:
+                grid_orders.append(order)
+            return original(curve, us, order)
+
+        monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+        profile_segment(fresh, vehicle, 1000)
+        monkeypatch.undo()
+        # Six wheels, one grid evaluation of the curve and the orientation law.
+        assert len(vehicle.wheels) == 6 and len(grid_orders) <= 4
+        jets = _Jets(fresh.curve, fresh.mode, _UNWRAP_U)
+        for w in vehicle.sorted_wheels():
+            expected = np.unwrap(_angle(_wheel_derivative_arrays(jets, w)[1]))
+            assert _wheel_heading_grid(fresh, w).tolist() == expected.tolist()
 
 
 class TestEndJets:

@@ -12,6 +12,7 @@ from agv_path_kit import (BezierCurve, Crab, JunctionContext, PathSegment,
                           repair_exponential, repair_tangential)
 from agv_path_kit.continuity import SMOOTH
 from agv_path_kit.curve import evaluate
+from agv_path_kit.kinematics import limit_profile_fast
 
 from conftest import (NOMINAL_SMOOTHED_RIGHT, junction_of, random_regular_curve,
                       straight_segment)
@@ -227,6 +228,30 @@ class TestTravelTime:
         t_full = estimate_travel_time(seg, full)
         t_half = estimate_travel_time(seg, half)
         assert t_half == pytest.approx(2.0 * t_full, rel=1e-9)
+
+    def test_speed_comes_from_the_limit_jets(self, layout_exponential, monkeypatch):
+        vehicle = layout_exponential.vehicle
+        orders = []
+        original = BezierCurve.derivatives_many
+
+        def counting(curve, us, order):
+            orders.append(order)
+            return original(curve, us, order)
+
+        monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+        for ls in layout_exponential.segments:
+            orders.clear()
+            assert math.isfinite(estimate_travel_time(ls.segment, vehicle))
+            # Curve jets (order 2) and the heading and its rates (orders 1 and 3);
+            # |C'| is not evaluated a fourth time.
+            assert sorted(orders) == [1, 2, 3]
+        monkeypatch.undo()
+        us = np.linspace(0.0, 1.0, 192)
+        for ls in layout_exponential.segments:
+            seg = ls.segment
+            _, speed = limit_profile_fast(seg.curve, seg.mode, seg.v_max, vehicle, us)
+            d1 = seg.curve.derivatives_many(us, 1)[1]
+            assert speed.tolist() == np.hypot(d1[:, 0], d1[:, 1]).tolist()
 
     def test_fixture_comparison_recorded(self, layout_g1, layout_smoothed):
         t_initial = estimate_travel_time(layout_g1.segments[1].segment,
