@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, arc_length
-from .motion import (_UNWRAP_U, _angle, _nearest_branch, orientation_at_end,
-                     orientation_many, orientation_third_derivative, wrap_angle)
+from .motion import (_UNWRAP_U, Tangential, _angle, _grid_start, _nearest_branch,
+                     _start_theta, orientation_at_end, orientation_many, wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "fold_steering_angles",
 ]
 
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation by +90 degrees
 _WHEEL_SINGULAR = 1e-12
 
 
@@ -75,48 +74,49 @@ class SpeedLimitSample:
     flagged: bool = False
 
 
-def _rotations(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked R(theta) applied later to r_w, plus J R(theta)."""
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.empty((theta.size, 2, 2))
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = -s
-    rot[:, 1, 0] = s
-    rot[:, 1, 1] = c
-    return rot, _J[None, :, :] @ rot
-
-
 class _Jets:
-    """Curve derivatives, |C'|, orientation jets and rotations at ``us``.
+    """Curve derivatives, |C'|, orientation jets and cos/sin of theta at ``us``.
 
-    Evaluated once per call and shared by every wheel. ``unwrap=False``
-    keeps theta on the principal branch: cheaper, and enough where theta
-    only feeds the rotations. ``theta_jets`` overrides the orientation law.
+    One curve evaluation at ``us``, up to ``order`` (2 or 3), is shared by
+    every wheel, and by the orientation law too in tangential mode.
+    ``unwrap=False`` keeps theta on the principal branch: cheaper, and
+    enough where theta only feeds the rotations. ``theta_jets`` overrides
+    the orientation law.
     """
 
     def __init__(self, curve: BezierCurve, mode, us: np.ndarray,
-                 unwrap: bool = True, theta_jets=None):
+                 unwrap: bool = True, theta_jets=None, order: int = 2):
         us = np.asarray(us, dtype=float)
-        self.c0, self.c1, self.c2 = curve.derivatives_many(us, 2)
-        self.speed = np.hypot(self.c1[:, 0], self.c1[:, 1])
-        self.theta, self.dtheta, self.ddtheta = (
-            orientation_many(mode, curve, us, unwrap=unwrap)
-            if theta_jets is None else theta_jets)
-        self.rot, self.jrot = _rotations(self.theta)
+        shared = theta_jets is None and isinstance(mode, Tangential)
+        self.c = curve.derivatives_many(us, order + 1 if shared else order)
+        self.speed = np.hypot(self.c[1][:, 0], self.c[1][:, 1])
+        self.theta = (orientation_many(mode, curve, us, unwrap, order,
+                                       self.c if shared else None)
+                      if theta_jets is None else theta_jets)
+        self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 
-def _wheel_derivative_arrays(jets: _Jets, wheel: Wheel):
-    """Position and first two derivatives of the wheel curve at each u."""
+def _wheel_derivative_arrays(jets: _Jets, wheel: Wheel, order: int = 2):
+    """Position and derivatives up to ``order`` of the wheel curve at each u.
+
+    C_w = C + R r_w; every derivative of R r_w combines R r_w and J R r_w,
+    with J the rotation by +90 degrees.
+    """
+    c = jets.c
     r = wheel.r_vec
     if not np.any(r):
-        return jets.c0, jets.c1, jets.c2
-    rr = jets.rot @ r
-    jr = jets.jrot @ r
-    pos = jets.c0 + rr
-    d1 = jets.c1 + jets.dtheta[:, None] * jr
+        return c[:order + 1]
+    rr = np.stack((jets.cos * r[0] - jets.sin * r[1],
+                   jets.sin * r[0] + jets.cos * r[1]), axis=1)
+    jr = np.stack((-rr[:, 1], rr[:, 0]), axis=1)
+    th1, th2 = jets.theta[1][:, None], jets.theta[2][:, None]
+    out = [c[0] + rr, c[1] + th1 * jr]
     with np.errstate(invalid="ignore"):
-        d2 = jets.c2 - (jets.dtheta**2)[:, None] * rr + jets.ddtheta[:, None] * jr
-    return pos, d1, d2
+        out.append(c[2] - th1**2 * rr + th2 * jr)
+        if order >= 3:
+            out.append(c[3] - 3.0 * th1 * th2 * rr
+                       + (jets.theta[3][:, None] - th1**3) * jr)
+    return out
 
 
 def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
@@ -128,21 +128,12 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     """
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in 0..3, got {order}")
-    us = np.array([float(u)])
-    jets = _Jets(segment.curve, segment.mode, us)
-    pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
-    d3 = np.zeros(2)
-    if order >= 3:
-        d3 = segment.curve.derivatives_many(us, 3)[3][0]
-        r = wheel.r_vec
-        if np.any(r):
-            dddtheta = orientation_third_derivative(segment.mode, segment.curve, u)
-            rr, jr = (jets.rot @ r)[0], (jets.jrot @ r)[0]
-            th1, th2 = jets.dtheta[0], jets.ddtheta[0]
-            d3 = d3 - 3.0 * th1 * th2 * rr + (dddtheta - th1**3) * jr
-    return CurveJet(pos[0], d1[0],
-                    d2[0] if order >= 2 else np.zeros(2),
-                    d3)
+    k = max(order, 2)
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
+    d = [a[0] for a in _wheel_derivative_arrays(jets, wheel, k)]
+    zero = np.zeros(2)
+    return CurveJet(d[0], d[1], d[2] if order >= 2 else zero,
+                    d[3] if order >= 3 else zero)
 
 
 def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
@@ -196,7 +187,7 @@ def _wheel_tracks(jets: _Jets, wheel: Wheel) -> tuple[np.ndarray, dict]:
     """First derivative of the wheel path, plus its position and ratio tracks."""
     pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
     r_v, r_omega, kappa, singular = _ratios_from_derivatives(
-        d1, d2, jets.dtheta, jets.speed)
+        d1, d2, jets.theta[1], jets.speed)
     return d1, {"position": pos, "r_v": r_v, "r_omega": r_omega,
                 "kappa_w": kappa, "singular": singular}
 
@@ -210,19 +201,18 @@ def _steering_tracks(segment: PathSegment, wheels,
                      us: np.ndarray) -> tuple[_Jets, dict[str, dict]]:
     """Jets at ``us`` and, per wheel, ratio tracks plus heading and steering angle."""
     jets = _Jets(segment.curve, segment.mode, us)
-    start = _Jets(segment.curve, segment.mode, np.array([0.0]))
-    theta0 = start.theta[0]
+    theta0 = _start_theta(segment.mode, segment.curve)
     tracks = {}
     for w in wheels:
         d1, track = _wheel_tracks(jets, w)
         grid = _wheel_heading_grid(segment, w)
         zeta = _nearest_branch(us, grid, _angle(d1))
-        zeta0 = _nearest_branch(np.array([0.0]), grid,
-                                _angle(_wheel_derivative_arrays(start, w)[1]))[0]
-        # Steering angle continuous along u, anchored at its principal value at u=0.
+        # Steering angle continuous along u, anchored at its principal value at
+        # u=0; both heading grids start at their principal values there.
+        zeta0 = _grid_start(grid)
         track["zeta_w"] = zeta
         track["delta_w"] = (wrap_angle(zeta0 - theta0) + (zeta - zeta0)
-                            - (jets.theta - theta0))
+                            - (jets.theta[0] - theta0))
         tracks[w.id] = track
     return jets, tracks
 
@@ -288,7 +278,8 @@ def _limit_from_tracks(v_segment: float, vehicle: VehicleModel,
     for kind, ratio, limit in (("traction", "r_v", "v_max"),
                                ("steering", "r_omega", "omega_max")):
         for w in vehicle.sorted_wheels():
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # A quota past the float range (a ratio within rounding of 0) is +inf.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 mag = np.abs(tracks[w.id][ratio])
                 quota = np.where(mag > 0.0, getattr(w, limit) / mag, np.inf)
             quota = np.where(np.isnan(quota), np.inf, quota)
@@ -392,4 +383,4 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         for wid, t in tracks.items()
     }
     return SegmentProfile(us, s, v, tuple(str(b) for b in binding), flagged,
-                          jets.theta, jets.dtheta, wheel_tracks)
+                          jets.theta[0], jets.theta[1], wheel_tracks)

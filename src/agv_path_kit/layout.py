@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .curve import BezierCurve
 from .errors import LayoutError
 from .motion import Crab, ExponentialAnticipated, ExponentialDelayed, Tangential
-from .vehicle import Path, PathSegment, VehicleModel, Wheel, validate_vehicle
+from .vehicle import (Path, PathSegment, VehicleModel, Wheel, _check_connected,
+                      validate_vehicle)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,7 +68,8 @@ class LayoutDocument:
 
         A chain that closes on itself starts at the first segment in the
         file. Raises `LayoutError` when the adjacency forks, merges or
-        leaves a segment off the chain: a profile needs one unbranched path.
+        leaves a segment off the chain: a profile needs one unbranched path,
+        and `ValueError` naming both segment ids when chained ends do not meet.
         """
         successor: dict[str, str] = {}
         predecessor: dict[str, str] = {}
@@ -93,7 +95,9 @@ class LayoutDocument:
             raise LayoutError(f"segment {off[0]!r} is not on the chain that starts at "
                               f"{start!r}; a profile needs one unbranched chain",
                               "adjacency")
-        return Path(tuple(segments[sid] for sid in order))
+        chain = tuple(segments[sid] for sid in order)
+        _check_connected(chain, [repr(sid) for sid in order], Path.g0_tol)
+        return Path(chain)
 
 
 def _require(obj: dict, key: str, kind, location: str):

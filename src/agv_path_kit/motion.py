@@ -34,8 +34,10 @@ __all__ = [
     "orientation",
     "orientation_many",
     "orientation_at_end",
-    "orientation_third_derivative",
 ]
+
+# At or below this |zeta'| a diverging g'' meets a path that does not turn.
+_FLAT_RATE = 1e-12
 
 # Read-only parameter grid shared by the body- and wheel-heading branch caches.
 _UNWRAP_U = np.linspace(0.0, 1.0, 4097)
@@ -114,10 +116,6 @@ def _angle(d1: np.ndarray) -> np.ndarray:
     return np.arctan2(d1[:, 1], d1[:, 0])
 
 
-def _heading_principal(curve: BezierCurve, us: np.ndarray) -> np.ndarray:
-    return _angle(curve.derivatives_many(us, 1)[1])
-
-
 def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
                     principal: np.ndarray) -> np.ndarray:
     """Principal angles at ``us`` moved onto the branch of the unwrapped grid samples."""
@@ -128,38 +126,40 @@ def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
 @lru_cache(maxsize=256)
 def _heading_grid(curve: BezierCurve) -> np.ndarray:
     """Dense unwrapped tangent-angle samples used for branch selection."""
-    unwrapped = np.unwrap(_heading_principal(curve, _UNWRAP_U))
+    unwrapped = np.unwrap(_angle(curve.derivatives_many(_UNWRAP_U, 1)[1]))
     unwrapped.setflags(write=False)
     return unwrapped
 
 
-def unwrapped_heading_many(curve: BezierCurve, us: np.ndarray) -> np.ndarray:
-    """Tangent angle continuous along u, anchored at the principal value of u=0."""
-    us = np.asarray(us, dtype=float)
-    return _nearest_branch(us, _heading_grid(curve), _heading_principal(curve, us))
+def _grid_start(grid_angles: np.ndarray) -> float:
+    """A grid's u=0 angle as `_nearest_branch` reports it (its sum rounds through pi)."""
+    return _nearest_branch(_UNWRAP_U[:1], grid_angles, grid_angles[:1])[0]
+
+
+def _start_theta(mode: MotionMode, curve: BezierCurve) -> float:
+    """Unwrapped theta at u=0, read off the heading grid: every law has g(0) = 0."""
+    if isinstance(mode, Crab):
+        return mode.alpha
+    return _grid_start(_heading_grid(curve)) + mode.alpha
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:
-    return float(unwrapped_heading_many(curve, np.array([float(u)]))[0])
+    """Tangent angle at u, continuous along u and anchored at the principal value of u=0."""
+    return float(orientation_many(Tangential(), curve, np.array([float(u)]), order=1)[0][0])
 
 
 def heading(curve: BezierCurve, u: float) -> float:
     """Principal tangent angle at u, in (-pi, pi]."""
-    return float(_heading_principal(curve, np.array([float(u)]))[0])
+    return float(orientation_many(Tangential(), curve, np.array([float(u)]),
+                                  unwrap=False, order=1)[0][0])
 
 
-def heading_rates(curve: BezierCurve, us: np.ndarray,
-                  order: int = 2) -> tuple[np.ndarray, ...]:
-    """Analytic derivatives (zeta', zeta'', zeta''') of the tangent angle.
+def _rates(d: list[np.ndarray], order: int) -> list[np.ndarray]:
+    """zeta', ..., zeta^(order) of the tangent angle from curve derivatives ``d``.
 
-    zeta' = det(C', C'')/|C'|^2; higher orders follow from the quotient rule.
-    Requested entries beyond ``order`` are omitted.
+    ``d`` holds C, C', ... at least up to order + 1. zeta' = det(C', C'')/|C'|^2;
+    higher orders follow from the quotient rule.
     """
-    us = np.asarray(us, dtype=float)
-    d = curve.derivatives_many(us, min(order + 1, 4))
-    while len(d) < 5:
-        d.append(np.zeros_like(d[0]))
-    d1, d2, d3, d4 = d[1], d[2], d[3], d[4]
 
     def cross(a, b):
         return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
@@ -167,26 +167,34 @@ def heading_rates(curve: BezierCurve, us: np.ndarray,
     def dot(a, b):
         return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
 
+    d1, d2 = d[1], d[2]
     q = dot(d1, d1)
     det12 = cross(d1, d2)
     out = [det12 / q]
     if order >= 2:
-        det13 = cross(d1, d3)
+        det13 = cross(d1, d[3])
         qp = 2.0 * dot(d1, d2)
         out.append(det13 / q - det12 * qp / q**2)
     if order >= 3:
-        detpp = cross(d2, d3) + cross(d1, d4)
-        qpp = 2.0 * (dot(d2, d2) + dot(d1, d3))
+        detpp = cross(d2, d[3]) + cross(d1, d[4])
+        qpp = 2.0 * (dot(d2, d2) + dot(d1, d[3]))
         out.append(detpp / q - 2.0 * det13 * qp / q**2
                    - det12 * qpp / q**2 + 2.0 * det12 * qp**2 / q**3)
-    return tuple(out)
+    return out
+
+
+def heading_rates(curve: BezierCurve, us: np.ndarray,
+                  order: int = 2) -> tuple[np.ndarray, ...]:
+    """Analytic derivatives (zeta', ..., up to ``order``, at most 3) of the tangent angle."""
+    us = np.asarray(us, dtype=float)
+    return tuple(_rates(curve.derivatives_many(us, order + 1), order))
 
 
 # --------------------------------------------------------------------------
 # Exponential reparameterizations g(u) and their derivatives.
 
-def _reparam(mode, us: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """g, g', g'' (and g''' if order=3) with endpoint limits handled explicitly.
+def _reparam(mode, us: np.ndarray, order: int) -> list[np.ndarray]:
+    """g, g', ... up to the ``order``-th derivative, endpoint limits handled explicitly.
 
     Delayed: g = u^n. Anticipated: g = 1 - (1-u)^n, whose inner derivative
     flips the sign of every odd application of the chain rule, leaving
@@ -209,13 +217,12 @@ def _reparam(mode, us: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
             out[zero] = np.inf
         return out
 
-    g = 1.0 - power(n) if anticipated else power(n)
-    g1 = n * power(n - 1.0)
-    g2 = (-1.0 if anticipated else 1.0) * n * (n - 1.0) * power(n - 2.0)
-    if order < 3:
-        return g, g1, g2
-    g3 = n * (n - 1.0) * (n - 2.0) * power(n - 3.0)
-    return g, g1, g2, g3
+    g = [1.0 - power(n) if anticipated else power(n), n * power(n - 1.0)]
+    if order >= 2:
+        g.append((-1.0 if anticipated else 1.0) * n * (n - 1.0) * power(n - 2.0))
+    if order >= 3:
+        g.append(n * (n - 1.0) * (n - 2.0) * power(n - 3.0))
+    return g
 
 
 # --------------------------------------------------------------------------
@@ -226,40 +233,57 @@ def _guarded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     At a reparameterization endpoint where g'' diverges, the accompanying
     zeta' factor vanishing means the true one-sided limit of the product
-    is zero (next-order expansion); keep that instead of NaN.
+    is zero (next-order expansion); keep that instead of NaN. Against an
+    infinite b, |a| <= _FLAT_RATE counts as zero: a rate within rounding of
+    zero, as on a rotated straight path, must not make the limit infinite.
     """
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     out = np.zeros(a.shape)
-    live = (a != 0.0) & (b != 0.0)
+    live = (a != 0.0) & (b != 0.0) & ~(np.isinf(b) & (np.abs(a) <= _FLAT_RATE))
     np.multiply(a, b, out=out, where=live)
     return out
 
 
 def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
-                     unwrap: bool = True
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (theta, dtheta, ddtheta) for all parameters in ``us``.
+                     unwrap: bool = True, order: int = 2,
+                     curve_jets: list[np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, ...]:
+    """Arrays (theta, theta', ...) up to the ``order``-th derivative (1..3).
 
+    Each law evaluates the curve once, at its own nodes: ``us`` for
+    tangential, g(us) for the exponential modes. That one evaluation gives
+    the heading and its rates. ``curve_jets``, the curve derivatives at
+    ``us`` up to ``order + 1``, spares the tangential law its evaluation.
     ``unwrap=False`` reports theta on the principal branch, which is cheaper
-    and sufficient wherever theta only feeds a rotation matrix.
+    and sufficient wherever theta only feeds a rotation.
     """
     us = np.asarray(us, dtype=float)
+    if not 1 <= order <= 3:
+        raise ValueError(f"order must be in 1..3, got {order}")
     if us.size and (us.min() < 0.0 or us.max() > 1.0):
         raise ValueError("curve parameter must lie in [0, 1]")
     if isinstance(mode, Crab):
-        z = np.zeros_like(us)
-        return np.full_like(us, mode.alpha), z, z
-    angle_of = unwrapped_heading_many if unwrap else _heading_principal
-    if isinstance(mode, Tangential):
-        theta = angle_of(curve, us) + mode.alpha
-        z1, z2 = heading_rates(curve, us, order=2)
-        return theta, z1, z2
-    g, g1, g2 = _reparam(mode, us, order=2)
-    theta = angle_of(curve, g) + mode.alpha
-    z1, z2 = heading_rates(curve, g, order=2)
-    dtheta = z1 * g1
-    ddtheta = z2 * g1**2 + _guarded_product(z1, g2)
-    return theta, dtheta, ddtheta
+        return (np.full_like(us, mode.alpha),) + (np.zeros_like(us),) * order
+    tangential = isinstance(mode, Tangential)
+    g = None if tangential else _reparam(mode, us, order)
+    nodes = us if tangential else g[0]
+    if curve_jets is None or not tangential:
+        curve_jets = curve.derivatives_many(nodes, order + 1)
+    theta = _angle(curve_jets[1])
+    if unwrap:
+        theta = _nearest_branch(nodes, _heading_grid(curve), theta)
+    theta = theta + mode.alpha
+    z = _rates(curve_jets, order)
+    if tangential:
+        return (theta, *z)
+    # Chain rule through g: theta' = zeta' g', theta'' = zeta'' g'^2 + zeta' g'', ...
+    out = [theta, z[0] * g[1]]
+    if order >= 2:
+        out.append(z[1] * g[1]**2 + _guarded_product(z[0], g[2]))
+    if order >= 3:
+        out.append(z[2] * g[1]**3 + 3.0 * _guarded_product(z[1] * g[1], g[2])
+                   + _guarded_product(z[0], g[3]))
+    return tuple(out)
 
 
 def orientation(mode: MotionMode, curve: BezierCurve, u: float) -> OrientationJet:
@@ -274,37 +298,9 @@ def orientation_at_end(mode: MotionMode, curve: BezierCurve, end: str) -> Orient
     The exponential reparameterizations have vanishing first derivative at
     their flat end (u=0 delayed, u=1 anticipated), so dtheta is exactly zero
     there; ddtheta is the analytic one-sided limit, which is infinite for
-    1 < n < 2 unless the tangent-angle rate vanishes at that end.
+    1 < n < 2 unless the tangent-angle rate vanishes (|zeta'| <= _FLAT_RATE)
+    at that end. `_reparam` and `_guarded_product` give these limits.
     """
     if end not in ("start", "end"):
         raise ValueError(f"end must be 'start' or 'end', got {end!r}")
-    u = 0.0 if end == "start" else 1.0
-    flat = (isinstance(mode, ExponentialDelayed) and end == "start") or \
-           (isinstance(mode, ExponentialAnticipated) and end == "end")
-    if not flat:
-        return orientation(mode, curve, u)
-    n = mode.n
-    theta = unwrapped_heading(curve, u) + mode.alpha
-    (z1,) = heading_rates(curve, np.array([u]), order=1)
-    z1 = float(z1[0])
-    if n > 2.0 or abs(z1) <= 1e-12:
-        dd = 0.0
-    elif n == 2.0:
-        dd = 2.0 * z1 if end == "start" else -2.0 * z1
-    else:
-        dd = math.inf * z1 if end == "start" else -math.inf * z1
-    return OrientationJet(theta, 0.0, dd)
-
-
-def orientation_third_derivative(mode: MotionMode, curve: BezierCurve, u: float) -> float:
-    """Exact theta''' at an interior parameter, for third-order wheel jets."""
-    if isinstance(mode, Crab):
-        return 0.0
-    if isinstance(mode, Tangential):
-        _, _, z3 = heading_rates(curve, np.array([float(u)]), order=3)
-        return float(z3[0])
-    g, g1, g2, g3 = _reparam(mode, np.array([float(u)]), order=3)
-    z1, z2, z3 = heading_rates(curve, g, order=3)
-    val = (z3 * g1**3 + 3.0 * _guarded_product(z2 * g1, g2)
-           + _guarded_product(z1, g3))
-    return float(val[0])
+    return orientation(mode, curve, 0.0 if end == "start" else 1.0)

@@ -69,27 +69,26 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
     jumps survive while branch artifacts do not.
     """
     wheel_ids = [w.id for w in vehicle.sorted_wheels()]
-    s_parts, u_parts, seg_parts, v_parts, binding_parts = [], [], [], [], []
+    s_parts, u_parts, seg_parts, v_parts, binding = [], [], [], [], []
     tracks: dict[str, dict[str, list]] = {
         wid: {"delta": [], "r_v": [], "r_omega": [], "kappa": []}
         for wid in wheel_ids}
     junction_indices = []
     offset = 0.0
-    count = 0
     for k, segment in enumerate(path.segments):
         prof = profile_segment(segment, vehicle, resolution)
         start = 0
         if k > 0:
-            junction_indices.append(count - 1)
+            junction_indices.append(len(binding) - 1)
             if prof.v_max[0] < v_parts[-1][-1]:
-                binding_parts[-1][-1] = prof.binding[0]
+                binding[-1] = prof.binding[0]
                 v_parts[-1][-1] = prof.v_max[0]
             start = 1
         s_parts.append(prof.s[start:] + offset)
         u_parts.append(prof.u[start:])
         seg_parts.append(np.full(prof.u.size - start, k))
-        v_parts.append(list(prof.v_max[start:]))
-        binding_parts.append(list(prof.binding[start:]))
+        v_parts.append(prof.v_max[start:])
+        binding.extend(prof.binding[start:])
         for wid in wheel_ids:
             tr = prof.wheel_tracks[wid]
             delta = tr.delta_w.copy()
@@ -101,14 +100,13 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
             tracks[wid]["r_omega"].append(tr.r_omega[start:])
             tracks[wid]["kappa"].append(tr.kappa_w[start:])
         offset += float(prof.s[-1])
-        count += prof.u.size - start
     s = np.concatenate(s_parts)
     return {
         "s": s,
         "u": np.concatenate(u_parts),
         "segment_index": np.concatenate(seg_parts),
-        "v_limit": np.array([v for part in v_parts for v in part]),
-        "binding": tuple(b for part in binding_parts for b in part),
+        "v_limit": np.concatenate(v_parts),
+        "binding": tuple(binding),
         "junctions": tuple(junction_indices),
         "wheels": {
             wid: {key: np.concatenate(parts)

@@ -149,6 +149,17 @@ class PathSegment:
                 f"curve is not regularly parameterized (|C'| ~ 0 near u={bad:.4f})")
 
 
+def _check_connected(segments, names, g0_tol: float):
+    """Raise ValueError naming (by ``names``) the first pair of segments that do not meet."""
+    for k in range(len(segments) - 1):
+        gap = np.linalg.norm(segments[k].curve.control_points[-1]
+                             - segments[k + 1].curve.control_points[0])
+        if gap > g0_tol:
+            raise ValueError(
+                f"segments {names[k]} and {names[k + 1]} are not position-connected "
+                f"(gap {gap:.3e} m exceeds {g0_tol:.1e} m)")
+
+
 @dataclass(frozen=True, eq=False)
 class Path:
     """Ordered, non-empty sequence of segments, position-connected at junctions."""
@@ -160,13 +171,7 @@ class Path:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("a path needs at least one segment")
-        for k in range(len(self.segments) - 1):
-            gap = np.linalg.norm(self.segments[k].curve.control_points[-1]
-                                 - self.segments[k + 1].curve.control_points[0])
-            if gap > self.g0_tol:
-                raise ValueError(
-                    f"segments {k} and {k + 1} are not position-connected "
-                    f"(gap {gap:.3e} m exceeds {self.g0_tol:.1e} m)")
+        _check_connected(self.segments, range(len(self.segments)), self.g0_tol)
 
     def junctions(self) -> list[tuple[PathSegment, PathSegment]]:
         return [(self.segments[k], self.segments[k + 1])

@@ -438,3 +438,22 @@ def test_closed_chain_starts_at_the_first_segment():
     doc["adjacency"] = [["b", "a"], ["a", "b"]]
     path = parse_layout(json.dumps(doc)).path()
     assert [s.curve.control_points[0, 0] for s in path.segments] == [0.0, 3.0]
+
+
+def test_profile_gap_names_segment_ids_not_chain_positions(tmp_path, capsys):
+    # Listed c, a, b; chained a -> b -> c; b and c are 0.5 m apart. Chain
+    # positions 1 and 2 would be a and b in the file, so ids are named.
+    doc = minimal_doc()
+    for seg in doc["segments"]:
+        seg["mode"] = {"type": "crab", "alpha_deg": 0.0}
+    doc["segments"].insert(0, {"id": "c", "control_points_m": [[6.5, 0.0], [9.0, 0.0]],
+                               "mode": {"type": "crab", "alpha_deg": 0.0},
+                               "v_max_mps": 1.5})
+    doc["adjacency"] = [["a", "b"], ["b", "c"]]
+    layout = tmp_path / "gap.json"
+    layout.write_text(json.dumps(doc))
+    assert run_cli(["profile", str(layout), "--samples", "20"]) == 1
+    captured = capsys.readouterr()
+    assert "segments 'b' and 'c' are not position-connected" in captured.err
+    assert "gap 5.000e-01 m" in captured.err
+    assert captured.out == ""

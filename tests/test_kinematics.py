@@ -11,7 +11,7 @@ from agv_path_kit import (BezierCurve, Crab, PathSegment, Tangential,
                           wheel_speed_limit, wheel_state)
 from agv_path_kit.kinematics import (_Jets, _wheel_derivative_arrays,
                                      _wheel_heading_grid, _wheel_track_arrays,
-                                     wheel_end_jet)
+                                     limit_profile_fast, wheel_end_jet)
 from agv_path_kit.motion import _UNWRAP_U, _angle
 
 from conftest import random_regular_curve, straight_segment
@@ -263,6 +263,43 @@ class TestSegmentProfile:
         for w in vehicle.sorted_wheels():
             expected = np.unwrap(_angle(_wheel_derivative_arrays(jets, w)[1]))
             assert _wheel_heading_grid(fresh, w).tolist() == expected.tolist()
+
+    def test_one_curve_evaluation_per_node_set(self, layout_exponential, monkeypatch):
+        vehicle = layout_exponential.vehicle
+        w = vehicle.sorted_wheels()[0]
+        sizes = []
+        original = BezierCurve.derivatives_many
+
+        def counting(curve, us, order):
+            sizes.append(np.size(us))
+            return original(curve, us, order)
+
+        def calls(fn, *args):
+            sizes.clear()
+            monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+            fn(*args)
+            monkeypatch.undo()
+            return list(sizes)
+
+        for ls in layout_exponential.segments:
+            seg = ls.segment
+            # Tangential: the law reuses the curve jets at the nodes. Exponential:
+            # the curve jets at the nodes plus the law's one call at g(nodes).
+            per_node_set = 1 if isinstance(seg.mode, Tangential) else 2
+            # Fresh curves and segments: every per-curve and per-segment cache is cold.
+            a, b, c, d = (PathSegment(BezierCurve(seg.curve.control_points), seg.mode,
+                                      seg.v_max) for _ in range(4))
+            us = np.linspace(0.0, 1.0, 192)
+            assert len(calls(limit_profile_fast, a.curve, a.mode, a.v_max, vehicle,
+                             us)) == per_node_set
+            # Cold caches add one call for the body heading grid; the third
+            # derivative of theta needs none of its own.
+            assert len(calls(wheel_curve_jet, b, w, 0.37, 3)) <= per_node_set + 1
+            wheel_state(c, w, 0.37)
+            assert len(calls(wheel_state, c, w, 0.61)) == per_node_set
+            grid = [n for n in calls(profile_segment, d, vehicle, 1000)
+                    if n == _UNWRAP_U.size]
+            assert len(grid) <= per_node_set + 1
 
 
 class TestEndJets:

@@ -1,0 +1,106 @@
+"""Property tests of layout-level invariants the paper's kinematics imply.
+
+A rigid motion of the path (rotation and translation of every curve; a crab
+orientation turns with it) moves the wheel paths rigidly, since the wheels
+stay at their mounts in the vehicle frame. Speed and steering ratios and the
+speed limit are therefore unchanged.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
+                          ExponentialDelayed, PathSegment, Tangential,
+                          VehicleModel, Wheel, profile_segment)
+
+ANGLE = st.floats(-math.pi, math.pi)
+MOUNT = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+EXPONENT = st.floats(1.1, 4.0)
+
+
+@st.composite
+def curves(draw):
+    """Forward-moving curves of degree 2-6 (the bundled layouts use 5 and 6)."""
+    degree = draw(st.integers(2, 6))
+    x = np.linspace(0.0, 6.0, degree + 1) + draw(
+        arrays(float, degree + 1, elements=st.floats(-0.5, 0.5)))
+    y = draw(arrays(float, degree + 1, elements=st.floats(-1.5, 1.5)))
+    curve = BezierCurve(np.column_stack([x, y]))
+    d1 = curve.derivatives_many(np.linspace(0.0, 1.0, 1025), 1)[1]
+    assume(np.hypot(d1[:, 0], d1[:, 1]).min() > 1e-3)
+    return curve
+
+
+MODES = st.one_of(
+    st.builds(Tangential, ANGLE),
+    st.builds(Crab, ANGLE),
+    st.builds(ExponentialDelayed, ANGLE, EXPONENT),
+    st.builds(ExponentialAnticipated, ANGLE, EXPONENT),
+)
+
+
+@st.composite
+def vehicles(draw):
+    """One to four wheels at arbitrary mounts, not only round ones."""
+    count = draw(st.integers(1, 4))
+    return VehicleModel(tuple(
+        Wheel(f"w{k}", (draw(MOUNT), draw(MOUNT)), draw(st.floats(0.5, 3.0)),
+              draw(st.floats(0.2, 2.0)))
+        for k in range(count)))
+
+
+def moved(segment: PathSegment, phi: float, shift) -> PathSegment:
+    """``segment`` rotated by ``phi`` about the origin, then translated by ``shift``."""
+    c, s = math.cos(phi), math.sin(phi)
+    points = segment.curve.control_points @ np.array([[c, s], [-s, c]]) + shift
+    mode = segment.mode
+    if isinstance(mode, Crab):
+        mode = Crab(mode.alpha + phi)
+    return PathSegment(BezierCurve(points), mode, segment.v_max)
+
+
+def assert_same_track(a: np.ndarray, b: np.ndarray, rtol: float = 1e-9):
+    """Equal non-finite entries; finite ones within ``rtol`` of the track's scale.
+
+    The scale is the largest magnitude in either track, but at least 1: the
+    ratios are of order one here (R_v is dimensionless, R_omega is per metre
+    on metre-sized paths), and a track that is zero up to rounding, such as
+    R_omega on a straight tangential path, has no scale of its own.
+    """
+    assert np.array_equal(np.isfinite(a), np.isfinite(b))
+    assert np.array_equal(a[~np.isfinite(a)], b[~np.isfinite(b)], equal_nan=True)
+    live = np.isfinite(a)
+    if live.any():
+        scale = max(np.abs(a[live]).max(), np.abs(b[live]).max(), 1.0)
+        assert np.abs(a[live] - b[live]).max() <= rtol * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(curves(), MODES, vehicles(), ANGLE,
+       arrays(float, 2, elements=st.floats(-100.0, 100.0)))
+def test_rigid_motion_leaves_speed_limits_and_ratios_unchanged(
+        curve, mode, vehicle, phi, shift):
+    segment = PathSegment(curve, mode, 1.5)
+    before = profile_segment(segment, vehicle, 33)
+    after = profile_segment(moved(segment, phi, shift), vehicle, 33)
+    assert_same_track(before.v_max, after.v_max)
+    for wid, track in before.wheel_tracks.items():
+        assert_same_track(track.r_v, after.wheel_tracks[wid].r_v)
+        assert_same_track(track.r_omega, after.wheel_tracks[wid].r_omega)
+
+
+def test_rotated_straight_path_keeps_a_finite_limit_at_a_flat_end():
+    # Found by the property above. Rotated, a straight path has |zeta'| of
+    # about 1e-17 instead of 0 at the flat end of a delayed law with n < 2,
+    # where g'' diverges; theta'' came out infinite and the limit collapsed to 0.
+    segment = PathSegment(BezierCurve([[0.5, 0.0], [3.0, 0.0], [6.0, 0.0]]),
+                          ExponentialDelayed(0.0, 1.5), 1.5)
+    vehicle = VehicleModel((Wheel("w0", (0.0, 1.0), 1.0, 1.0),))
+    before = profile_segment(segment, vehicle, 33)
+    after = profile_segment(moved(segment, 1.0, np.zeros(2)), vehicle, 33)
+    assert before.v_max[0] == after.v_max[0] == 1.0
+    assert math.isfinite(after.wheel_tracks["w0"].r_omega[0])

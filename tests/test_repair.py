@@ -242,9 +242,11 @@ class TestTravelTime:
         for ls in layout_exponential.segments:
             orders.clear()
             assert math.isfinite(estimate_travel_time(ls.segment, vehicle))
-            # Curve jets (order 2) and the heading and its rates (orders 1 and 3);
-            # |C'| is not evaluated a fourth time.
-            assert sorted(orders) == [1, 2, 3]
+            # Tangential: one order-3 call at the nodes gives the curve jets, |C'|,
+            # the heading and its rates. Exponential: the curve jets (order 2) at
+            # the nodes and the law's one order-3 call at g(nodes).
+            tangential = isinstance(ls.segment.mode, Tangential)
+            assert sorted(orders) == ([3] if tangential else [2, 3])
         monkeypatch.undo()
         us = np.linspace(0.0, 1.0, 192)
         for ls in layout_exponential.segments:
