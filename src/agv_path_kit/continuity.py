@@ -21,9 +21,8 @@ import numpy as np
 from .curve import (CurveJet, ShapeParameters, curvature,
                     curvature_arc_derivative, _continuity_defects)
 from .errors import DegenerateGeometryError
-from .kinematics import wheel_end_jet
-from .motion import (ExponentialAnticipated, OrientationJet, Tangential,
-                     orientation_at_end, wrap_angle)
+from .kinematics import _Jets, _wheel_derivative_arrays
+from .motion import ExponentialAnticipated, OrientationJet, Tangential, wrap_angle
 from .vehicle import Path, PathSegment, VehicleModel
 
 __all__ = [
@@ -83,7 +82,10 @@ class Tolerances:
 class JunctionContext:
     """One-sided curve and orientation jets at the junction of two segments.
 
-    Refuses construction when the segment endpoints are not even roughly
+    Each side is one `_Jets` evaluation to order 3 at its end (u=1 left, u=0
+    right), read by the curve, mode and wheel end jets alike. The mode jets'
+    theta is principal-branch: only its wrapped difference enters a verdict.
+    Construction is refused when the segment endpoints are not even roughly
     coincident (gap above ``refuse_tol``), since every downstream condition
     presumes a shared junction point.
     """
@@ -96,10 +98,12 @@ class JunctionContext:
         self.vehicle = vehicle
         self.left_id = left_id
         self.right_id = right_id
-        self.left_jet = left.curve.jet(1.0, order=3)
-        self.right_jet = right.curve.jet(0.0, order=3)
-        self.left_mode_jet = orientation_at_end(left.mode, left.curve, "end")
-        self.right_mode_jet = orientation_at_end(right.mode, right.curve, "start")
+        self._sides = tuple(_Jets(seg.curve, seg.mode, np.array([u]), unwrap=False, order=3)
+                            for seg, u in ((left, 1.0), (right, 0.0)))
+        self.left_jet, self.right_jet = (
+            CurveJet(*(d[0] for d in jets.c[:4])) for jets in self._sides)
+        self.left_mode_jet, self.right_mode_jet = (
+            OrientationJet(*(float(t[0]) for t in jets.theta[:3])) for jets in self._sides)
         self.position_gap = float(np.linalg.norm(
             self.left_jet.position - self.right_jet.position))
         if self.position_gap > refuse_tol:
@@ -324,8 +328,8 @@ def audit_wheel_continuity(ctx: JunctionContext,
                                  extraction.beta3)
     audits = []
     for wheel in ctx.vehicle.sorted_wheels():
-        lw = wheel_end_jet(ctx.left, wheel, "end")
-        rw = wheel_end_jet(ctx.right, wheel, "start")
+        lw, rw = (CurveJet(*(a[0] for a in _wheel_derivative_arrays(jets, wheel)),
+                           np.zeros(2)) for jets in ctx._sides)
         q = float(rw.d1 @ rw.d1)
         beta_w1 = float(lw.d1 @ rw.d1) / q
         beta_w2 = float((lw.d2 - beta_w1**2 * rw.d2) @ rw.d1) / q

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import BezierCurve, CurveJet, arc_length
 from .motion import (_UNWRAP_U, Tangential, _angle, _grid_start, _nearest_branch,
-                     _start_theta, orientation_at_end, orientation_many, wrap_angle)
+                     _start_theta, orientation_many, wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -79,20 +79,18 @@ class _Jets:
 
     One curve evaluation at ``us``, up to ``order`` (2 or 3), is shared by
     every wheel, and by the orientation law too in tangential mode.
-    ``unwrap=False`` keeps theta on the principal branch: cheaper, and
-    enough where theta only feeds the rotations. ``theta_jets`` overrides
-    the orientation law.
+    ``unwrap=False`` keeps theta on the principal branch: no heading grid,
+    and enough wherever theta only feeds cos and sin.
     """
 
     def __init__(self, curve: BezierCurve, mode, us: np.ndarray,
-                 unwrap: bool = True, theta_jets=None, order: int = 2):
+                 unwrap: bool = True, order: int = 2):
         us = np.asarray(us, dtype=float)
-        shared = theta_jets is None and isinstance(mode, Tangential)
+        shared = isinstance(mode, Tangential)
         self.c = curve.derivatives_many(us, order + 1 if shared else order)
         self.speed = np.hypot(self.c[1][:, 0], self.c[1][:, 1])
-        self.theta = (orientation_many(mode, curve, us, unwrap, order,
-                                       self.c if shared else None)
-                      if theta_jets is None else theta_jets)
+        self.theta = orientation_many(mode, curve, us, unwrap, order,
+                                      self.c if shared else None)
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 
@@ -129,7 +127,7 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in 0..3, got {order}")
     k = max(order, 2)
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), unwrap=False, order=k)
     d = [a[0] for a in _wheel_derivative_arrays(jets, wheel, k)]
     zero = np.zeros(2)
     return CurveJet(d[0], d[1], d[2] if order >= 2 else zero,
@@ -137,13 +135,10 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
 
 
 def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
-    """One-sided wheel jet at a segment end, using one-sided orientation limits."""
-    u = 0.0 if end == "start" else 1.0
-    jet = orientation_at_end(segment.mode, segment.curve, end)
-    jets = _Jets(segment.curve, segment.mode, np.array([u]), theta_jets=tuple(
-        np.array([x]) for x in (jet.theta, jet.dtheta, jet.ddtheta)))
-    pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
-    return CurveJet(pos[0], d1[0], d2[0], np.zeros(2))
+    """One-sided wheel jet up to order 2 at a segment end ("start" or "end")."""
+    if end not in ("start", "end"):
+        raise ValueError(f"end must be 'start' or 'end', got {end!r}")
+    return wheel_curve_jet(segment, wheel, 0.0 if end == "start" else 1.0)
 
 
 @lru_cache(maxsize=1)
@@ -307,7 +302,7 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
 def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
                 s: float | None = None) -> SpeedLimitSample:
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), unwrap=False)
     v, binding, flagged = _limit_from_tracks(
         segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)
     if s is None:
@@ -319,7 +314,7 @@ def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
 def wheel_speed_limit(segment: PathSegment, vehicle: VehicleModel,
                       wheel: Wheel, u: float) -> float:
     """Traction-speed limit of one wheel: vehicle limit scaled by its R_v."""
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), unwrap=False)
     v = _limit_from_tracks(segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)[0]
     return float(v[0]) * float(_wheel_tracks(jets, wheel)[1]["r_v"][0])
 

@@ -220,9 +220,9 @@ def parse_layout(data) -> LayoutDocument:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise LayoutError("adjacency entry must be [left_id, right_id]", loc)
             for sid in pair:
-                if sid not in seen_ids:
+                if not (isinstance(sid, str) and sid in seen_ids):
                     raise LayoutError(f"unknown segment id {sid!r}", loc)
-            pairs.append((str(pair[0]), str(pair[1])))
+            pairs.append(tuple(pair))
         adjacency = tuple(pairs)
     return LayoutDocument(name, vehicle, tuple(segments), adjacency)
 

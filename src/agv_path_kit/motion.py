@@ -54,8 +54,8 @@ def wrap_angle(a: float) -> float:
 class OrientationJet:
     """Orientation theta and its first/second u-derivatives.
 
-    ``theta`` is reported unwrapped: continuous along u within a segment,
-    not folded back into a principal branch. The derivative entries may be
+    `orientation` reports ``theta`` unwrapped, continuous along u within a
+    segment; `JunctionContext` keeps it principal. The derivative entries may be
     infinite at the singular endpoint of an exponential reparameterization
     with 1 < n < 2; interior evaluations are always finite.
     """

@@ -363,6 +363,23 @@ def test_bad_flag_or_path_exits_2(argv, named, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [
+    pytest.param([["a"], "s2"], id="list-id"),
+    pytest.param([{"x": 1}, "s2"], id="object-id"),
+    pytest.param(["s1", 2], id="number-id"),
+])
+@pytest.mark.parametrize("command", ["check", "repair", "profile"])
+def test_non_string_adjacency_id_exits_2(tmp_path, capsys, command, entry):
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    doc["adjacency"] = [entry]
+    layout = tmp_path / "bad_adjacency.json"
+    layout.write_text(json.dumps(doc))
+    assert run_cli([command, str(layout)]) == 2
+    err = capsys.readouterr().err
+    assert "adjacency[0]" in err
+    assert "Traceback" not in err
+
+
 def test_repair_refused_junction_exits_2(tmp_path, capsys):
     layout = tmp_path / "gap.json"
     layout.write_text(json.dumps(gap_doc()))

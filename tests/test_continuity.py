@@ -173,6 +173,33 @@ class TestWheelAudit:
         assert any(a.g2_residual > 1e-6 for a in audits)
 
 
+def test_one_end_jet_evaluation_per_junction_side(layout_smoothed,
+                                                  layout_exponential, monkeypatch):
+    calls = []
+    original = BezierCurve.derivatives_many
+
+    def counting(curve, us, order):
+        calls.append(np.size(us))
+        return original(curve, us, order)
+
+    for doc in (layout_smoothed, layout_exponential):
+        # Fresh curves and segments: every per-curve and per-segment cache is cold.
+        left, right = (PathSegment(BezierCurve(ls.segment.curve.control_points),
+                                   ls.segment.mode, ls.segment.v_max)
+                       for ls in doc.segments[:2])
+        monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+        ctx = JunctionContext(left, right, doc.vehicle)
+        # One call per side; an exponential law adds its own call at g(u).
+        per_side = [1 if isinstance(seg.mode, (Tangential, Crab)) else 2
+                    for seg in (left, right)]
+        assert calls == [1] * sum(per_side)
+        calls.clear()
+        analyze_junction(ctx)
+        audit_wheel_continuity(ctx)
+        monkeypatch.undo()
+        assert calls == []
+
+
 class TestTangentialRuleSet:
     def test_smoothed_fixture(self, layout_smoothed):
         checks = check_tangential_junction(junction_of(layout_smoothed))

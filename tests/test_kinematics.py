@@ -301,6 +301,32 @@ class TestSegmentProfile:
                     if n == _UNWRAP_U.size]
             assert len(grid) <= per_node_set + 1
 
+    def test_one_point_limits_build_no_heading_grid(self, layout_exponential,
+                                                    monkeypatch):
+        vehicle = layout_exponential.vehicle
+        w = vehicle.sorted_wheels()[0]
+        calls = []
+        original = BezierCurve.derivatives_many
+
+        def counting(curve, us, order):
+            calls.append((np.size(us), order))
+            return original(curve, us, order)
+
+        for ls in layout_exponential.segments:
+            seg = ls.segment
+            # Theta only feeds cos and sin here: no 4097-node heading grid.
+            expected = ([(1, 3)] if isinstance(seg.mode, Tangential)
+                        else [(1, 2), (1, 3)])
+            for fn, args in ((speed_limit, (vehicle, 0.37, 0.0)),
+                             (wheel_speed_limit, (vehicle, w, 0.37))):
+                fresh = PathSegment(BezierCurve(seg.curve.control_points), seg.mode,
+                                    seg.v_max)
+                calls.clear()
+                monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+                fn(fresh, *args)
+                monkeypatch.undo()
+                assert calls == expected
+
 
 class TestEndJets:
     def test_end_jet_matches_interior_for_tangential(self, layout_g1):

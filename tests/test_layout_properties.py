@@ -3,7 +3,10 @@
 A rigid motion of the path (rotation and translation of every curve; a crab
 orientation turns with it) moves the wheel paths rigidly, since the wheels
 stay at their mounts in the vehicle frame. Speed and steering ratios and the
-speed limit are therefore unchanged.
+speed limit are therefore unchanged, and so are the junction residuals and
+verdicts. Splitting a segment at s gives a smooth junction whose first shape
+parameter is s/(1-s): the left piece runs at s times, the right one at 1-s
+times the speed of the whole.
 """
 
 import math
@@ -14,8 +17,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
-                          ExponentialDelayed, PathSegment, Tangential,
-                          VehicleModel, Wheel, profile_segment)
+                          ExponentialDelayed, JunctionContext, PathSegment,
+                          Tangential, Tolerances, VehicleModel, Wheel,
+                          analyze_junction, profile_segment)
 
 ANGLE = st.floats(-math.pi, math.pi)
 MOUNT = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -104,3 +108,38 @@ def test_rotated_straight_path_keeps_a_finite_limit_at_a_flat_end():
     after = profile_segment(moved(segment, 1.0, np.zeros(2)), vehicle, 33)
     assert before.v_max[0] == after.v_max[0] == 1.0
     assert math.isfinite(after.wheel_tracks["w0"].r_omega[0])
+
+
+RESIDUALS = ("curve_g1", "curve_g2", "curve_g3", "mode_g1", "mode_g2")
+
+
+@settings(deadline=None, max_examples=60)
+@given(curves(), st.one_of(st.builds(Tangential, ANGLE), st.builds(Crab, ANGLE)),
+       st.floats(0.05, 0.95), ANGLE, arrays(float, 2, elements=st.floats(-100.0, 100.0)))
+def test_split_is_smooth_and_rigid_motion_keeps_junction_residuals(
+        curve, mode, s, phi, shift):
+    halves = tuple(PathSegment(c, mode, 1.5) for c in curve.split(s))
+    vehicle = VehicleModel((Wheel("w0", (0.5, 0.5), 1.0, 1.0),))
+    tol = Tolerances()
+    d1 = halves[0].curve.jet(1.0).d1
+    # The second motion puts the junction tangent on the branch cut at +-pi,
+    # where the principal heading wraps.
+    motions = ((phi, shift), (math.pi - math.atan2(d1[1], d1[0]), shift))
+    before = analyze_junction(JunctionContext(*halves, vehicle), tol)
+    for angle, offset in motions:
+        pieces = tuple(moved(seg, angle, offset) for seg in halves)
+        after = analyze_junction(JunctionContext(*pieces, vehicle), tol)
+        for report in (before, after):
+            assert report.verdict == "smooth"
+            assert math.isclose(report.beta.beta1, s / (1.0 - s), rel_tol=1e-9)
+            assert report.g0_orientation <= tol.angle
+        # Equal up to rounding. Moving a control point rounds it by about
+        # eps * size, its coordinate magnitude; a junction condition of order
+        # up to 3 multiplies the right piece's derivatives by up to beta1**3,
+        # so a split near the right end (s = 0.95, beta1 = 19) magnifies that
+        # rounding some 7000-fold. Random splits drift to at most about
+        # 800 * eps * size * beta1**3.
+        size = max(np.abs(seg.curve.control_points).max() for seg in halves + pieces)
+        bound = 1e4 * np.finfo(float).eps * size * max(1.0, s / (1.0 - s))**3
+        drift = [abs(getattr(before, r) - getattr(after, r)) for r in RESIDUALS]
+        assert max(drift) <= bound
