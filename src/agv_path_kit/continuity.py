@@ -98,7 +98,7 @@ class JunctionContext:
         self.vehicle = vehicle
         self.left_id = left_id
         self.right_id = right_id
-        self._sides = tuple(_Jets(seg.curve, seg.mode, np.array([u]), unwrap=False, order=3)
+        self._sides = tuple(_Jets(seg.curve, seg.mode, np.array([u]), order=3)
                             for seg, u in ((left, 1.0), (right, 0.0)))
         self.left_jet, self.right_jet = (
             CurveJet(*(d[0] for d in jets.c[:4])) for jets in self._sides)

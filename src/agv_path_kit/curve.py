@@ -111,8 +111,8 @@ def _binomials(n: int) -> np.ndarray:
 class BezierCurve:
     """Immutable planar Bezier curve of arbitrary degree >= 1.
 
-    Instances hash by identity; evaluation caches keyed on a curve stay
-    valid because control points are never mutated after construction.
+    Instances compare and hash by identity. Control points are never mutated
+    after construction, so the derivative nets each curve keeps stay valid.
     """
 
     def __init__(self, control_points):

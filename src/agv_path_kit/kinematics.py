@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, arc_length
-from .motion import (_UNWRAP_U, Tangential, _angle, _grid_start, _nearest_branch,
-                     _start_theta, orientation_many, wrap_angle)
+from .motion import (_UNWRAP_U, Tangential, _angle, _nearest_branch, orientation_many,
+                     wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -78,18 +77,16 @@ class _Jets:
     """Curve derivatives, |C'|, orientation jets and cos/sin of theta at ``us``.
 
     One curve evaluation at ``us``, up to ``order`` (2 or 3), is shared by
-    every wheel, and by the orientation law too in tangential mode.
-    ``unwrap=False`` keeps theta on the principal branch: no heading grid,
-    and enough wherever theta only feeds cos and sin.
+    every wheel, and by the orientation law too in tangential mode. Theta is
+    on the principal branch; `_steering_tracks` unwraps the angles it reports.
     """
 
-    def __init__(self, curve: BezierCurve, mode, us: np.ndarray,
-                 unwrap: bool = True, order: int = 2):
+    def __init__(self, curve: BezierCurve, mode, us: np.ndarray, order: int = 2):
         us = np.asarray(us, dtype=float)
         shared = isinstance(mode, Tangential)
         self.c = curve.derivatives_many(us, order + 1 if shared else order)
         self.speed = np.hypot(self.c[1][:, 0], self.c[1][:, 1])
-        self.theta = orientation_many(mode, curve, us, unwrap, order,
+        self.theta = orientation_many(mode, curve, us, False, order,
                                       self.c if shared else None)
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
@@ -127,7 +124,7 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in 0..3, got {order}")
     k = max(order, 2)
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), unwrap=False, order=k)
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
     d = [a[0] for a in _wheel_derivative_arrays(jets, wheel, k)]
     zero = np.zeros(2)
     return CurveJet(d[0], d[1], d[2] if order >= 2 else zero,
@@ -139,21 +136,6 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
     if end not in ("start", "end"):
         raise ValueError(f"end must be 'start' or 'end', got {end!r}")
     return wheel_curve_jet(segment, wheel, 0.0 if end == "start" else 1.0)
-
-
-@lru_cache(maxsize=1)
-def _grid_jets(segment: PathSegment) -> _Jets:
-    """Jets on the unwrap grid, kept while one segment's wheel grids are built."""
-    return _Jets(segment.curve, segment.mode, _UNWRAP_U)
-
-
-@lru_cache(maxsize=512)
-def _wheel_heading_grid(segment: PathSegment, wheel: Wheel) -> np.ndarray:
-    """Dense unwrapped wheel-heading samples for branch selection."""
-    jets = _grid_jets(segment)
-    unwrapped = np.unwrap(_angle(_wheel_derivative_arrays(jets, wheel)[1]))
-    unwrapped.setflags(write=False)
-    return unwrapped
 
 
 def _ratios_from_derivatives(d1, d2, dtheta, vehicle_speed):
@@ -192,29 +174,35 @@ def _ratio_tracks(jets: _Jets, vehicle: VehicleModel) -> dict[str, dict]:
     return {w.id: _wheel_tracks(jets, w)[1] for w in vehicle.sorted_wheels()}
 
 
-def _steering_tracks(segment: PathSegment, wheels,
-                     us: np.ndarray) -> tuple[_Jets, dict[str, dict]]:
-    """Jets at ``us`` and, per wheel, ratio tracks plus heading and steering angle."""
+def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
+                     ) -> tuple[_Jets, np.ndarray, dict[str, dict]]:
+    """Jets at ``us``, unwrapped theta there and, per wheel, ratio tracks plus
+    heading and steering angle.
+
+    Theta and each wheel heading are unwrapped on one evaluation of the
+    unwrap grid, shared by all wheels; each sample takes the nearest branch
+    of its grid angles.
+    """
     jets = _Jets(segment.curve, segment.mode, us)
-    theta0 = _start_theta(segment.mode, segment.curve)
+    grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
+    theta_grid = np.unwrap(grid.theta[0])
+    theta = _nearest_branch(us, theta_grid, jets.theta[0])
     tracks = {}
     for w in wheels:
         d1, track = _wheel_tracks(jets, w)
-        grid = _wheel_heading_grid(segment, w)
-        zeta = _nearest_branch(us, grid, _angle(d1))
-        # Steering angle continuous along u, anchored at its principal value at
-        # u=0; both heading grids start at their principal values there.
-        zeta0 = _grid_start(grid)
+        zeta_grid = np.unwrap(_angle(_wheel_derivative_arrays(grid, w)[1]))
+        zeta = _nearest_branch(us, zeta_grid, _angle(d1))
+        # Steering angle continuous along u, anchored at its principal value at u=0.
         track["zeta_w"] = zeta
-        track["delta_w"] = (wrap_angle(zeta0 - theta0) + (zeta - zeta0)
-                            - (jets.theta[0] - theta0))
+        track["delta_w"] = (wrap_angle(zeta_grid[0] - theta_grid[0])
+                            + (zeta - zeta_grid[0]) - (theta - theta_grid[0]))
         tracks[w.id] = track
-    return jets, tracks
+    return jets, theta, tracks
 
 
 def _wheel_track_arrays(segment: PathSegment, wheel: Wheel, us: np.ndarray):
     """Vectorized wheel-state quantities across many parameters."""
-    return _steering_tracks(segment, [wheel], np.asarray(us, dtype=float))[1][wheel.id]
+    return _steering_tracks(segment, [wheel], np.asarray(us, dtype=float))[2][wheel.id]
 
 
 def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarray:
@@ -294,7 +282,7 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
     Candidate evaluation during repair calls this in a tight loop.
     """
     us = np.asarray(us, dtype=float)
-    jets = _Jets(curve, mode, us, unwrap=False)
+    jets = _Jets(curve, mode, us)
     v = _limit_from_tracks(v_segment, vehicle, _ratio_tracks(jets, vehicle), us.size)[0]
     return v, jets.speed
 
@@ -302,7 +290,7 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
 def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
                 s: float | None = None) -> SpeedLimitSample:
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), unwrap=False)
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
     v, binding, flagged = _limit_from_tracks(
         segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)
     if s is None:
@@ -314,7 +302,7 @@ def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
 def wheel_speed_limit(segment: PathSegment, vehicle: VehicleModel,
                       wheel: Wheel, u: float) -> float:
     """Traction-speed limit of one wheel: vehicle limit scaled by its R_v."""
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), unwrap=False)
+    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
     v = _limit_from_tracks(segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)[0]
     return float(v[0]) * float(_wheel_tracks(jets, wheel)[1]["r_v"][0])
 
@@ -358,7 +346,7 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         raise ValueError(f"need at least 2 samples, got {samples}")
     us = np.linspace(0.0, 1.0, samples)
     s = arc_length(segment.curve, 0.0, us)
-    jets, tracks = _steering_tracks(segment, vehicle.sorted_wheels(), us)
+    jets, theta, tracks = _steering_tracks(segment, vehicle.sorted_wheels(), us)
     v, binding, flagged = _limit_from_tracks(segment.v_max, vehicle, tracks, samples)
     # At an isolated wheel-cusp sample the cusp wheel imposes no constraint
     # of its own; borrow the nearest clean sample's limit instead of leaving
@@ -378,4 +366,4 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         for wid, t in tracks.items()
     }
     return SegmentProfile(us, s, v, tuple(str(b) for b in binding), flagged,
-                          jets.theta[0], jets.theta[1], wheel_tracks)
+                          theta, jets.theta[1], wheel_tracks)

@@ -100,18 +100,22 @@ class LayoutDocument:
         return Path(chain)
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only: ``true`` and ``false`` are not read as 1 and 0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(obj: dict, key: str, kind, location: str):
     if key not in obj:
         raise LayoutError(f"missing required field {key!r}", location)
     value = obj[key]
+    at = f"{location}.{key}" if location else key
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(float(value)):
-            raise LayoutError(f"{key!r} must be a finite number", f"{location}.{key}")
+        if not _is_number(value) or not math.isfinite(float(value)):
+            raise LayoutError(f"{key!r} must be a finite number", at)
         return float(value)
-    if not isinstance(value, kind):
-        raise LayoutError(f"{key!r} must be of type {kind.__name__}",
-                          f"{location}.{key}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise LayoutError(f"{key!r} must be of type {kind.__name__}", at)
     return value
 
 
@@ -137,7 +141,7 @@ def _parse_wheel(obj, idx: int) -> Wheel:
         raise LayoutError("wheel must be an object", loc)
     wid = _require(obj, "id", str, loc)
     pos = _require(obj, "position_m", list, loc)
-    if len(pos) != 2 or not all(isinstance(c, (int, float)) for c in pos):
+    if len(pos) != 2 or not all(_is_number(c) for c in pos):
         raise LayoutError("position_m must be [x, y]", f"{loc}.position_m")
     v_max = _require(obj, "v_max_mps", float, loc)
     omega_max_deg = _require(obj, "omega_max_degps", float, loc)
@@ -164,7 +168,7 @@ def parse_layout(data) -> LayoutDocument:
     if version != SCHEMA_VERSION:
         raise LayoutError(f"unsupported schema_version {version}; this tool reads "
                           f"{SCHEMA_VERSION}", "schema_version")
-    name = str(data.get("name", ""))
+    name = _require(data, "name", str, "") if "name" in data else ""
     vehicle_obj = _require(data, "vehicle", dict, "")
     wheels_obj = _require(vehicle_obj, "wheels", list, "vehicle")
     if not wheels_obj:
@@ -193,7 +197,7 @@ def parse_layout(data) -> LayoutDocument:
                               f"{loc}.control_points_m")
         for j, p in enumerate(pts):
             if (not isinstance(p, list) or len(p) != 2
-                    or not all(isinstance(c, (int, float)) for c in p)):
+                    or not all(_is_number(c) for c in p)):
                 raise LayoutError("control point must be [x, y]",
                                   f"{loc}.control_points_m[{j}]")
         mode = _parse_mode(seg.get("mode"), f"{loc}.mode")

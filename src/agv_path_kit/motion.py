@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -39,7 +38,7 @@ __all__ = [
 # At or below this |zeta'| a diverging g'' meets a path that does not turn.
 _FLAT_RATE = 1e-12
 
-# Read-only parameter grid shared by the body- and wheel-heading branch caches.
+# Read-only parameter grid on which angles are unwrapped to pick their branch.
 _UNWRAP_U = np.linspace(0.0, 1.0, 4097)
 _UNWRAP_U.setflags(write=False)
 
@@ -123,24 +122,9 @@ def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
     return reference + np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi
 
 
-@lru_cache(maxsize=256)
 def _heading_grid(curve: BezierCurve) -> np.ndarray:
     """Dense unwrapped tangent-angle samples used for branch selection."""
-    unwrapped = np.unwrap(_angle(curve.derivatives_many(_UNWRAP_U, 1)[1]))
-    unwrapped.setflags(write=False)
-    return unwrapped
-
-
-def _grid_start(grid_angles: np.ndarray) -> float:
-    """A grid's u=0 angle as `_nearest_branch` reports it (its sum rounds through pi)."""
-    return _nearest_branch(_UNWRAP_U[:1], grid_angles, grid_angles[:1])[0]
-
-
-def _start_theta(mode: MotionMode, curve: BezierCurve) -> float:
-    """Unwrapped theta at u=0, read off the heading grid: every law has g(0) = 0."""
-    if isinstance(mode, Crab):
-        return mode.alpha
-    return _grid_start(_heading_grid(curve)) + mode.alpha
+    return np.unwrap(_angle(curve.derivatives_many(_UNWRAP_U, 1)[1]))
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
@@ -158,6 +157,17 @@ def _regular(curve: BezierCurve) -> bool:
     us = np.linspace(0.0, 1.0, 257)
     d1 = curve.derivatives_many(us, 1)[1]
     return bool(np.hypot(d1[:, 0], d1[:, 1]).min() > 1e-9)
+
+
+class _LazyOptimize:
+    """``scipy.optimize``, imported on first use: only the repair search needs it."""
+
+    def __getattr__(self, attr):
+        from scipy import optimize as module
+        return getattr(module, attr)
+
+
+optimize = _LazyOptimize()
 
 
 def _multistart_minimize(objective, starts, bounds):

@@ -129,8 +129,7 @@ class PathSegment:
     """One path segment: curve, orientation law, and segment speed limit.
 
     The curve must be regularly parameterized on [0, 1]; this is validated by
-    sampling at construction. Instances hash by identity so per-segment
-    evaluation caches remain valid.
+    sampling at construction. Instances compare and hash by identity.
     """
 
     curve: BezierCurve

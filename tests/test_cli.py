@@ -1,10 +1,15 @@
 """Layout parsing/serialization and the three CLI subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agv_path_kit
 from agv_path_kit import LayoutError, parse_layout, serialize_layout
 from agv_path_kit.cli import main
 from agv_path_kit.layouts import bundled_layout_path, bundled_layout_text
@@ -363,21 +368,46 @@ def test_bad_flag_or_path_exits_2(argv, named, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("entry", [
-    pytest.param([["a"], "s2"], id="list-id"),
-    pytest.param([{"x": 1}, "s2"], id="object-id"),
-    pytest.param(["s1", 2], id="number-id"),
+@pytest.mark.parametrize("mutation, location", [
+    # (path into the document, value written there), location the error names
+    pytest.param((("adjacency",), [[["a"], "s2"]]), "adjacency[0]", id="list-id"),
+    pytest.param((("adjacency",), [[{"x": 1}, "s2"]]), "adjacency[0]", id="object-id"),
+    pytest.param((("adjacency",), [["s1", 2]]), "adjacency[0]", id="number-id"),
+    pytest.param((("segments", 0, "control_points_m", 1, 0), True),
+                 "segments[0].control_points_m[1]", id="true-control-point"),
+    pytest.param((("segments", 1, "control_points_m", 2, 1), False),
+                 "segments[1].control_points_m[2]", id="false-control-point"),
+    pytest.param((("vehicle", "wheels", 0, "position_m", 0), True),
+                 "vehicle.wheels[0].position_m", id="true-position"),
+    pytest.param((("vehicle", "wheels", 1, "position_m", 1), False),
+                 "vehicle.wheels[1].position_m", id="false-position"),
+    pytest.param((("name",), 7), "name", id="number-name"),
+    pytest.param((("name",), None), "name", id="null-name"),
+    pytest.param((("schema_version",), True), "schema_version", id="true-schema-version"),
 ])
 @pytest.mark.parametrize("command", ["check", "repair", "profile"])
-def test_non_string_adjacency_id_exits_2(tmp_path, capsys, command, entry):
+def test_non_string_adjacency_id_exits_2(tmp_path, capsys, command, mutation, location):
+    """Mistyped layout values, not only adjacency ids, exit 2 at their location."""
     doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
-    doc["adjacency"] = [entry]
-    layout = tmp_path / "bad_adjacency.json"
+    path, value = mutation
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    layout = tmp_path / "bad_value.json"
     layout.write_text(json.dumps(doc))
     assert run_cli([command, str(layout)]) == 2
     err = capsys.readouterr().err
-    assert "adjacency[0]" in err
+    assert f"error: {location}: " in err
     assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only a repair search needs scipy: check and profile start without it.
+    src = str(Path(agv_path_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, agv_path_kit.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_repair_refused_junction_exits_2(tmp_path, capsys):

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from agv_path_kit import (BezierCurve, Crab, PathSegment, Tangential,
+from agv_path_kit import (BezierCurve, Crab, Path, PathSegment, Tangential,
                           VehicleModel, Wheel, curvature, evaluate,
-                          profile_segment, speed_limit, wheel_curve_jet,
-                          wheel_speed_limit, wheel_state)
-from agv_path_kit.kinematics import (_Jets, _wheel_derivative_arrays,
-                                     _wheel_heading_grid, _wheel_track_arrays,
-                                     limit_profile_fast, wheel_end_jet)
-from agv_path_kit.motion import _UNWRAP_U, _angle
+                          plan_velocity, profile_segment, speed_limit,
+                          wheel_curve_jet, wheel_speed_limit, wheel_state)
+from agv_path_kit.kinematics import (_wheel_track_arrays, limit_profile_fast,
+                                     wheel_end_jet)
+from agv_path_kit.motion import _UNWRAP_U
 
 from conftest import random_regular_curve, straight_segment
 from test_curve import circle_arc
@@ -243,8 +242,6 @@ class TestSegmentProfile:
     def test_wheel_grids_share_one_grid_evaluation(self, layout_exponential,
                                                    monkeypatch):
         seg = layout_exponential.segments[0].segment
-        # A fresh curve and segment: every per-curve and per-segment cache is cold.
-        fresh = PathSegment(BezierCurve(seg.curve.control_points), seg.mode, seg.v_max)
         vehicle = layout_exponential.vehicle
         grid_orders = []
         original = BezierCurve.derivatives_many
@@ -255,14 +252,34 @@ class TestSegmentProfile:
             return original(curve, us, order)
 
         monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
-        profile_segment(fresh, vehicle, 1000)
+        profile_segment(seg, vehicle, 1000)
         monkeypatch.undo()
-        # Six wheels, one grid evaluation of the curve and the orientation law.
-        assert len(vehicle.wheels) == 6 and len(grid_orders) <= 4
-        jets = _Jets(fresh.curve, fresh.mode, _UNWRAP_U)
-        for w in vehicle.sorted_wheels():
-            expected = np.unwrap(_angle(_wheel_derivative_arrays(jets, w)[1]))
-            assert _wheel_heading_grid(fresh, w).tolist() == expected.tolist()
+        # Six wheels, one grid evaluation of the curve and the tangential law.
+        assert len(vehicle.wheels) == 6 and isinstance(seg.mode, Tangential)
+        assert grid_orders == [3]
+
+    def test_repeated_profiles_make_the_same_evaluations(self, layout_exponential,
+                                                          monkeypatch):
+        vehicle = layout_exponential.vehicle
+        calls = []
+        original = BezierCurve.derivatives_many
+
+        def counting(curve, us, order):
+            calls.append((np.size(us), order))
+            return original(curve, us, order)
+
+        monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+        for ls in layout_exponential.segments:
+            seg = ls.segment
+            fresh = PathSegment(BezierCurve(seg.curve.control_points), seg.mode,
+                                seg.v_max)
+            runs = []
+            for _ in range(2):
+                calls.clear()
+                profile_segment(fresh, vehicle, 200)
+                runs.append(list(calls))
+            # Nothing is kept between calls: the second repeats the first's evaluations.
+            assert runs[0] == runs[1]
 
     def test_one_curve_evaluation_per_node_set(self, layout_exponential, monkeypatch):
         vehicle = layout_exponential.vehicle
@@ -286,20 +303,18 @@ class TestSegmentProfile:
             # Tangential: the law reuses the curve jets at the nodes. Exponential:
             # the curve jets at the nodes plus the law's one call at g(nodes).
             per_node_set = 1 if isinstance(seg.mode, Tangential) else 2
-            # Fresh curves and segments: every per-curve and per-segment cache is cold.
-            a, b, c, d = (PathSegment(BezierCurve(seg.curve.control_points), seg.mode,
-                                      seg.v_max) for _ in range(4))
             us = np.linspace(0.0, 1.0, 192)
-            assert len(calls(limit_profile_fast, a.curve, a.mode, a.v_max, vehicle,
-                             us)) == per_node_set
-            # Cold caches add one call for the body heading grid; the third
-            # derivative of theta needs none of its own.
-            assert len(calls(wheel_curve_jet, b, w, 0.37, 3)) <= per_node_set + 1
-            wheel_state(c, w, 0.37)
-            assert len(calls(wheel_state, c, w, 0.61)) == per_node_set
-            grid = [n for n in calls(profile_segment, d, vehicle, 1000)
+            assert len(calls(limit_profile_fast, seg.curve, seg.mode, seg.v_max,
+                             vehicle, us)) == per_node_set
+            # The third derivative of theta needs no call of its own.
+            assert len(calls(wheel_curve_jet, seg, w, 0.37, 3)) == per_node_set
+            # A steering angle needs the unwrap grid as a second node set, on
+            # every call: nothing is kept between calls.
+            for u in (0.37, 0.61):
+                assert len(calls(wheel_state, seg, w, u)) == 2 * per_node_set
+            grid = [n for n in calls(profile_segment, seg, vehicle, 1000)
                     if n == _UNWRAP_U.size]
-            assert len(grid) <= per_node_set + 1
+            assert len(grid) == per_node_set
 
     def test_one_point_limits_build_no_heading_grid(self, layout_exponential,
                                                     monkeypatch):
@@ -327,6 +342,48 @@ class TestSegmentProfile:
                 monkeypatch.undo()
                 assert calls == expected
 
+
+# Three segments of a crab chain; the path reverses where the first meets the
+# second, so every steering angle jumps by exactly 180 degrees there. The
+# planner re-bases each segment's angles to the branch nearest the previous
+# segment's end, and a jump of exactly half a turn is a tie: a few ulps of drift
+# in the second segment's first angle turns it the other way and moves the
+# second and third segments by 360 degrees. These values were computed with
+# the branch rule "unwrap the dense grid alone, then move each sample onto
+# the nearest branch".
+CUSP_CHAIN = (
+    [[-11.727912764812027, -2.25695231828886], [-12.26934213855323, -2.2636810402883163],
+     [-12.797678362150576, -2.2394285112072247], [-13.285124332307905, -2.1859802473542542],
+     [-13.797247742997612, -2.168670156609589], [-14.294094986837454, -2.1911964365898786],
+     [-14.767774112074258, -2.2415612508686196]],
+    [[-14.767774112074258, -2.2415612508686196], [-14.316855179315118, -2.193616456400785],
+     [-13.864307590965831, -2.153736457427869], [-13.414939593135614, -2.124253926632514],
+     [-12.97389109307472, -2.1087655252034083], [-12.509649533297727, -2.102058298411734],
+     [-12.047759004325735, -2.121019174721481]],
+    [[-12.047759004325735, -2.121019174721481], [-11.557345287989925, -2.1411509445517525],
+     [-11.076606032913896, -2.189930529752085], [-10.64141189096992, -2.2857930657203203],
+     [-10.187762672517437, -2.361795257216197], [-9.749727531860257, -2.446539889479315],
+     [-9.326634627048275, -2.5097753624990315]],
+)
+# Planned steering angles in degrees at rows 0, 148, 149 (the cusp), 150,
+# 297, 298 (the second junction), 299 and 447; a crab moves every wheel alike.
+CUSP_DELTA_DEG = (-158.556981877825, -153.32176672973443, -153.19972296612303,
+                  26.765442041697217, 18.486363677769944, 18.3802945846315,
+                  18.265530152826926, 12.230494691215121)
+
+
+def test_steering_angles_keep_their_branch_across_a_crab_cusp():
+    vehicle = VehicleModel((
+        Wheel("w1", (1.0407600430154627, 0.5242419606534718), 1.4, 0.9),
+        Wheel("w2", (1.1447461974453423, -0.4560250960477397), 1.7, 0.8),
+        Wheel("w3", (-1.0843022984022759, 0.4487352260876353), 1.8, 0.7)))
+    mode = Crab(math.radians(-20.731))
+    path = Path(tuple(PathSegment(BezierCurve(p), mode, 1.436) for p in CUSP_CHAIN))
+    prof = plan_velocity(path, vehicle, 0.377, resolution=150)
+    assert prof.rest_indices == (149,) and prof.junction_indices == (149, 298)
+    for deltas in prof.wheel_deltas.values():
+        got = np.degrees(deltas[[0, 148, 149, 150, 297, 298, 299, 447]])
+        assert np.allclose(got, CUSP_DELTA_DEG, rtol=0.0, atol=1e-9)
 
 class TestEndJets:
     def test_end_jet_matches_interior_for_tangential(self, layout_g1):

@@ -6,7 +6,8 @@ stay at their mounts in the vehicle frame. Speed and steering ratios and the
 speed limit are therefore unchanged, and so are the junction residuals and
 verdicts. Splitting a segment at s gives a smooth junction whose first shape
 parameter is s/(1-s): the left piece runs at s times, the right one at 1-s
-times the speed of the whole.
+times the speed of the whole. Reported angles lie on their principal values
+up to whole turns, and planned speeds keep the planner's invariants.
 """
 
 import math
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
-                          ExponentialDelayed, JunctionContext, PathSegment,
+                          ExponentialDelayed, JunctionContext, Path, PathSegment,
                           Tangential, Tolerances, VehicleModel, Wheel,
-                          analyze_junction, profile_segment)
+                          analyze_junction, plan_velocity, profile_segment,
+                          wheel_curve_jet)
+from agv_path_kit.kinematics import _wheel_track_arrays
+from agv_path_kit.motion import orientation_many
 
 ANGLE = st.floats(-math.pi, math.pi)
 MOUNT = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -143,3 +147,84 @@ def test_split_is_smooth_and_rigid_motion_keeps_junction_residuals(
         bound = 1e4 * np.finfo(float).eps * size * max(1.0, s / (1.0 - s))**3
         drift = [abs(getattr(before, r) - getattr(after, r)) for r in RESIDUALS]
         assert max(drift) <= bound
+
+
+def turns_off(a, b) -> np.ndarray:
+    """Distance of a - b from the nearest whole number of turns, in radians."""
+    return np.abs(np.remainder(np.asarray(a) - b + math.pi, math.tau) - math.pi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(curves(), MODES, vehicles(), ANGLE)
+def test_profile_angles_are_their_principal_values_up_to_whole_turns(
+        curve, mode, vehicle, phi):
+    # Turning the path but not a crab's orientation carries the headings, and
+    # the steering angles of a crab, across the branch cut at +-pi.
+    c, s = math.cos(phi), math.sin(phi)
+    segment = PathSegment(BezierCurve(curve.control_points @ np.array([[c, s], [-s, c]])),
+                          mode, 1.5)
+    prof = profile_segment(segment, vehicle, 33)
+    principal = orientation_many(segment.mode, segment.curve, prof.u,
+                                 unwrap=False, order=1)[0]
+    assert turns_off(prof.theta, principal).max() <= 1e-9
+    for w in vehicle.sorted_wheels():
+        delta = prof.wheel_tracks[w.id].delta_w
+        zeta = _wheel_track_arrays(segment, w, prof.u)["zeta_w"]
+        d1 = np.array([wheel_curve_jet(segment, w, u, order=1).d1 for u in prof.u])
+        # The heading of a wheel that stops for an instant is not defined there.
+        live = np.hypot(d1[:, 0], d1[:, 1]) > 1e-6
+        assert turns_off(zeta[live], np.arctan2(d1[live, 1], d1[live, 0])).max(
+            initial=0.0) <= 1e-9
+        assert turns_off(delta, zeta - prof.theta).max() <= 1e-9
+        assert -math.pi <= delta[0] <= math.pi
+
+
+# The planner's slack, as in `bench/oracle.py`: values derived with one sqrt or
+# one division agree to a few ulps relative, never near the 1e-6 tolerances.
+REL_SLACK = 1e-9
+ABS_SLACK = 1e-12
+
+
+@st.composite
+def chains(draw):
+    """One curve cut into one to three pieces, and which junctions must be rests.
+
+    The pieces of a curve meet smoothly. A crab chain may also turn back at
+    a junction: everything after it is reflected through the junction point,
+    so the tangent reverses there, and a crab cusp is smooth only at rest.
+    """
+    curve = draw(curves())
+    cuts = sorted(draw(st.lists(st.floats(0.15, 0.85), max_size=2)))
+    assume(all(b - a > 0.05 for a, b in zip(cuts, cuts[1:])))
+    pieces, done = [], 0.0
+    for cut in cuts:
+        left, curve = curve.split((cut - done) / (1.0 - done))
+        pieces.append(left.control_points)
+        done = cut
+    pieces.append(curve.control_points)
+    mode = draw(st.one_of(st.builds(Tangential, ANGLE), st.builds(Crab, ANGLE)))
+    cusps = [isinstance(mode, Crab) and draw(st.booleans()) for _ in cuts]
+    for j, cusp in enumerate(cusps):
+        if cusp:
+            pivot = pieces[j][-1]
+            for k in range(j + 1, len(pieces)):
+                pieces[k] = 2.0 * pivot - pieces[k]
+    segments = tuple(PathSegment(BezierCurve(p), mode, draw(st.floats(0.5, 2.0)))
+                     for p in pieces)
+    return Path(segments), cusps
+
+
+@settings(deadline=None, max_examples=60)
+@given(chains(), vehicles(), st.floats(0.2, 2.0), st.integers(8, 40))
+def test_planned_speeds_keep_the_planner_invariants(chain, vehicle, a_max, resolution):
+    path, cusps = chain
+    prof = plan_velocity(path, vehicle, a_max, resolution=resolution)
+    v, ds = prof.v, np.diff(prof.s)
+    assert np.all(v >= 0.0)
+    assert np.all(v <= prof.v_limit * (1.0 + REL_SLACK) + ABS_SLACK)
+    assert np.all(np.abs(np.diff(v**2)) <= 2.0 * a_max * ds * (1.0 + REL_SLACK) + ABS_SLACK)
+    assert v[0] == 0.0 and v[-1] == 0.0
+    assert prof.rest_indices == tuple(
+        i for i, cusp in zip(prof.junction_indices, cusps) if cusp)
+    assert all(v[i] == 0.0 for i in prof.rest_indices)
+    assert np.all(ds >= 0.0) and np.all(np.diff(prof.t) >= 0.0)
