@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +26,14 @@ __all__ = [
     "curvature",
     "curvature_arc_derivative",
     "check_geometric_continuity",
+    "irregular_parameter",
 ]
 
 # Below this first-derivative norm a parameterization is treated as singular.
 SINGULAR_SPEED = 1e-12
+# A regular parameterization keeps |C'| above this everywhere on [0, 1].
+REGULAR_SPEED = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # Most quadrature nodes per curve evaluation in a batched arc length; bounds its memory.
@@ -88,9 +92,12 @@ class ShapeParameters:
 
 
 def _control_array(control_points) -> np.ndarray:
-    pts = [p.as_array() if isinstance(p, Point2) else np.asarray(p, dtype=float)
-           for p in control_points]
-    arr = np.array(pts, dtype=float)
+    if isinstance(control_points, np.ndarray):
+        arr = np.array(control_points, dtype=float)
+    else:
+        arr = np.array([p.as_array() if isinstance(p, Point2)
+                        else np.asarray(p, dtype=float) for p in control_points],
+                       dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("control points must be planar (x, y) pairs")
     if arr.shape[0] < 2:
@@ -118,6 +125,7 @@ class BezierCurve:
     def __init__(self, control_points):
         self._points = _control_array(control_points)
         self._points.setflags(write=False)
+        self._nets = [self._points]
 
     @property
     def control_points(self) -> np.ndarray:
@@ -130,15 +138,14 @@ class BezierCurve:
     def __repr__(self):
         return f"BezierCurve(degree={self.degree})"
 
-    @cached_property
-    def _derivative_nets(self) -> tuple[np.ndarray, ...]:
-        """Control nets of the 0th..degree-th derivative curves."""
-        nets = [self._points]
-        while nets[-1].shape[0] > 1:
+    def _derivative_net(self, k: int) -> np.ndarray:
+        """Control net of the k-th derivative curve, k <= degree, built on first use."""
+        nets = self._nets
+        while len(nets) <= k:
             q = nets[-1]
             n = q.shape[0] - 1
             nets.append(n * (q[1:] - q[:-1]))
-        return tuple(nets)
+        return nets[k]
 
     def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
         """Arrays (N, 2) of the 0th..order-th derivative at each u.
@@ -150,7 +157,6 @@ class BezierCurve:
         u = 1, so endpoint values are exact.
         """
         us = np.asarray(us, dtype=float)
-        nets = self._derivative_nets
         n = self.degree
         up = np.empty((n + 1, us.size))
         down = np.empty((n + 1, us.size))
@@ -164,7 +170,7 @@ class BezierCurve:
             if k > n:
                 out.append(np.zeros((us.size, 2)))
                 continue
-            m, net = n - k, nets[k]
+            m, net = n - k, self._derivative_net(k)
             basis = _binomials(m)[:, None] * up[:m + 1] * down[m::-1]
             value = net[0][:, None] * basis[0]
             for j in range(1, m + 1):
@@ -213,6 +219,43 @@ def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
     ds = curve.derivatives_many(np.array([u]), order)
     vals = [d[0] for d in ds] + [np.zeros(2)] * (3 - order)
     return CurveJet(vals[0], vals[1], vals[2], vals[3])
+
+
+def _hodograph_certifies(curve: BezierCurve) -> bool:
+    """True when the hodograph net proves |C'(u)| > REGULAR_SPEED on all of [0, 1].
+
+    C'(u) is a convex combination of the hodograph points H_j, so a unit
+    direction e with min_j e.H_j above the threshold bounds e.C'(u), and
+    hence |C'(u)|, from below. The directions tried are each H_j and the
+    chord, unnormalized: min_j d.H_j > T |d| is the same test. The margin of
+    64 eps n max|H| on T covers the rounding of the test and of the sampled
+    evaluation, so a certified curve also passes every sampled check.
+    """
+    p, hodograph = curve.control_points, curve._derivative_net(1)
+    directions = np.concatenate([hodograph, (p[-1] - p[0])[None]])
+    lengths = np.hypot(directions[:, 0], directions[:, 1])
+    threshold = REGULAR_SPEED + 64.0 * _EPS * curve.degree * lengths[:-1].max()
+    lowest = (directions @ hodograph.T).min(axis=1)
+    return bool(np.any(lowest > threshold * lengths))
+
+
+def irregular_parameter(curve: BezierCurve, samples: int) -> float | None:
+    """None if ``curve`` is regularly parameterized, else where |C'| is smallest.
+
+    The hodograph certificate decides most curves without evaluating them.
+    Otherwise |C'| is sampled at ``samples`` + 1 uniform nodes: the curve is
+    regular when every sample exceeds REGULAR_SPEED, and irregular near the
+    node of the smallest sample. The certificate only ever accepts curves
+    the sampled check accepts, so the verdict is the sampled one.
+    """
+    if _hodograph_certifies(curve):
+        return None
+    us = np.linspace(0.0, 1.0, samples + 1)
+    d1 = curve.derivatives_many(us, 1)[1]
+    speed = np.hypot(d1[:, 0], d1[:, 1])
+    if speed.min() <= REGULAR_SPEED:
+        return float(us[int(np.argmin(speed))])
+    return None
 
 
 def _panel_quadrature(curve: BezierCurve, u1: float, u2: np.ndarray,

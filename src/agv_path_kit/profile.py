@@ -66,7 +66,8 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
     The duplicated junction sample is merged into one row carrying the
     minimum of the two one-sided limits; steering-angle tracks are re-based
     to the branch nearest the previous segment's end so genuine sub-turn
-    jumps survive while branch artifacts do not.
+    jumps survive while branch artifacts do not. A jump of half a turn, to
+    within 1e-9 turns, keeps the segment's own branch.
     """
     wheel_ids = [w.id for w in vehicle.sorted_wheels()]
     s_parts, u_parts, seg_parts, v_parts, binding = [], [], [], [], []
@@ -93,8 +94,11 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
             tr = prof.wheel_tracks[wid]
             delta = tr.delta_w.copy()
             if k > 0:
-                prev_end = tracks[wid]["delta"][-1][-1]
-                delta += 2.0 * math.pi * round((prev_end - delta[0]) / (2.0 * math.pi))
+                turns = (tracks[wid]["delta"][-1][-1] - delta[0]) / (2.0 * math.pi)
+                # A jump within rounding of half a turn (a crab cusp) keeps
+                # the segment's own branch: the whole-turn shift nearer zero.
+                tie = abs(abs(turns) % 1.0 - 0.5) <= 1e-9
+                delta += 2.0 * math.pi * (math.trunc(turns) if tie else round(turns))
             tracks[wid]["delta"].append(delta[start:])
             tracks[wid]["r_v"].append(tr.r_v[start:])
             tracks[wid]["r_omega"].append(tr.r_omega[start:])

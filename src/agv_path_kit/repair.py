@@ -6,7 +6,9 @@ exact control-point update that leaves the rest of the curve untouched.
 Repair picks the prescription's free parameters (shape parameters, or
 scalar multipliers of the junction tangent for the exponential rule set) by
 bounded multi-start direct search, minimizing either estimated travel time
-or control-point displacement.
+or control-point displacement. Under displacement, the parameters that move
+control points affinely (beta3; the second-order multipliers) are solved in
+closed form inside the search, so it runs over two parameters only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
-from .curve import BezierCurve, ShapeParameters
+from .curve import BezierCurve, ShapeParameters, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -35,6 +37,8 @@ __all__ = [
 
 _TIME_GL_NODES, _TIME_GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _TIME_PANELS = 16
+# Sampling of |C'| for candidates the hodograph cannot certify regular.
+_REPAIR_SAMPLES = 256
 
 
 def _endpoint_factors(degree: int) -> tuple[float, float, float]:
@@ -129,7 +133,12 @@ class RepairProblem:
 
 @dataclass
 class RepairResult:
-    """Outcome of a successful repair."""
+    """Outcome of a successful repair.
+
+    ``evaluations`` counts objective evaluations over all search starts;
+    ``converged`` says whether the winning start met the optimizer's
+    tolerances rather than its evaluation budget.
+    """
 
     new_left_curve: BezierCurve
     new_right_curve: BezierCurve
@@ -137,6 +146,8 @@ class RepairResult:
     objective_value: float
     report_after: ContinuityReport
     moved_points: list[dict] = field(default_factory=list)
+    evaluations: int = 0
+    converged: bool = False
 
 
 def _moved_points(before: BezierCurve, after: BezierCurve, side: str) -> list[dict]:
@@ -153,10 +164,33 @@ def _displacement(before: BezierCurve, after: BezierCurve) -> float:
     return float(np.sum((before.control_points - after.control_points)**2))
 
 
-def _regular(curve: BezierCurve) -> bool:
-    us = np.linspace(0.0, 1.0, 257)
-    d1 = curve.derivatives_many(us, 1)[1]
-    return bool(np.hypot(d1[:, 0], d1[:, 1]).min() > 1e-9)
+def _box_least_squares(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """argmin |a z - b|^2 over lo <= z_i <= hi, for ``a`` of full column rank.
+
+    ``a`` has one or two columns. The problem is convex: its minimum is the
+    unconstrained solution when that lies in the box, and otherwise the best
+    minimum over the box's faces, each a smaller problem of the same kind.
+    """
+    g, r = a.T @ a, a.T @ b
+    if a.shape[1] == 1:
+        z = r / g[0, 0]
+    else:
+        # Cramer's rule on the 2 x 2 normal equations.
+        z = np.array([g[1, 1] * r[0] - g[0, 1] * r[1],
+                      g[0, 0] * r[1] - g[1, 0] * r[0]]) / (g[0, 0] * g[1, 1] - g[0, 1]**2)
+    if np.all((lo <= z) & (z <= hi)):
+        return z
+    best = None
+    for i in range(a.shape[1]):
+        rest = [j for j in range(a.shape[1]) if j != i]
+        for bound in (lo, hi):
+            face = np.full(a.shape[1], bound)
+            if rest:
+                face[rest] = _box_least_squares(a[:, rest], b - a[:, i] * bound, lo, hi)
+            cost = float(np.sum((a @ face - b)**2))
+            if best is None or cost < best[0]:
+                best = (cost, face)
+    return best[1]
 
 
 class _LazyOptimize:
@@ -171,8 +205,11 @@ optimize = _LazyOptimize()
 
 
 def _multistart_minimize(objective, starts, bounds):
-    """Bounded Nelder-Mead from several starts; deterministic argmin."""
-    best = None
+    """Bounded Nelder-Mead from several starts; deterministic argmin.
+
+    Returns (value, x, evaluations over all starts, winning start converged).
+    """
+    best, evaluations = None, 0
     for x0 in starts:
         x0 = np.clip(np.asarray(x0, float), [b[0] for b in bounds],
                      [b[1] for b in bounds])
@@ -180,40 +217,65 @@ def _multistart_minimize(objective, starts, bounds):
                                 bounds=bounds,
                                 options={"maxfev": 400, "xatol": 1e-10,
                                          "fatol": 1e-12})
+        evaluations += int(res.nfev)
         candidate = (float(res.fun), tuple(float(v) for v in res.x))
-        if best is None or candidate < best:
-            best = candidate
-    return best
+        if best is None or candidate < best[:2]:
+            best = candidate + (res.status == 0,)
+    return best[0], best[1], evaluations, best[2]
 
 
-def _tangential_candidate(problem: RepairProblem, beta: np.ndarray
-                          ) -> tuple[BezierCurve, BezierCurve] | None:
-    """Curves with the third-order junction jet rewritten for the given beta triple."""
-    b1, b2, b3 = float(beta[0]), float(beta[1]), float(beta[2])
+def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
+    """Curves with the third-order junction jet rewritten for a beta triple.
+
+    ``beta`` is (beta1, beta2, beta3), or (beta1, beta2) with beta3 solved:
+    beta3 moves only the third control point from the junction, affinely,
+    so the displacement-optimal beta3 is a 1-D least squares clipped to
+    ``beta3_bounds``. Returns (beta triple, left curve, right curve) or None.
+    """
+    b1, b2 = float(beta[0]), float(beta[1])
     if b1 <= 0.0:
         return None
     ctx = problem.ctx
     if problem.side == "right":
+        curve, end = ctx.right.curve, "start"
         lj = ctx.left_jet
         d1 = lj.d1 / b1
         d2 = (lj.d2 - b2 * d1) / b1**2
-        d3 = (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
-        if ctx.right.curve.degree < 4:
-            return None
-        new_right = prescribe_endpoint_jet(ctx.right.curve, "start", d1, d2, d3)
-        if not _regular(new_right):
-            return None
-        return ctx.left.curve, new_right
-    rj = ctx.right_jet
-    d1 = b1 * rj.d1
-    d2 = b1**2 * rj.d2 + b2 * rj.d1
-    d3 = b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1
-    if ctx.left.curve.degree < 4:
+        d3_slope = -d1 / b1**3
+
+        def d3_at(b3):
+            return (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
+    else:
+        curve, end = ctx.left.curve, "end"
+        rj = ctx.right_jet
+        d1 = b1 * rj.d1
+        d2 = b1**2 * rj.d2 + b2 * rj.d1
+        d3_slope = rj.d1
+
+        def d3_at(b3):
+            return b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1
+    if curve.degree < 4:
         return None
-    new_left = prescribe_endpoint_jet(ctx.left.curve, "end", d1, d2, d3)
-    if not _regular(new_left):
+    if len(beta) > 2:
+        b3 = float(beta[2])
+    else:
+        # The end jet of order 3 that keeps the third point where it was,
+        # from the two points the order-2 jet sets: `prescribe_endpoint_jet`'s
+        # formulas on the net read from the junction, where d1 and d3 flip sign.
+        sign = 1.0 if end == "start" else -1.0
+        q = curve.control_points if end == "start" else curve.control_points[::-1]
+        f1, f2, f3 = _endpoint_factors(curve.degree)
+        q1 = q[0] + sign * d1 / f1
+        q2 = d2 / f2 + 2.0 * q1 - q[0]
+        kept = sign * f3 * np.diff([q[0], q1, q2, q[3]], 3, axis=0)[0]
+        b3 = float(_box_least_squares(d3_slope[:, None], kept - d3_at(0.0),
+                                      *beta3_bounds)[0])
+    new = prescribe_endpoint_jet(curve, end, d1, d2, d3_at(b3))
+    if irregular_parameter(new, _REPAIR_SAMPLES) is not None:
         return None
-    return new_left, ctx.right.curve
+    if problem.side == "right":
+        return (b1, b2, b3), ctx.left.curve, new
+    return (b1, b2, b3), new, ctx.right.curve
 
 
 def _verify(problem: RepairProblem, left_curve: BezierCurve,
@@ -241,26 +303,32 @@ def _candidate_objective(problem: RepairProblem, left_curve, right_curve) -> flo
     return total
 
 
-def _search(problem: RepairProblem, candidate, starts, bounds, what: str):
+def _search(problem: RepairProblem, candidate, starts, bounds, names,
+            what: str) -> RepairResult:
     """Minimize the objective over ``candidate``'s parameters; verify the winner.
 
-    Returns (objective value, parameters, curves, report after repair)."""
+    ``candidate(x)`` gives (full parameters, left curve, right curve) or
+    None; the result's parameters are the winner's full ones under ``names``.
+    """
     def objective(x):
-        curves = candidate(problem, x)
-        if curves is None:
+        built = candidate(x)
+        if built is None:
             return 1e9
-        return _candidate_objective(problem, *curves)
+        return _candidate_objective(problem, *built[1:])
 
-    best = _multistart_minimize(objective, starts, bounds)
-    if best is None or best[0] >= 1e9:
+    value, x, evaluations, converged = _multistart_minimize(objective, starts, bounds)
+    if value >= 1e9:
         raise RepairInfeasibleError(f"no admissible {what} found in bounds")
-    value, x = best
-    curves = candidate(problem, np.array(x))
-    report = _verify(problem, *curves)
+    params, left, right = candidate(np.array(x))
+    report = _verify(problem, left, right)
     if report.verdict != SMOOTH:
         raise RepairInfeasibleError(
             f"repair verification failed (verdict {report.verdict})")
-    return value, x, curves, report
+    ctx = problem.ctx
+    moved = (_moved_points(ctx.left.curve, left, "left")
+             + _moved_points(ctx.right.curve, right, "right"))
+    return RepairResult(left, right, dict(zip(names, params)), value, report,
+                        moved, evaluations, converged)
 
 
 def repair_tangential(problem: RepairProblem) -> RepairResult:
@@ -268,8 +336,9 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
 
     Rewrites the edited curve's junction jet from the fixed side's jet and a
     shape-parameter triple; the triple is chosen by bounded multi-start
-    search on the objective. The repaired junction is re-verified and must
-    come back smooth.
+    search on the objective. Under ``min_displacement`` the search runs
+    over (beta1, beta2) only, with beta3 solved in closed form. The
+    repaired junction is re-verified and must come back smooth.
     """
     ctx = problem.ctx
     if not (isinstance(ctx.left.mode, Tangential)
@@ -288,55 +357,98 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     bounds = [problem.beta1_bounds, (-cb, cb), (-cb * 3.0, cb * 3.0)]
     if problem.objective == "min_displacement":
         # Displacement is near-quadratic around the least-squares seed.
-        starts = [seed]
+        starts = [seed[:2]]
+        bounds, beta3_bounds = bounds[:2], bounds[2]
     else:
         starts = [seed] + [np.array([b1 * extraction.beta1, extraction.beta2,
                                      extraction.beta3])
                            for b1 in (0.5, 1.0, 2.0)]
-    value, x, curves, report = _search(problem, _tangential_candidate, starts,
-                                       bounds, "shape parameters")
-    beta = ShapeParameters(x[0], x[1], x[2])
-    moved = (_moved_points(ctx.right.curve, curves[1], "right")
-             + _moved_points(ctx.left.curve, curves[0], "left"))
-    return RepairResult(curves[0], curves[1],
-                        {"beta1": x[0], "beta2": x[1], "beta3": x[2],
-                         "shape_parameters": beta},
-                        value, report, moved)
+        beta3_bounds = None
+    result = _search(problem,
+                     lambda beta: _tangential_candidate(problem, beta, beta3_bounds),
+                     starts, bounds, ("beta1", "beta2", "beta3"), "shape parameters")
+    p = result.parameters
+    p["shape_parameters"] = ShapeParameters(p["beta1"], p["beta2"], p["beta3"])
+    return result
 
 
-def _exponential_candidate(problem: RepairProblem, x: np.ndarray
-                           ) -> tuple[BezierCurve, BezierCurve] | None:
+def _closest_second_multipliers(problem: RepairProblem, x1: float, x3: float,
+                                bound: float) -> tuple[float, float]:
+    """Displacement-optimal (x_d2L, x_d2R) in [-bound, bound] for fixed x_d1L, x_d1R.
+
+    With the first-order multipliers fixed, the moved points that depend on
+    the second-order ones are the left P(m-2), the right Q2 and the right
+    Q3 (through the new left third derivative), each affine in (x_d2L,
+    x_d2R) along the junction tangent v; the coefficients follow
+    `prescribe_endpoint_jet`. Only the components along v depend on the
+    multipliers, so the problem is a 3 x 2 box-constrained least squares.
+    """
+    ctx = problem.ctx
+    v = ctx.left_jet.d1
+    left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
+    m = ctx.left.curve.degree
+    f1l, f2l, f3l = _endpoint_factors(m)
+    f1r, f2r, f3r = _endpoint_factors(ctx.right.curve.degree)
+    pn, q0 = left[m], right[0]
+    l1 = pn - x1 * v / f1l                  # new P(m-1)
+    r1 = q0 + x3 * v / f1r                  # new Q1
+    c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)   # right Q3 per unit left d3
+    offsets = np.array([2.0 * l1 - pn - left[m - 2],
+                        2.0 * r1 - q0 - right[2],
+                        c * f3l * (3.0 * l1 - 2.0 * pn - left[m - 3])
+                        + 3.0 * r1 - 2.0 * q0 - right[3]])
+    a = np.array([[1.0 / f2l, 0.0],
+                  [0.0, 1.0 / f2r],
+                  [3.0 * c * f3l / f2l, 3.0 / f2r]])
+    x2, x4 = _box_least_squares(a, -(offsets @ v) / float(v @ v), -bound, bound)
+    return float(x2), float(x4)
+
+
+def _exponential_candidate(problem: RepairProblem, x, bound: float):
     """Both curves rebuilt from tangent multipliers (x_d1L, x_d2L, x_d1R, x_d2R).
 
     All first and second junction derivatives become scalar multiples of the
     original upstream tangent, forcing zero endpoint curvature on both sides
     while preserving the junction heading; the downstream third derivative
     follows from the orientation-rate matching relation with the
-    reparameterization factor n.
+    reparameterization factor n. Given only (x_d1L, x_d1R), the second-order
+    multipliers are solved for least displacement within ``bound``.
+    Returns (multipliers, left curve, right curve) or None.
     """
-    x1, x2, x3, x4 = (float(v) for v in x)
+    if len(x) == 2:
+        x1, x3 = float(x[0]), float(x[1])
+        x2 = x4 = None
+    else:
+        x1, x2, x3, x4 = (float(value) for value in x)
+    ctx = problem.ctx
     if x1 <= 0.0 or x3 <= 0.0:
         return None
-    ctx = problem.ctx
-    v = ctx.left_jet.d1
-    n = ctx.right.mode.n
     if ctx.left.curve.degree < 3 or ctx.right.curve.degree < 4:
         return None
+    if x2 is None:
+        x2, x4 = _closest_second_multipliers(problem, x1, x3, bound)
+    v = ctx.left_jet.d1
+    n = ctx.right.mode.n
     new_left = prescribe_endpoint_jet(ctx.left.curve, "end", x1 * v, x2 * v)
-    if not _regular(new_left):
+    if irregular_parameter(new_left, _REPAIR_SAMPLES) is not None:
         return None
-    lj = new_left.jet(1.0, order=3)
+    # The new left end's third derivative: the last point of the third
+    # derivative net, which is what evaluating the curve at u = 1 returns.
     beta1 = x1 / x3
-    d3_right = lj.d3 / (beta1**3 * n**2)
+    d3_right = new_left._derivative_net(3)[-1] / (beta1**3 * n**2)
     new_right = prescribe_endpoint_jet(ctx.right.curve, "start", x3 * v,
                                        x4 * v, d3_right)
-    if not _regular(new_right):
+    if irregular_parameter(new_right, _REPAIR_SAMPLES) is not None:
         return None
-    return new_left, new_right
+    return (x1, x2, x3, x4), new_left, new_right
 
 
 def repair_exponential(problem: RepairProblem) -> RepairResult:
-    """Restore continuity for a tangential -> anticipated-exponential junction."""
+    """Restore continuity for a tangential -> anticipated-exponential junction.
+
+    Under ``min_displacement`` the search runs over (x_d1L, x_d1R) only,
+    with (x_d2L, x_d2R) solved in closed form.
+    """
     ctx = problem.ctx
     if not isinstance(ctx.right.mode, ExponentialAnticipated):
         raise RepairInfeasibleError(
@@ -355,19 +467,21 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
     ])
     cb = problem.coefficient_bound
     bounds = [problem.beta1_bounds, (-cb, cb), problem.beta1_bounds, (-cb, cb)]
-    starts = [seed]
-    if problem.objective != "min_displacement":
+    if problem.objective == "min_displacement":
+        starts = [seed[[0, 2]]]
+        bounds = bounds[0::2]
+    else:
+        starts = [seed]
         for scale in (0.75, 1.25):
             s = seed.copy()
             s[0] *= scale
             s[2] /= scale
             starts.append(s)
-    value, x, curves, report = _search(problem, _exponential_candidate, starts,
-                                       bounds, "multipliers")
-    moved = (_moved_points(ctx.left.curve, curves[0], "left")
-             + _moved_points(ctx.right.curve, curves[1], "right"))
-    return RepairResult(curves[0], curves[1],
-                        {"x_d1_left": x[0], "x_d2_left": x[1],
-                         "x_d1_right": x[2], "x_d2_right": x[3],
-                         "beta1": x[0] / x[2], "n": ctx.right.mode.n},
-                        value, report, moved)
+    result = _search(problem, lambda x: _exponential_candidate(problem, x, cb),
+                     starts, bounds,
+                     ("x_d1_left", "x_d2_left", "x_d1_right", "x_d2_right"),
+                     "multipliers")
+    p = result.parameters
+    p["beta1"] = p["x_d1_left"] / p["x_d1_right"]
+    p["n"] = ctx.right.mode.n
+    return result

@@ -419,6 +419,20 @@ def test_repair_refused_junction_exits_2(tmp_path, capsys):
     assert "do not share a junction point" in err
 
 
+def test_repair_output_keys_are_unchanged(tmp_path, capsys):
+    out_file = tmp_path / "repaired.json"
+    assert main(["repair", str(bundled_layout_path("six_wheel_exponential")),
+                 "--objective", "min_displacement", "--out", str(out_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("repaired junction s1:s2: verdict smooth, objective ")
+    assert out.endswith(f"; wrote {out_file}\n")
+    repair = json.loads(out_file.read_text())["annotations"]["repair"]
+    assert list(repair) == ["junction", "objective", "objective_value", "parameters",
+                            "moved_points", "verdict_after"]
+    assert list(repair["parameters"]) == ["x_d1_left", "x_d2_left", "x_d1_right",
+                                          "x_d2_right", "beta1", "n"]
+
+
 def test_repair_junction_ids_may_contain_colons(tmp_path, capsys):
     doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
     renamed = {"s1": "s:1", "s2": "s:2"}

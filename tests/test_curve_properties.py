@@ -4,14 +4,18 @@ The kernel evaluates in the Bernstein basis; de Casteljau subdivision
 (`split`) and degree elevation (`elevated`) are independent constructions of
 the same curve, so agreement with them is checked up to rounding. The
 tolerances scale with the size of the control net and the derivative order.
+The hodograph certificate of regularity may only accept curves that the
+sampled checks accept.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from agv_path_kit import BezierCurve, arc_length, evaluate
+from agv_path_kit import BezierCurve, PathSegment, Tangential, arc_length, evaluate
+from agv_path_kit.curve import _hodograph_certifies, irregular_parameter
 
 COORDINATE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 UNIT = st.floats(0.0, 1.0)
@@ -81,3 +85,86 @@ def test_array_arc_length_equals_scalar_calls(curve, u1, ends):
     u1 = min(u1, float(ends.min()))
     batched = arc_length(curve, u1, ends)
     assert batched.tolist() == [arc_length(curve, u1, float(u)) for u in ends]
+
+
+@st.composite
+def near_cusp_curves(draw):
+    """Curves whose hodograph passes within ``gap`` of 0 at some u0.
+
+    Subtracting the line u (C'(u0) - gap d) from a curve leaves
+    C'(u0) = gap d; gaps span the regularity threshold 1e-9.
+    """
+    curve = draw(curves())
+    n = curve.degree
+    u0 = draw(UNIT)
+    gap = draw(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-8, 1e-6]))
+    angle = draw(st.floats(-np.pi, np.pi))
+    drift = curve.derivatives_many(np.array([u0]), 1)[1][0] \
+        - gap * np.array([np.cos(angle), np.sin(angle)])
+    ramp = np.arange(n + 1)[:, None] / n
+    return BezierCurve(curve.control_points - ramp * drift)
+
+
+@st.composite
+def collinear_curves(draw):
+    """Nets on one line, running forward, back and forth, or reversed."""
+    degree = draw(st.integers(1, 8))
+    steps = draw(arrays(float, degree, elements=st.floats(-10.0, 10.0)))
+    if draw(st.booleans()):
+        steps = np.abs(steps)
+    origin = draw(arrays(float, 2, elements=COORDINATE))
+    angle = draw(st.floats(-np.pi, np.pi))
+    along = np.concatenate([[0.0], np.cumsum(steps)])
+    pts = origin + along[:, None] * np.array([np.cos(angle), np.sin(angle)])
+    return BezierCurve(pts[::-1] if draw(st.booleans()) else pts)
+
+
+def sampled_irregular_parameter(curve, samples):
+    """The sampled rule alone: where |C'| <= 1e-9 is smallest on the nodes, or None."""
+    us = np.linspace(0.0, 1.0, samples + 1)
+    d1 = curve.derivatives_many(us, 1)[1]
+    speed = np.hypot(d1[:, 0], d1[:, 1])
+    return float(us[int(np.argmin(speed))]) if speed.min() <= 1e-9 else None
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(curves(), near_cusp_curves(), collinear_curves()), st.booleans())
+def test_certificate_accepts_only_what_sampling_accepts(curve, reverse):
+    if reverse:
+        curve = BezierCurve(curve.control_points[::-1])
+    certified = _hodograph_certifies(curve)
+    for samples in (1024, 256):
+        sampled = sampled_irregular_parameter(curve, samples)
+        if certified:
+            assert sampled is None
+        assert irregular_parameter(curve, samples) == sampled
+
+
+def test_certificate_decides_forward_curves_without_evaluating(monkeypatch):
+    rng = np.random.default_rng(7)
+    nets = [np.column_stack([np.linspace(0.0, 6.0, 7) + rng.normal(scale=0.2, size=7),
+                             rng.normal(scale=0.5, size=7)]) for _ in range(20)]
+
+    def refuse(*args):
+        raise AssertionError("certified curves need no evaluation")
+
+    monkeypatch.setattr(BezierCurve, "derivatives_many", refuse)
+    for net in nets:
+        assert irregular_parameter(BezierCurve(net), 256) is None
+
+
+def test_cusp_curve_keeps_its_segment_message():
+    # C'(u) = 2 (1 - 2u, 0) vanishes at u = 0.5; the second curve has its
+    # cusp off the middle, at u0 = 0.375 (node 384 of 1024).
+    with pytest.raises(ValueError) as info:
+        PathSegment(BezierCurve([(0, 0), (1, 0), (0, 0)]), Tangential(0.0), 1.5)
+    assert str(info.value) == "curve is not regularly parameterized (|C'| ~ 0 near u=0.5000)"
+    net = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, -0.5), (4.0, 0.0)])
+    curve = BezierCurve(net)
+    drift = curve.derivatives_many(np.array([0.375]), 1)[1][0]
+    cusp = BezierCurve(net - np.arange(4)[:, None] / 3 * drift)
+    assert not _hodograph_certifies(cusp)
+    with pytest.raises(ValueError) as info:
+        PathSegment(cusp, Tangential(0.0), 1.5)
+    assert str(info.value) == "curve is not regularly parameterized (|C'| ~ 0 near u=0.3750)"
+    assert irregular_parameter(cusp, 1024) == irregular_parameter(cusp, 256) == 0.375

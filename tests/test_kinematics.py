@@ -385,6 +385,35 @@ def test_steering_angles_keep_their_branch_across_a_crab_cusp():
         got = np.degrees(deltas[[0, 148, 149, 150, 297, 298, 299, 447]])
         assert np.allclose(got, CUSP_DELTA_DEG, rtol=0.0, atol=1e-9)
 
+
+@pytest.mark.parametrize("shift", [-1e-15, 1e-15])
+def test_crab_cusp_branch_survives_ulp_drift(monkeypatch, shift):
+    # At the cusp every steering angle jumps by half a turn, so re-basing the
+    # second segment is a tie; drift of a few ulps there must not turn the
+    # remaining tracks by a whole turn.
+    import agv_path_kit.profile as profile_module
+    original = profile_module.profile_segment
+
+    def drifting(segment, vehicle, resolution):
+        prof = original(segment, vehicle, resolution)
+        if segment is path.segments[1]:
+            for track in prof.wheel_tracks.values():
+                track.delta_w[:] += shift
+        return prof
+
+    vehicle = VehicleModel((
+        Wheel("w1", (1.0407600430154627, 0.5242419606534718), 1.4, 0.9),
+        Wheel("w2", (1.1447461974453423, -0.4560250960477397), 1.7, 0.8),
+        Wheel("w3", (-1.0843022984022759, 0.4487352260876353), 1.8, 0.7)))
+    mode = Crab(math.radians(-20.731))
+    path = Path(tuple(PathSegment(BezierCurve(p), mode, 1.436) for p in CUSP_CHAIN))
+    monkeypatch.setattr(profile_module, "profile_segment", drifting)
+    prof = plan_velocity(path, vehicle, 0.377, resolution=150)
+    for deltas in prof.wheel_deltas.values():
+        got = np.degrees(deltas[[0, 148, 149, 150, 297, 298, 299, 447]])
+        assert np.allclose(got, CUSP_DELTA_DEG, rtol=0.0, atol=1e-9)
+
+
 class TestEndJets:
     def test_end_jet_matches_interior_for_tangential(self, layout_g1):
         seg = layout_g1.segments[0].segment

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from agv_path_kit import (BezierCurve, Crab, JunctionContext, PathSegment,
-                          RepairInfeasibleError, RepairProblem, Tangential,
-                          VehicleModel, Wheel,
-                          estimate_travel_time, prescribe_endpoint_jet,
-                          repair_exponential, repair_tangential)
+from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
+                          JunctionContext, PathSegment, RepairInfeasibleError,
+                          RepairProblem, Tangential, VehicleModel, Wheel,
+                          estimate_travel_time, parse_layout,
+                          prescribe_endpoint_jet, repair_exponential,
+                          repair_tangential)
 from agv_path_kit.continuity import SMOOTH
 from agv_path_kit.curve import evaluate
 from agv_path_kit.kinematics import limit_profile_fast
+from agv_path_kit.layouts import bundled_layout_text
 
 from conftest import (NOMINAL_SMOOTHED_RIGHT, junction_of, random_regular_curve,
                       straight_segment)
@@ -208,6 +210,67 @@ class TestExponentialRepair:
         assert result.objective_value < 1e-12
         assert np.allclose(result.new_right_curve.control_points,
                            right.control_points, atol=1e-7)
+
+
+class TestSearchReport:
+    # The exponential rule set always edits both sides; ``side`` is unused.
+    @pytest.mark.parametrize("name, side", [
+        ("two_wheel_g1", "right"), ("two_wheel_g1", "left"),
+        ("two_wheel_smoothed", "right"), ("two_wheel_smoothed", "left"),
+        ("six_wheel_exponential", "right")])
+    def test_bundled_min_displacement_repairs_converge(self, name, side):
+        ctx = junction_of(parse_layout(bundled_layout_text(name)))
+        exponential = isinstance(ctx.right.mode, ExponentialAnticipated)
+        repair = repair_exponential if exponential else repair_tangential
+        result = repair(RepairProblem(ctx, objective="min_displacement", side=side))
+        assert result.converged is True
+        # one start of a two-parameter search, inside its evaluation budget
+        assert 0 < result.evaluations < 400
+
+    def test_min_travel_time_convergence_is_reported(self, fixture_repair,
+                                                     exponential_repair,
+                                                     record_property):
+        results = {"two_wheel_g1": (fixture_repair[1], 4),
+                   "two_wheel_g1 exponential": (exponential_repair[1], 3)}
+        for result, starts in results.values():
+            assert isinstance(result.converged, bool)
+            assert 0 < result.evaluations <= starts * 400
+        # Not converging is reported, not an error: these searches still
+        # stop at their evaluation budget.
+        record_property("min_travel_time_not_converged",
+                        sorted(k for k, (r, _) in results.items() if not r.converged))
+
+    def test_closed_form_parameters_beat_their_neighbours(self, layout_g1,
+                                                          layout_exponential):
+        from agv_path_kit.repair import (_exponential_candidate, _displacement,
+                                         _tangential_candidate)
+
+        def displacement(problem, built):
+            return (_displacement(problem.ctx.left.curve, built[1])
+                    + _displacement(problem.ctx.right.curve, built[2]))
+
+        for side in ("right", "left"):
+            problem = RepairProblem(junction_of(layout_g1), "min_displacement", side)
+            built = _tangential_candidate(problem, (1.1, 0.2), (-1e3, 1e3))
+            best = displacement(problem, built)
+            for step in (-1e-4, 1e-4):
+                beta = np.array(built[0]) + [0.0, 0.0, step]
+                other = _tangential_candidate(problem, beta, None)
+                assert displacement(problem, other) >= best
+        alpha = layout_exponential.segments[0].segment.mode.alpha
+        left = PathSegment(layout_g1.segments[0].segment.curve, Tangential(alpha), 1.5)
+        right = PathSegment(layout_g1.segments[1].segment.curve,
+                            ExponentialAnticipated(alpha, 1.7), 1.5)
+        problem = RepairProblem(JunctionContext(left, right, layout_exponential.vehicle),
+                                "min_displacement")
+        built = _exponential_candidate(problem, (0.9, 1.2), 10.0)
+        best = displacement(problem, built)
+        x = np.array(built[0])
+        assert np.abs(x[[1, 3]]).max() < 10.0    # interior: no bound is active
+        for step in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            for sign in (-1e-4, 1e-4):
+                other = x + sign * np.array([0.0, step[0], 0.0, step[1]])
+                assert displacement(problem, _exponential_candidate(problem, other, 10.0)) >= best
 
 
 class TestTravelTime:
