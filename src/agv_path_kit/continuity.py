@@ -21,7 +21,7 @@ import numpy as np
 from .curve import (CurveJet, ShapeParameters, curvature,
                     curvature_arc_derivative, _continuity_defects)
 from .errors import DegenerateGeometryError
-from .kinematics import _Jets, _wheel_derivative_arrays
+from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
 from .motion import ExponentialAnticipated, OrientationJet, Tangential, wrap_angle
 from .vehicle import Path, PathSegment, VehicleModel
 
@@ -326,19 +326,19 @@ def audit_wheel_continuity(ctx: JunctionContext,
             raise DegenerateGeometryError("no positive beta1 at this junction")
         params = ShapeParameters(extraction.beta1, extraction.beta2,
                                  extraction.beta3)
-    audits = []
-    for wheel in ctx.vehicle.sorted_wheels():
-        lw, rw = (CurveJet(*(a[0] for a in _wheel_derivative_arrays(jets, wheel)),
-                           np.zeros(2)) for jets in ctx._sides)
-        q = float(rw.d1 @ rw.d1)
-        beta_w1 = float(lw.d1 @ rw.d1) / q
-        beta_w2 = float((lw.d2 - beta_w1**2 * rw.d2) @ rw.d1) / q
-        residuals, scales = _continuity_defects(lw, rw, params.beta1, params.beta2,
-                                                None, order=2)
-        audits.append(WheelContinuityAudit(
-            wheel.id, beta_w1, beta_w2, _relative(residuals[1], scales[1]),
-            _relative(residuals[2], scales[2])))
-    return audits
+    wheels = ctx.vehicle.sorted_wheels()
+    # (W, 2) first and second derivatives of every wheel curve, left then right.
+    (l1, l2), (r1, r2) = ([np.stack(d, axis=-1)[:, 0] for d in
+                           _wheel_derivative_arrays(jets, _mounts(wheels))[1:]]
+                          for jets in ctx._sides)
+    q = np.sum(r1 * r1, axis=1)
+    beta_w1 = np.sum(l1 * r1, axis=1) / q
+    beta_w2 = np.sum((l2 - beta_w1[:, None]**2 * r2) * r1, axis=1) / q
+    g1, g2 = (np.linalg.norm(left - rhs, axis=1)
+              / np.fmax(1.0, np.linalg.norm(rhs, axis=1)) for left, rhs in ((l1, params.beta1 * r1),
+                                (l2, params.beta1**2 * r2 + params.beta2 * r1)))
+    return [WheelContinuityAudit(w.id, *map(float, row))
+            for w, *row in zip(wheels, beta_w1, beta_w2, g1, g2)]
 
 
 @dataclass(frozen=True)

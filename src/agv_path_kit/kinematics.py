@@ -7,6 +7,10 @@ R_v = |C_w'|/|C'|, the steering ratio R_omega = (kappa_w |C_w'| - theta')/|C'|,
 and the pointwise vehicle speed limit
 
     v_max(u) = min(v_segment, min_w v_w_max / R_v,  min_w omega_w_max / |R_omega|).
+
+The formulas differ between wheels only in r_w, so they run for all wheels
+at once: the mounts of `sorted_wheels()` form one (W, 2) array, and wheel
+derivatives, ratios and quotas are (W, N) arrays over the wheel axis and N nodes.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, arc_length
-from .motion import (_UNWRAP_U, Tangential, _angle, _nearest_branch, orientation_many,
-                     wrap_angle)
+from .motion import _UNWRAP_U, Tangential, _nearest_branch, orientation_many, wrap_angle
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -77,8 +80,10 @@ class _Jets:
     """Curve derivatives, |C'|, orientation jets and cos/sin of theta at ``us``.
 
     One curve evaluation at ``us``, up to ``order`` (2 or 3), is shared by
-    every wheel, and by the orientation law too in tangential mode. Theta is
-    on the principal branch; `_steering_tracks` unwraps the angles it reports.
+    every wheel, and by the orientation law too in tangential mode. Its arrays
+    run over the N nodes; `_wheel_derivative_arrays` broadcasts them against
+    the (W, 2) mounts to add the wheel axis. Theta is on the principal
+    branch; `_steering_tracks` unwraps the angles it reports.
     """
 
     def __init__(self, curve: BezierCurve, mode, us: np.ndarray, order: int = 2):
@@ -91,26 +96,37 @@ class _Jets:
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 
-def _wheel_derivative_arrays(jets: _Jets, wheel: Wheel, order: int = 2):
-    """Position and derivatives up to ``order`` of the wheel curve at each u.
+def _mounts(wheels) -> np.ndarray:
+    """The (W, 2) mounts of ``wheels``, one row per wheel in the given order."""
+    return np.array([w.r_w for w in wheels], dtype=float)
 
-    C_w = C + R r_w; every derivative of R r_w combines R r_w and J R r_w,
-    with J the rotation by +90 degrees.
+
+def _wheel_derivative_arrays(jets: _Jets, mounts: np.ndarray, order: int = 2):
+    """Position and derivatives up to ``order`` of every wheel curve at each u.
+
+    Entry k is the (x, y) pair of (W, N) components of the k-th derivative,
+    row w for the wheel mounted at ``mounts[w]``. C_w = C + R r_w; every
+    derivative of R r_w combines R r_w and J R r_w, with J the rotation by
+    +90 degrees. A wheel at the origin keeps the curve's own rows: where
+    theta'' is infinite, J R r_w = 0 would turn them into NaN.
     """
-    c = jets.c
-    r = wheel.r_vec
-    if not np.any(r):
-        return c[:order + 1]
-    rr = np.stack((jets.cos * r[0] - jets.sin * r[1],
-                   jets.sin * r[0] + jets.cos * r[1]), axis=1)
-    jr = np.stack((-rr[:, 1], rr[:, 0]), axis=1)
-    th1, th2 = jets.theta[1][:, None], jets.theta[2][:, None]
-    out = [c[0] + rr, c[1] + th1 * jr]
+    c = [(d[:, 0], d[:, 1]) for d in jets.c[:order + 1]]
+    mx, my = mounts[:, :1], mounts[:, 1:]
+    rx = jets.cos * mx - jets.sin * my
+    ry = jets.sin * mx + jets.cos * my
+    th1, th2 = jets.theta[1], jets.theta[2]
+    out = [(c[0][0] + rx, c[0][1] + ry), (c[1][0] - th1 * ry, c[1][1] + th1 * rx)]
     with np.errstate(invalid="ignore"):
-        out.append(c[2] - th1**2 * rr + th2 * jr)
+        sq = th1**2
+        out.append((c[2][0] - sq * rx - th2 * ry, c[2][1] - sq * ry + th2 * rx))
         if order >= 3:
-            out.append(c[3] - 3.0 * th1 * th2 * rr
-                       + (jets.theta[3][:, None] - th1**3) * jr)
+            a, b = 3.0 * th1 * th2, jets.theta[3] - th1**3
+            out.append((c[3][0] - a * rx - b * ry, c[3][1] - a * ry + b * rx))
+    at_origin = ~mounts.any(axis=1)
+    if at_origin.any():
+        for ck, dk in zip(c, out):
+            for cx, dx in zip(ck, dk):
+                dx[at_origin] = cx
     return out
 
 
@@ -125,7 +141,8 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
         raise ValueError(f"order must be in 0..3, got {order}")
     k = max(order, 2)
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
-    d = [a[0] for a in _wheel_derivative_arrays(jets, wheel, k)]
+    d = [np.stack(a, axis=-1)[0, 0] for a in
+         _wheel_derivative_arrays(jets, _mounts([wheel]), k)]
     zero = np.zeros(2)
     return CurveJet(d[0], d[1], d[2] if order >= 2 else zero,
                     d[3] if order >= 3 else zero)
@@ -138,71 +155,57 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
     return wheel_curve_jet(segment, wheel, 0.0 if end == "start" else 1.0)
 
 
-def _ratios_from_derivatives(d1, d2, dtheta, vehicle_speed):
-    """r_v, r_omega, kappa, singular from wheel derivatives (no unwrapping).
+def _ratios_from_derivatives(jets: _Jets, wheels):
+    """Position, d1, then r_v, r_omega, kappa and singular of every wheel of
+    ``wheels``, from the wheel derivatives at the nodes of ``jets``.
 
-    Rows where the second derivative is not finite (the flat end of an
+    Entries where the second derivative is not finite (the flat end of an
     exponential reparameterization with 1 < n < 2) have a genuinely
     unbounded steering ratio: r_omega is +inf there, never NaN, so the
     steering constraint collapses the speed limit instead of dropping out.
     """
-    wheel_speed = np.hypot(d1[:, 0], d1[:, 1])
+    pos, (x1, y1), (x2, y2) = _wheel_derivative_arrays(jets, _mounts(wheels))
+    wheel_speed = np.hypot(x1, y1)
     singular = ~(wheel_speed > _WHEEL_SINGULAR)
-    unbounded = ~np.isfinite(d2).all(axis=1)
+    unbounded = ~(np.isfinite(x2) & np.isfinite(y2))
     safe = np.where(singular, 1.0, wheel_speed)
     with np.errstate(invalid="ignore", over="ignore"):
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        det = x1 * y2 - y1 * x2
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
         zeta_rate = det / safe**2  # = kappa_w |C_w'|
-        r_v = wheel_speed / vehicle_speed
-        r_omega = np.where(singular, np.nan, (zeta_rate - dtheta) / vehicle_speed)
+        r_v = wheel_speed / jets.speed
+        r_omega = np.where(singular, np.nan, (zeta_rate - jets.theta[1]) / jets.speed)
     r_omega = np.where(unbounded & ~singular, np.inf, r_omega)
-    return r_v, r_omega, kappa, singular
-
-
-def _wheel_tracks(jets: _Jets, wheel: Wheel) -> tuple[np.ndarray, dict]:
-    """First derivative of the wheel path, plus its position and ratio tracks."""
-    pos, d1, d2 = _wheel_derivative_arrays(jets, wheel)
-    r_v, r_omega, kappa, singular = _ratios_from_derivatives(
-        d1, d2, jets.theta[1], jets.speed)
-    return d1, {"position": pos, "r_v": r_v, "r_omega": r_omega,
-                "kappa_w": kappa, "singular": singular}
-
-
-def _ratio_tracks(jets: _Jets, vehicle: VehicleModel) -> dict[str, dict]:
-    """Speed/steering ratios for every wheel of ``vehicle``."""
-    return {w.id: _wheel_tracks(jets, w)[1] for w in vehicle.sorted_wheels()}
+    return pos, (x1, y1), r_v, r_omega, kappa, singular
 
 
 def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
-                     ) -> tuple[_Jets, np.ndarray, dict[str, dict]]:
-    """Jets at ``us``, unwrapped theta there and, per wheel, ratio tracks plus
-    heading and steering angle.
+                     ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
+    """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
 
-    Theta and each wheel heading are unwrapped on one evaluation of the
-    unwrap grid, shared by all wheels; each sample takes the nearest branch
-    of its grid angles.
+    Theta and the wheel headings are unwrapped on one evaluation of the
+    unwrap grid; each sample takes the nearest branch of its grid angles.
     """
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
     theta_grid = np.unwrap(grid.theta[0])
     theta = _nearest_branch(us, theta_grid, jets.theta[0])
-    tracks = {}
-    for w in wheels:
-        d1, track = _wheel_tracks(jets, w)
-        zeta_grid = np.unwrap(_angle(_wheel_derivative_arrays(grid, w)[1]))
-        zeta = _nearest_branch(us, zeta_grid, _angle(d1))
-        # Steering angle continuous along u, anchored at its principal value at u=0.
-        track["zeta_w"] = zeta
-        track["delta_w"] = (wrap_angle(zeta_grid[0] - theta_grid[0])
-                            + (zeta - zeta_grid[0]) - (theta - theta_grid[0]))
-        tracks[w.id] = track
-    return jets, theta, tracks
+    pos, d1, r_v, r_omega, kappa, singular = _ratios_from_derivatives(jets, wheels)
+    d1_grid = _wheel_derivative_arrays(grid, _mounts(wheels))[1]
+    zeta_grid = np.unwrap(np.arctan2(d1_grid[1], d1_grid[0]), axis=1)
+    zeta = _nearest_branch(us, zeta_grid, np.arctan2(d1[1], d1[0]))
+    # Steering angle continuous along u, anchored at its principal value at u=0.
+    anchor = np.array([wrap_angle(a) for a in (zeta_grid[:, 0] - theta_grid[0]).tolist()])
+    delta = (anchor[:, None] + (zeta - zeta_grid[:, :1])) - (theta - theta_grid[0])
+    return jets, theta, {"position": np.stack(pos, axis=-1), "zeta_w": zeta,
+                         "delta_w": delta, "r_v": r_v, "r_omega": r_omega,
+                         "kappa_w": kappa, "singular": singular}
 
 
 def _wheel_track_arrays(segment: PathSegment, wheel: Wheel, us: np.ndarray):
     """Vectorized wheel-state quantities across many parameters."""
-    return _steering_tracks(segment, [wheel], np.asarray(us, dtype=float))[2][wheel.id]
+    tracks = _steering_tracks(segment, [wheel], np.asarray(us, dtype=float))[2]
+    return {key: rows[0] for key, rows in tracks.items()}
 
 
 def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarray:
@@ -236,42 +239,29 @@ def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarr
 def wheel_state(segment: PathSegment, wheel: Wheel, u: float) -> WheelState:
     """Full kinematic state of ``wheel`` at parameter ``u``."""
     t = _wheel_track_arrays(segment, wheel, np.array([float(u)]))
-    return WheelState(
-        position=t["position"][0],
-        zeta_w=float(t["zeta_w"][0]),
-        delta_w=float(t["delta_w"][0]),
-        r_v=float(t["r_v"][0]),
-        r_omega=float(t["r_omega"][0]),
-        kappa_w=float(t["kappa_w"][0]),
-        singular=bool(t["singular"][0]),
-    )
+    scalars = (float(t[key][0]) for key in ("zeta_w", "delta_w", "r_v", "r_omega", "kappa_w"))
+    return WheelState(t["position"][0], *scalars, bool(t["singular"][0]))
 
 
-def _limit_from_tracks(v_segment: float, vehicle: VehicleModel,
-                       tracks: dict[str, dict], size: int):
-    """Vectorized speed limit with binding bookkeeping.
+def _limit_from_tracks(v_segment: float, wheels, r_v: np.ndarray,
+                       r_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Speed limit at each u and the quota rows it is the minimum of: the
+    segment, then traction and then steering per wheel of ``wheels``. A quota
+    past the float range (a ratio within rounding of 0), or NaN, is +inf."""
+    limits = np.array([[w.v_max for w in wheels] + [w.omega_max for w in wheels]]).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mag = np.abs(np.concatenate((r_v, r_omega)))
+        quota = np.where(mag > 0.0, limits / mag, np.inf)
+    quota[np.isnan(quota)] = np.inf
+    rows = np.concatenate((np.full((1, mag.shape[1]), float(v_segment)), quota))
+    return rows.min(axis=0), rows
 
-    Binding priority on exact ties: segment, then traction, then steering,
-    then lowest wheel id, implemented by strict-improvement updates in
-    that visit order.
-    """
-    v = np.full(size, float(v_segment))
-    binding = np.array(["segment"] * size, dtype=object)
-    flagged = np.zeros(size, dtype=bool)
-    for kind, ratio, limit in (("traction", "r_v", "v_max"),
-                               ("steering", "r_omega", "omega_max")):
-        for w in vehicle.sorted_wheels():
-            # A quota past the float range (a ratio within rounding of 0) is +inf.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                mag = np.abs(tracks[w.id][ratio])
-                quota = np.where(mag > 0.0, getattr(w, limit) / mag, np.inf)
-            quota = np.where(np.isnan(quota), np.inf, quota)
-            better = quota < v
-            v = np.where(better, quota, v)
-            binding[better] = f"{kind}({w.id})"
-    for w in vehicle.sorted_wheels():
-        flagged |= tracks[w.id]["singular"] | ~np.isfinite(tracks[w.id]["r_omega"])
-    return v, binding, flagged
+
+def _binding(wheels, rows: np.ndarray) -> list[str]:
+    """Label of the first quota row that attains the minimum at each u."""
+    labels = ["segment"] + [f"{kind}({w.id})" for kind in ("traction", "steering")
+                            for w in wheels]
+    return [labels[i] for i in rows.argmin(axis=0).tolist()]
 
 
 def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
@@ -281,30 +271,36 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
 
     Candidate evaluation during repair calls this in a tight loop.
     """
-    us = np.asarray(us, dtype=float)
-    jets = _Jets(curve, mode, us)
-    v = _limit_from_tracks(v_segment, vehicle, _ratio_tracks(jets, vehicle), us.size)[0]
-    return v, jets.speed
+    wheels = vehicle.sorted_wheels()
+    jets = _Jets(curve, mode, np.asarray(us, dtype=float))
+    r_v, r_omega = _ratios_from_derivatives(jets, wheels)[2:4]
+    return _limit_from_tracks(v_segment, wheels, r_v, r_omega)[0], jets.speed
 
 
 def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
                 s: float | None = None) -> SpeedLimitSample:
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
+    wheels = vehicle.sorted_wheels()
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
-    v, binding, flagged = _limit_from_tracks(
-        segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)
+    r_v, r_omega, _, singular = _ratios_from_derivatives(jets, wheels)[2:]
+    v, rows = _limit_from_tracks(segment.v_max, wheels, r_v, r_omega)
     if s is None:
         s = arc_length(segment.curve, 0.0, float(u))
-    return SpeedLimitSample(float(u), float(s), float(v[0]), str(binding[0]),
-                            bool(flagged[0]))
+    return SpeedLimitSample(float(u), float(s), float(v[0]), _binding(wheels, rows)[0],
+                            bool((singular | ~np.isfinite(r_omega)).any()))
 
 
 def wheel_speed_limit(segment: PathSegment, vehicle: VehicleModel,
                       wheel: Wheel, u: float) -> float:
-    """Traction-speed limit of one wheel: vehicle limit scaled by its R_v."""
+    """Traction-speed limit of one wheel: vehicle limit scaled by its R_v.
+
+    ``wheel`` rides along in the vehicle's pass as one more row, which limits nothing.
+    """
+    wheels = vehicle.sorted_wheels()
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
-    v = _limit_from_tracks(segment.v_max, vehicle, _ratio_tracks(jets, vehicle), 1)[0]
-    return float(v[0]) * float(_wheel_tracks(jets, wheel)[1]["r_v"][0])
+    r_v, r_omega = _ratios_from_derivatives(jets, [*wheels, wheel])[2:4]
+    v = _limit_from_tracks(segment.v_max, wheels, r_v[:-1], r_omega[:-1])[0]
+    return float(v[0]) * float(r_v[-1, 0])
 
 
 @dataclass(frozen=True)
@@ -346,24 +342,19 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         raise ValueError(f"need at least 2 samples, got {samples}")
     us = np.linspace(0.0, 1.0, samples)
     s = arc_length(segment.curve, 0.0, us)
-    jets, theta, tracks = _steering_tracks(segment, vehicle.sorted_wheels(), us)
-    v, binding, flagged = _limit_from_tracks(segment.v_max, vehicle, tracks, samples)
+    wheels = vehicle.sorted_wheels()
+    jets, theta, tracks = _steering_tracks(segment, wheels, us)
+    v, rows = _limit_from_tracks(segment.v_max, wheels, tracks["r_v"], tracks["r_omega"])
     # At an isolated wheel-cusp sample the cusp wheel imposes no constraint
     # of its own; borrow the nearest clean sample's limit instead of leaving
     # the optimistic value.
-    cusp = np.zeros(samples, dtype=bool)
-    for t in tracks.values():
-        cusp |= t["singular"]
+    cusp = tracks["singular"].any(axis=0)
     if cusp.any() and (~cusp).any():
-        idx = np.arange(samples)
-        clean = idx[~cusp]
-        for i in idx[cusp]:
-            near = clean[np.argmin(np.abs(clean - i))]
-            v[i] = min(v[i], v[near])
-    wheel_tracks = {
-        wid: WheelTrack(t["delta_w"], t["r_v"], t["r_omega"], t["kappa_w"],
-                        t["singular"])
-        for wid, t in tracks.items()
-    }
-    return SegmentProfile(us, s, v, tuple(str(b) for b in binding), flagged,
+        clean = np.flatnonzero(~cusp)
+        near = clean[np.abs(clean - np.flatnonzero(cusp)[:, None]).argmin(axis=1)]
+        v[cusp] = np.minimum(v[cusp], v[near])
+    flagged = (tracks["singular"] | ~np.isfinite(tracks["r_omega"])).any(axis=0)
+    fields = [tracks[key] for key in ("delta_w", "r_v", "r_omega", "kappa_w", "singular")]
+    wheel_tracks = {w.id: WheelTrack(*track) for w, *track in zip(wheels, *fields)}
+    return SegmentProfile(us, s, v, tuple(_binding(wheels, rows)), flagged,
                           theta, jets.theta[1], wheel_tracks)

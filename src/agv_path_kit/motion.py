@@ -117,9 +117,15 @@ def _angle(d1: np.ndarray) -> np.ndarray:
 
 def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
                     principal: np.ndarray) -> np.ndarray:
-    """Principal angles at ``us`` moved onto the branch of the unwrapped grid samples."""
-    reference = np.interp(us, _UNWRAP_U, grid_angles)
-    return reference + np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi
+    """Principal angles at ``us`` moved onto the branch of the unwrapped grid samples.
+
+    ``grid_angles`` is one row of grid samples, or a row per row of ``principal``.
+    """
+    reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1,
+                                    grid_angles)
+    # The shift is formed before it is added: where principal equals
+    # reference, (reference + pi) - pi would round off the reference itself.
+    return reference + (np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi)
 
 
 def _heading_grid(curve: BezierCurve) -> np.ndarray:

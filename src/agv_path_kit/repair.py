@@ -37,6 +37,11 @@ __all__ = [
 
 _TIME_GL_NODES, _TIME_GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _TIME_PANELS = 16
+# The 192 quadrature nodes: 12 Gauss-Legendre nodes on each of 16 equal panels.
+_TIME_HALF = 0.5 / _TIME_PANELS
+_TIME_US = ((np.arange(_TIME_PANELS) + 0.5)[:, None] / _TIME_PANELS
+            + _TIME_HALF * _TIME_GL_NODES[None, :]).ravel()
+_TIME_US.setflags(write=False)
 # Sampling of |C'| for candidates the hodograph cannot certify regular.
 _REPAIR_SAMPLES = 256
 
@@ -87,15 +92,11 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
 
 def _travel_time(curve: BezierCurve, mode, v_segment: float,
                  vehicle: VehicleModel) -> float:
-    edges = np.linspace(0.0, 1.0, _TIME_PANELS + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    us = (centers[:, None] + half * _TIME_GL_NODES[None, :]).ravel()
-    v_max, speed = limit_profile_fast(curve, mode, v_segment, vehicle, us)
+    v_max, speed = limit_profile_fast(curve, mode, v_segment, vehicle, _TIME_US)
     if np.any(v_max <= 0.0) or not np.all(np.isfinite(v_max)):
         return math.inf
     integrand = (speed / v_max).reshape(_TIME_PANELS, -1)
-    return float(half * np.sum(integrand @ _TIME_GL_WEIGHTS))
+    return float(_TIME_HALF * np.sum(integrand @ _TIME_GL_WEIGHTS))
 
 
 def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:

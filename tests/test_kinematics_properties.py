@@ -1,0 +1,186 @@
+"""Property test of the wheel axis: one batched pass equals the per-wheel formulas.
+
+`kinematics` computes every wheel's derivatives, ratios and quotas as one
+array over a wheel axis. The reference below writes the same formulas out
+once per wheel, with the strict-improvement loop for the binding
+constraint, and every public result must equal it bit for bit: the same
+floats and the same non-finite entries. Flat exponential ends with
+1 < n < 2 (infinite theta''), a wheel at the origin and two identical
+wheels (exact ties) are always in play.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
+                          PathSegment, Tangential, VehicleModel, Wheel,
+                          profile_segment, speed_limit, wheel_speed_limit)
+from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, limit_profile_fast
+from agv_path_kit.motion import _UNWRAP_U, _angle, _nearest_branch, wrap_angle
+
+from test_layout_properties import ANGLE, MOUNT, curves
+
+EXPONENT = st.one_of(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+                     st.floats(2.0, 4.0))
+MODES = st.one_of(
+    st.builds(Tangential, ANGLE),
+    st.builds(Crab, ANGLE),
+    st.builds(ExponentialDelayed, ANGLE, EXPONENT),
+    st.builds(ExponentialAnticipated, ANGLE, EXPONENT),
+)
+
+
+@st.composite
+def vehicles(draw):
+    """One to six wheels under shuffled ids: the first at the origin and,
+    from three wheels on, the next two twins (same mount, same limits).
+    Returns the vehicle and the higher id of the twins (None without them)."""
+    count = draw(st.integers(1, 6))
+    ids = draw(st.permutations([f"w{k}" for k in range(count)]))
+    specs = [((0.0, 0.0), draw(st.floats(0.5, 3.0)), draw(st.floats(0.2, 2.0)))]
+    for _ in range(count - 1):
+        specs.append(((draw(MOUNT), draw(MOUNT)), draw(st.floats(0.5, 3.0)),
+                      draw(st.floats(0.2, 2.0))))
+    twin = None
+    if count >= 3:
+        specs[2] = specs[1]
+        twin = max(ids[1], ids[2])
+    wheels = [Wheel(wid, *spec) for wid, spec in zip(ids, specs)]
+    return VehicleModel(tuple(draw(st.permutations(wheels)))), twin
+
+
+# ---------------------------------------------------------------------------
+# The per-wheel formulas, one wheel at a time.
+
+def ref_derivatives(jets, wheel):
+    c, r = jets.c, wheel.r_vec
+    if not np.any(r):
+        return c[:3]
+    rr = np.stack((jets.cos * r[0] - jets.sin * r[1],
+                   jets.sin * r[0] + jets.cos * r[1]), axis=1)
+    jr = np.stack((-rr[:, 1], rr[:, 0]), axis=1)
+    th1, th2 = jets.theta[1][:, None], jets.theta[2][:, None]
+    with np.errstate(invalid="ignore"):
+        return [c[0] + rr, c[1] + th1 * jr, c[2] - th1**2 * rr + th2 * jr]
+
+
+def ref_track(jets, wheel):
+    _, d1, d2 = ref_derivatives(jets, wheel)
+    wheel_speed = np.hypot(d1[:, 0], d1[:, 1])
+    singular = ~(wheel_speed > _WHEEL_SINGULAR)
+    unbounded = ~np.isfinite(d2).all(axis=1)
+    safe = np.where(singular, 1.0, wheel_speed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        kappa = np.where(singular | unbounded, np.nan, det / safe**3)
+        r_v = wheel_speed / jets.speed
+        r_omega = np.where(singular, np.nan,
+                           (det / safe**2 - jets.theta[1]) / jets.speed)
+    r_omega = np.where(unbounded & ~singular, np.inf, r_omega)
+    return {"d1": d1, "r_v": r_v, "r_omega": r_omega, "kappa_w": kappa,
+            "singular": singular}
+
+
+def ref_limit(v_segment, vehicle, tracks, size):
+    v = np.full(size, float(v_segment))
+    binding = np.array(["segment"] * size, dtype=object)
+    flagged = np.zeros(size, dtype=bool)
+    for kind, ratio, limit in (("traction", "r_v", "v_max"),
+                               ("steering", "r_omega", "omega_max")):
+        for w in vehicle.sorted_wheels():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                mag = np.abs(tracks[w.id][ratio])
+                quota = np.where(mag > 0.0, getattr(w, limit) / mag, np.inf)
+            quota = np.where(np.isnan(quota), np.inf, quota)
+            better = quota < v
+            v = np.where(better, quota, v)
+            binding[better] = f"{kind}({w.id})"
+    for w in vehicle.sorted_wheels():
+        flagged |= tracks[w.id]["singular"] | ~np.isfinite(tracks[w.id]["r_omega"])
+    return v, [str(b) for b in binding], flagged
+
+
+def ref_profile(segment, vehicle, samples):
+    us = np.linspace(0.0, 1.0, samples)
+    jets = _Jets(segment.curve, segment.mode, us)
+    grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
+    theta_grid = np.unwrap(grid.theta[0])
+    theta = _nearest_branch(us, theta_grid, jets.theta[0])
+    tracks = {}
+    for w in vehicle.sorted_wheels():
+        track = ref_track(jets, w)
+        zeta_grid = np.unwrap(_angle(ref_derivatives(grid, w)[1]))
+        zeta = _nearest_branch(us, zeta_grid, _angle(track["d1"]))
+        track["delta_w"] = (wrap_angle(zeta_grid[0] - theta_grid[0])
+                            + (zeta - zeta_grid[0]) - (theta - theta_grid[0]))
+        tracks[w.id] = track
+    v, binding, flagged = ref_limit(segment.v_max, vehicle, tracks, samples)
+    cusp = np.zeros(samples, dtype=bool)
+    for t in tracks.values():
+        cusp |= t["singular"]
+    if cusp.any() and (~cusp).any():
+        idx = np.arange(samples)
+        clean = idx[~cusp]
+        for i in idx[cusp]:
+            v[i] = min(v[i], v[clean[np.argmin(np.abs(clean - i))]])
+    return v, binding, flagged, theta, jets.theta[1], tracks
+
+
+def same(a, b) -> bool:
+    """Bit for bit, as far as floats go: equal values and equal non-finite entries."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(deadline=None, max_examples=60)
+@given(curves().filter(lambda c: c.degree >= 3), MODES, vehicles(),
+       st.sampled_from([0.0, 1.0, 0.37]))
+def test_batched_wheel_pass_equals_the_per_wheel_formulas(curve, mode, fleet, u):
+    vehicle, twin = fleet
+    segment = PathSegment(curve, mode, 1.5)
+    # Both ends are nodes, so the flat end of an exponential law is sampled.
+    us = np.linspace(0.0, 1.0, 17)
+    jets = _Jets(curve, mode, us)
+    tracks = {w.id: ref_track(jets, w) for w in vehicle.sorted_wheels()}
+    v, speed = limit_profile_fast(curve, mode, 1.5, vehicle, us)
+    assert same(v, ref_limit(1.5, vehicle, tracks, us.size)[0])
+    assert same(speed, jets.speed)
+
+    point = _Jets(curve, mode, np.array([u]))
+    point_tracks = {w.id: ref_track(point, w) for w in vehicle.sorted_wheels()}
+    ref_v, ref_binding, ref_flagged = ref_limit(1.5, vehicle, point_tracks, 1)
+    sample = speed_limit(segment, vehicle, u, 0.0)
+    assert same(sample.v_max, ref_v[0])
+    assert (sample.binding, sample.flagged) == (ref_binding[0], ref_flagged[0])
+    for w in vehicle.wheels:
+        assert same(wheel_speed_limit(segment, vehicle, w, u),
+                    float(ref_v[0]) * float(point_tracks[w.id]["r_v"][0]))
+
+    prof = profile_segment(segment, vehicle, 17)
+    ref_v, ref_binding, ref_flagged, theta, dtheta, ref_tracks = ref_profile(
+        segment, vehicle, 17)
+    assert same(prof.v_max, ref_v) and same(prof.flagged, ref_flagged)
+    assert list(prof.binding) == ref_binding
+    assert same(prof.theta, theta) and same(prof.dtheta, dtheta)
+    for wid, track in prof.wheel_tracks.items():
+        for key in ("delta_w", "r_v", "r_omega", "kappa_w", "singular"):
+            assert same(getattr(track, key), ref_tracks[wid][key])
+    # Twins tie exactly on every quota; the lower id binds.
+    if twin is not None:
+        assert all(f"({twin})" not in b for b in (*prof.binding, sample.binding))
+
+
+def test_wheel_at_the_origin_keeps_a_finite_steering_ratio_at_a_flat_end():
+    # At u=0 of a delayed law with n < 2 on a turning path theta'' is
+    # infinite. A mounted wheel's steering ratio is unbounded there, but the
+    # origin wheel follows the path itself: broadcasting its zero mount would
+    # give 0 * inf = NaN and make its ratio unbounded too.
+    segment = PathSegment(BezierCurve([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 0.0]]),
+                          ExponentialDelayed(0.0, 1.5), 1.5)
+    vehicle = VehicleModel((Wheel("w0", (0.0, 0.0), 1.0, 1.0),
+                            Wheel("w1", (0.5, 0.5), 1.0, 1.0)))
+    tracks = profile_segment(segment, vehicle, 9).wheel_tracks
+    assert tracks["w0"].r_v[0] == 1.0 and math.isfinite(tracks["w0"].r_omega[0])
+    assert tracks["w1"].r_omega[0] == math.inf

@@ -6,7 +6,8 @@ stay at their mounts in the vehicle frame. Speed and steering ratios and the
 speed limit are therefore unchanged, and so are the junction residuals and
 verdicts. Splitting a segment at s gives a smooth junction whose first shape
 parameter is s/(1-s): the left piece runs at s times, the right one at 1-s
-times the speed of the whole. Reported angles lie on their principal values
+times the speed of the whole. Degree elevation changes neither a curve nor its
+parameterization, so a junction keeps its verdict and, to rounding, its residuals. Reported angles lie on their principal values
 up to whole turns, and planned speeds keep the planner's invariants.
 """
 
@@ -115,6 +116,10 @@ def test_rotated_straight_path_keeps_a_finite_limit_at_a_flat_end():
 
 
 RESIDUALS = ("curve_g1", "curve_g2", "curve_g3", "mode_g1", "mode_g2")
+# Elevation rounds each control point by about eps * size, and a condition of
+# order up to 3 scales the right side by up to beta1**3; 4000 random examples
+# drifted by at most 411 such units.
+ELEVATION_ULPS = 1e4
 
 
 @settings(deadline=None, max_examples=60)
@@ -149,6 +154,53 @@ def test_split_is_smooth_and_rigid_motion_keeps_junction_residuals(
         assert max(drift) <= bound
 
 
+@st.composite
+def junctions(draw):
+    """The two pieces of a split curve under one mode, the right piece's
+    control point 1, 2 or 3 perhaps moved by 1e-2 to 1 m. A move breaks the
+    junction far above the 1e-6 tolerances, so no verdict rests on rounding."""
+    curve = draw(curves())
+    left, right = curve.split(draw(st.floats(0.2, 0.8)))
+    k = draw(st.integers(1, min(3, right.degree - 1)))
+    points = right.control_points.copy()
+    shift, phi = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1.0))), draw(ANGLE)
+    points[k] += shift * np.array([math.cos(phi), math.sin(phi)])
+    return left, BezierCurve(points), draw(MODES)
+
+
+@settings(deadline=None, max_examples=60)
+@given(junctions(), st.sampled_from(["left", "right", "both"]), st.integers(1, 2))
+def test_degree_elevation_keeps_the_verdict_and_the_residuals(junction, side, times):
+    # Elevation changes neither curve nor its parameterization, so the
+    # conditions are unchanged; only the elevated control points round.
+    left, right, mode = junction
+    vehicle = VehicleModel((Wheel("w0", (0.5, 0.5), 1.0, 1.0),))
+
+    def report(a, b):
+        return analyze_junction(JunctionContext(PathSegment(a, mode, 1.5),
+                                                PathSegment(b, mode, 1.5), vehicle),
+                                Tolerances())
+
+    before = report(left, right)
+    for _ in range(times):
+        left = left.elevated() if side != "right" else left
+        right = right.elevated() if side != "left" else right
+    after = report(left, right)
+    assert after.verdict == before.verdict
+    # Elevation copies the end points, so the junction point stays put.
+    assert after.g0_position == before.g0_position
+    assert (after.beta is None) == (before.beta is None)
+    beta1 = 1.0 if before.beta is None else abs(before.beta.beta1)
+    size = max(np.abs(c.control_points).max() for c in (left, right))
+    bound = ELEVATION_ULPS * np.finfo(float).eps * size * max(1.0, beta1)**3
+    for name in RESIDUALS + ("g0_orientation",):
+        a, b = getattr(before, name), getattr(after, name)
+        if math.isfinite(a):
+            assert abs(a - b) <= bound, name
+        else:
+            assert a == b, name
+
+
 def turns_off(a, b) -> np.ndarray:
     """Distance of a - b from the nearest whole number of turns, in radians."""
     return np.abs(np.remainder(np.asarray(a) - b + math.pi, math.tau) - math.pi)
@@ -177,6 +229,17 @@ def test_profile_angles_are_their_principal_values_up_to_whole_turns(
             initial=0.0) <= 1e-9
         assert turns_off(delta, zeta - prof.theta).max() <= 1e-9
         assert -math.pi <= delta[0] <= math.pi
+
+
+def test_steering_anchor_on_the_branch_cut_stays_principal():
+    # Found by the property above: the heading of this curve starts just
+    # below pi, and with a wheel at the origin the anchor of the steering
+    # angle was rounded to an ulp above pi.
+    segment = PathSegment(BezierCurve(np.array([(0.0, 0.125), (3.0, 0.0), (6.0, 0.0)])),
+                          Tangential(math.pi), 1.5)
+    vehicle = VehicleModel((Wheel("w0", (0.0, 0.0), 1.5, 1.0),))
+    delta = profile_segment(segment, vehicle, 33).wheel_tracks["w0"].delta_w
+    assert -math.pi <= delta[0] <= math.pi
 
 
 # The planner's slack, as in `bench/oracle.py`: values derived with one sqrt or
