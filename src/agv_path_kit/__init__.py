@@ -24,7 +24,7 @@ from .continuity import (ContinuityReport, JunctionContext, Tolerances,
                          check_tangential_junction, extract_shape_parameters)
 from .repair import (RepairProblem, RepairResult, estimate_travel_time,
                      prescribe_endpoint_jet, repair_exponential,
-                     repair_tangential)
+                     repair_junction, repair_tangential)
 from .profile import VelocityProfile, plan_velocity, time_along
 from .layout import LayoutDocument, parse_layout, serialize_layout
 from .errors import (DegenerateGeometryError, DiscontinuousPathError,

@@ -23,9 +23,8 @@ from .errors import (DegenerateGeometryError, DiscontinuousPathError,
                      LayoutError, RepairInfeasibleError)
 from .layout import (LayoutDocument, LayoutSegment, load_layout, parse_layout,
                      serialize_layout)
-from .motion import ExponentialAnticipated, Tangential
 from .profile import plan_velocity
-from .repair import RepairProblem, repair_exponential, repair_tangential
+from .repair import RepairProblem, repair_junction
 from .vehicle import PathSegment
 
 __all__ = [
@@ -77,17 +76,8 @@ def cmd_repair(args) -> int:
     except DegenerateGeometryError as exc:
         print(f"error: junction {target}: {exc}", file=sys.stderr)
         return 2
-    problem = RepairProblem(ctx, objective=args.objective)
     try:
-        if isinstance(right.mode, ExponentialAnticipated):
-            result = repair_exponential(problem)
-        elif isinstance(left.mode, Tangential) and isinstance(right.mode, Tangential):
-            result = repair_tangential(problem)
-        else:
-            print(f"error: no repair rule for mode pair "
-                  f"({type(left.mode).__name__}, {type(right.mode).__name__})",
-                  file=sys.stderr)
-            return 1
+        result = repair_junction(RepairProblem(ctx, objective=args.objective))
     except RepairInfeasibleError as exc:
         print(f"error: repair infeasible: {exc}", file=sys.stderr)
         return 1
@@ -100,13 +90,11 @@ def cmd_repair(args) -> int:
         elif ls.id == right_id:
             seg = PathSegment(result.new_right_curve, seg.mode, seg.v_max)
         new_segments.append(LayoutSegment(ls.id, seg))
-    parameters = {k: v for k, v in result.parameters.items()
-                  if isinstance(v, (int, float))}
     annotations = {"repair": {
         "junction": target,
         "objective": args.objective,
         "objective_value": result.objective_value,
-        "parameters": parameters,
+        "parameters": result.parameters,
         "moved_points": result.moved_points,
         "verdict_after": result.report_after.verdict,
     }}

@@ -242,14 +242,22 @@ def _hodograph_certifies(curve: BezierCurve) -> bool:
 def irregular_parameter(curve: BezierCurve, samples: int) -> float | None:
     """None if ``curve`` is regularly parameterized, else where |C'| is smallest.
 
-    The hodograph certificate decides most curves without evaluating them.
-    Otherwise |C'| is sampled at ``samples`` + 1 uniform nodes: the curve is
-    regular when every sample exceeds REGULAR_SPEED, and irregular near the
-    node of the smallest sample. The certificate only ever accepts curves
-    the sampled check accepts, so the verdict is the sampled one.
+    The hodograph certificate decides most curves without evaluating them;
+    the rest go to `sampled_irregular_parameter`. The certificate only ever
+    accepts curves the sampled check accepts, so the verdict is the sampled one.
     """
     if _hodograph_certifies(curve):
         return None
+    return sampled_irregular_parameter(curve, samples)
+
+
+def sampled_irregular_parameter(curve: BezierCurve, samples: int) -> float | None:
+    """Regularity by sampling alone, the rule `PathSegment` validates with.
+
+    |C'| is sampled at ``samples`` + 1 uniform nodes: the curve is regular
+    (None) when every sample exceeds REGULAR_SPEED, and irregular near the
+    node of the smallest sample.
+    """
     us = np.linspace(0.0, 1.0, samples + 1)
     d1 = curve.derivatives_many(us, 1)[1]
     speed = np.hypot(d1[:, 0], d1[:, 1])

@@ -211,7 +211,9 @@ def _reparam(mode, us: np.ndarray, order: int) -> list[np.ndarray]:
     if order >= 2:
         g.append((-1.0 if anticipated else 1.0) * n * (n - 1.0) * power(n - 2.0))
     if order >= 3:
-        g.append(n * (n - 1.0) * (n - 2.0) * power(n - 3.0))
+        # For n = 2, g''' is identically 0; the product would give 0 * inf at x = 0.
+        g.append(np.zeros_like(x) if n == 2.0
+                 else n * (n - 1.0) * (n - 2.0) * power(n - 3.0))
     return g
 
 

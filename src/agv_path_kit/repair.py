@@ -6,7 +6,8 @@ exact control-point update that leaves the rest of the curve untouched.
 Repair picks the prescription's free parameters (shape parameters, or
 scalar multipliers of the junction tangent for the exponential rule set) by
 bounded multi-start direct search, minimizing either estimated travel time
-or control-point displacement. Under displacement, the parameters that move
+or control-point displacement; `repair_junction` picks the rule set from
+the junction's mode pair. Under displacement, the parameters that move
 control points affinely (beta3; the second-order multipliers) are solved in
 closed form inside the search, so it runs over two parameters only.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
-from .curve import BezierCurve, ShapeParameters, irregular_parameter
+from .curve import BezierCurve, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -30,6 +31,7 @@ __all__ = [
     "RepairProblem",
     "RepairResult",
     "prescribe_endpoint_jet",
+    "repair_junction",
     "repair_tangential",
     "repair_exponential",
     "estimate_travel_time",
@@ -44,6 +46,11 @@ _TIME_US = ((np.arange(_TIME_PANELS) + 0.5)[:, None] / _TIME_PANELS
 _TIME_US.setflags(write=False)
 # Sampling of |C'| for candidates the hodograph cannot certify regular.
 _REPAIR_SAMPLES = 256
+# Search bounds keep the repair near the original: beta1 and x_d1_* lie in
+# _BETA1_BOUNDS, the rest within +-_COEFFICIENT_BOUND (tangential: times
+# max(1, |d2| / |d1|) of the left jet, and beta3 three times that).
+_BETA1_BOUNDS = (0.1, 10.0)
+_COEFFICIENT_BOUND = 10.0
 
 
 def _endpoint_factors(degree: int) -> tuple[float, float, float]:
@@ -115,15 +122,12 @@ class RepairProblem:
 
     ``side`` selects which segment's control points move for the tangential
     rule set ("right" edits the downstream curve, "left" the upstream one);
-    the exponential rule set always edits both sides. Bounds keep the
-    repaired geometry near the original.
+    the exponential rule set always edits both sides.
     """
 
     ctx: JunctionContext
     objective: str = "min_travel_time"   # or "min_displacement"
     side: str = "right"
-    beta1_bounds: tuple[float, float] = (0.1, 10.0)
-    coefficient_bound: float = 10.0
 
     def __post_init__(self):
         if self.objective not in ("min_travel_time", "min_displacement"):
@@ -279,17 +283,6 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     return (b1, b2, b3), new, ctx.right.curve
 
 
-def _verify(problem: RepairProblem, left_curve: BezierCurve,
-            right_curve: BezierCurve) -> ContinuityReport:
-    left_seg = PathSegment(left_curve, problem.ctx.left.mode,
-                           problem.ctx.left.v_max)
-    right_seg = PathSegment(right_curve, problem.ctx.right.mode,
-                            problem.ctx.right.v_max)
-    ctx = JunctionContext(left_seg, right_seg, problem.ctx.vehicle,
-                          problem.ctx.left_id, problem.ctx.right_id)
-    return analyze_junction(ctx)
-
-
 def _candidate_objective(problem: RepairProblem, left_curve, right_curve) -> float:
     if problem.objective == "min_displacement":
         return (_displacement(problem.ctx.left.curve, left_curve)
@@ -321,11 +314,14 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     if value >= 1e9:
         raise RepairInfeasibleError(f"no admissible {what} found in bounds")
     params, left, right = candidate(np.array(x))
-    report = _verify(problem, left, right)
+    ctx = problem.ctx
+    report = analyze_junction(JunctionContext(
+        PathSegment(left, ctx.left.mode, ctx.left.v_max),
+        PathSegment(right, ctx.right.mode, ctx.right.v_max),
+        ctx.vehicle, ctx.left_id, ctx.right_id))
     if report.verdict != SMOOTH:
         raise RepairInfeasibleError(
             f"repair verification failed (verdict {report.verdict})")
-    ctx = problem.ctx
     moved = (_moved_points(ctx.left.curve, left, "left")
              + _moved_points(ctx.right.curve, right, "right"))
     return RepairResult(left, right, dict(zip(names, params)), value, report,
@@ -352,25 +348,20 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     if extraction.beta1 is None or extraction.beta1 <= 0.0:
         raise RepairInfeasibleError("junction tangents oppose; repair undefined")
     seed = np.array([extraction.beta1, extraction.beta2, extraction.beta3])
-    cb = problem.coefficient_bound * max(
+    cb = _COEFFICIENT_BOUND * max(
         1.0, float(np.linalg.norm(ctx.left_jet.d2))
         / float(np.linalg.norm(ctx.left_jet.d1)))
-    bounds = [problem.beta1_bounds, (-cb, cb), (-cb * 3.0, cb * 3.0)]
+    bounds = [_BETA1_BOUNDS, (-cb, cb), (-cb * 3.0, cb * 3.0)]
     if problem.objective == "min_displacement":
         # Displacement is near-quadratic around the least-squares seed.
         starts = [seed[:2]]
         bounds, beta3_bounds = bounds[:2], bounds[2]
     else:
-        starts = [seed] + [np.array([b1 * extraction.beta1, extraction.beta2,
-                                     extraction.beta3])
-                           for b1 in (0.5, 1.0, 2.0)]
+        starts = [seed * (scale, 1.0, 1.0) for scale in (1.0, 0.5, 2.0)]
         beta3_bounds = None
-    result = _search(problem,
-                     lambda beta: _tangential_candidate(problem, beta, beta3_bounds),
-                     starts, bounds, ("beta1", "beta2", "beta3"), "shape parameters")
-    p = result.parameters
-    p["shape_parameters"] = ShapeParameters(p["beta1"], p["beta2"], p["beta3"])
-    return result
+    return _search(problem,
+                   lambda beta: _tangential_candidate(problem, beta, beta3_bounds),
+                   starts, bounds, ("beta1", "beta2", "beta3"), "shape parameters")
 
 
 def _closest_second_multipliers(problem: RepairProblem, x1: float, x3: float,
@@ -466,18 +457,14 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
         float(ctx.right_jet.d1 @ v) / q,
         float(ctx.right_jet.d2 @ v) / q,
     ])
-    cb = problem.coefficient_bound
-    bounds = [problem.beta1_bounds, (-cb, cb), problem.beta1_bounds, (-cb, cb)]
+    cb = _COEFFICIENT_BOUND
+    bounds = [_BETA1_BOUNDS, (-cb, cb), _BETA1_BOUNDS, (-cb, cb)]
     if problem.objective == "min_displacement":
         starts = [seed[[0, 2]]]
         bounds = bounds[0::2]
     else:
-        starts = [seed]
-        for scale in (0.75, 1.25):
-            s = seed.copy()
-            s[0] *= scale
-            s[2] /= scale
-            starts.append(s)
+        starts = [np.array([seed[0] * scale, seed[1], seed[2] / scale, seed[3]])
+                  for scale in (1.0, 0.75, 1.25)]
     result = _search(problem, lambda x: _exponential_candidate(problem, x, cb),
                      starts, bounds,
                      ("x_d1_left", "x_d2_left", "x_d1_right", "x_d2_right"),
@@ -486,3 +473,19 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
     p["beta1"] = p["x_d1_left"] / p["x_d1_right"]
     p["n"] = ctx.right.mode.n
     return result
+
+
+def repair_junction(problem: RepairProblem) -> RepairResult:
+    """Repair with the rule set for the junction's mode pair.
+
+    An anticipated exponential mode downstream takes `repair_exponential`,
+    tangential modes on both sides take `repair_tangential`, and any other
+    pair raises RepairInfeasibleError naming both mode types.
+    """
+    left, right = problem.ctx.left.mode, problem.ctx.right.mode
+    if isinstance(right, ExponentialAnticipated):
+        return repair_exponential(problem)
+    if isinstance(left, Tangential) and isinstance(right, Tangential):
+        return repair_tangential(problem)
+    raise RepairInfeasibleError(f"no repair rule for mode pair "
+                                f"({type(left).__name__}, {type(right).__name__})")

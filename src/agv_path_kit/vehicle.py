@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BezierCurve
+from .curve import BezierCurve, sampled_irregular_parameter
 from .errors import DegenerateGeometryError
 from .motion import MotionMode
 
@@ -27,10 +27,6 @@ __all__ = [
     "validate_vehicle",
     "differential_alpha",
 ]
-
-# Sampling used to reject irregular parameterizations at construction time.
-_REGULARITY_SAMPLES = 1024
-_REGULARITY_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,9 @@ def differential_alpha(model: VehicleModel) -> float:
 class PathSegment:
     """One path segment: curve, orientation law, and segment speed limit.
 
-    The curve must be regularly parameterized on [0, 1]; this is validated by
-    sampling at construction. Instances compare and hash by identity.
+    The curve must be regularly parameterized on [0, 1]; construction checks
+    this with `curve.sampled_irregular_parameter` at 1025 uniform nodes.
+    Instances compare and hash by identity.
     """
 
     curve: BezierCurve
@@ -139,11 +136,8 @@ class PathSegment:
     def __post_init__(self):
         if not self.v_max > 0.0:
             raise ValueError(f"segment speed limit must be > 0, got {self.v_max}")
-        us = np.linspace(0.0, 1.0, _REGULARITY_SAMPLES + 1)
-        d1 = self.curve.derivatives_many(us, 1)[1]
-        speed = np.hypot(d1[:, 0], d1[:, 1])
-        if speed.min() <= _REGULARITY_THRESHOLD:
-            bad = float(us[int(np.argmin(speed))])
+        bad = sampled_irregular_parameter(self.curve, 1024)
+        if bad is not None:
             raise ValueError(
                 f"curve is not regularly parameterized (|C'| ~ 0 near u={bad:.4f})")
 

@@ -203,6 +203,17 @@ class TestRepairCommand:
                      "--junction", "x:y"])
         assert code == 2
 
+    def test_unsupported_mode_pair_exits_1(self, tmp_path, capsys):
+        doc = json.loads(bundled_layout_text("two_wheel_g1"))
+        doc["segments"][0]["mode"] = {"type": "crab", "alpha_deg": 0.0}
+        layout = tmp_path / "crab_tangential.json"
+        layout.write_text(json.dumps(doc))
+        assert main(["repair", str(layout)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: repair infeasible: no repair rule for mode pair "
+                       "(Crab, Tangential)\n")
+
 
 class TestProfileCommand:
     def read_csv(self, path):

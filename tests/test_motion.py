@@ -1,13 +1,14 @@
 """Motion modes: orientation laws and their exact derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
-                          ExponentialDelayed, Tangential, orientation,
-                          orientation_at_end)
+                          ExponentialDelayed, PathSegment, Tangential, Wheel,
+                          orientation, orientation_at_end, wheel_curve_jet)
 from agv_path_kit.motion import (heading_rates, orientation_many,
                                  unwrapped_heading, wrap_angle)
 
@@ -141,6 +142,17 @@ class TestJunctionJets:
         curve = BezierCurve([(0, 0), (1, 1), (2, 2)])
         jet = orientation_at_end(ExponentialAnticipated(0.0, 1.7), curve, "end")
         assert jet.ddtheta == 0.0
+
+    def test_flat_end_third_derivative_is_finite_for_n_two(self):
+        # g''' = n(n-1)(n-2) x^(n-3) is identically 0 for n = 2, not 0 * inf at x = 0.
+        curve = BezierCurve([(0, 0), (1, 1), (2, 1), (3, 0)])
+        wheel = Wheel("w", (0.5, 0.5), 1.0, 1.0)
+        for mode, u in ((ExponentialDelayed(0.0, 2.0), 0.0),
+                        (ExponentialAnticipated(0.0, 2.0), 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                jet = wheel_curve_jet(PathSegment(curve, mode, 1.5), wheel, u, order=3)
+            assert np.all(np.isfinite(jet.d3))
 
     def test_end_argument_validated(self):
         curve = BezierCurve([(0, 0), (1, 0)])

@@ -230,7 +230,7 @@ class TestSearchReport:
     def test_min_travel_time_convergence_is_reported(self, fixture_repair,
                                                      exponential_repair,
                                                      record_property):
-        results = {"two_wheel_g1": (fixture_repair[1], 4),
+        results = {"two_wheel_g1": (fixture_repair[1], 3),
                    "two_wheel_g1 exponential": (exponential_repair[1], 3)}
         for result, starts in results.values():
             assert isinstance(result.converged, bool)
