@@ -115,6 +115,49 @@ def _binomials(n: int) -> np.ndarray:
     return row
 
 
+def _derivative_net(nets: list[np.ndarray], k: int) -> np.ndarray:
+    """Entry k of ``nets``, the derivative nets of a control net (point axis
+    first), extending the list up to k by differencing."""
+    while len(nets) <= k:
+        q = nets[-1]
+        n = q.shape[0] - 1
+        nets.append(n * (q[1:] - q[:-1]))
+    return nets[k]
+
+
+def _bernstein(net, n: int, us: np.ndarray, order: int) -> list[np.ndarray]:
+    """Derivatives 0..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
+
+    Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
+    derivative net D_k = ``net(k)`` (degree m = n - k), with the power
+    tables shared by every order. ``net(k)`` has the point axis first and
+    the (x, y) axis second, shaped so that D_k[j] broadcasts against
+    ``us``. The sum runs elementwise in j order, so each entry depends on
+    its own u and net only; the basis is a unit row at u = 0 and u = 1, so
+    endpoint values are exact.
+    """
+    up = np.empty((n + 1,) + us.shape)
+    down = np.empty((n + 1,) + us.shape)
+    up[0] = down[0] = 1.0
+    rest = 1.0 - us
+    for j in range(1, n + 1):
+        up[j] = up[j - 1] * us
+        down[j] = down[j - 1] * rest
+    column = (slice(None),) + (None,) * us.ndim
+    out = []
+    for k in range(order + 1):
+        if k > n:
+            out.append(np.zeros((2,) + us.shape))
+            continue
+        m, d = n - k, net(k)
+        basis = _binomials(m)[column] * up[:m + 1] * down[m::-1]
+        value = d[0] * basis[0]
+        for j in range(1, m + 1):
+            value += d[j] * basis[j]
+        out.append(value)
+    return out
+
+
 class BezierCurve:
     """Immutable planar Bezier curve of arbitrary degree >= 1.
 
@@ -140,43 +183,13 @@ class BezierCurve:
 
     def _derivative_net(self, k: int) -> np.ndarray:
         """Control net of the k-th derivative curve, k <= degree, built on first use."""
-        nets = self._nets
-        while len(nets) <= k:
-            q = nets[-1]
-            n = q.shape[0] - 1
-            nets.append(n * (q[1:] - q[:-1]))
-        return nets[k]
+        return _derivative_net(self._nets, k)
 
     def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
-        """Arrays (N, 2) of the 0th..order-th derivative at each u.
-
-        Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
-        derivative net D_k (degree m = n - k), with the power tables shared
-        by every order. The sum runs elementwise in j order, so each row
-        depends on its own u only; the basis is a unit row at u = 0 and
-        u = 1, so endpoint values are exact.
-        """
-        us = np.asarray(us, dtype=float)
-        n = self.degree
-        up = np.empty((n + 1, us.size))
-        down = np.empty((n + 1, us.size))
-        up[0] = down[0] = 1.0
-        rest = 1.0 - us
-        for j in range(1, n + 1):
-            up[j] = up[j - 1] * us
-            down[j] = down[j - 1] * rest
-        out = []
-        for k in range(order + 1):
-            if k > n:
-                out.append(np.zeros((us.size, 2)))
-                continue
-            m, net = n - k, self._derivative_net(k)
-            basis = _binomials(m)[:, None] * up[:m + 1] * down[m::-1]
-            value = net[0][:, None] * basis[0]
-            for j in range(1, m + 1):
-                value += net[j][:, None] * basis[j]
-            out.append(value.T)
-        return out
+        """Arrays (N, 2) of the 0th..order-th derivative at each u (see `_bernstein`)."""
+        us = np.array(us, dtype=float, copy=None, ndmin=1)
+        return [value.T for value in _bernstein(
+            lambda k: self._derivative_net(k)[:, :, None], self.degree, us, order)]
 
     def jet(self, u: float, order: int = 3) -> CurveJet:
         return evaluate(self, u, order)
@@ -203,6 +216,28 @@ class BezierCurve:
         t = np.arange(1, n + 1)[:, None] / (n + 1)
         inner = t * p[:-1] + (1.0 - t) * p[1:]
         return BezierCurve(np.vstack([p[:1], inner, p[-1:]]))
+
+
+class _BezierStack:
+    """K Bezier curves of one degree, evaluated together: node block k on curve k.
+
+    It stands in for a `BezierCurve` where only `derivatives_many` is used
+    (`kinematics.limit_profile_fast`): ``us`` holds K equal blocks of nodes,
+    and the rows of each result follow them. Each net broadcasts as
+    (m+1, 2, K, 1) against a (m+1, K, N) basis in the one kernel, with the
+    same products summed in the same order, so every row equals the single
+    curve's result bit for bit.
+    """
+
+    def __init__(self, curves):
+        points = np.stack([curve.control_points for curve in curves])
+        self._count, self.degree = len(curves), points.shape[1] - 1
+        self._nets = [points.transpose(1, 2, 0)[..., None]]
+
+    def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
+        blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
+        return [value.reshape(2, -1).T for value in _bernstein(
+            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order)]
 
 
 def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:

@@ -269,7 +269,9 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
                        us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Speed-limit values and |C'| at ``us``, on principal-branch orientation jets.
 
-    Candidate evaluation during repair calls this in a tight loop.
+    Repair scores its candidates with this. ``curve`` may be a
+    `curve._BezierStack` with ``us`` one block of nodes per curve: every
+    step is elementwise over the nodes, so each block equals its own curve's pass.
     """
     wheels = vehicle.sorted_wheels()
     jets = _Jets(curve, mode, np.asarray(us, dtype=float))

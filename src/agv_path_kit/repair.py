@@ -21,7 +21,8 @@ import numpy as np
 
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
-from .curve import BezierCurve, irregular_parameter
+from . import optimize
+from .curve import BezierCurve, _BezierStack, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -97,13 +98,24 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     return BezierCurve(pts)
 
 
-def _travel_time(curve: BezierCurve, mode, v_segment: float,
-                 vehicle: VehicleModel) -> float:
-    v_max, speed = limit_profile_fast(curve, mode, v_segment, vehicle, _TIME_US)
-    if np.any(v_max <= 0.0) or not np.all(np.isfinite(v_max)):
-        return math.inf
-    integrand = (speed / v_max).reshape(_TIME_PANELS, -1)
-    return float(_TIME_HALF * np.sum(integrand @ _TIME_GL_WEIGHTS))
+def _travel_times(curves: list[BezierCurve], mode, v_segment: float,
+                  vehicle: VehicleModel) -> list[float]:
+    """Travel time of each curve of one degree, from one speed-limit pass.
+
+    Several curves go through `limit_profile_fast` as one stack at their
+    node blocks; each curve's value equals its own pass's bit for bit.
+    """
+    stack = curves[0] if len(curves) == 1 else _BezierStack(curves)
+    v_max, speed = limit_profile_fast(stack, mode, v_segment, vehicle,
+                                      np.tile(_TIME_US, len(curves)))
+    times = []
+    for v, c in zip(v_max.reshape(len(curves), -1), speed.reshape(len(curves), -1)):
+        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
+            times.append(math.inf)
+        else:
+            integrand = (c / v).reshape(_TIME_PANELS, -1)
+            times.append(float(_TIME_HALF * np.sum(integrand @ _TIME_GL_WEIGHTS)))
+    return times
 
 
 def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
@@ -113,7 +125,7 @@ def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
     deliberately ignored so the value responds smoothly to shape changes.
     Returns inf when the limit profile collapses to zero on the sample set.
     """
-    return _travel_time(segment.curve, segment.mode, segment.v_max, vehicle)
+    return _travel_times([segment.curve], segment.mode, segment.v_max, vehicle)[0]
 
 
 @dataclass
@@ -198,37 +210,6 @@ def _box_least_squares(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> np
     return best[1]
 
 
-class _LazyOptimize:
-    """``scipy.optimize``, imported on first use: only the repair search needs it."""
-
-    def __getattr__(self, attr):
-        from scipy import optimize as module
-        return getattr(module, attr)
-
-
-optimize = _LazyOptimize()
-
-
-def _multistart_minimize(objective, starts, bounds):
-    """Bounded Nelder-Mead from several starts; deterministic argmin.
-
-    Returns (value, x, evaluations over all starts, winning start converged).
-    """
-    best, evaluations = None, 0
-    for x0 in starts:
-        x0 = np.clip(np.asarray(x0, float), [b[0] for b in bounds],
-                     [b[1] for b in bounds])
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                                bounds=bounds,
-                                options={"maxfev": 400, "xatol": 1e-10,
-                                         "fatol": 1e-12})
-        evaluations += int(res.nfev)
-        candidate = (float(res.fun), tuple(float(v) for v in res.x))
-        if best is None or candidate < best[:2]:
-            best = candidate + (res.status == 0,)
-    return best[0], best[1], evaluations, best[2]
-
-
 def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     """Curves with the third-order junction jet rewritten for a beta triple.
 
@@ -283,38 +264,38 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     return (b1, b2, b3), new, ctx.right.curve
 
 
-def _candidate_objective(problem: RepairProblem, left_curve, right_curve) -> float:
-    if problem.objective == "min_displacement":
-        return (_displacement(problem.ctx.left.curve, left_curve)
-                + _displacement(problem.ctx.right.curve, right_curve))
-    total = 0.0
-    if right_curve is not problem.ctx.right.curve:
-        total += _travel_time(right_curve, problem.ctx.right.mode,
-                              problem.ctx.right.v_max, problem.ctx.vehicle)
-    if left_curve is not problem.ctx.left.curve:
-        total += _travel_time(left_curve, problem.ctx.left.mode,
-                              problem.ctx.left.v_max, problem.ctx.vehicle)
-    return total
-
-
 def _search(problem: RepairProblem, candidate, starts, bounds, names,
             what: str) -> RepairResult:
     """Minimize the objective over ``candidate``'s parameters; verify the winner.
 
     ``candidate(x)`` gives (full parameters, left curve, right curve) or
-    None; the result's parameters are the winner's full ones under ``names``.
+    None, which scores 1e9; the result's parameters are the winner's full
+    ones under ``names``. The starts run in lockstep, and under
+    ``min_travel_time`` the edited curves of each side, one per start, are
+    timed in one pass.
     """
-    def objective(x):
-        built = candidate(x)
-        if built is None:
-            return 1e9
-        return _candidate_objective(problem, *built[1:])
-
-    value, x, evaluations, converged = _multistart_minimize(objective, starts, bounds)
-    if value >= 1e9:
-        raise RepairInfeasibleError(f"no admissible {what} found in bounds")
-    params, left, right = candidate(np.array(x))
     ctx = problem.ctx
+
+    def objective(xs):
+        built = [candidate(x) for x in xs]
+        if problem.objective == "min_displacement":
+            return [1e9 if b is None else _displacement(ctx.left.curve, b[1])
+                    + _displacement(ctx.right.curve, b[2]) for b in built]
+        values = [1e9 if b is None else 0.0 for b in built]
+        for index, segment in ((2, ctx.right), (1, ctx.left)):
+            rows = [i for i, b in enumerate(built)
+                    if b is not None and b[index] is not segment.curve]
+            if rows:
+                times = _travel_times([built[i][index] for i in rows], segment.mode,
+                                      segment.v_max, ctx.vehicle)
+                for i, time in zip(rows, times):
+                    values[i] += time
+        return values
+
+    result = optimize.minimize(objective, starts, bounds)
+    if result.fun >= 1e9:
+        raise RepairInfeasibleError(f"no admissible {what} found in bounds")
+    params, left, right = candidate(result.x)
     report = analyze_junction(JunctionContext(
         PathSegment(left, ctx.left.mode, ctx.left.v_max),
         PathSegment(right, ctx.right.mode, ctx.right.v_max),
@@ -324,8 +305,8 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
             f"repair verification failed (verdict {report.verdict})")
     moved = (_moved_points(ctx.left.curve, left, "left")
              + _moved_points(ctx.right.curve, right, "right"))
-    return RepairResult(left, right, dict(zip(names, params)), value, report,
-                        moved, evaluations, converged)
+    return RepairResult(left, right, dict(zip(names, params)), result.fun, report,
+                        moved, result.nfev, result.status == 0)
 
 
 def repair_tangential(problem: RepairProblem) -> RepairResult:

@@ -414,11 +414,32 @@ def test_non_string_adjacency_id_exits_2(tmp_path, capsys, command, mutation, lo
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Only a repair search needs scipy: check and profile start without it.
+    # No command needs scipy: every command starts without it.
     src = str(Path(agv_path_kit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, agv_path_kit.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("objective", ["min_travel_time", "min_displacement"])
+def test_repair_runs_without_scipy(objective, tmp_path):
+    # With scipy unimportable, repair writes the same bytes as with it.
+    src = str(Path(agv_path_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    layout = str(bundled_layout_path("two_wheel_g1"))
+    runs = []
+    for block in ("", "sys.modules['scipy'] = None; "):
+        cwd = tmp_path / ("blocked" if block else "plain")
+        cwd.mkdir()
+        code = (f"import sys; {block}from agv_path_kit.cli import main; "
+                f"sys.exit(main(['repair', {layout!r}, '--objective', {objective!r}, "
+                f"'--out', 'repaired.json']))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, done.stderr, (cwd / "repaired.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == b""
 
 
 def test_repair_refused_junction_exits_2(tmp_path, capsys):

@@ -77,6 +77,12 @@ class TestEvaluate:
                 scale = max(1.0, float(np.linalg.norm(exact)))
                 assert np.linalg.norm(fd - exact) / scale < 1e-6
 
+    def test_scalar_parameter_gives_one_row(self):
+        curve = random_regular_curve(np.random.default_rng(3), degree=4)
+        for scalar, row in zip(curve.derivatives_many(0.3, 5),
+                               curve.derivatives_many(np.array([0.3]), 5)):
+            assert scalar.shape == (1, 2) and np.array_equal(scalar, row)
+
     def test_degenerate_control_points_rejected(self):
         with pytest.raises(ValueError):
             BezierCurve([(0, 0)])

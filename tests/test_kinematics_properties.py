@@ -6,7 +6,8 @@ once per wheel, with the strict-improvement loop for the binding
 constraint, and every public result must equal it bit for bit: the same
 floats and the same non-finite entries. Flat exponential ends with
 1 < n < 2 (infinite theta''), a wheel at the origin and two identical
-wheels (exact ties) are always in play.
+wheels (exact ties) are always in play. Likewise, one pass over a stack of
+curves must equal one pass per curve.
 """
 
 import math
@@ -14,10 +15,12 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
                           PathSegment, Tangential, VehicleModel, Wheel,
                           profile_segment, speed_limit, wheel_speed_limit)
+from agv_path_kit.curve import _BezierStack
 from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, limit_profile_fast
 from agv_path_kit.motion import _UNWRAP_U, _angle, _nearest_branch, wrap_angle
 
@@ -184,3 +187,42 @@ def test_wheel_at_the_origin_keeps_a_finite_steering_ratio_at_a_flat_end():
     tracks = profile_segment(segment, vehicle, 9).wheel_tracks
     assert tracks["w0"].r_v[0] == 1.0 and math.isfinite(tracks["w0"].r_omega[0])
     assert tracks["w1"].r_omega[0] == math.inf
+
+
+@st.composite
+def curve_stacks(draw):
+    """One to four forward-moving curves of one degree from 3 to 7."""
+    degree = draw(st.integers(3, 7))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = np.linspace(0.0, 6.0, degree + 1) + draw(
+            arrays(float, degree + 1, elements=st.floats(-0.5, 0.5)))
+        y = draw(arrays(float, degree + 1, elements=st.floats(-1.5, 1.5)))
+        stack.append(BezierCurve(np.column_stack([x, y])))
+    return stack
+
+
+# Exponential laws with infinite theta'' at the flat end (1 < n < 2) and n = 2.
+STACK_EXPONENT = st.one_of(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+                           st.just(2.0))
+STACK_MODES = st.one_of(
+    st.builds(Tangential, ANGLE),
+    st.builds(Crab, ANGLE),
+    st.builds(ExponentialDelayed, ANGLE, STACK_EXPONENT),
+    st.builds(ExponentialAnticipated, ANGLE, STACK_EXPONENT),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(curve_stacks(), STACK_MODES, vehicles())
+def test_one_pass_over_a_stack_equals_one_pass_per_curve(stack, mode, fleet):
+    vehicle = fleet[0]
+    # Both ends are nodes, so the flat end of an exponential law is sampled.
+    us = np.linspace(0.0, 1.0, 17)
+    with np.errstate(all="ignore"):
+        v, speed = limit_profile_fast(_BezierStack(stack), mode, 1.5, vehicle,
+                                      np.tile(us, len(stack)))
+        for k, curve in enumerate(stack):
+            v_one, speed_one = limit_profile_fast(curve, mode, 1.5, vehicle, us)
+            block = slice(k * us.size, (k + 1) * us.size)
+            assert same(v[block], v_one) and same(speed[block], speed_one)

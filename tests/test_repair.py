@@ -10,7 +10,7 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
                           RepairProblem, Tangential, VehicleModel, Wheel,
                           estimate_travel_time, parse_layout,
                           prescribe_endpoint_jet, repair_exponential,
-                          repair_tangential)
+                          repair_junction, repair_tangential)
 from agv_path_kit.continuity import SMOOTH
 from agv_path_kit.curve import evaluate
 from agv_path_kit.kinematics import limit_profile_fast
@@ -326,3 +326,49 @@ class TestTravelTime:
         assert math.isfinite(t_initial) and math.isfinite(t_smoothed)
         # continuity constraints cost travel time on the downstream segment
         assert t_smoothed > t_initial
+
+
+# The bundled min_travel_time repairs as recorded from scipy's Nelder-Mead:
+# objective (repr), evaluations, converged, and each moved point as
+# (side, index, before, after).
+GOLDEN_TRAVEL_TIME_REPAIRS = {
+    ("two_wheel_g1", "right"): ("4.208581230475475", 1200, False, [
+        ("right", 1, (5.025, -0.625),
+         (4.762721689313783, -1.0621305178103617)),
+        ("right", 2, (5.43, 0.15),
+         (5.042651247784153, -0.35016725889881095)),
+        ("right", 3, (5.873, 0.787),
+         (5.1091716166600865, 0.733390739348112)),
+    ]),
+    ("two_wheel_g1", "left"): ("3.3943909276990136", 1200, False, [
+        ("left", 3, (2.766, -2.991),
+         (3.5923025059867655, -2.8912543399392336)),
+        ("left", 4, (3.525, -2.625),
+         (3.7531655325139823, -2.736409596067981)),
+        ("left", 5, (4.125, -2.125),
+         (4.348616758353111, -1.752305402744815)),
+    ]),
+    ("six_wheel_exponential", "right"): ("7.39207961090847", 1200, False, [
+        ("left", 4, (3.495441176470587, -3.1742647058823525),
+         (3.6097440198883533, -2.983759966852741)),
+        ("left", 5, (4.039147058823529, -2.2680882352941176),
+         (4.01595813263545, -2.3067364456075827)),
+        ("right", 1, (4.847294117647059, -0.9211764705882352),
+         (5.035668926664748, -0.6072184555587538)),
+        ("right", 2, (5.2170000000000005, -0.30500000000000016),
+         (5.3786488562632595, -0.035585239561233495)),
+        ("right", 3, (5.62435284977111, 0.1667522761443705),
+         (5.770625777743277, -0.03837588855915408)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, side", list(GOLDEN_TRAVEL_TIME_REPAIRS))
+def test_bundled_min_travel_time_repairs_are_unchanged(name, side):
+    ctx = junction_of(parse_layout(bundled_layout_text(name)))
+    result = repair_junction(RepairProblem(ctx, objective="min_travel_time", side=side))
+    value, evaluations, converged, moved = GOLDEN_TRAVEL_TIME_REPAIRS[name, side]
+    assert repr(result.objective_value) == value
+    assert (result.evaluations, result.converged) == (evaluations, converged)
+    assert [(p["side"], p["index"], tuple(p["before"]), tuple(p["after"]))
+            for p in result.moved_points] == moved
