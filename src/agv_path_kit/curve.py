@@ -187,7 +187,7 @@ class BezierCurve:
 
     def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
         """Arrays (N, 2) of the 0th..order-th derivative at each u (see `_bernstein`)."""
-        us = np.array(us, dtype=float, copy=None, ndmin=1)
+        us = np.atleast_1d(np.asarray(us, dtype=float))
         return [value.T for value in _bernstein(
             lambda k: self._derivative_net(k)[:, :, None], self.degree, us, order)]
 

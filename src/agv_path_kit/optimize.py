@@ -21,6 +21,8 @@ __all__ = ["SearchResult", "minimize"]
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 # Initial simplex steps: relative for a nonzero component, absolute for a zero one.
 _NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
+# Evaluation budget per start, and the simplex tolerances on x and on values.
+_MAXFEV, _XATOL, _FATOL = 400, 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,10 @@ class _Exhausted(Exception):
     """A start asked for an evaluation past its budget."""
 
 
-def _nelder_mead(x0, lower, upper, maxfev, xatol, fatol):
+def _nelder_mead(x0, lower, upper):
     """One start as a generator: it yields each point to evaluate, is sent
     that point's value, and returns (fun, x, evaluations, status)."""
-    calls = 0
+    maxfev, calls = _MAXFEV, 0
 
     def value_at(x):
         nonlocal calls
@@ -75,8 +77,8 @@ def _nelder_mead(x0, lower, upper, maxfev, xatol, fatol):
 
     while calls < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = np.clip((1 + _RHO) * xbar - _RHO * sim[-1], lower, upper)
@@ -119,26 +121,25 @@ def _nelder_mead(x0, lower, upper, maxfev, xatol, fatol):
                         fsim[j] = yield from value_at(sim[j])
         except _Exhausted:
             pass
+        # Outside the try, as in scipy: a break on convergence skips this sort.
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
     return float(np.min(fsim)), sim[0], calls, int(calls >= maxfev)
 
 
-def minimize(objective, starts, bounds, maxfev: int = 400, xatol: float = 1e-10,
-             fatol: float = 1e-12) -> SearchResult:
+def minimize(objective, starts, bounds) -> SearchResult:
     """Minimize ``objective`` over the box ``bounds`` from each of ``starts``.
 
     ``bounds`` holds one finite (low, high) pair per parameter; a start
     outside them is clipped into them. ``objective`` takes an (S, D) array
     of points, one row per live start, and returns their S values. Each
-    start stops when its simplex meets ``xatol`` and ``fatol`` or after
-    ``maxfev`` evaluations. The winner has the least (value, x), compared
+    start stops when its simplex meets the tolerances or after ``_MAXFEV``
+    evaluations. The winner has the least (value, x), compared
     as tuples, and the first such start wins a tie.
     """
     lower, upper = np.array(bounds, dtype=float).T
-    runs = [_nelder_mead(np.asarray(x0, dtype=float), lower, upper, maxfev, xatol,
-                         fatol) for x0 in starts]
+    runs = [_nelder_mead(np.asarray(x0, dtype=float), lower, upper) for x0 in starts]
     pending, results = {}, [None] * len(runs)
 
     def advance(i, value):

@@ -98,18 +98,18 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     return BezierCurve(pts)
 
 
-def _travel_times(curves: list[BezierCurve], mode, v_segment: float,
+def _travel_times(curves, count: int, mode, v_segment: float,
                   vehicle: VehicleModel) -> list[float]:
-    """Travel time of each curve of one degree, from one speed-limit pass.
+    """Travel time of each of ``count`` curves, from one speed-limit pass.
 
-    Several curves go through `limit_profile_fast` as one stack at their
-    node blocks; each curve's value equals its own pass's bit for bit.
+    ``curves`` is one `BezierCurve`, or a `_BezierStack` that evaluates its
+    ``count`` curves at their own blocks of the nodes; a stacked curve's
+    value equals its own pass's bit for bit.
     """
-    stack = curves[0] if len(curves) == 1 else _BezierStack(curves)
-    v_max, speed = limit_profile_fast(stack, mode, v_segment, vehicle,
-                                      np.tile(_TIME_US, len(curves)))
+    v_max, speed = limit_profile_fast(curves, mode, v_segment, vehicle,
+                                      np.tile(_TIME_US, count))
     times = []
-    for v, c in zip(v_max.reshape(len(curves), -1), speed.reshape(len(curves), -1)):
+    for v, c in zip(v_max.reshape(count, -1), speed.reshape(count, -1)):
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             times.append(math.inf)
         else:
@@ -125,7 +125,7 @@ def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
     deliberately ignored so the value responds smoothly to shape changes.
     Returns inf when the limit profile collapses to zero on the sample set.
     """
-    return _travel_times([segment.curve], segment.mode, segment.v_max, vehicle)[0]
+    return _travel_times(segment.curve, 1, segment.mode, segment.v_max, vehicle)[0]
 
 
 @dataclass
@@ -286,8 +286,9 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
             rows = [i for i, b in enumerate(built)
                     if b is not None and b[index] is not segment.curve]
             if rows:
-                times = _travel_times([built[i][index] for i in rows], segment.mode,
-                                      segment.v_max, ctx.vehicle)
+                times = _travel_times(_BezierStack([built[i][index] for i in rows]),
+                                      len(rows), segment.mode, segment.v_max,
+                                      ctx.vehicle)
                 for i, time in zip(rows, times):
                     values[i] += time
         return values

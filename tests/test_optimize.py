@@ -58,6 +58,19 @@ def scipy_run(fun, x0, bounds, maxfev):
     return float(res.fun), np.asarray(res.x), int(res.nfev), int(res.status)
 
 
+def assert_equals_scipy(got, want):
+    want_fun, want_x, want_nfev, want_status = want
+    assert got.x.tobytes() == want_x.tobytes()
+    assert repr(got.fun) == repr(want_fun)
+    assert (got.nfev, got.status) == (want_nfev, want_status)
+
+
+def run(monkeypatch, objective, starts, bounds, maxfev):
+    """`optimize.minimize` with an evaluation budget of ``maxfev`` per start."""
+    monkeypatch.setattr(optimize, "_MAXFEV", maxfev)
+    return optimize.minimize(objective, starts, bounds)
+
+
 def rows(fun, calls=None):
     def objective(points):
         if calls is not None:
@@ -83,25 +96,22 @@ KINDS = ("smooth", "non-smooth", "steps", "plateau")
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("maxfev", [3, 9, 10, 17, 40, 400])
-def test_one_start_equals_scipy(seed, kind, maxfev):
+def test_one_start_equals_scipy(monkeypatch, seed, kind, maxfev):
     fun, starts, bounds = case(seed, kind)
     for x0 in starts:
-        want_fun, want_x, want_nfev, want_status = scipy_run(fun, x0, bounds, maxfev)
-        got = optimize.minimize(rows(fun), [x0], bounds, maxfev=maxfev)
-        assert got.x.tobytes() == want_x.tobytes()
-        assert repr(got.fun) == repr(want_fun)
-        assert (got.nfev, got.status) == (want_nfev, want_status)
+        assert_equals_scipy(run(monkeypatch, rows(fun), [x0], bounds, maxfev),
+                            scipy_run(fun, x0, bounds, maxfev))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", range(4, 8))
 @pytest.mark.parametrize("maxfev", [10, 400])
-def test_lockstep_starts_equal_separate_scipy_runs(seed, kind, maxfev):
+def test_lockstep_starts_equal_separate_scipy_runs(monkeypatch, seed, kind, maxfev):
     fun, starts, bounds = case(seed, kind)
     runs = [scipy_run(fun, x0, bounds, maxfev) for x0 in starts]
     best = min(range(len(runs)), key=lambda i: (runs[i][0], tuple(runs[i][1].tolist()), i))
     calls = []
-    got = optimize.minimize(rows(fun, calls), starts, bounds, maxfev=maxfev)
+    got = run(monkeypatch, rows(fun, calls), starts, bounds, maxfev)
     assert got.x.tobytes() == runs[best][1].tobytes()
     assert repr(got.fun) == repr(runs[best][0])
     assert got.status == runs[best][3]
@@ -112,12 +122,22 @@ def test_lockstep_starts_equal_separate_scipy_runs(seed, kind, maxfev):
     assert sum(calls) == got.nfev
 
 
-def test_a_start_that_meets_the_tolerances_reports_status_zero():
-    got = optimize.minimize(rows(lambda x: float(np.sum((x - 0.5)**2))),
-                            [np.array([0.2, 0.9])], [(0.0, 1.0), (0.0, 1.0)],
-                            maxfev=10_000)
+def test_a_start_that_meets_the_tolerances_reports_status_zero(monkeypatch):
+    fun, x0, bounds = (lambda x: float(np.sum((x - 0.5)**2))), np.array([0.2, 0.9]), \
+        [(0.0, 1.0), (0.0, 1.0)]
+    got = run(monkeypatch, rows(fun), [x0], bounds, 10_000)
     assert got.status == 0 and got.nfev < 10_000
-    assert np.allclose(got.x, 0.5, atol=1e-8)
+    assert_equals_scipy(got, scipy_run(fun, x0, bounds, 10_000))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_converging_starts_with_tied_values_equal_scipy(monkeypatch, seed):
+    # Piecewise constant: the simplex ends on a flat step, all values tied.
+    fun, starts, bounds = case(seed, "steps")
+    for x0 in starts:
+        want = scipy_run(fun, x0, bounds, 10_000)
+        assert want[3] == 0
+        assert_equals_scipy(run(monkeypatch, rows(fun), [x0], bounds, 10_000), want)
 
 
 def test_equal_values_go_to_the_start_with_the_least_x():
