@@ -114,21 +114,19 @@ class JunctionContext:
 
 @dataclass
 class _BetaExtraction:
-    beta1: float | None          # signed; None when indeterminate
+    beta1: float                 # signed
     beta2: float
     beta3: float
     reversal: bool = False
-    indeterminate: bool = False
 
 
 def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     """beta1 from first-derivative norms with a direction check; beta2/beta3
-    by least squares on the second/third order conditions."""
+    by least squares on the second/third order conditions. Both norms exceed
+    REGULAR_SPEED: `PathSegment` samples |C'| at u = 0 and 1, where
+    `JunctionContext` reads its end jets, through the same kernel."""
     t_minus, t_plus = left.d1, right.d1
-    n_minus, n_plus = np.linalg.norm(t_minus), np.linalg.norm(t_plus)
-    if n_plus <= 1e-12 or n_minus <= 1e-12:
-        return _BetaExtraction(None, 0.0, 0.0, indeterminate=True)
-    beta1 = n_minus / n_plus
+    beta1 = np.linalg.norm(t_minus) / np.linalg.norm(t_plus)
     if float(t_minus @ t_plus) < 0.0:
         beta1 = -beta1
     q = float(t_plus @ t_plus)
@@ -159,8 +157,7 @@ def extract_shape_parameters(ctx: JunctionContext) -> ShapeParameters:
     the mode rates are degenerate (straight tangential travel, crab mode, or
     a flat exponential end) falls back to the curve-derivative route.
     beta3 always comes from the curve's third-order condition by least
-    squares. Raises when beta1 would be non-positive (heading reversal) or
-    no route is usable.
+    squares. Raises when beta1 would be non-positive (heading reversal).
     """
     curve_route = _extract_curve_route(ctx.left_jet, ctx.right_jet)
     mode_route = _extract_mode_route(ctx.left_mode_jet, ctx.right_mode_jet)
@@ -171,9 +168,6 @@ def extract_shape_parameters(ctx: JunctionContext) -> ShapeParameters:
                 "orientation rate reverses or vanishes across the junction "
                 f"(beta1 = {beta1:.3g}); no positive shape parameter exists")
         return ShapeParameters(beta1, beta2, curve_route.beta3)
-    if curve_route.indeterminate:
-        raise DegenerateGeometryError(
-            "both the orientation-rate and curve-derivative routes are degenerate")
     if curve_route.reversal:
         raise DegenerateGeometryError(
             f"tangent direction reverses across the junction (beta1 = {curve_route.beta1:.3g})")
@@ -186,7 +180,7 @@ class ContinuityReport:
 
     Residuals for derivative conditions are relative: defect norm divided by
     max(1, |rhs|). ``beta`` is None when no positive beta1 exists at the
-    junction (reversal or indeterminate geometry).
+    junction: a heading reversal, or a junction `check_junctions` refused.
     """
 
     left_id: str
@@ -254,11 +248,6 @@ def analyze_junction(ctx: JunctionContext,
 
     extraction = _extract_curve_route(ctx.left_jet, ctx.right_jet)
     mode_route = _extract_mode_route(ctx.left_mode_jet, ctx.right_mode_jet)
-    if extraction.indeterminate:
-        notes.append("curve derivatives degenerate at the junction; no beta extractable")
-        return ContinuityReport(ctx.left_id, ctx.right_id, g0_position,
-                                g0_orientation, None, math.inf, math.inf,
-                                math.inf, math.inf, math.inf, DISCONTINUOUS, notes)
     beta1, beta2, beta3 = extraction.beta1, extraction.beta2, extraction.beta3
     if mode_route is not None:
         mode_beta1 = mode_route[0]
@@ -322,7 +311,7 @@ def audit_wheel_continuity(ctx: JunctionContext,
     """Check every wheel curve's continuity against the shared beta set."""
     if params is None:
         extraction = _extract_curve_route(ctx.left_jet, ctx.right_jet)
-        if extraction.beta1 is None or extraction.beta1 <= 0.0:
+        if extraction.beta1 <= 0.0:
             raise DegenerateGeometryError("no positive beta1 at this junction")
         params = ShapeParameters(extraction.beta1, extraction.beta2,
                                  extraction.beta3)

@@ -33,6 +33,7 @@ __all__ = [
 SINGULAR_SPEED = 1e-12
 # A regular parameterization keeps |C'| above this everywhere on [0, 1].
 REGULAR_SPEED = 1e-9
+_REGULARITY_SAMPLES = 1024  # uniform intervals at whose ends sampling checks |C'|
 _EPS = float(np.finfo(float).eps)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -274,26 +275,27 @@ def _hodograph_certifies(curve: BezierCurve) -> bool:
     return bool(np.any(lowest > threshold * lengths))
 
 
-def irregular_parameter(curve: BezierCurve, samples: int) -> float | None:
+def irregular_parameter(curve: BezierCurve) -> float | None:
     """None if ``curve`` is regularly parameterized, else where |C'| is smallest.
 
     The hodograph certificate decides most curves without evaluating them;
-    the rest go to `sampled_irregular_parameter`. The certificate only ever
-    accepts curves the sampled check accepts, so the verdict is the sampled one.
+    the rest go to `sampled_irregular_parameter`, at the nodes `PathSegment`
+    validates with. The certificate only ever accepts curves the sampled
+    check accepts, so the verdict is `PathSegment`'s.
     """
     if _hodograph_certifies(curve):
         return None
-    return sampled_irregular_parameter(curve, samples)
+    return sampled_irregular_parameter(curve)
 
 
-def sampled_irregular_parameter(curve: BezierCurve, samples: int) -> float | None:
+def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
     """Regularity by sampling alone, the rule `PathSegment` validates with.
 
-    |C'| is sampled at ``samples`` + 1 uniform nodes: the curve is regular
-    (None) when every sample exceeds REGULAR_SPEED, and irregular near the
-    node of the smallest sample.
+    |C'| is sampled at _REGULARITY_SAMPLES + 1 uniform nodes, u = 0 and u = 1
+    among them: the curve is regular (None) when every sample exceeds
+    REGULAR_SPEED, and irregular near the node of the smallest sample.
     """
-    us = np.linspace(0.0, 1.0, samples + 1)
+    us = np.linspace(0.0, 1.0, _REGULARITY_SAMPLES + 1)
     d1 = curve.derivatives_many(us, 1)[1]
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if speed.min() <= REGULAR_SPEED:

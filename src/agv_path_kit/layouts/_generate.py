@@ -17,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ..curve import BezierCurve
+from ..repair import prescribe_endpoint_jet
+
 # Nominal control points (degree-6 curves, meters).
 INITIAL_LEFT = [
     (0.188, -3.187), (1.031, -3.281), (1.913, -3.212), (2.766, -2.991),
@@ -69,25 +72,6 @@ def _start_jet(pts: np.ndarray):
             n * (n - 1) * (n - 2) * (pts[3] - 3 * pts[2] + 3 * pts[1] - pts[0]))
 
 
-def _prescribe_start(pts: np.ndarray, d1, d2, d3) -> np.ndarray:
-    n = len(pts) - 1
-    out = pts.copy()
-    p0 = pts[0]
-    out[1] = p0 + d1 / n
-    out[2] = d2 / (n * (n - 1)) + 2 * out[1] - p0
-    out[3] = d3 / (n * (n - 1) * (n - 2)) + 3 * out[2] - 3 * out[1] + p0
-    return out
-
-
-def _prescribe_end2(pts: np.ndarray, d1, d2) -> np.ndarray:
-    n = len(pts) - 1
-    out = pts.copy()
-    pn = pts[-1]
-    out[n - 1] = pn - d1 / n
-    out[n - 2] = d2 / (n * (n - 1)) + 2 * out[n - 1] - pn
-    return out
-
-
 def build_smoothed_right() -> np.ndarray:
     """Exact smoothed downstream curve from parameters fitted to the nominal one."""
     left = np.array(INITIAL_LEFT)
@@ -101,7 +85,7 @@ def build_smoothed_right() -> np.ndarray:
     d1 = l1 / beta1
     d2 = (l2 - beta2 * d1) / beta1**2
     d3 = (l3 - 3 * beta1 * beta2 * d2 - beta3 * d1) / beta1**3
-    return _prescribe_start(nominal, d1, d2, d3)
+    return prescribe_endpoint_jet(BezierCurve(nominal), "start", d1, d2, d3).control_points
 
 
 def build_exponential_curves() -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +106,13 @@ def build_exponential_curves() -> tuple[np.ndarray, np.ndarray]:
     x_d2l = float(l2 @ v) / q
     x_d1r = float(r1 @ v) / q
     x_d2r = float(r2 @ v) / q
-    left = _prescribe_end2(left_nom, x_d1l * v, x_d2l * v)
+    left = prescribe_endpoint_jet(BezierCurve(left_nom), "end", x_d1l * v,
+                                  x_d2l * v).control_points
     l3 = _end_jet(left)[2]
     beta1 = x_d1l / x_d1r
     d3r = l3 / (beta1**3 * EXPONENT_N**2)
-    right = _prescribe_start(right_nom, x_d1r * v, x_d2r * v, d3r)
+    right = prescribe_endpoint_jet(BezierCurve(right_nom), "start", x_d1r * v,
+                                   x_d2r * v, d3r).control_points
     return left, right
 
 

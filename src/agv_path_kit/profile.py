@@ -63,60 +63,45 @@ class VelocityProfile:
 def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
     """Concatenate per-segment profiles into path-level arrays.
 
-    The duplicated junction sample is merged into one row carrying the
-    minimum of the two one-sided limits; steering-angle tracks are re-based
-    to the branch nearest the previous segment's end so genuine sub-turn
-    jumps survive while branch artifacts do not. A jump of half a turn, to
-    within 1e-9 turns, keeps the segment's own branch.
+    The wheel tracks come as one (4, W, N) array: delta, R_v, R_omega and
+    kappa of each wheel in `sorted_wheels()` order. The duplicated junction
+    sample is merged into one row carrying the minimum of the two one-sided
+    limits; steering angles are re-based to the branch nearest the previous
+    segment's end, all wheels in one step, so genuine sub-turn jumps survive
+    while branch artifacts do not. A jump of half a turn, to within 1e-9
+    turns, keeps the segment's own branch.
     """
     wheel_ids = [w.id for w in vehicle.sorted_wheels()]
-    s_parts, u_parts, seg_parts, v_parts, binding = [], [], [], [], []
-    tracks: dict[str, dict[str, list]] = {
-        wid: {"delta": [], "r_v": [], "r_omega": [], "kappa": []}
-        for wid in wheel_ids}
+    s_parts, u_parts, seg_parts, v_parts, track_parts, binding = [], [], [], [], [], []
     junction_indices = []
     offset = 0.0
     for k, segment in enumerate(path.segments):
         prof = profile_segment(segment, vehicle, resolution)
+        tracks = np.array([[getattr(prof.wheel_tracks[wid], key) for wid in wheel_ids]
+                           for key in ("delta_w", "r_v", "r_omega", "kappa_w")])
         start = 0
         if k > 0:
             junction_indices.append(len(binding) - 1)
             if prof.v_max[0] < v_parts[-1][-1]:
                 binding[-1] = prof.binding[0]
                 v_parts[-1][-1] = prof.v_max[0]
+            turns = (track_parts[-1][0, :, -1] - tracks[0, :, 0]) / (2.0 * math.pi)
+            # A jump within rounding of half a turn (a crab cusp) keeps the
+            # segment's own branch: the whole-turn shift nearer zero.
+            tie = np.abs(np.abs(turns) % 1.0 - 0.5) <= 1e-9
+            tracks[0] += 2.0 * math.pi * np.where(tie, np.trunc(turns),
+                                                  np.round(turns))[:, None]
             start = 1
         s_parts.append(prof.s[start:] + offset)
         u_parts.append(prof.u[start:])
         seg_parts.append(np.full(prof.u.size - start, k))
         v_parts.append(prof.v_max[start:])
         binding.extend(prof.binding[start:])
-        for wid in wheel_ids:
-            tr = prof.wheel_tracks[wid]
-            delta = tr.delta_w.copy()
-            if k > 0:
-                turns = (tracks[wid]["delta"][-1][-1] - delta[0]) / (2.0 * math.pi)
-                # A jump within rounding of half a turn (a crab cusp) keeps
-                # the segment's own branch: the whole-turn shift nearer zero.
-                tie = abs(abs(turns) % 1.0 - 0.5) <= 1e-9
-                delta += 2.0 * math.pi * (math.trunc(turns) if tie else round(turns))
-            tracks[wid]["delta"].append(delta[start:])
-            tracks[wid]["r_v"].append(tr.r_v[start:])
-            tracks[wid]["r_omega"].append(tr.r_omega[start:])
-            tracks[wid]["kappa"].append(tr.kappa_w[start:])
+        track_parts.append(tracks[:, :, start:])
         offset += float(prof.s[-1])
-    s = np.concatenate(s_parts)
-    return {
-        "s": s,
-        "u": np.concatenate(u_parts),
-        "segment_index": np.concatenate(seg_parts),
-        "v_limit": np.concatenate(v_parts),
-        "binding": tuple(binding),
-        "junctions": tuple(junction_indices),
-        "wheels": {
-            wid: {key: np.concatenate(parts)
-                  for key, parts in tracks[wid].items()}
-            for wid in wheel_ids},
-    }
+    return (np.concatenate(s_parts), np.concatenate(u_parts), np.concatenate(seg_parts),
+            np.concatenate(v_parts), tuple(binding), tuple(junction_indices),
+            np.concatenate(track_parts, axis=2))
 
 
 def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
@@ -140,17 +125,14 @@ def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
         raise DiscontinuousPathError(
             f"{len(bad)} junction(s) are discontinuous; repair the layout or "
             "request a diagnostic profile")
-    data = _assemble_limit(path, vehicle, resolution)
-    v_limit = data["v_limit"]
-    s = data["s"]
+    s, u, segment_index, v_limit, binding, junctions, tracks = _assemble_limit(
+        path, vehicle, resolution)
     n = s.size
-    rest = tuple(idx for idx, rep in zip(data["junctions"], reports)
+    rest = tuple(idx for idx, rep in zip(junctions, reports)
                  if rep.verdict == SMOOTH_AT_REST_ONLY)
 
-    cap = v_limit.copy()
-    for idx in rest:
-        cap[idx] = 0.0
-    v = cap.copy()
+    v = v_limit.copy()
+    v[list(rest)] = 0.0
     v[0] = min(v[0], float(boundary[0]))
     ds = np.diff(s)
     for i in range(1, n):
@@ -174,26 +156,19 @@ def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
                 "speed limit collapses to zero over an interval of positive length")
         t[i] = t[i - 1] + 2.0 * ds[i - 1] / pair
 
-    wheel_speeds, wheel_rates, wheel_deltas = {}, {}, {}
-    wheel_r_v, wheel_r_omega, wheel_kappa = {}, {}, {}
-    for wid, tr in data["wheels"].items():
-        wheel_r_v[wid] = tr["r_v"]
-        wheel_r_omega[wid] = tr["r_omega"]
-        wheel_kappa[wid] = tr["kappa"]
-        wheel_deltas[wid] = tr["delta"]
-        wheel_speeds[wid] = v * tr["r_v"]
-        with np.errstate(invalid="ignore"):
-            rates = v * tr["r_omega"]
-        rates[v == 0.0] = 0.0
-        wheel_rates[wid] = rates
+    delta, r_v, r_omega, kappa = tracks
+    with np.errstate(invalid="ignore"):
+        rates = v * r_omega
+    rates[:, v == 0.0] = 0.0
+    ids = [w.id for w in vehicle.sorted_wheels()]
     return VelocityProfile(
-        s=s, v=v, t=t, v_limit=v_limit, binding=data["binding"], u=data["u"],
-        segment_index=data["segment_index"], a_max=a_max,
+        s=s, v=v, t=t, v_limit=v_limit, binding=binding, u=u,
+        segment_index=segment_index, a_max=a_max,
         boundary=(float(boundary[0]), float(boundary[1])),
-        junction_indices=data["junctions"], rest_indices=rest,
-        wheel_speeds=wheel_speeds, wheel_steering_rates=wheel_rates,
-        wheel_deltas=wheel_deltas, wheel_r_v=wheel_r_v,
-        wheel_r_omega=wheel_r_omega, wheel_kappa=wheel_kappa)
+        junction_indices=junctions, rest_indices=rest,
+        wheel_speeds=dict(zip(ids, v * r_v)), wheel_steering_rates=dict(zip(ids, rates)),
+        wheel_deltas=dict(zip(ids, delta)), wheel_r_v=dict(zip(ids, r_v)),
+        wheel_r_omega=dict(zip(ids, r_omega)), wheel_kappa=dict(zip(ids, kappa)))
 
 
 def time_along(profile: VelocityProfile, s: float) -> float:

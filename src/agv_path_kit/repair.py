@@ -45,8 +45,6 @@ _TIME_HALF = 0.5 / _TIME_PANELS
 _TIME_US = ((np.arange(_TIME_PANELS) + 0.5)[:, None] / _TIME_PANELS
             + _TIME_HALF * _TIME_GL_NODES[None, :]).ravel()
 _TIME_US.setflags(write=False)
-# Sampling of |C'| for candidates the hodograph cannot certify regular.
-_REPAIR_SAMPLES = 256
 # Search bounds keep the repair near the original: beta1 and x_d1_* lie in
 # _BETA1_BOUNDS, the rest within +-_COEFFICIENT_BOUND (tangential: times
 # max(1, |d2| / |d1|) of the left jet, and beta3 three times that).
@@ -257,7 +255,7 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
         b3 = float(_box_least_squares(d3_slope[:, None], kept - d3_at(0.0),
                                       *beta3_bounds)[0])
     new = prescribe_endpoint_jet(curve, end, d1, d2, d3_at(b3))
-    if irregular_parameter(new, _REPAIR_SAMPLES) is not None:
+    if irregular_parameter(new) is not None:
         return None
     if problem.side == "right":
         return (b1, b2, b3), ctx.left.curve, new
@@ -327,7 +325,7 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
         raise RepairInfeasibleError(
             "tangential modes must share the angle offset for a continuous junction")
     extraction = _extract_curve_route(ctx.left_jet, ctx.right_jet)
-    if extraction.beta1 is None or extraction.beta1 <= 0.0:
+    if extraction.beta1 <= 0.0:
         raise RepairInfeasibleError("junction tangents oppose; repair undefined")
     seed = np.array([extraction.beta1, extraction.beta2, extraction.beta3])
     cb = _COEFFICIENT_BOUND * max(
@@ -404,7 +402,7 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     v = ctx.left_jet.d1
     n = ctx.right.mode.n
     new_left = prescribe_endpoint_jet(ctx.left.curve, "end", x1 * v, x2 * v)
-    if irregular_parameter(new_left, _REPAIR_SAMPLES) is not None:
+    if irregular_parameter(new_left) is not None:
         return None
     # The new left end's third derivative: the last point of the third
     # derivative net, which is what evaluating the curve at u = 1 returns.
@@ -412,7 +410,7 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     d3_right = new_left._derivative_net(3)[-1] / (beta1**3 * n**2)
     new_right = prescribe_endpoint_jet(ctx.right.curve, "start", x3 * v,
                                        x4 * v, d3_right)
-    if irregular_parameter(new_right, _REPAIR_SAMPLES) is not None:
+    if irregular_parameter(new_right) is not None:
         return None
     return (x1, x2, x3, x4), new_left, new_right
 

@@ -125,8 +125,9 @@ class PathSegment:
     """One path segment: curve, orientation law, and segment speed limit.
 
     The curve must be regularly parameterized on [0, 1]; construction checks
-    this with `curve.sampled_irregular_parameter` at 1025 uniform nodes.
-    Instances compare and hash by identity.
+    this with `curve.sampled_irregular_parameter`: the 1025 nodes and the
+    verdict of `curve.irregular_parameter`, which repair candidates pass,
+    without its hodograph certificate. Instances compare and hash by identity.
     """
 
     curve: BezierCurve
@@ -136,7 +137,7 @@ class PathSegment:
     def __post_init__(self):
         if not self.v_max > 0.0:
             raise ValueError(f"segment speed limit must be > 0, got {self.v_max}")
-        bad = sampled_irregular_parameter(self.curve, 1024)
+        bad = sampled_irregular_parameter(self.curve)
         if bad is not None:
             raise ValueError(
                 f"curve is not regularly parameterized (|C'| ~ 0 near u={bad:.4f})")

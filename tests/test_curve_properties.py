@@ -5,17 +5,19 @@ The kernel evaluates in the Bernstein basis; de Casteljau subdivision
 the same curve, so agreement with them is checked up to rounding. The
 tolerances scale with the size of the control net and the derivative order.
 The hodograph certificate of regularity may only accept curves that the
-sampled checks accept.
+sampled checks accept, repair candidates and segments share one regularity
+verdict, and every segment a junction joins has a regular end jet there.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from agv_path_kit import BezierCurve, PathSegment, Tangential, arc_length, evaluate
-from agv_path_kit.curve import _hodograph_certifies, irregular_parameter
+from agv_path_kit import (BezierCurve, JunctionContext, PathSegment, Tangential,
+                          VehicleModel, Wheel, arc_length, evaluate)
+from agv_path_kit.curve import REGULAR_SPEED, _hodograph_certifies, irregular_parameter
 
 COORDINATE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 UNIT = st.floats(0.0, 1.0)
@@ -134,10 +136,9 @@ def test_certificate_accepts_only_what_sampling_accepts(curve, reverse):
         curve = BezierCurve(curve.control_points[::-1])
     certified = _hodograph_certifies(curve)
     for samples in (1024, 256):
-        sampled = sampled_irregular_parameter(curve, samples)
         if certified:
-            assert sampled is None
-        assert irregular_parameter(curve, samples) == sampled
+            assert sampled_irregular_parameter(curve, samples) is None
+    assert irregular_parameter(curve) == sampled_irregular_parameter(curve, 1024)
 
 
 def test_certificate_decides_forward_curves_without_evaluating(monkeypatch):
@@ -150,7 +151,7 @@ def test_certificate_decides_forward_curves_without_evaluating(monkeypatch):
 
     monkeypatch.setattr(BezierCurve, "derivatives_many", refuse)
     for net in nets:
-        assert irregular_parameter(BezierCurve(net), 256) is None
+        assert irregular_parameter(BezierCurve(net)) is None
 
 
 def test_cusp_curve_keeps_its_segment_message():
@@ -167,4 +168,47 @@ def test_cusp_curve_keeps_its_segment_message():
     with pytest.raises(ValueError) as info:
         PathSegment(cusp, Tangential(0.0), 1.5)
     assert str(info.value) == "curve is not regularly parameterized (|C'| ~ 0 near u=0.3750)"
-    assert irregular_parameter(cusp, 1024) == irregular_parameter(cusp, 256) == 0.375
+    assert irregular_parameter(cusp) == 0.375
+
+
+def test_candidate_verdict_is_the_segment_verdict_between_coarse_nodes():
+    # The cusp sits at u0 = 0.5 + 1/1024, a node of the 1025 that segments
+    # sample but between two nodes of a 257-node rule, which passes the curve.
+    net = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, -0.5), (4.0, 0.0)])
+    u0 = 0.5 + 1.0 / 1024
+    drift = BezierCurve(net).derivatives_many(np.array([u0]), 1)[1][0]
+    cusp = BezierCurve(net - np.arange(4)[:, None] / 3 * drift)
+    assert not _hodograph_certifies(cusp)
+    assert sampled_irregular_parameter(cusp, 256) is None
+    assert irregular_parameter(cusp) == 0.5009765625
+    with pytest.raises(ValueError) as info:
+        PathSegment(cusp, Tangential(0.0), 1.0)
+    assert str(info.value) == "curve is not regularly parameterized (|C'| ~ 0 near u=0.5010)"
+
+
+def segment_or_none(curve):
+    try:
+        return PathSegment(curve, Tangential(0.0), 1.0)
+    except ValueError:
+        return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(curves(), near_cusp_curves(), collinear_curves()))
+def test_candidates_and_segments_accept_the_same_curves(curve):
+    assert (irregular_parameter(curve) is None) == (segment_or_none(curve) is not None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(curves(), near_cusp_curves(), collinear_curves()))
+def test_accepted_segments_have_regular_junction_end_jets(curve):
+    # `continuity._extract_curve_route` divides by |d1| at both junction ends
+    # with no degenerate-derivative branch: segments sample |C'| at u = 0 and
+    # u = 1, and junction end jets come from the same kernel at those nodes.
+    p = curve.control_points
+    left = segment_or_none(curve)
+    right = segment_or_none(BezierCurve(p + (p[-1] - p[0])))
+    assume(left is not None and right is not None)
+    ctx = JunctionContext(left, right, VehicleModel((Wheel("w", (0.0, 0.0), 1.0, 1.0),)))
+    assert np.hypot(*ctx.left_jet.d1) > REGULAR_SPEED
+    assert np.hypot(*ctx.right_jet.d1) > REGULAR_SPEED

@@ -8,7 +8,8 @@ verdicts. Splitting a segment at s gives a smooth junction whose first shape
 parameter is s/(1-s): the left piece runs at s times, the right one at 1-s
 times the speed of the whole. Degree elevation changes neither a curve nor its
 parameterization, so a junction keeps its verdict and, to rounding, its residuals. Reported angles lie on their principal values
-up to whole turns, and planned speeds keep the planner's invariants.
+up to whole turns, and planned speeds keep the planner's invariants. The
+planner's stacked wheel tracks equal a per-wheel assembly bit for bit.
 """
 
 import math
@@ -25,6 +26,8 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
                           wheel_curve_jet)
 from agv_path_kit.kinematics import _wheel_track_arrays
 from agv_path_kit.motion import orientation_many
+
+from test_kinematics import CUSP_CHAIN
 
 ANGLE = st.floats(-math.pi, math.pi)
 MOUNT = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -291,3 +294,107 @@ def test_planned_speeds_keep_the_planner_invariants(chain, vehicle, a_max, resol
         i for i, cusp in zip(prof.junction_indices, cusps) if cusp)
     assert all(v[i] == 0.0 for i in prof.rest_indices)
     assert np.all(ds >= 0.0) and np.all(np.diff(prof.t) >= 0.0)
+
+
+def per_wheel_plan(path, vehicle, resolution, v):
+    """Path arrays and the six wheel dicts, assembled one wheel at a time.
+
+    A reference for `plan_velocity`: each wheel's steering track is re-based
+    with scalar `round`/`math.trunc`, every field is concatenated per wheel,
+    and speeds and rates are formed from the planned speed ``v``.
+    """
+    wheel_ids = [w.id for w in vehicle.sorted_wheels()]
+    s_parts, u_parts, seg_parts, v_parts, binding, junctions = [], [], [], [], [], []
+    tracks = {wid: {"delta": [], "r_v": [], "r_omega": [], "kappa": []} for wid in wheel_ids}
+    offset = 0.0
+    for k, segment in enumerate(path.segments):
+        prof = profile_segment(segment, vehicle, resolution)
+        start = 0
+        if k > 0:
+            junctions.append(len(binding) - 1)
+            if prof.v_max[0] < v_parts[-1][-1]:
+                binding[-1] = prof.binding[0]
+                v_parts[-1][-1] = prof.v_max[0]
+            start = 1
+        s_parts.append(prof.s[start:] + offset)
+        u_parts.append(prof.u[start:])
+        seg_parts.append(np.full(prof.u.size - start, k))
+        v_parts.append(prof.v_max[start:])
+        binding.extend(prof.binding[start:])
+        for wid in wheel_ids:
+            track = prof.wheel_tracks[wid]
+            delta = track.delta_w.copy()
+            if k > 0:
+                turns = (tracks[wid]["delta"][-1][-1] - delta[0]) / (2.0 * math.pi)
+                tie = abs(abs(turns) % 1.0 - 0.5) <= 1e-9
+                delta += 2.0 * math.pi * (math.trunc(turns) if tie else round(turns))
+            tracks[wid]["delta"].append(delta[start:])
+            tracks[wid]["r_v"].append(track.r_v[start:])
+            tracks[wid]["r_omega"].append(track.r_omega[start:])
+            tracks[wid]["kappa"].append(track.kappa_w[start:])
+        offset += float(prof.s[-1])
+    wheels = {wid: {key: np.concatenate(parts) for key, parts in fields.items()}
+              for wid, fields in tracks.items()}
+    rates = {}
+    for wid, fields in wheels.items():
+        with np.errstate(invalid="ignore"):
+            rates[wid] = v * fields["r_omega"]
+        rates[wid][v == 0.0] = 0.0
+    return {
+        "s": np.concatenate(s_parts), "u": np.concatenate(u_parts),
+        "segment_index": np.concatenate(seg_parts), "v_limit": np.concatenate(v_parts),
+        "binding": tuple(binding), "junction_indices": tuple(junctions),
+        "wheel_speeds": {wid: v * fields["r_v"] for wid, fields in wheels.items()},
+        "wheel_steering_rates": rates,
+        "wheel_deltas": {wid: fields["delta"] for wid, fields in wheels.items()},
+        "wheel_r_v": {wid: fields["r_v"] for wid, fields in wheels.items()},
+        "wheel_r_omega": {wid: fields["r_omega"] for wid, fields in wheels.items()},
+        "wheel_kappa": {wid: fields["kappa"] for wid, fields in wheels.items()},
+    }
+
+
+def assert_planned_like_per_wheel(path, vehicle, a_max, resolution):
+    prof = plan_velocity(path, vehicle, a_max, resolution=resolution)
+
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for name, expected in per_wheel_plan(path, vehicle, resolution, prof.v).items():
+        got = getattr(prof, name)
+        if isinstance(expected, dict):
+            assert list(got) == list(expected), name
+            assert all(same_bits(got[wid], expected[wid]) for wid in expected), name
+        elif isinstance(expected, tuple):
+            assert got == expected, name
+        else:
+            assert same_bits(got, expected), name
+    return prof
+
+
+@settings(deadline=None, max_examples=60)
+@given(chains(), vehicles(), st.floats(0.2, 2.0), st.integers(8, 40))
+def test_stacked_wheel_tracks_equal_a_per_wheel_assembly(chain, vehicle, a_max, resolution):
+    assert_planned_like_per_wheel(chain[0], vehicle, a_max, resolution)
+
+
+def test_crab_cusp_wheel_tracks_equal_a_per_wheel_assembly():
+    vehicle = VehicleModel((
+        Wheel("w1", (1.0407600430154627, 0.5242419606534718), 1.4, 0.9),
+        Wheel("w2", (1.1447461974453423, -0.4560250960477397), 1.7, 0.8),
+        Wheel("w3", (-1.0843022984022759, 0.4487352260876353), 1.8, 0.7)))
+    mode = Crab(math.radians(-20.731))
+    path = Path(tuple(PathSegment(BezierCurve(p), mode, 1.436) for p in CUSP_CHAIN))
+    assert_planned_like_per_wheel(path, vehicle, 0.377, 150)
+
+
+def test_whole_turn_rebase_equals_a_per_wheel_assembly():
+    # A crab's steering angle is the heading minus alpha: it passes pi inside
+    # the first piece, and the second piece starts on the principal branch,
+    # a whole turn below the first piece's end.
+    left, right = BezierCurve([(0.0, 0.0), (2.0, 0.0), (4.0, 1.4)]).split(0.5)
+    vehicle = VehicleModel((Wheel("a", (0.0, 0.0), 1.5, 1.0),
+                            Wheel("b", (0.8, -0.4), 1.5, 1.0)))
+    path = Path(tuple(PathSegment(c, Crab(-3.0), 1.0) for c in (left, right)))
+    assert profile_segment(path.segments[1], vehicle, 12).wheel_tracks["a"].delta_w[0] < 0.0
+    prof = assert_planned_like_per_wheel(path, vehicle, 0.5, 12)
+    assert all(np.all(delta > 2.9) for delta in prof.wheel_deltas.values())
