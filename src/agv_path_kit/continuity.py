@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,19 +113,18 @@ class JunctionContext:
                 f"point (gap {self.position_gap:.3e} m)")
 
 
-@dataclass
-class _BetaExtraction:
-    beta1: float                 # signed
+class _BetaExtraction(NamedTuple):
+    beta1: float                 # signed: negative when the tangent reverses
     beta2: float
     beta3: float
-    reversal: bool = False
 
 
 def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
-    """beta1 from first-derivative norms with a direction check; beta2/beta3
-    by least squares on the second/third order conditions. Both norms exceed
-    REGULAR_SPEED: `PathSegment` samples |C'| at u = 0 and 1, where
-    `JunctionContext` reads its end jets, through the same kernel."""
+    """The one shape-parameter rule: beta1 = |C'(1-)| / |C'(0+)|, negated
+    when the tangent reverses; beta2/beta3 by least squares on the
+    second/third order conditions. Both norms exceed REGULAR_SPEED:
+    `PathSegment` samples |C'| at u = 0 and 1, where `JunctionContext` reads
+    its end jets, through the same kernel."""
     t_minus, t_plus = left.d1, right.d1
     beta1 = np.linalg.norm(t_minus) / np.linalg.norm(t_plus)
     if float(t_minus @ t_plus) < 0.0:
@@ -133,45 +133,32 @@ def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     beta2 = float((left.d2 - beta1**2 * right.d2) @ t_plus) / q
     r3 = left.d3 - beta1**3 * right.d3 - 3.0 * beta1 * beta2 * right.d2
     beta3 = float(r3 @ t_plus) / q
-    return _BetaExtraction(beta1, beta2, beta3, reversal=beta1 < 0.0)
+    return _BetaExtraction(beta1, beta2, beta3)
 
 
-def _extract_mode_route(left: OrientationJet, right: OrientationJet):
-    """(beta1, beta2) from the orientation rates, or None when degenerate."""
+def _mode_beta1(left: OrientationJet, right: OrientationJet) -> float | None:
+    """theta'(u-)/theta'(u+), or None when the rates are degenerate; only
+    `analyze_junction`'s disagreement note reads it."""
     if not (math.isfinite(right.dtheta) and math.isfinite(left.dtheta)):
         return None
     if abs(right.dtheta) <= _MODE_RATE_EPS:
         return None
-    beta1 = left.dtheta / right.dtheta
-    if math.isfinite(left.ddtheta) and math.isfinite(right.ddtheta):
-        beta2 = (left.ddtheta - beta1**2 * right.ddtheta) / right.dtheta
-    else:
-        beta2 = math.inf
-    return beta1, beta2
+    return left.dtheta / right.dtheta
 
 
 def extract_shape_parameters(ctx: JunctionContext) -> ShapeParameters:
     """Shape parameters shared by curve and mode at a junction.
 
-    Prefers the orientation-rate route (beta1 = theta'(u-)/theta'(u+)); when
-    the mode rates are degenerate (straight tangential travel, crab mode, or
-    a flat exponential end) falls back to the curve-derivative route.
-    beta3 always comes from the curve's third-order condition by least
-    squares. Raises when beta1 would be non-positive (heading reversal).
+    These are the betas of `analyze_junction`'s report: beta1 from the
+    first-derivative norms, beta2/beta3 by least squares on the curve's
+    second/third order conditions. Raises when the tangent reverses across
+    the junction (no positive beta1 exists; the report's beta is None).
     """
-    curve_route = _extract_curve_route(ctx.left_jet, ctx.right_jet)
-    mode_route = _extract_mode_route(ctx.left_mode_jet, ctx.right_mode_jet)
-    if mode_route is not None:
-        beta1, beta2 = mode_route
-        if beta1 <= 0.0:
-            raise DegenerateGeometryError(
-                "orientation rate reverses or vanishes across the junction "
-                f"(beta1 = {beta1:.3g}); no positive shape parameter exists")
-        return ShapeParameters(beta1, beta2, curve_route.beta3)
-    if curve_route.reversal:
+    beta = _extract_curve_route(ctx.left_jet, ctx.right_jet)
+    if beta.beta1 < 0.0:
         raise DegenerateGeometryError(
-            f"tangent direction reverses across the junction (beta1 = {curve_route.beta1:.3g})")
-    return ShapeParameters(curve_route.beta1, curve_route.beta2, curve_route.beta3)
+            f"tangent direction reverses across the junction (beta1 = {beta.beta1:.3g})")
+    return ShapeParameters(*beta)
 
 
 @dataclass
@@ -246,11 +233,9 @@ def analyze_junction(ctx: JunctionContext,
     g0_position = ctx.position_gap
     g0_orientation = abs(wrap_angle(ctx.left_mode_jet.theta - ctx.right_mode_jet.theta))
 
-    extraction = _extract_curve_route(ctx.left_jet, ctx.right_jet)
-    mode_route = _extract_mode_route(ctx.left_mode_jet, ctx.right_mode_jet)
-    beta1, beta2, beta3 = extraction.beta1, extraction.beta2, extraction.beta3
-    if mode_route is not None:
-        mode_beta1 = mode_route[0]
+    beta1, beta2, beta3 = _extract_curve_route(ctx.left_jet, ctx.right_jet)
+    mode_beta1 = _mode_beta1(ctx.left_mode_jet, ctx.right_mode_jet)
+    if mode_beta1 is not None:
         mismatch = abs(mode_beta1 - beta1) / max(1.0, abs(beta1))
         if mismatch > tol.relative:
             notes.append(
@@ -269,7 +254,7 @@ def analyze_junction(ctx: JunctionContext,
     g1_ok = curve_g1 <= tol.relative and mode_g1 <= tol.relative
     g2_ok = curve_g2 <= tol.relative and mode_g2 <= tol.relative
 
-    if extraction.reversal:
+    if beta1 < 0.0:
         notes.append(
             f"heading reversal at junction (signed beta1 = {beta1:.6g}); "
             "smooth passage is impossible, resuming from rest is")
@@ -309,12 +294,7 @@ def audit_wheel_continuity(ctx: JunctionContext,
                            params: ShapeParameters | None = None
                            ) -> list[WheelContinuityAudit]:
     """Check every wheel curve's continuity against the shared beta set."""
-    if params is None:
-        extraction = _extract_curve_route(ctx.left_jet, ctx.right_jet)
-        if extraction.beta1 <= 0.0:
-            raise DegenerateGeometryError("no positive beta1 at this junction")
-        params = ShapeParameters(extraction.beta1, extraction.beta2,
-                                 extraction.beta3)
+    params = params or extract_shape_parameters(ctx)
     wheels = ctx.vehicle.sorted_wheels()
     # (W, 2) first and second derivatives of every wheel curve, left then right.
     (l1, l2), (r1, r2) = ([np.stack(d, axis=-1)[:, 0] for d in

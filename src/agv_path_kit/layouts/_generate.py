@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..curve import BezierCurve
+from ..continuity import _extract_curve_route
+from ..curve import BezierCurve, CurveJet
 from ..repair import prescribe_endpoint_jet
 
 # Nominal control points (degree-6 curves, meters).
@@ -77,11 +78,8 @@ def build_smoothed_right() -> np.ndarray:
     left = np.array(INITIAL_LEFT)
     nominal = np.array(SMOOTHED_RIGHT_NOMINAL)
     l1, l2, l3 = _end_jet(left)
-    r1, r2, r3 = _start_jet(nominal)
-    beta1 = np.linalg.norm(l1) / np.linalg.norm(r1)
-    q = r1 @ r1
-    beta2 = float((l2 - beta1**2 * r2) @ r1) / q
-    beta3 = float((l3 - beta1**3 * r3 - 3 * beta1 * beta2 * r2) @ r1) / q
+    beta1, beta2, beta3 = _extract_curve_route(
+        CurveJet(left[-1], l1, l2, l3), CurveJet(nominal[0], *_start_jet(nominal)))
     d1 = l1 / beta1
     d2 = (l2 - beta2 * d1) / beta1**2
     d3 = (l3 - 3 * beta1 * beta2 * d2 - beta3 * d1) / beta1**3

@@ -145,16 +145,12 @@ def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
         if reachable < v[i]:
             v[i] = reachable
 
-    t = np.zeros(n)
-    for i in range(1, n):
-        if ds[i - 1] == 0.0:
-            t[i] = t[i - 1]
-            continue
-        pair = v[i - 1] + v[i]
-        if pair <= 0.0:
-            raise DiscontinuousPathError(
-                "speed limit collapses to zero over an interval of positive length")
-        t[i] = t[i - 1] + 2.0 * ds[i - 1] / pair
+    pair, moving = v[:-1] + v[1:], ds != 0.0
+    if np.any(moving & (pair <= 0.0)):
+        raise DiscontinuousPathError(
+            "speed limit collapses to zero over an interval of positive length")
+    dt = np.divide(2.0 * ds, pair, out=np.zeros_like(ds), where=moving)
+    t = np.concatenate(([0.0], np.cumsum(dt)))
 
     delta, r_v, r_omega, kappa = tracks
     with np.errstate(invalid="ignore"):

@@ -324,10 +324,9 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     if abs(wrap_angle(ctx.left.mode.alpha - ctx.right.mode.alpha)) > 1e-9:
         raise RepairInfeasibleError(
             "tangential modes must share the angle offset for a continuous junction")
-    extraction = _extract_curve_route(ctx.left_jet, ctx.right_jet)
-    if extraction.beta1 <= 0.0:
+    seed = np.array(_extract_curve_route(ctx.left_jet, ctx.right_jet))
+    if seed[0] <= 0.0:
         raise RepairInfeasibleError("junction tangents oppose; repair undefined")
-    seed = np.array([extraction.beta1, extraction.beta2, extraction.beta3])
     cb = _COEFFICIENT_BOUND * max(
         1.0, float(np.linalg.norm(ctx.left_jet.d2))
         / float(np.linalg.norm(ctx.left_jet.d1)))

@@ -78,6 +78,14 @@ class TestExtraction:
         assert params.beta1 == pytest.approx(1.1615195, abs=1e-6)
         assert params.beta2 == pytest.approx(-0.9808932, abs=1e-6)
 
+    def test_g1_fixture_extraction_is_the_report_beta(self, layout_g1):
+        ctx = junction_of(layout_g1)
+        params, beta = extract_shape_parameters(ctx), analyze_junction(ctx).beta
+        for name in ("beta1", "beta2", "beta3"):
+            assert getattr(params, name) == getattr(beta, name), name
+        # The orientation-rate ratio (7.0 here) only feeds the report's note.
+        assert params.beta1 == pytest.approx(5.0 / 7.0, rel=1e-12)
+
     def test_reversal_raises(self, two_wheel_vehicle):
         left = BezierCurve([(0, 0), (1, 0), (2, 0), (3, 0)])
         right = BezierCurve([(3, 0), (2, 0), (1, 0), (0, 0)])

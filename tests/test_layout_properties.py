@@ -9,21 +9,25 @@ parameter is s/(1-s): the left piece runs at s times, the right one at 1-s
 times the speed of the whole. Degree elevation changes neither a curve nor its
 parameterization, so a junction keeps its verdict and, to rounding, its residuals. Reported angles lie on their principal values
 up to whole turns, and planned speeds keep the planner's invariants. The
-planner's stacked wheel tracks equal a per-wheel assembly bit for bit.
+planner's stacked wheel tracks equal a per-wheel assembly bit for bit. The
+extracted shape parameters are the junction report's, so they exist exactly
+when the report has them.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
-                          ExponentialDelayed, JunctionContext, Path, PathSegment,
-                          Tangential, Tolerances, VehicleModel, Wheel,
-                          analyze_junction, plan_velocity, profile_segment,
-                          wheel_curve_jet)
+from agv_path_kit import (BezierCurve, Crab, DegenerateGeometryError,
+                          ExponentialAnticipated, ExponentialDelayed,
+                          JunctionContext, Path, PathSegment, Tangential,
+                          Tolerances, VehicleModel, Wheel, analyze_junction,
+                          audit_wheel_continuity, extract_shape_parameters,
+                          plan_velocity, profile_segment, wheel_curve_jet)
 from agv_path_kit.kinematics import _wheel_track_arrays
 from agv_path_kit.motion import orientation_many
 
@@ -202,6 +206,35 @@ def test_degree_elevation_keeps_the_verdict_and_the_residuals(junction, side, ti
             assert abs(a - b) <= bound, name
         else:
             assert a == b, name
+
+
+def reversed_right(junction):
+    """``junction`` with its right piece run backwards from the junction
+    point, so the tangent mostly, though not always, reverses there."""
+    left, right, mode = junction
+    points = right.control_points[::-1]
+    return left, BezierCurve(points + (left.control_points[-1] - points[0])), mode
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(junctions(), junctions().map(reversed_right)), vehicles())
+def test_extracted_shape_parameters_are_the_report_beta(junction, vehicle):
+    left, right, mode = junction
+    ctx = JunctionContext(PathSegment(left, mode, 1.5), PathSegment(right, mode, 1.5),
+                          vehicle)
+    beta = analyze_junction(ctx, Tolerances()).beta
+    if beta is None:
+        with pytest.raises(DegenerateGeometryError):
+            extract_shape_parameters(ctx)
+        with pytest.raises(DegenerateGeometryError):
+            audit_wheel_continuity(ctx)
+        return
+    params = extract_shape_parameters(ctx)
+    assert params == beta
+    # An exponential mode with n < 2 has an infinite theta'' at its junction
+    # end, where the wheel audit has no finite residuals to compare.
+    if all(math.isfinite(jet.ddtheta) for jet in (ctx.left_mode_jet, ctx.right_mode_jet)):
+        assert audit_wheel_continuity(ctx) == audit_wheel_continuity(ctx, params)
 
 
 def turns_off(a, b) -> np.ndarray:

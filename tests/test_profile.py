@@ -8,6 +8,7 @@ import pytest
 from agv_path_kit import (BezierCurve, Crab, DiscontinuousPathError, Path,
                           PathSegment, VehicleModel, Wheel,
                           plan_velocity, time_along)
+from agv_path_kit import profile as profile_module
 from agv_path_kit.repair import prescribe_endpoint_jet
 
 from conftest import random_regular_curve, straight_segment
@@ -120,6 +121,20 @@ class TestJunctionHandling:
         assert j in prof.rest_indices
         assert prof.v[j] == 0.0
         assert prof.v[j - 5] > 0.0 and prof.v[j + 5] > 0.0
+
+    def test_speed_limit_collapsing_over_an_interval_is_refused(
+            self, two_wheel_vehicle, monkeypatch):
+        original = profile_module.profile_segment
+
+        def collapsed(segment, vehicle, samples):
+            prof = original(segment, vehicle, samples)
+            prof.v_max[samples // 3:samples // 2] = 0.0
+            return prof
+
+        monkeypatch.setattr(profile_module, "profile_segment", collapsed)
+        path = Path((straight_segment(length=3.0, v_max=1.5),))
+        with pytest.raises(DiscontinuousPathError, match="collapses to zero"):
+            plan_velocity(path, two_wheel_vehicle, resolution=200)
 
     def test_parameter_validation(self, layout_smoothed):
         with pytest.raises(ValueError):
