@@ -84,7 +84,9 @@ class JunctionContext:
     """One-sided curve and orientation jets at the junction of two segments.
 
     Each side is one `_Jets` evaluation to order 3 at its end (u=1 left, u=0
-    right), read by the curve, mode and wheel end jets alike. The mode jets'
+    right), read by the curve, mode and wheel end jets alike. A one-node
+    curve evaluation at an end reads the derivative nets' end points and
+    builds no Bernstein tables (see `curve._bernstein`). The mode jets'
     theta is principal-branch: only its wrapped difference enters a verdict.
     Construction is refused when the segment endpoints are not even roughly
     coincident (gap above ``refuse_tol``), since every downstream condition
@@ -281,6 +283,10 @@ class WheelContinuityAudit:
     ``beta_w1``/``beta_w2`` are extracted from the wheel curve alone; at a
     smooth junction they coincide with the vehicle-level shape parameters,
     and the wheel path satisfies its own second-order conditions with them.
+    Where a wheel's second derivative is not finite on either side (theta''
+    is infinite at the flat end of an exponential mode with 1 < n < 2), no
+    finite beta_w2 exists: ``beta_w2`` is NaN and ``g2_residual`` is inf, as
+    `analyze_junction` reports mode_g2 = inf.
     """
 
     wheel_id: str
@@ -300,12 +306,16 @@ def audit_wheel_continuity(ctx: JunctionContext,
     (l1, l2), (r1, r2) = ([np.stack(d, axis=-1)[:, 0] for d in
                            _wheel_derivative_arrays(jets, _mounts(wheels))[1:]]
                           for jets in ctx._sides)
+    finite = np.isfinite(l2).all(axis=1) & np.isfinite(r2).all(axis=1)
+    l2, r2 = (np.where(finite[:, None], d2, 0.0) for d2 in (l2, r2))
     q = np.sum(r1 * r1, axis=1)
     beta_w1 = np.sum(l1 * r1, axis=1) / q
     beta_w2 = np.sum((l2 - beta_w1[:, None]**2 * r2) * r1, axis=1) / q
     g1, g2 = (np.linalg.norm(left - rhs, axis=1)
               / np.fmax(1.0, np.linalg.norm(rhs, axis=1)) for left, rhs in ((l1, params.beta1 * r1),
                                 (l2, params.beta1**2 * r2 + params.beta2 * r1)))
+    beta_w2 = np.where(finite, beta_w2, math.nan)
+    g2 = np.where(finite, g2, math.inf)
     return [WheelContinuityAudit(w.id, *map(float, row))
             for w, *row in zip(wheels, beta_w1, beta_w2, g1, g2)]
 

@@ -34,6 +34,8 @@ SINGULAR_SPEED = 1e-12
 # A regular parameterization keeps |C'| above this everywhere on [0, 1].
 REGULAR_SPEED = 1e-9
 _REGULARITY_SAMPLES = 1024  # uniform intervals at whose ends sampling checks |C'|
+_REGULARITY_U = np.linspace(0.0, 1.0, _REGULARITY_SAMPLES + 1)
+_REGULARITY_U.setflags(write=False)
 _EPS = float(np.finfo(float).eps)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -126,16 +128,11 @@ def _derivative_net(nets: list[np.ndarray], k: int) -> np.ndarray:
     return nets[k]
 
 
-def _bernstein(net, n: int, us: np.ndarray, order: int) -> list[np.ndarray]:
-    """Derivatives 0..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
+def _basis(n: int, us: np.ndarray, order: int) -> list[np.ndarray]:
+    """Bernstein bases of degrees n, n-1, ..., n-min(order, n) at ``us``.
 
-    Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
-    derivative net D_k = ``net(k)`` (degree m = n - k), with the power
-    tables shared by every order. ``net(k)`` has the point axis first and
-    the (x, y) axis second, shaped so that D_k[j] broadcasts against
-    ``us``. The sum runs elementwise in j order, so each entry depends on
-    its own u and net only; the basis is a unit row at u = 0 and u = 1, so
-    endpoint values are exact.
+    Entry k is the (m+1, *us.shape) table C(m, j) u^j (1-u)^(m-j), m = n - k,
+    built from one pair of power tables shared by every order.
     """
     up = np.empty((n + 1,) + us.shape)
     down = np.empty((n + 1,) + us.shape)
@@ -145,16 +142,65 @@ def _bernstein(net, n: int, us: np.ndarray, order: int) -> list[np.ndarray]:
         up[j] = up[j - 1] * us
         down[j] = down[j - 1] * rest
     column = (slice(None),) + (None,) * us.ndim
+    return [_binomials(m)[column] * up[:m + 1] * down[m::-1]
+            for m in range(n, n - min(order, n) - 1, -1)]
+
+
+@lru_cache(maxsize=None)
+def _regularity_basis(n: int) -> tuple[np.ndarray, ...]:
+    """`_basis` of degree n at _REGULARITY_U to order 1, built the first time
+    degree n is validated."""
+    tables = tuple(_basis(n, _REGULARITY_U, 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _end_of(us: np.ndarray) -> int | None:
+    """0 or -1 when ``us`` is one node at exactly u = +0.0 or u = 1, else None."""
+    if us.size != 1:
+        return None
+    u = float(us.flat[0])
+    if u == 1.0:
+        return -1
+    return 0 if u == 0.0 and math.copysign(1.0, u) > 0.0 else None
+
+
+def _bernstein(net, n: int, us: np.ndarray, order: int,
+               basis: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Derivatives 0..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
+
+    Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
+    derivative net D_k = ``net(k)`` (degree m = n - k), with ``basis`` the
+    `_basis` tables of ``us`` (built here when not given; the tables of
+    _REGULARITY_U come from `_regularity_basis`). ``net(k)`` has the point
+    axis first and the (x, y) axis second, shaped so that D_k[j] broadcasts
+    against ``us``. The sum runs elementwise in j order, so each entry
+    depends on its own u and net only. The basis is a unit row at u = 0 and
+    u = 1, so endpoint values are exact: a single node there builds no
+    tables and reads each net as the sum would, its end point plus the
+    other points times +0.0 summed from -0.0, which keeps the sum's signed
+    zeros, infinities and NaNs (a plain sum from +0.0 would turn -0.0 into +0.0).
+    """
+    end = _end_of(us)
+    if end is None and basis is None:
+        basis = (_regularity_basis(n) if us is _REGULARITY_U and order <= 1
+                 else _basis(n, us, order))
     out = []
     for k in range(order + 1):
         if k > n:
             out.append(np.zeros((2,) + us.shape))
             continue
-        m, d = n - k, net(k)
-        basis = _binomials(m)[column] * up[:m + 1] * down[m::-1]
-        value = d[0] * basis[0]
-        for j in range(1, m + 1):
-            value += d[j] * basis[j]
+        d = net(k)
+        if end == 0:
+            value = d[0] + np.add.reduce(d[1:] * 0.0, axis=0, initial=-0.0)
+        elif end == -1:
+            value = np.add.reduce(d[:-1] * 0.0, axis=0, initial=-0.0) + d[-1]
+        else:
+            b = basis[k]
+            value = d[0] * b[0]
+            for j in range(1, n - k + 1):
+                value += d[j] * b[j]
         out.append(value)
     return out
 
@@ -219,26 +265,52 @@ class BezierCurve:
         return BezierCurve(np.vstack([p[:1], inner, p[-1:]]))
 
 
+class _StackTables:
+    """`_basis` tables of fixed node rows for one degree, built once by their holder.
+
+    Each row's tables reach order 3. A `_BezierStack` of that degree whose
+    node blocks all equal one of the rows takes that row's tables; for any
+    other nodes `basis` gives None and the kernel builds its own.
+    """
+
+    _ORDER = 3
+
+    def __init__(self, degree: int, rows):
+        self._degree = degree
+        self._rows = [(row, _basis(degree, row, self._ORDER)) for row in rows]
+
+    def basis(self, n: int, blocks: np.ndarray, order: int) -> list[np.ndarray] | None:
+        if n == self._degree and order <= self._ORDER:
+            for row, tables in self._rows:
+                if row.shape == blocks.shape[1:] and (blocks == row).all():
+                    return tables
+        return None
+
+
 class _BezierStack:
     """K Bezier curves of one degree, evaluated together: node block k on curve k.
 
     It stands in for a `BezierCurve` where only `derivatives_many` is used
-    (`kinematics.limit_profile_fast`): ``us`` holds K equal blocks of nodes,
-    and the rows of each result follow them. Each net broadcasts as
-    (m+1, 2, K, 1) against a (m+1, K, N) basis in the one kernel, with the
-    same products summed in the same order, so every row equals the single
-    curve's result bit for bit.
+    (`kinematics.limit_profile_fast`): ``us`` holds K equal blocks of one
+    node row, and the rows of each result follow them. ``tables``, a
+    `_StackTables` its caller holds, lends the tables of that row when it
+    has them. Each net broadcasts as (m+1, 2, K, 1) against a
+    (m+1, K, N) or (m+1, N) basis in the one kernel, with the same products
+    summed in the same order, so every row equals the single curve's result
+    bit for bit.
     """
 
-    def __init__(self, curves):
+    def __init__(self, curves, tables: _StackTables | None = None):
         points = np.stack([curve.control_points for curve in curves])
         self._count, self.degree = len(curves), points.shape[1] - 1
         self._nets = [points.transpose(1, 2, 0)[..., None]]
+        self._tables = tables
 
     def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
         blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
+        basis = self._tables and self._tables.basis(self.degree, blocks, order)
         return [value.reshape(2, -1).T for value in _bernstein(
-            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order)]
+            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, basis)]
 
 
 def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
@@ -291,15 +363,15 @@ def irregular_parameter(curve: BezierCurve) -> float | None:
 def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
     """Regularity by sampling alone, the rule `PathSegment` validates with.
 
-    |C'| is sampled at _REGULARITY_SAMPLES + 1 uniform nodes, u = 0 and u = 1
-    among them: the curve is regular (None) when every sample exceeds
+    |C'| is sampled at the _REGULARITY_SAMPLES + 1 uniform nodes of
+    _REGULARITY_U, u = 0 and u = 1 among them, whose tables are built once
+    per degree: the curve is regular (None) when every sample exceeds
     REGULAR_SPEED, and irregular near the node of the smallest sample.
     """
-    us = np.linspace(0.0, 1.0, _REGULARITY_SAMPLES + 1)
-    d1 = curve.derivatives_many(us, 1)[1]
+    d1 = curve.derivatives_many(_REGULARITY_U, 1)[1]
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if speed.min() <= REGULAR_SPEED:
-        return float(us[int(np.argmin(speed))])
+        return float(_REGULARITY_U[int(np.argmin(speed))])
     return None
 
 

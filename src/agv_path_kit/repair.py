@@ -22,10 +22,11 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import BezierCurve, _BezierStack, irregular_parameter
+from .curve import BezierCurve, _BezierStack, _StackTables, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
-from .motion import ExponentialAnticipated, Tangential, wrap_angle
+from .motion import (Crab, ExponentialAnticipated, Tangential, _reparam,
+                     wrap_angle)
 from .vehicle import PathSegment, VehicleModel
 
 __all__ = [
@@ -114,6 +115,15 @@ def _travel_times(curves, count: int, mode, v_segment: float,
             integrand = (c / v).reshape(_TIME_PANELS, -1)
             times.append(float(_TIME_HALF * np.sum(integrand @ _TIME_GL_WEIGHTS)))
     return times
+
+
+def _time_tables(segment: PathSegment) -> _StackTables:
+    """Tables of the node rows a speed-limit pass evaluates ``segment``'s
+    curve at: _TIME_US, and g(_TIME_US) under an exponential mode."""
+    rows = [_TIME_US]
+    if not isinstance(segment.mode, (Tangential, Crab)):
+        rows.append(_reparam(segment.mode, _TIME_US, 0)[0])
+    return _StackTables(segment.curve.degree, rows)
 
 
 def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
@@ -270,9 +280,11 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     None, which scores 1e9; the result's parameters are the winner's full
     ones under ``names``. The starts run in lockstep, and under
     ``min_travel_time`` the edited curves of each side, one per start, are
-    timed in one pass.
+    timed in one pass on that side's `_time_tables`, built on the side's
+    first pass and kept for the rest of the search.
     """
     ctx = problem.ctx
+    tables = {}
 
     def objective(xs):
         built = [candidate(x) for x in xs]
@@ -284,8 +296,10 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
             rows = [i for i, b in enumerate(built)
                     if b is not None and b[index] is not segment.curve]
             if rows:
-                times = _travel_times(_BezierStack([built[i][index] for i in rows]),
-                                      len(rows), segment.mode, segment.v_max,
+                if index not in tables:
+                    tables[index] = _time_tables(segment)
+                stack = _BezierStack([built[i][index] for i in rows], tables[index])
+                times = _travel_times(stack, len(rows), segment.mode, segment.v_max,
                                       ctx.vehicle)
                 for i, time in zip(rows, times):
                     values[i] += time

@@ -180,6 +180,17 @@ class TestWheelAudit:
         audits = audit_wheel_continuity(junction_of(layout_g1))
         assert any(a.g2_residual > 1e-6 for a in audits)
 
+    def test_infinite_second_derivative_has_no_finite_beta_w2(self):
+        # theta'' is infinite at the flat end (u = 1) of an anticipated law
+        # with n = 1.5, so the left wheel's second derivative is not finite.
+        left, right = BezierCurve([(0, 0), (1, 0.3), (2, 1), (3, 0.8), (4, 1.5)]).split(0.5)
+        vehicle = VehicleModel((Wheel("w", (0.5, 0.2), 1.0, 1.0),))
+        ctx = ctx_for(left, right, vehicle, ExponentialAnticipated(0.0, 1.5))
+        assert analyze_junction(ctx).mode_g2 == math.inf
+        (audit,) = audit_wheel_continuity(ctx)
+        assert math.isnan(audit.beta_w2) and audit.g2_residual == math.inf
+        assert math.isfinite(audit.beta_w1) and math.isfinite(audit.g1_residual)
+
 
 def test_one_end_jet_evaluation_per_junction_side(layout_smoothed,
                                                   layout_exponential, monkeypatch):
