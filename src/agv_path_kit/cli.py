@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from .continuity import (SMOOTH, SMOOTH_AT_REST_ONLY, JunctionContext,
                          Tolerances, check_junctions)
@@ -171,7 +172,12 @@ def _number(accept, requirement: str, convert=float):
 _TOLERANCE = _number(lambda x: math.isfinite(x) and x >= 0.0, "a finite number >= 0")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused.
+
+    It holds no handlers: `main` looks each one up by name when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="agv-path-kit",
         description="Junction continuity checking, repair, and velocity "
@@ -185,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--allow-rest", action="store_true",
                          help="accept junctions that are smooth only from rest")
-    p_check.set_defaults(func=cmd_check)
 
     p_repair = sub.add_parser("repair", help="re-optimize control points at a junction")
     p_repair.add_argument("layout")
@@ -194,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("--objective", default="min_travel_time",
                           choices=("min_travel_time", "min_displacement"))
     p_repair.add_argument("--out", default=None, help="output layout file")
-    p_repair.set_defaults(func=cmd_repair)
 
     p_profile = sub.add_parser("profile", help="plan a velocity profile, write CSV")
     p_profile.add_argument("layout")
@@ -208,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--tol", type=_TOLERANCE, default=None)
     p_profile.add_argument("--diagnostic", action="store_true",
                            help="profile even when junctions are discontinuous")
-    p_profile.set_defaults(func=cmd_profile)
     return parser
 
 
@@ -220,8 +223,9 @@ def main(argv=None) -> int:
         args.tolerances = Tolerances.default() if tol is None else Tolerances(relative=tol)
     except ValueError as exc:
         parser.error(str(exc))
+    handler = {"check": cmd_check, "repair": cmd_repair, "profile": cmd_profile}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (LayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,11 +83,15 @@ class Tolerances:
 class JunctionContext:
     """One-sided curve and orientation jets at the junction of two segments.
 
-    Each side is one `_Jets` evaluation to order 3 at its end (u=1 left, u=0
-    right), read by the curve, mode and wheel end jets alike. A one-node
-    curve evaluation at an end reads the derivative nets' end points and
-    builds no Bernstein tables (see `curve._bernstein`). The mode jets'
-    theta is principal-branch: only its wrapped difference enters a verdict.
+    Each side is one `_Jets` at its end (u=1 left, u=0 right): the curve to
+    order 3, which the curve route needs for beta3, and the law to order 2,
+    as far as the mode conditions and the wheel end jets read. It is one
+    curve evaluation per side in every mode: the tangential law reads the
+    curve jets, and so does an exponential law, since g(u) == u at both
+    ends. A one-node curve evaluation at an end reads the derivative nets'
+    end points and builds no Bernstein tables (see `curve._bernstein`). The
+    mode jets' theta is principal-branch: only its wrapped difference
+    enters a verdict.
     Construction is refused when the segment endpoints are not even roughly
     coincident (gap above ``refuse_tol``), since every downstream condition
     presumes a shared junction point.
@@ -101,7 +105,7 @@ class JunctionContext:
         self.vehicle = vehicle
         self.left_id = left_id
         self.right_id = right_id
-        self._sides = tuple(_Jets(seg.curve, seg.mode, np.array([u]), order=3)
+        self._sides = tuple(_Jets(seg.curve, seg.mode, np.array([u]), curve_order=3)
                             for seg, u in ((left, 1.0), (right, 0.0)))
         self.left_jet, self.right_jet = (
             CurveJet(*(d[0] for d in jets.c[:4])) for jets in self._sides)

@@ -128,22 +128,24 @@ def _derivative_net(nets: list[np.ndarray], k: int) -> np.ndarray:
     return nets[k]
 
 
-def _basis(n: int, us: np.ndarray, order: int) -> list[np.ndarray]:
-    """Bernstein bases of degrees n, n-1, ..., n-min(order, n) at ``us``.
+def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarray | None]:
+    """Bernstein bases of degrees n - lowest, ..., n - min(order, n) at ``us``.
 
     Entry k is the (m+1, *us.shape) table C(m, j) u^j (1-u)^(m-j), m = n - k,
-    built from one pair of power tables shared by every order.
+    built from one pair of power tables shared by every order; they reach
+    degree n - lowest only. Entries below ``lowest`` are None.
     """
-    up = np.empty((n + 1,) + us.shape)
-    down = np.empty((n + 1,) + us.shape)
+    top = max(n - lowest, 0)
+    up = np.empty((top + 1,) + us.shape)
+    down = np.empty((top + 1,) + us.shape)
     up[0] = down[0] = 1.0
     rest = 1.0 - us
-    for j in range(1, n + 1):
+    for j in range(1, top + 1):
         up[j] = up[j - 1] * us
         down[j] = down[j - 1] * rest
     column = (slice(None),) + (None,) * us.ndim
-    return [_binomials(m)[column] * up[:m + 1] * down[m::-1]
-            for m in range(n, n - min(order, n) - 1, -1)]
+    return [None] * lowest + [_binomials(m)[column] * up[:m + 1] * down[m::-1]
+                              for m in range(n - lowest, n - min(order, n) - 1, -1)]
 
 
 @lru_cache(maxsize=None)
@@ -167,27 +169,34 @@ def _end_of(us: np.ndarray) -> int | None:
 
 
 def _bernstein(net, n: int, us: np.ndarray, order: int,
-               basis: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Derivatives 0..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
+               basis: list[np.ndarray] | None = None,
+               lowest: int = 0) -> list[np.ndarray | None]:
+    """Derivatives lowest..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
 
     Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
     derivative net D_k = ``net(k)`` (degree m = n - k), with ``basis`` the
-    `_basis` tables of ``us`` (built here when not given; the tables of
-    _REGULARITY_U come from `_regularity_basis`). ``net(k)`` has the point
-    axis first and the (x, y) axis second, shaped so that D_k[j] broadcasts
-    against ``us``. The sum runs elementwise in j order, so each entry
-    depends on its own u and net only. The basis is a unit row at u = 0 and
-    u = 1, so endpoint values are exact: a single node there builds no
-    tables and reads each net as the sum would, its end point plus the
-    other points times +0.0 summed from -0.0, which keeps the sum's signed
-    zeros, infinities and NaNs (a plain sum from +0.0 would turn -0.0 into +0.0).
+    `_basis` tables of ``us`` (built here when not given, down to degree
+    n - ``lowest``; the tables of _REGULARITY_U come from
+    `_regularity_basis`). Entries below ``lowest`` are None and cost
+    nothing, so entry k is still the k-th derivative. ``net(k)`` has the
+    point axis first and the (x, y) axis second, shaped so that D_k[j]
+    broadcasts against ``us``. The sum runs elementwise in j order, so each
+    entry depends on its own u and net only, whatever ``lowest`` is. The
+    basis is a unit row at u = 0 and u = 1, so endpoint values are exact: a
+    single node there builds no tables and reads each net as the sum would,
+    its end point plus the other points times +0.0 summed from -0.0, which
+    keeps the sum's signed zeros, infinities and NaNs (a plain sum from +0.0
+    would turn -0.0 into +0.0).
     """
     end = _end_of(us)
     if end is None and basis is None:
         basis = (_regularity_basis(n) if us is _REGULARITY_U and order <= 1
-                 else _basis(n, us, order))
+                 else _basis(n, us, order, lowest))
     out = []
     for k in range(order + 1):
+        if k < lowest:
+            out.append(None)
+            continue
         if k > n:
             out.append(np.zeros((2,) + us.shape))
             continue
@@ -232,11 +241,18 @@ class BezierCurve:
         """Control net of the k-th derivative curve, k <= degree, built on first use."""
         return _derivative_net(self._nets, k)
 
-    def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
-        """Arrays (N, 2) of the 0th..order-th derivative at each u (see `_bernstein`)."""
+    def derivatives_many(self, us: np.ndarray, order: int, *,
+                         lowest: int = 0) -> list[np.ndarray | None]:
+        """Arrays (N, 2) of the lowest-th..order-th derivative at each u.
+
+        Entry k is the k-th derivative; the entries below ``lowest`` are None
+        and are not computed (see `_bernstein`). A caller that reads no
+        position passes ``lowest=1``.
+        """
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        return [value.T for value in _bernstein(
-            lambda k: self._derivative_net(k)[:, :, None], self.degree, us, order)]
+        return [None if value is None else value.T for value in _bernstein(
+            lambda k: self._derivative_net(k)[:, :, None], self.degree, us, order,
+            lowest=lowest)]
 
     def jet(self, u: float, order: int = 3) -> CurveJet:
         return evaluate(self, u, order)
@@ -306,11 +322,13 @@ class _BezierStack:
         self._nets = [points.transpose(1, 2, 0)[..., None]]
         self._tables = tables
 
-    def derivatives_many(self, us: np.ndarray, order: int) -> list[np.ndarray]:
+    def derivatives_many(self, us: np.ndarray, order: int, *,
+                         lowest: int = 0) -> list[np.ndarray | None]:
         blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
         basis = self._tables and self._tables.basis(self.degree, blocks, order)
-        return [value.reshape(2, -1).T for value in _bernstein(
-            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, basis)]
+        return [None if value is None else value.reshape(2, -1).T for value in _bernstein(
+            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, basis,
+            lowest)]
 
 
 def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
@@ -368,7 +386,7 @@ def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
     per degree: the curve is regular (None) when every sample exceeds
     REGULAR_SPEED, and irregular near the node of the smallest sample.
     """
-    d1 = curve.derivatives_many(_REGULARITY_U, 1)[1]
+    d1 = curve.derivatives_many(_REGULARITY_U, 1, lowest=1)[1]
     speed = np.hypot(d1[:, 0], d1[:, 1])
     if speed.min() <= REGULAR_SPEED:
         return float(_REGULARITY_U[int(np.argmin(speed))])
@@ -382,7 +400,7 @@ def _panel_quadrature(curve: BezierCurve, u1: float, u2: np.ndarray,
     half = 0.5 * (edges[:, 1] - edges[:, 0])
     centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
     us = (centers[:, :, None] + half[:, None, None] * _GL_NODES).ravel()
-    d1 = curve.derivatives_many(us, 1)[1]
+    d1 = curve.derivatives_many(us, 1, lowest=1)[1]
     speeds = np.hypot(d1[:, 0], d1[:, 1]).reshape(u2.size, panels, _GL_NODES.size)
     return half * np.sum(np.sum(speeds * _GL_WEIGHTS, axis=-1), axis=-1)
 

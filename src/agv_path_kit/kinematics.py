@@ -79,20 +79,26 @@ class SpeedLimitSample:
 class _Jets:
     """Curve derivatives, |C'|, orientation jets and cos/sin of theta at ``us``.
 
-    One curve evaluation at ``us``, up to ``order`` (2 or 3), is shared by
-    every wheel, and by the orientation law too in tangential mode. Its arrays
-    run over the N nodes; `_wheel_derivative_arrays` broadcasts them against
-    the (W, 2) mounts to add the wheel axis. Theta is on the principal
-    branch; `_steering_tracks` unwraps the angles it reports.
+    The orientation law runs to ``order`` (1 to 3). One curve evaluation at
+    ``us`` runs from ``lowest`` (0, or 1 where no position is read) up to
+    ``curve_order``: by default ``order``, or ``order + 1`` in tangential
+    mode, where the law reads it too. A larger ``curve_order`` also serves
+    an exponential law at the nodes where g(u) == u (`orientation_many`).
+    The evaluation is shared by every wheel. Its arrays run over the N
+    nodes; `_wheel_derivative_arrays` broadcasts them against the (W, 2)
+    mounts to add the wheel axis. Theta is on the principal branch;
+    `_steering_tracks` unwraps the angles it reports.
     """
 
-    def __init__(self, curve: BezierCurve, mode, us: np.ndarray, order: int = 2):
+    def __init__(self, curve: BezierCurve, mode, us: np.ndarray, order: int = 2, *,
+                 lowest: int = 0, curve_order: int | None = None):
         us = np.asarray(us, dtype=float)
-        shared = isinstance(mode, Tangential)
-        self.c = curve.derivatives_many(us, order + 1 if shared else order)
+        if curve_order is None:
+            curve_order = order + 1 if isinstance(mode, Tangential) else order
+        self.c = curve.derivatives_many(us, curve_order, lowest=lowest)
         self.speed = np.hypot(self.c[1][:, 0], self.c[1][:, 1])
         self.theta = orientation_many(mode, curve, us, False, order,
-                                      self.c if shared else None)
+                                      self.c if curve_order > order else None)
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 
@@ -102,30 +108,34 @@ def _mounts(wheels) -> np.ndarray:
 
 
 def _wheel_derivative_arrays(jets: _Jets, mounts: np.ndarray, order: int = 2):
-    """Position and derivatives up to ``order`` of every wheel curve at each u.
+    """Position and derivatives up to ``order`` (1 to 3) of every wheel curve at each u.
 
     Entry k is the (x, y) pair of (W, N) components of the k-th derivative,
-    row w for the wheel mounted at ``mounts[w]``. C_w = C + R r_w; every
-    derivative of R r_w combines R r_w and J R r_w, with J the rotation by
-    +90 degrees. A wheel at the origin keeps the curve's own rows: where
-    theta'' is infinite, J R r_w = 0 would turn them into NaN.
+    row w for the wheel mounted at ``mounts[w]``; the position is None when
+    ``jets`` holds no curve position. C_w = C + R r_w; every derivative of
+    R r_w combines R r_w and J R r_w, with J the rotation by +90 degrees. A
+    wheel at the origin keeps the curve's own rows: where theta'' is
+    infinite, J R r_w = 0 would turn them into NaN.
     """
-    c = [(d[:, 0], d[:, 1]) for d in jets.c[:order + 1]]
+    c = [None if d is None else (d[:, 0], d[:, 1]) for d in jets.c[:order + 1]]
     mx, my = mounts[:, :1], mounts[:, 1:]
     rx = jets.cos * mx - jets.sin * my
     ry = jets.sin * mx + jets.cos * my
-    th1, th2 = jets.theta[1], jets.theta[2]
-    out = [(c[0][0] + rx, c[0][1] + ry), (c[1][0] - th1 * ry, c[1][1] + th1 * rx)]
-    with np.errstate(invalid="ignore"):
-        sq = th1**2
-        out.append((c[2][0] - sq * rx - th2 * ry, c[2][1] - sq * ry + th2 * rx))
-        if order >= 3:
-            a, b = 3.0 * th1 * th2, jets.theta[3] - th1**3
-            out.append((c[3][0] - a * rx - b * ry, c[3][1] - a * ry + b * rx))
+    th1 = jets.theta[1]
+    out = [None if c[0] is None else (c[0][0] + rx, c[0][1] + ry),
+           (c[1][0] - th1 * ry, c[1][1] + th1 * rx)]
+    if order >= 2:
+        th2 = jets.theta[2]
+        with np.errstate(invalid="ignore"):
+            sq = th1**2
+            out.append((c[2][0] - sq * rx - th2 * ry, c[2][1] - sq * ry + th2 * rx))
+            if order >= 3:
+                a, b = 3.0 * th1 * th2, jets.theta[3] - th1**3
+                out.append((c[3][0] - a * rx - b * ry, c[3][1] - a * ry + b * rx))
     at_origin = ~mounts.any(axis=1)
     if at_origin.any():
         for ck, dk in zip(c, out):
-            for cx, dx in zip(ck, dk):
+            for cx, dx in zip(ck or (), dk or ()):
                 dx[at_origin] = cx
     return out
 
@@ -139,7 +149,7 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     """
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in 0..3, got {order}")
-    k = max(order, 2)
+    k = max(order, 1)
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
     d = [np.stack(a, axis=-1)[0, 0] for a in
          _wheel_derivative_arrays(jets, _mounts([wheel]), k)]
@@ -156,8 +166,9 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
 
 
 def _ratios_from_derivatives(jets: _Jets, wheels):
-    """Position, d1, then r_v, r_omega, kappa and singular of every wheel of
-    ``wheels``, from the wheel derivatives at the nodes of ``jets``.
+    """Position (None when ``jets`` holds no curve position), d1, then r_v,
+    r_omega, kappa and singular of every wheel of ``wheels``, from the wheel
+    derivatives at the nodes of ``jets``.
 
     Entries where the second derivative is not finite (the flat end of an
     exponential reparameterization with 1 < n < 2) have a genuinely
@@ -185,13 +196,15 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
 
     Theta and the wheel headings are unwrapped on one evaluation of the
     unwrap grid; each sample takes the nearest branch of its grid angles.
+    The grid reads theta and the wheel first derivatives only, so its jets
+    are order 1 from C' up: theta and theta'.
     """
     jets = _Jets(segment.curve, segment.mode, us)
-    grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
+    grid = _Jets(segment.curve, segment.mode, _UNWRAP_U, 1, lowest=1)
     theta_grid = np.unwrap(grid.theta[0])
     theta = _nearest_branch(us, theta_grid, jets.theta[0])
     pos, d1, r_v, r_omega, kappa, singular = _ratios_from_derivatives(jets, wheels)
-    d1_grid = _wheel_derivative_arrays(grid, _mounts(wheels))[1]
+    d1_grid = _wheel_derivative_arrays(grid, _mounts(wheels), 1)[1]
     zeta_grid = np.unwrap(np.arctan2(d1_grid[1], d1_grid[0]), axis=1)
     zeta = _nearest_branch(us, zeta_grid, np.arctan2(d1[1], d1[0]))
     # Steering angle continuous along u, anchored at its principal value at u=0.
@@ -271,10 +284,11 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
 
     Repair scores its candidates with this. ``curve`` may be a
     `curve._BezierStack` with ``us`` one block of nodes per curve: every
-    step is elementwise over the nodes, so each block equals its own curve's pass.
+    step is elementwise over the nodes, so each block equals its own curve's
+    pass. No position is read, so the curve is evaluated from C' up.
     """
     wheels = vehicle.sorted_wheels()
-    jets = _Jets(curve, mode, np.asarray(us, dtype=float))
+    jets = _Jets(curve, mode, np.asarray(us, dtype=float), lowest=1)
     r_v, r_omega = _ratios_from_derivatives(jets, wheels)[2:4]
     return _limit_from_tracks(v_segment, wheels, r_v, r_omega)[0], jets.speed
 

@@ -130,7 +130,7 @@ def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
 
 def _heading_grid(curve: BezierCurve) -> np.ndarray:
     """Dense unwrapped tangent-angle samples used for branch selection."""
-    return np.unwrap(_angle(curve.derivatives_many(_UNWRAP_U, 1)[1]))
+    return np.unwrap(_angle(curve.derivatives_many(_UNWRAP_U, 1, lowest=1)[1]))
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:
@@ -147,8 +147,9 @@ def heading(curve: BezierCurve, u: float) -> float:
 def _rates(d: list[np.ndarray], order: int) -> list[np.ndarray]:
     """zeta', ..., zeta^(order) of the tangent angle from curve derivatives ``d``.
 
-    ``d`` holds C, C', ... at least up to order + 1. zeta' = det(C', C'')/|C'|^2;
-    higher orders follow from the quotient rule.
+    ``d`` holds C', C'', ... from entry 1 at least up to order + 1; entry 0,
+    the position, is not read. zeta' = det(C', C'')/|C'|^2; higher orders
+    follow from the quotient rule.
     """
 
     def cross(a, b):
@@ -177,7 +178,7 @@ def heading_rates(curve: BezierCurve, us: np.ndarray,
                   order: int = 2) -> tuple[np.ndarray, ...]:
     """Analytic derivatives (zeta', ..., up to ``order``, at most 3) of the tangent angle."""
     us = np.asarray(us, dtype=float)
-    return tuple(_rates(curve.derivatives_many(us, order + 1), order))
+    return tuple(_rates(curve.derivatives_many(us, order + 1, lowest=1), order))
 
 
 # --------------------------------------------------------------------------
@@ -220,6 +221,11 @@ def _reparam(mode, us: np.ndarray, order: int) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 # Orientation jets.
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``a`` and ``b`` hold the same values with the same signs of zero."""
+    return bool(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def _guarded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b with the 0 * inf endpoint limits resolved to 0.
 
@@ -243,11 +249,14 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     """Arrays (theta, theta', ...) up to the ``order``-th derivative (1..3).
 
     Each law evaluates the curve once, at its own nodes: ``us`` for
-    tangential, g(us) for the exponential modes. That one evaluation gives
-    the heading and its rates. ``curve_jets``, the curve derivatives at
-    ``us`` up to ``order + 1``, spares the tangential law its evaluation.
-    ``unwrap=False`` reports theta on the principal branch, which is cheaper
-    and sufficient wherever theta only feeds a rotation.
+    tangential, g(us) for the exponential modes. That one evaluation, from
+    C' up, gives the heading and its rates. ``curve_jets``, the curve
+    derivatives at ``us`` up to ``order + 1`` (entry 0 may be None), spares
+    the law its evaluation whenever its nodes equal ``us`` bit for bit: in
+    tangential mode always, in an exponential mode where g(u) == u exactly,
+    as at u = +0.0 and u = 1 (a junction end). ``unwrap=False`` reports
+    theta on the principal branch, which is cheaper and sufficient wherever
+    theta only feeds a rotation.
     """
     us = np.asarray(us, dtype=float)
     if not 1 <= order <= 3:
@@ -259,8 +268,8 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     tangential = isinstance(mode, Tangential)
     g = None if tangential else _reparam(mode, us, order)
     nodes = us if tangential else g[0]
-    if curve_jets is None or not tangential:
-        curve_jets = curve.derivatives_many(nodes, order + 1)
+    if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
+        curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)
     theta = _angle(curve_jets[1])
     if unwrap:
         theta = _nearest_branch(nodes, _heading_grid(curve), theta)

@@ -550,3 +550,38 @@ def test_profile_gap_names_segment_ids_not_chain_positions(tmp_path, capsys):
     assert "segments 'b' and 'c' are not position-connected" in captured.err
     assert "gap 5.000e-01 m" in captured.err
     assert captured.out == ""
+
+
+def test_repeated_main_calls_match_fresh_interpreters(monkeypatch, capsys):
+    # main reuses one parser: every call in this process, a usage error
+    # among them, gives what a fresh interpreter gives for the same argv.
+    monkeypatch.setenv("COLUMNS", "80")         # argparse wraps usage to it
+    monkeypatch.delenv("AGV_PATH_KIT_TOL", raising=False)
+    src = str(Path(agv_path_kit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    g1 = str(bundled_layout_path("two_wheel_g1"))
+    sequence = [["check", SMOOTHED, "--tol", "-1"], ["check", SMOOTHED],
+                ["check", g1, "--format", "json"],
+                ["profile", SMOOTHED, "--samples", "1"],
+                ["profile", g1, "--samples", "20", "--diagnostic"],
+                ["repair", SMOOTHED, "--objective", "min_displacement"],
+                ["check", g1, "--allow-rest"]]
+    codes = []
+    for argv in sequence:
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "agv_path_kit", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 1, 2, 0, 0, 1]
+
+
+def test_main_runs_the_handler_bound_at_call_time(monkeypatch, capsys):
+    # A handler rebound in the module after the parser is built still runs.
+    from agv_path_kit import cli
+    assert main(["check", SMOOTHED]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.layout) or 7)
+    assert main(["check", SMOOTHED]) == 7
+    assert seen == [SMOOTHED]

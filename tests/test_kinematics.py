@@ -246,17 +246,18 @@ class TestSegmentProfile:
         grid_orders = []
         original = BezierCurve.derivatives_many
 
-        def counting(curve, us, order):
+        def counting(curve, us, order, **kwargs):
             if np.size(us) == _UNWRAP_U.size:
                 grid_orders.append(order)
-            return original(curve, us, order)
+            return original(curve, us, order, **kwargs)
 
         monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
         profile_segment(seg, vehicle, 1000)
         monkeypatch.undo()
-        # Six wheels, one grid evaluation of the curve and the tangential law.
+        # Six wheels, one grid evaluation of the curve and the tangential law,
+        # to order 2: the grid reads theta and theta' only.
         assert len(vehicle.wheels) == 6 and isinstance(seg.mode, Tangential)
-        assert grid_orders == [3]
+        assert grid_orders == [2]
 
     def test_repeated_profiles_make_the_same_evaluations(self, layout_exponential,
                                                           monkeypatch):
@@ -264,9 +265,9 @@ class TestSegmentProfile:
         calls = []
         original = BezierCurve.derivatives_many
 
-        def counting(curve, us, order):
+        def counting(curve, us, order, **kwargs):
             calls.append((np.size(us), order))
-            return original(curve, us, order)
+            return original(curve, us, order, **kwargs)
 
         monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
         for ls in layout_exponential.segments:
@@ -287,9 +288,9 @@ class TestSegmentProfile:
         sizes = []
         original = BezierCurve.derivatives_many
 
-        def counting(curve, us, order):
+        def counting(curve, us, order, **kwargs):
             sizes.append(np.size(us))
-            return original(curve, us, order)
+            return original(curve, us, order, **kwargs)
 
         def calls(fn, *args):
             sizes.clear()
@@ -323,9 +324,9 @@ class TestSegmentProfile:
         calls = []
         original = BezierCurve.derivatives_many
 
-        def counting(curve, us, order):
+        def counting(curve, us, order, **kwargs):
             calls.append((np.size(us), order))
-            return original(curve, us, order)
+            return original(curve, us, order, **kwargs)
 
         for ls in layout_exponential.segments:
             seg = ls.segment

@@ -297,9 +297,9 @@ class TestTravelTime:
         orders = []
         original = BezierCurve.derivatives_many
 
-        def counting(curve, us, order):
+        def counting(curve, us, order, **kwargs):
             orders.append(order)
-            return original(curve, us, order)
+            return original(curve, us, order, **kwargs)
 
         monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
         for ls in layout_exponential.segments:
