@@ -8,6 +8,10 @@ curve and mode) still supports motion that comes to rest at the junction and
 resumes, which is the ``smooth_at_rest_only`` verdict. Heading reversals are
 a special case of that verdict: the tangent flips, so no positive beta1
 exists, yet a vehicle stopping at the reversal point can continue smoothly.
+
+Every rule compares the one-sided jets of `JunctionContext`, which reads the
+curve derivatives off the derivative nets' end points; only the wheel audit
+evaluates the curves, one node per side.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import (CurveJet, ShapeParameters, curvature,
-                    curvature_arc_derivative, _continuity_defects)
+                    curvature_arc_derivative, _continuity_defects, _end_jets)
 from .errors import DegenerateGeometryError
 from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
-from .motion import ExponentialAnticipated, OrientationJet, Tangential, wrap_angle
+from .motion import (ExponentialAnticipated, OrientationJet, Tangential, orientation_many,
+                     wrap_angle)
 from .vehicle import Path, PathSegment, VehicleModel
 
 __all__ = [
@@ -83,15 +88,13 @@ class Tolerances:
 class JunctionContext:
     """One-sided curve and orientation jets at the junction of two segments.
 
-    Each side is one `_Jets` at its end (u=1 left, u=0 right): the curve to
-    order 3, which the curve route needs for beta3, and the law to order 2,
-    as far as the mode conditions and the wheel end jets read. It is one
-    curve evaluation per side in every mode: the tangential law reads the
-    curve jets, and so does an exponential law, since g(u) == u at both
-    ends. A one-node curve evaluation at an end reads the derivative nets'
-    end points and builds no Bernstein tables (see `curve._bernstein`). The
-    mode jets' theta is principal-branch: only its wrapped difference
-    enters a verdict.
+    Each side is read at its end (u=1 left, u=0 right) without evaluating
+    its curve: C to C''' are the end points of the derivative nets
+    (`curve._end_jets`), as far as the curve route needs for beta3, and the
+    law runs to order 2 on those jets, as far as the mode conditions read.
+    Every law reuses them: the tangential one always, an exponential one
+    because g(u) == u at both ends. The mode jets' theta is
+    principal-branch: only its wrapped difference enters a verdict.
     Construction is refused when the segment endpoints are not even roughly
     coincident (gap above ``refuse_tol``), since every downstream condition
     presumes a shared junction point.
@@ -105,12 +108,11 @@ class JunctionContext:
         self.vehicle = vehicle
         self.left_id = left_id
         self.right_id = right_id
-        self._sides = tuple(_Jets(seg.curve, seg.mode, np.array([u]), curve_order=3)
-                            for seg, u in ((left, 1.0), (right, 0.0)))
-        self.left_jet, self.right_jet = (
-            CurveJet(*(d[0] for d in jets.c[:4])) for jets in self._sides)
+        ends = [(seg, u, _end_jets(seg.curve, u)) for seg, u in ((left, 1.0), (right, 0.0))]
+        self.left_jet, self.right_jet = (CurveJet(*(d[0] for d in c)) for _, _, c in ends)
         self.left_mode_jet, self.right_mode_jet = (
-            OrientationJet(*(float(t[0]) for t in jets.theta[:3])) for jets in self._sides)
+            OrientationJet(*(float(t[0]) for t in orientation_many(
+                seg.mode, seg.curve, np.array([u]), False, 2, c))) for seg, u, c in ends)
         self.position_gap = float(np.linalg.norm(
             self.left_jet.position - self.right_jet.position))
         if self.position_gap > refuse_tol:
@@ -129,8 +131,8 @@ def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     """The one shape-parameter rule: beta1 = |C'(1-)| / |C'(0+)|, negated
     when the tangent reverses; beta2/beta3 by least squares on the
     second/third order conditions. Both norms exceed REGULAR_SPEED:
-    `PathSegment` samples |C'| at u = 0 and 1, where `JunctionContext` reads
-    its end jets, through the same kernel."""
+    `PathSegment` samples |C'| at u = 0 and 1, where the kernel gives the
+    net end points `JunctionContext` reads, up to the sign of a zero."""
     t_minus, t_plus = left.d1, right.d1
     beta1 = np.linalg.norm(t_minus) / np.linalg.norm(t_plus)
     if float(t_minus @ t_plus) < 0.0:
@@ -307,9 +309,9 @@ def audit_wheel_continuity(ctx: JunctionContext,
     params = params or extract_shape_parameters(ctx)
     wheels = ctx.vehicle.sorted_wheels()
     # (W, 2) first and second derivatives of every wheel curve, left then right.
-    (l1, l2), (r1, r2) = ([np.stack(d, axis=-1)[:, 0] for d in
-                           _wheel_derivative_arrays(jets, _mounts(wheels))[1:]]
-                          for jets in ctx._sides)
+    (l1, l2), (r1, r2) = ([np.stack(d, axis=-1)[:, 0] for d in _wheel_derivative_arrays(
+        _Jets(seg.curve, seg.mode, np.array([u])), _mounts(wheels))[1:]]
+        for seg, u in ((ctx.left, 1.0), (ctx.right, 0.0)))
     finite = np.isfinite(l2).all(axis=1) & np.isfinite(r2).all(axis=1)
     l2, r2 = (np.where(finite[:, None], d2, 0.0) for d2 in (l2, r2))
     q = np.sum(r1 * r1, axis=1)
@@ -421,7 +423,7 @@ def check_exponential_junction(ctx: JunctionContext,
     tangent_parallel = perp_fraction(rj.d1)
     d2_left = perp_fraction(lj.d2)
     d2_right = perp_fraction(rj.d2)
-    beta1 = float(np.linalg.norm(lj.d1)) / float(np.linalg.norm(rj.d1))
+    beta1 = float(abs(_extract_curve_route(lj, rj).beta1))
     rhs = beta1**3 * n**2 * rj.d3
     third = _relative(float(np.linalg.norm(lj.d3 - rhs)),
                       float(np.linalg.norm(rhs)))

@@ -110,6 +110,14 @@ def _control_array(control_points) -> np.ndarray:
     return arr
 
 
+def _parameter(u: float) -> float:
+    """``u`` as a float, refused unless it lies in [0, 1] (NaN included)."""
+    u = float(u)
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"curve parameter must lie in [0, 1], got {u}")
+    return u
+
+
 @lru_cache(maxsize=None)
 def _binomials(n: int) -> np.ndarray:
     """Binomial coefficients C(n, 0..n), built the first time degree n is evaluated."""
@@ -149,23 +157,12 @@ def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _regularity_basis(n: int) -> tuple[np.ndarray, ...]:
-    """`_basis` of degree n at _REGULARITY_U to order 1, built the first time
-    degree n is validated."""
-    tables = tuple(_basis(n, _REGULARITY_U, 1))
-    for table in tables:
-        table.setflags(write=False)
+def _regularity_basis(n: int) -> tuple[np.ndarray | None, ...]:
+    """`_basis` of degree n at _REGULARITY_U from C' up to order 1 (entry 0
+    None), built the first time degree n is validated."""
+    tables = tuple(_basis(n, _REGULARITY_U, 1, 1))
+    tables[1].setflags(write=False)
     return tables
-
-
-def _end_of(us: np.ndarray) -> int | None:
-    """0 or -1 when ``us`` is one node at exactly u = +0.0 or u = 1, else None."""
-    if us.size != 1:
-        return None
-    u = float(us.flat[0])
-    if u == 1.0:
-        return -1
-    return 0 if u == 0.0 and math.copysign(1.0, u) > 0.0 else None
 
 
 def _bernstein(net, n: int, us: np.ndarray, order: int,
@@ -176,21 +173,17 @@ def _bernstein(net, n: int, us: np.ndarray, order: int,
     Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
     derivative net D_k = ``net(k)`` (degree m = n - k), with ``basis`` the
     `_basis` tables of ``us`` (built here when not given, down to degree
-    n - ``lowest``; the tables of _REGULARITY_U come from
+    n - ``lowest``; the order-1 tables of _REGULARITY_U come from
     `_regularity_basis`). Entries below ``lowest`` are None and cost
     nothing, so entry k is still the k-th derivative. ``net(k)`` has the
     point axis first and the (x, y) axis second, shaped so that D_k[j]
     broadcasts against ``us``. The sum runs elementwise in j order, so each
-    entry depends on its own u and net only, whatever ``lowest`` is. The
-    basis is a unit row at u = 0 and u = 1, so endpoint values are exact: a
-    single node there builds no tables and reads each net as the sum would,
-    its end point plus the other points times +0.0 summed from -0.0, which
-    keeps the sum's signed zeros, infinities and NaNs (a plain sum from +0.0
-    would turn -0.0 into +0.0).
+    entry depends on its own u and net only, whatever ``lowest`` is; at
+    u = 0 and u = 1 it is the net's end point plus the other points times
+    +0.0 (`_end_jets` reads the end points directly).
     """
-    end = _end_of(us)
-    if end is None and basis is None:
-        basis = (_regularity_basis(n) if us is _REGULARITY_U and order <= 1
+    if basis is None:
+        basis = (_regularity_basis(n) if us is _REGULARITY_U and lowest == order == 1
                  else _basis(n, us, order, lowest))
     out = []
     for k in range(order + 1):
@@ -200,16 +193,10 @@ def _bernstein(net, n: int, us: np.ndarray, order: int,
         if k > n:
             out.append(np.zeros((2,) + us.shape))
             continue
-        d = net(k)
-        if end == 0:
-            value = d[0] + np.add.reduce(d[1:] * 0.0, axis=0, initial=-0.0)
-        elif end == -1:
-            value = np.add.reduce(d[:-1] * 0.0, axis=0, initial=-0.0) + d[-1]
-        else:
-            b = basis[k]
-            value = d[0] * b[0]
-            for j in range(1, n - k + 1):
-                value += d[j] * b[j]
+        d, b = net(k), basis[k]
+        value = d[0] * b[0]
+        for j in range(1, n - k + 1):
+            value += d[j] * b[j]
         out.append(value)
     return out
 
@@ -258,7 +245,7 @@ class BezierCurve:
         return evaluate(self, u, order)
 
     def point(self, u: float) -> np.ndarray:
-        return self.derivatives_many(np.array([float(u)]), 0)[0][0]
+        return self.derivatives_many(np.array([_parameter(u)]), 0)[0][0]
 
     def split(self, s: float) -> tuple["BezierCurve", "BezierCurve"]:
         """Subdivide at parameter ``s`` into two curves of the same degree."""
@@ -281,26 +268,42 @@ class BezierCurve:
         return BezierCurve(np.vstack([p[:1], inner, p[-1:]]))
 
 
-class _StackTables:
-    """`_basis` tables of fixed node rows for one degree, built once by their holder.
+def _end_jets(curve: BezierCurve, u: float) -> list[np.ndarray]:
+    """C, C', C'', C''' of ``curve`` at the end u = 0 or u = 1, each (1, 2).
 
-    Each row's tables reach order 3. A `_BezierStack` of that degree whose
-    node blocks all equal one of the rows takes that row's tables; for any
-    other nodes `basis` gives None and the kernel builds its own.
+    Each is the first (u = 0) or last (u = 1) point of its derivative net;
+    orders above the degree are zeros.
+    """
+    end = 0 if u == 0.0 else -1
+    return [curve._derivative_net(k)[end][None] if k <= curve.degree else np.zeros((1, 2))
+            for k in range(4)]
+
+
+class _StackTables:
+    """`_basis` tables of the node rows a `_BezierStack` of one degree meets.
+
+    The first request for a row builds its tables from C' up to order 3;
+    requests with the same row, bit for bit, reuse them. A request whose
+    blocks are not all that row, or that reads positions (``lowest`` < 1),
+    gets None and the kernel builds its own tables.
     """
 
     _ORDER = 3
 
-    def __init__(self, degree: int, rows):
+    def __init__(self, degree: int):
         self._degree = degree
-        self._rows = [(row, _basis(degree, row, self._ORDER)) for row in rows]
+        self._rows: dict[bytes, list[np.ndarray | None]] = {}
 
-    def basis(self, n: int, blocks: np.ndarray, order: int) -> list[np.ndarray] | None:
-        if n == self._degree and order <= self._ORDER:
-            for row, tables in self._rows:
-                if row.shape == blocks.shape[1:] and (blocks == row).all():
-                    return tables
-        return None
+    def basis(self, n: int, blocks: np.ndarray, order: int,
+              lowest: int) -> list[np.ndarray | None] | None:
+        if n != self._degree or lowest < 1 or order > self._ORDER:
+            return None
+        row = blocks[0].tobytes()
+        if blocks.tobytes() != row * blocks.shape[0]:
+            return None
+        if row not in self._rows:
+            self._rows[row] = _basis(n, blocks[0], self._ORDER, 1)
+        return self._rows[row]
 
 
 class _BezierStack:
@@ -309,11 +312,10 @@ class _BezierStack:
     It stands in for a `BezierCurve` where only `derivatives_many` is used
     (`kinematics.limit_profile_fast`): ``us`` holds K equal blocks of one
     node row, and the rows of each result follow them. ``tables``, a
-    `_StackTables` its caller holds, lends the tables of that row when it
-    has them. Each net broadcasts as (m+1, 2, K, 1) against a
-    (m+1, K, N) or (m+1, N) basis in the one kernel, with the same products
-    summed in the same order, so every row equals the single curve's result
-    bit for bit.
+    `_StackTables` its caller holds, lends the tables of that row. Each net
+    broadcasts as (m+1, 2, K, 1) against a (m+1, K, N) or (m+1, N) basis in
+    the one kernel, with the same products summed in the same order, so
+    every row equals the single curve's result bit for bit.
     """
 
     def __init__(self, curves, tables: _StackTables | None = None):
@@ -325,7 +327,7 @@ class _BezierStack:
     def derivatives_many(self, us: np.ndarray, order: int, *,
                          lowest: int = 0) -> list[np.ndarray | None]:
         blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
-        basis = self._tables and self._tables.basis(self.degree, blocks, order)
+        basis = self._tables and self._tables.basis(self.degree, blocks, order, lowest)
         return [None if value is None else value.reshape(2, -1).T for value in _bernstein(
             lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, basis,
             lowest)]
@@ -337,9 +339,7 @@ def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
     Derivatives beyond the requested order are reported as zero; derivatives
     beyond the curve degree are exactly zero.
     """
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"curve parameter must lie in [0, 1], got {u}")
+    u = _parameter(u)
     if not 0 <= order <= 3:
         raise ValueError(f"derivative order must be in 0..3, got {order}")
     ds = curve.derivatives_many(np.array([u]), order)

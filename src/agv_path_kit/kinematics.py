@@ -81,24 +81,22 @@ class _Jets:
 
     The orientation law runs to ``order`` (1 to 3). One curve evaluation at
     ``us`` runs from ``lowest`` (0, or 1 where no position is read) up to
-    ``curve_order``: by default ``order``, or ``order + 1`` in tangential
-    mode, where the law reads it too. A larger ``curve_order`` also serves
-    an exponential law at the nodes where g(u) == u (`orientation_many`).
-    The evaluation is shared by every wheel. Its arrays run over the N
+    ``order``, or ``order + 1`` in tangential mode, where the law reads it
+    too. The evaluation is shared by every wheel. Its arrays run over the N
     nodes; `_wheel_derivative_arrays` broadcasts them against the (W, 2)
     mounts to add the wheel axis. Theta is on the principal branch;
     `_steering_tracks` unwraps the angles it reports.
     """
 
     def __init__(self, curve: BezierCurve, mode, us: np.ndarray, order: int = 2, *,
-                 lowest: int = 0, curve_order: int | None = None):
+                 lowest: int = 0):
         us = np.asarray(us, dtype=float)
-        if curve_order is None:
-            curve_order = order + 1 if isinstance(mode, Tangential) else order
-        self.c = curve.derivatives_many(us, curve_order, lowest=lowest)
+        tangential = isinstance(mode, Tangential)
+        self.c = curve.derivatives_many(us, order + 1 if tangential else order,
+                                        lowest=lowest)
         self.speed = np.hypot(self.c[1][:, 0], self.c[1][:, 1])
         self.theta = orientation_many(mode, curve, us, False, order,
-                                      self.c if curve_order > order else None)
+                                      self.c if tangential else None)
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 

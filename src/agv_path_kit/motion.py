@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .curve import BezierCurve
+from .curve import BezierCurve, _parameter
 
 __all__ = [
     "OrientationJet",
@@ -261,8 +261,9 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     us = np.asarray(us, dtype=float)
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
-    if us.size and (us.min() < 0.0 or us.max() > 1.0):
-        raise ValueError("curve parameter must lie in [0, 1]")
+    # min and max propagate NaN, which fails both comparisons.
+    if us.size and not (us.min() >= 0.0 and us.max() <= 1.0):
+        _parameter(us[~((0.0 <= us) & (us <= 1.0))].flat[0])  # raises as `evaluate` does
     if isinstance(mode, Crab):
         return (np.full_like(us, mode.alpha),) + (np.zeros_like(us),) * order
     tangential = isinstance(mode, Tangential)

@@ -22,11 +22,10 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import BezierCurve, _BezierStack, _StackTables, irregular_parameter
+from .curve import BezierCurve, _BezierStack, _StackTables, _end_jets, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
-from .motion import (Crab, ExponentialAnticipated, Tangential, _reparam,
-                     wrap_angle)
+from .motion import ExponentialAnticipated, Tangential, wrap_angle
 from .vehicle import PathSegment, VehicleModel
 
 __all__ = [
@@ -115,15 +114,6 @@ def _travel_times(curves, count: int, mode, v_segment: float,
             integrand = (c / v).reshape(_TIME_PANELS, -1)
             times.append(float(_TIME_HALF * np.sum(integrand @ _TIME_GL_WEIGHTS)))
     return times
-
-
-def _time_tables(segment: PathSegment) -> _StackTables:
-    """Tables of the node rows a speed-limit pass evaluates ``segment``'s
-    curve at: _TIME_US, and g(_TIME_US) under an exponential mode."""
-    rows = [_TIME_US]
-    if not isinstance(segment.mode, (Tangential, Crab)):
-        rows.append(_reparam(segment.mode, _TIME_US, 0)[0])
-    return _StackTables(segment.curve.degree, rows)
 
 
 def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
@@ -280,11 +270,12 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     None, which scores 1e9; the result's parameters are the winner's full
     ones under ``names``. The starts run in lockstep, and under
     ``min_travel_time`` the edited curves of each side, one per start, are
-    timed in one pass on that side's `_time_tables`, built on the side's
-    first pass and kept for the rest of the search.
+    timed in one stacked pass. Each side keeps one `_StackTables` for the
+    search, which builds the tables of each node row the passes meet once.
     """
     ctx = problem.ctx
-    tables = {}
+    tables = {index: _StackTables(segment.curve.degree)
+              for index, segment in ((2, ctx.right), (1, ctx.left))}
 
     def objective(xs):
         built = [candidate(x) for x in xs]
@@ -296,8 +287,6 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
             rows = [i for i, b in enumerate(built)
                     if b is not None and b[index] is not segment.curve]
             if rows:
-                if index not in tables:
-                    tables[index] = _time_tables(segment)
                 stack = _BezierStack([built[i][index] for i in rows], tables[index])
                 times = _travel_times(stack, len(rows), segment.mode, segment.v_max,
                                       ctx.vehicle)
@@ -417,10 +406,8 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     new_left = prescribe_endpoint_jet(ctx.left.curve, "end", x1 * v, x2 * v)
     if irregular_parameter(new_left) is not None:
         return None
-    # The new left end's third derivative: the last point of the third
-    # derivative net, which is what evaluating the curve at u = 1 returns.
     beta1 = x1 / x3
-    d3_right = new_left._derivative_net(3)[-1] / (beta1**3 * n**2)
+    d3_right = _end_jets(new_left, 1.0)[3][0] / (beta1**3 * n**2)
     new_right = prescribe_endpoint_jet(ctx.right.curve, "start", x3 * v,
                                        x4 * v, d3_right)
     if irregular_parameter(new_right) is not None:

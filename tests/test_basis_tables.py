@@ -1,25 +1,27 @@
 """Fixed-node Bernstein tables and junction-end reads give the kernel's bits.
 
-Three shortcuts stand in for the general kernel, and each must return
-exactly what it would: a one-node evaluation at u = 0 or u = 1 reads the
-derivative nets; the regularity nodes take tables built once per degree;
-and a stacked travel-time pass takes the tables its search built once per
-side. Equality is bitwise, signed zeros and NaN positions included.
+Three shortcuts stand in for the general kernel: a junction side reads its
+derivative nets' end points; the regularity nodes take tables built once
+per degree; and a stacked travel-time pass takes the tables its search
+built for each node row it met. The tables must return exactly what the
+kernel would, and so must the end reads wherever the nets are finite and
+hold no -0.0. Equality is bitwise, signed zeros and NaN positions included.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from agv_path_kit import (BezierCurve, ExponentialAnticipated, PathSegment, Tangential,
-                          VehicleModel, Wheel)
+from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
+                          JunctionContext, PathSegment, Tangential, VehicleModel, Wheel)
 from agv_path_kit import curve as curve_module
-from agv_path_kit.curve import (_REGULARITY_U, _BezierStack, _basis,
+from agv_path_kit.curve import (_REGULARITY_U, _BezierStack, _StackTables, _basis,
                                 _regularity_basis)
 from agv_path_kit.kinematics import limit_profile_fast
-from agv_path_kit.repair import _TIME_US, _time_tables, _travel_times
+from agv_path_kit.motion import orientation_many
+from agv_path_kit.repair import _TIME_US, _travel_times
 
 # Signed zeros, ordinary values and magnitudes whose differences overflow,
 # so the derivative nets also hold infinities and NaNs.
@@ -37,26 +39,59 @@ def bits(a: np.ndarray) -> tuple:
 NETS = st.integers(1, 10).flatmap(lambda degree: arrays(float, (degree + 1, 2), elements=ENTRY))
 
 
+MODES = st.one_of(st.builds(Tangential, st.floats(-3.0, 3.0)),
+                  st.builds(Crab, st.floats(-3.0, 3.0)),
+                  *(st.builds(law, st.floats(-3.0, 3.0), st.sampled_from([1.5, 2.0, 3.0]))
+                    for law in (ExponentialDelayed, ExponentialAnticipated)))
+
+
+def kernel_safe(net: np.ndarray) -> bool:
+    """True when the kernel's end value equals the net's end point: finite
+    entries and no -0.0, whose sign the +0.0 products may flip."""
+    return bool(np.isfinite(net).all() and not (np.signbit(net) & (net == 0.0)).any())
+
+
 @settings(deadline=None, max_examples=200)
-@given(NETS, st.sampled_from([0.0, 1.0]))
-def test_end_reads_equal_the_general_kernel(net, u):
-    curve = BezierCurve(net)
+@given(NETS, NETS, MODES, MODES)
+def test_junction_ends_read_the_nets(left_net, right_net, left_mode, right_mode):
+    right_net[0] = left_net[-1]
+    curves = BezierCurve(left_net), BezierCurve(right_net)
     with np.errstate(all="ignore"):
-        ends = curve.derivatives_many(np.array([u]), 3)
-        general = curve.derivatives_many(np.array([u, 0.5]), 3)
-    for end, row in zip(ends, general):
-        assert end.shape == (1, 2)
-        assert bits(end[0]) == bits(row[0])
+        try:
+            left, right = (PathSegment(curve, mode, 1.0)
+                           for curve, mode in zip(curves, (left_mode, right_mode)))
+        except ValueError:  # not regularly parameterized
+            assume(False)
+        ctx = JunctionContext(left, right, VEHICLE)
+    for segment, u, end, curve_jet, mode_jet in (
+            (left, 1.0, -1, ctx.left_jet, ctx.left_mode_jet),
+            (right, 0.0, 0, ctx.right_jet, ctx.right_mode_jet)):
+        curve = segment.curve
+        with np.errstate(all="ignore"):
+            kernel = curve.derivatives_many(np.array([u]), 3)
+            law = orientation_many(segment.mode, curve, np.array([u]), False, 2)
+        jets = (curve_jet.position, curve_jet.d1, curve_jet.d2, curve_jet.d3)
+        safe = []
+        for k, jet in enumerate(jets):
+            net = curve._derivative_net(k) if k <= curve.degree else np.zeros((1, 2))
+            assert bits(jet) == bits(net[end])
+            safe.append(kernel_safe(net))
+            if safe[k]:
+                assert bits(jet) == bits(kernel[k][0])
+        if all(safe[1:]):
+            mode_values = (mode_jet.theta, mode_jet.dtheta, mode_jet.ddtheta)
+            for value, expected in zip(mode_values, law):
+                assert bits(value) == bits(expected[0])
 
 
 def test_regularity_tables_equal_fresh_tables():
+    nodes = np.linspace(0.0, 1.0, 1025)
     for degree in range(1, 13):
         tables = _regularity_basis(degree)
-        fresh = _basis(degree, np.linspace(0.0, 1.0, 1025), 1)
-        assert len(tables) == len(fresh) == 2
-        for table, expected in zip(tables, fresh):
-            assert not table.flags.writeable
-            assert np.array_equal(table, expected)
+        assert len(tables) == 2 and tables[0] is None
+        assert not tables[1].flags.writeable
+        for lowest in (0, 1):
+            assert bits(tables[1]) == bits(_basis(degree, nodes, 1, lowest)[1])
 
 
 def test_regularity_nodes_take_one_table_per_degree():
@@ -67,9 +102,11 @@ def test_regularity_nodes_take_one_table_per_degree():
         x = np.linspace(0.0, 6.0, degree + 1) + rng.uniform(-0.3, 0.3, degree + 1)
         curve = BezierCurve(np.column_stack([x, rng.uniform(-1.0, 1.0, degree + 1)]))
         PathSegment(curve, Tangential(0.0), 1.0)
-        cached = curve.derivatives_many(_REGULARITY_U, 1)
-        fresh = curve.derivatives_many(_REGULARITY_U.copy(), 1)
-        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+        for lowest in (0, 1):
+            cached = curve.derivatives_many(_REGULARITY_U, 1, lowest=lowest)
+            fresh = curve.derivatives_many(_REGULARITY_U.copy(), 1, lowest=lowest)
+            assert cached[0] is None if lowest else bits(cached[0]) == bits(fresh[0])
+            assert bits(cached[1]) == bits(fresh[1])
     info = _regularity_basis.cache_info()
     assert info.currsize == info.misses == len(degrees)
 
@@ -98,8 +135,11 @@ VEHICLE = VehicleModel((Wheel("w1", (1.0, 0.5), 1.7, 0.8),
 @settings(deadline=None, max_examples=40)
 @given(edited_sides(), SIDE_MODES)
 def test_stacked_pass_on_held_tables_equals_each_curve_own_pass(curves, mode):
-    tables = _time_tables(PathSegment(curves[0], mode, 1.5))
+    tables = _StackTables(curves[0].degree)
     count = len(curves)
+    with np.errstate(all="ignore"):
+        # The first pass builds the tables of every node row it meets.
+        _travel_times(_BezierStack(curves[:1], tables), 1, mode, 1.5, VEHICLE)
 
     def refuse(*args):
         raise AssertionError("the held tables cover every node row of the pass")

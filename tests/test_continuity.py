@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from agv_path_kit import (BezierCurve, Crab, DegenerateGeometryError,
+from agv_path_kit import (BezierCurve, Crab, DegenerateGeometryError, ExponentialDelayed,
                           ExponentialAnticipated, JunctionContext, Path,
                           PathSegment, Tangential,
                           VehicleModel, Wheel, analyze_junction,
@@ -192,31 +192,18 @@ class TestWheelAudit:
         assert math.isfinite(audit.beta_w1) and math.isfinite(audit.g1_residual)
 
 
-def test_one_end_jet_evaluation_per_junction_side(layout_smoothed,
-                                                  layout_exponential, monkeypatch):
-    calls = []
-    original = BezierCurve.derivatives_many
+def test_junction_context_evaluates_no_curve(two_wheel_vehicle, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a junction side reads its derivative nets")
 
-    def counting(curve, us, order, **kwargs):
-        calls.append(np.size(us))
-        return original(curve, us, order, **kwargs)
-
-    for doc in (layout_smoothed, layout_exponential):
-        # Fresh curves and segments: every per-curve and per-segment cache is cold.
-        left, right = (PathSegment(BezierCurve(ls.segment.curve.control_points),
-                                   ls.segment.mode, ls.segment.v_max)
-                       for ls in doc.segments[:2])
-        monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
-        ctx = JunctionContext(left, right, doc.vehicle)
-        # One call per side in every mode: an exponential law (the right
-        # side of layout_exponential) reads the curve jets at the end,
-        # where g(u) == u.
-        assert calls == [1, 1]
-        calls.clear()
-        analyze_junction(ctx)
-        audit_wheel_continuity(ctx)
-        monkeypatch.undo()
-        assert calls == []
+    curves = BezierCurve([(0, 0), (1, 0.3), (2, 1), (3, 0.8), (4, 1.5)]).split(0.4)
+    sides = [[PathSegment(curve, mode, 1.0) for curve in curves]
+             for mode in (Tangential(0.2), Crab(-0.3), ExponentialDelayed(0.1, 1.5),
+                          ExponentialAnticipated(0.1, 2.5))]
+    monkeypatch.setattr(BezierCurve, "derivatives_many", refuse)
+    for left, right in sides:
+        # Every law reads the end jets: g(u) == u at both ends of an exponential one.
+        analyze_junction(JunctionContext(left, right, two_wheel_vehicle))
 
 
 class TestTangentialRuleSet:

@@ -9,6 +9,7 @@ from agv_path_kit import (BezierCurve, Crab, Path, PathSegment, Tangential,
                           VehicleModel, Wheel, curvature, evaluate,
                           plan_velocity, profile_segment, speed_limit,
                           wheel_curve_jet, wheel_speed_limit, wheel_state)
+from agv_path_kit import motion
 from agv_path_kit.kinematics import (_wheel_track_arrays, limit_profile_fast,
                                      wheel_end_jet)
 from agv_path_kit.motion import _UNWRAP_U
@@ -444,3 +445,29 @@ class TestSteeringFold:
         from agv_path_kit import fold_steering_angles
         with pytest.raises(ValueError):
             fold_steering_angles(np.zeros(3), limit=0.0)
+
+
+_PARAMETER_SEGMENT = PathSegment(BezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)]),
+                                 Tangential(0.2), 1.5)
+_PARAMETER_VEHICLE = VehicleModel((wheel("w1", 1.0, 0.5), wheel("w2", -1.0, -0.5)))
+# Every public entry that takes one curve parameter.
+PARAMETER_ENTRIES = {
+    "point": lambda u: _PARAMETER_SEGMENT.curve.point(u),
+    "evaluate": lambda u: evaluate(_PARAMETER_SEGMENT.curve, u),
+    "orientation": lambda u: motion.orientation(Tangential(0.2), _PARAMETER_SEGMENT.curve, u),
+    "heading": lambda u: motion.heading(_PARAMETER_SEGMENT.curve, u),
+    "unwrapped_heading": lambda u: motion.unwrapped_heading(_PARAMETER_SEGMENT.curve, u),
+    "wheel_curve_jet": lambda u: wheel_curve_jet(
+        _PARAMETER_SEGMENT, _PARAMETER_VEHICLE.wheels[0], u),
+    "wheel_state": lambda u: wheel_state(_PARAMETER_SEGMENT, _PARAMETER_VEHICLE.wheels[0], u),
+    "speed_limit": lambda u: speed_limit(_PARAMETER_SEGMENT, _PARAMETER_VEHICLE, u, s=0.0),
+    "wheel_speed_limit": lambda u: wheel_speed_limit(
+        _PARAMETER_SEGMENT, _PARAMETER_VEHICLE, _PARAMETER_VEHICLE.wheels[0], u),
+}
+
+
+@pytest.mark.parametrize("u", [math.nan, -0.5, 1.5])
+@pytest.mark.parametrize("entry", sorted(PARAMETER_ENTRIES))
+def test_parameters_outside_the_unit_interval_are_refused(entry, u):
+    with pytest.raises(ValueError, match=r"curve parameter must lie in \[0, 1\], got"):
+        PARAMETER_ENTRIES[entry](u)
