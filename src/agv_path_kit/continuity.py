@@ -24,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import (CurveJet, ShapeParameters, curvature,
-                    curvature_arc_derivative, _continuity_defects, _end_jets)
+                    curvature_arc_derivative, _continuity_defects, _end_rows)
 from .errors import DegenerateGeometryError
 from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
-from .motion import (ExponentialAnticipated, OrientationJet, Tangential, orientation_many,
+from .motion import (ExponentialAnticipated, OrientationJet, Tangential, _orientation,
                      wrap_angle)
 from .vehicle import Path, PathSegment, VehicleModel
 
@@ -52,6 +52,7 @@ SMOOTH_AT_REST_ONLY = "smooth_at_rest_only"
 DISCONTINUOUS = "discontinuous"
 
 _MODE_RATE_EPS = 1e-12
+_REFUSE_TOL = 1e-3  # m; a larger end-point gap is no junction at all
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,9 @@ class Tolerances:
 class JunctionContext:
     """One-sided curve and orientation jets at the junction of two segments.
 
-    Each side is read at its end (u=1 left, u=0 right) without evaluating
-    its curve: C to C''' are the end points of the derivative nets
-    (`curve._end_jets`), as far as the curve route needs for beta3, and the
-    law runs to order 2 on those jets, as far as the mode conditions read.
-    Every law reuses them: the tangential one always, an exponential one
-    because g(u) == u at both ends. The mode jets' theta is
+    Each side is read at its end (u=1 left, u=0 right) by `_end_states`,
+    whose pass `check_junctions` runs once over all its ends: this is its
+    one-junction case. No curve is evaluated. The mode jets' theta is
     principal-branch: only its wrapped difference enters a verdict.
     Construction is refused when the segment endpoints are not even roughly
     coincident (gap above ``refuse_tol``), since every downstream condition
@@ -102,23 +100,41 @@ class JunctionContext:
 
     def __init__(self, left: PathSegment, right: PathSegment,
                  vehicle: VehicleModel, left_id: str = "left",
-                 right_id: str = "right", refuse_tol: float = 1e-3):
-        self.left = left
-        self.right = right
-        self.vehicle = vehicle
-        self.left_id = left_id
-        self.right_id = right_id
-        ends = [(seg, u, _end_jets(seg.curve, u)) for seg, u in ((left, 1.0), (right, 0.0))]
-        self.left_jet, self.right_jet = (CurveJet(*(d[0] for d in c)) for _, _, c in ends)
-        self.left_mode_jet, self.right_mode_jet = (
-            OrientationJet(*(float(t[0]) for t in orientation_many(
-                seg.mode, seg.curve, np.array([u]), False, 2, c))) for seg, u, c in ends)
+                 right_id: str = "right", refuse_tol: float = _REFUSE_TOL):
+        self._join(left, right, vehicle, left_id, right_id, refuse_tol,
+                   *_end_states([(left, 1.0), (right, 0.0)]))
+
+    def _join(self, left, right, vehicle, left_id, right_id, refuse_tol,
+              left_state, right_state):
+        """Fill the context from each side's (CurveJet, OrientationJet), or refuse it."""
+        self.left, self.right, self.vehicle = left, right, vehicle
+        self.left_id, self.right_id = left_id, right_id
+        self.left_jet, self.left_mode_jet = left_state
+        self.right_jet, self.right_mode_jet = right_state
         self.position_gap = float(np.linalg.norm(
             self.left_jet.position - self.right_jet.position))
         if self.position_gap > refuse_tol:
             raise DegenerateGeometryError(
                 f"segments {left_id!r} and {right_id!r} do not share a junction "
                 f"point (gap {self.position_gap:.3e} m)")
+
+
+def _end_states(sides) -> list[tuple[CurveJet, OrientationJet]]:
+    """(CurveJet, OrientationJet) of each ``(segment, u)`` end, u = 0 or 1, in one pass:
+    one `_end_rows` read, then the law to order 2 once per mode class, with per-row
+    alpha and n, so that each row's arithmetic is a single end's."""
+    rows = _end_rows([(seg.curve, u) for seg, u in sides])
+    classes: dict[type, list[int]] = {}
+    for i, (seg, _) in enumerate(sides):
+        classes.setdefault(type(seg.mode), []).append(i)
+    laws = np.empty((3, len(sides)))
+    for members in classes.values():
+        us, alpha, n = np.array([(u, seg.mode.alpha, getattr(seg.mode, "n", math.nan))
+                                 for seg, u in (sides[i] for i in members)]).T
+        jets = np.ascontiguousarray(rows[members, 1:].transpose(1, 0, 2))  # C', C'', C'''
+        laws[:, members] = _orientation(sides[members[0]][0].mode, None, us, False, 2,
+                                        [None, *jets], alpha, n)
+    return [(CurveJet(*row), OrientationJet(*law)) for row, law in zip(rows, laws.T.tolist())]
 
 
 class _BetaExtraction(NamedTuple):
@@ -442,12 +458,19 @@ def check_junctions(junctions, vehicle: VehicleModel,
                     tol: Tolerances | None = None) -> list[ContinuityReport]:
     """One report per labelled junction ``(left_id, left, right_id, right)``.
 
-    Junctions that `JunctionContext` refuses (no shared end point) are
-    reported discontinuous, with infinite residuals and the refusal as note."""
+    Each distinct segment end is read once, in one `_end_states` pass. Junctions
+    whose `JunctionContext` is refused (no shared end point) are reported
+    discontinuous, with infinite residuals and the refusal as note."""
+    junctions = list(junctions)
+    ends = {(id(seg), u): (seg, u) for _, left, _, right in junctions
+            for seg, u in ((left, 1.0), (right, 0.0))}
+    states = dict(zip(ends, _end_states(list(ends.values()))))
     reports = []
     for left_id, left, right_id, right in junctions:
+        ctx = JunctionContext.__new__(JunctionContext)
         try:
-            ctx = JunctionContext(left, right, vehicle, left_id, right_id)
+            ctx._join(left, right, vehicle, left_id, right_id, _REFUSE_TOL,
+                      states[id(left), 1.0], states[id(right), 0.0])
         except DegenerateGeometryError as exc:
             reports.append(ContinuityReport(
                 left_id, right_id, math.inf, math.inf, None, math.inf, math.inf,

@@ -180,7 +180,7 @@ def _bernstein(net, n: int, us: np.ndarray, order: int,
     broadcasts against ``us``. The sum runs elementwise in j order, so each
     entry depends on its own u and net only, whatever ``lowest`` is; at
     u = 0 and u = 1 it is the net's end point plus the other points times
-    +0.0 (`_end_jets` reads the end points directly).
+    +0.0 (`_end_rows` reads the end points directly).
     """
     if basis is None:
         basis = (_regularity_basis(n) if us is _REGULARITY_U and lowest == order == 1
@@ -268,15 +268,24 @@ class BezierCurve:
         return BezierCurve(np.vstack([p[:1], inner, p[-1:]]))
 
 
-def _end_jets(curve: BezierCurve, u: float) -> list[np.ndarray]:
-    """C, C', C'', C''' of ``curve`` at the end u = 0 or u = 1, each (1, 2).
+def _end_rows(ends) -> np.ndarray:
+    """C, C', C'', C''' at each ``(curve, u)`` end, u = 0 or 1: a read-only (E, 4, 2) array.
 
-    Each is the first (u = 0) or last (u = 1) point of its derivative net;
-    orders above the degree are zeros.
+    Each row is the first (u = 0) or last (u = 1) point of its derivative
+    net, zeros above the degree; the nets of one degree are differenced as
+    one stacked net.
     """
-    end = 0 if u == 0.0 else -1
-    return [curve._derivative_net(k)[end][None] if k <= curve.degree else np.zeros((1, 2))
-            for k in range(4)]
+    rows = np.zeros((len(ends), 4, 2))
+    degrees: dict[int, list[int]] = {}
+    for i, (curve, _) in enumerate(ends):
+        degrees.setdefault(curve.degree, []).append(i)
+    for n, members in degrees.items():
+        nets = [np.stack([ends[i][0].control_points for i in members], axis=1)]
+        last, curves = np.array([ends[i][1] != 0.0 for i in members]), np.arange(len(members))
+        for k in range(min(n, 3) + 1):
+            rows[members, k] = _derivative_net(nets, k)[last * (n - k), curves]
+    rows.setflags(write=False)
+    return rows
 
 
 class _StackTables:

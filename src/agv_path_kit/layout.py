@@ -59,9 +59,10 @@ class LayoutDocument:
 
     def junctions(self):
         """Labelled junctions ``(left_id, left, right_id, right)`` in adjacency order."""
+        # One table per call; ids resolve as in `segment_by_id` (first wins, else KeyError).
+        segments = {ls.id: ls.segment for ls in reversed(self.segments)}
         for left_id, right_id in self.adjacency:
-            yield (left_id, self.segment_by_id(left_id).segment,
-                   right_id, self.segment_by_id(right_id).segment)
+            yield left_id, segments[left_id], right_id, segments[right_id]
 
     def path(self) -> Path:
         """The segments in the order the adjacency chains them.

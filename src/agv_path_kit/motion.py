@@ -144,6 +144,14 @@ def heading(curve: BezierCurve, u: float) -> float:
                                   unwrap=False, order=1)[0][0])
 
 
+def _checked(us) -> np.ndarray:
+    """``us`` as floats, refused as `evaluate` refuses a u outside [0, 1] or NaN."""
+    us = np.asarray(us, dtype=float)
+    if us.size and not (us.min() >= 0.0 and us.max() <= 1.0):  # NaN fails both
+        _parameter(us[~((0.0 <= us) & (us <= 1.0))].flat[0])  # raises as `evaluate` does
+    return us
+
+
 def _rates(d: list[np.ndarray], order: int) -> list[np.ndarray]:
     """zeta', ..., zeta^(order) of the tangent angle from curve derivatives ``d``.
 
@@ -177,44 +185,38 @@ def _rates(d: list[np.ndarray], order: int) -> list[np.ndarray]:
 def heading_rates(curve: BezierCurve, us: np.ndarray,
                   order: int = 2) -> tuple[np.ndarray, ...]:
     """Analytic derivatives (zeta', ..., up to ``order``, at most 3) of the tangent angle."""
-    us = np.asarray(us, dtype=float)
+    us = _checked(us)
     return tuple(_rates(curve.derivatives_many(us, order + 1, lowest=1), order))
 
 
 # --------------------------------------------------------------------------
 # Exponential reparameterizations g(u) and their derivatives.
 
-def _reparam(mode, us: np.ndarray, order: int) -> list[np.ndarray]:
+def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarray]:
     """g, g', ... up to the ``order``-th derivative, endpoint limits handled explicitly.
 
     Delayed: g = u^n. Anticipated: g = 1 - (1-u)^n, whose inner derivative
     flips the sign of every odd application of the chain rule, leaving
     g' = n(1-u)^(n-1), g'' = -n(n-1)(1-u)^(n-2), g''' = +n(n-1)(n-2)(1-u)^(n-3).
+    An array ``n`` gives one n per node. A scalar n keeps numpy's fast paths
+    (square, sqrt), which agree with the general power at x = 0 and 1 only.
     """
-    n = mode.n
-    anticipated = isinstance(mode, ExponentialAnticipated)
     x = 1.0 - us if anticipated else us
+    zero = x == 0.0
+    base = np.where(zero, 1.0, x)
 
-    def power(expo: float) -> np.ndarray:
+    def power(expo) -> np.ndarray:
         # x**expo with the x == 0 limit made explicit (0, finite, or +inf).
-        out = np.empty_like(x)
-        zero = x == 0.0
-        out[~zero] = x[~zero]**expo
-        if expo > 0.0:
-            out[zero] = 0.0
-        elif expo == 0.0:
-            out[zero] = 1.0
-        else:
-            out[zero] = np.inf
-        return out
+        return np.where(zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, np.inf)),
+                        base**expo)
 
     g = [1.0 - power(n) if anticipated else power(n), n * power(n - 1.0)]
     if order >= 2:
         g.append((-1.0 if anticipated else 1.0) * n * (n - 1.0) * power(n - 2.0))
     if order >= 3:
         # For n = 2, g''' is identically 0; the product would give 0 * inf at x = 0.
-        g.append(np.zeros_like(x) if n == 2.0
-                 else n * (n - 1.0) * (n - 2.0) * power(n - 3.0))
+        c3 = n * (n - 1.0) * (n - 2.0)
+        g.append(np.multiply(c3, power(n - 3.0), out=np.zeros_like(x), where=c3 != 0.0))
     return g
 
 
@@ -258,23 +260,28 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     theta on the principal branch, which is cheaper and sufficient wherever
     theta only feeds a rotation.
     """
-    us = np.asarray(us, dtype=float)
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
-    # min and max propagate NaN, which fails both comparisons.
-    if us.size and not (us.min() >= 0.0 and us.max() <= 1.0):
-        _parameter(us[~((0.0 <= us) & (us <= 1.0))].flat[0])  # raises as `evaluate` does
+    return _orientation(mode, curve, _checked(us), unwrap, order, curve_jets,
+                        mode.alpha, getattr(mode, "n", None))
+
+
+def _orientation(mode, curve, us, unwrap, order, curve_jets, alpha, n):
+    """`orientation_many` on checked ``us`` for the mode class of ``mode``, the
+    one copy of every law; ``alpha`` and ``n`` may be arrays, one value per
+    node. `continuity._end_states` runs a class over junction-end rows this
+    way, with ``curve`` None: every law reuses ``curve_jets`` at an end."""
     if isinstance(mode, Crab):
-        return (np.full_like(us, mode.alpha),) + (np.zeros_like(us),) * order
+        return (np.full_like(us, alpha),) + (np.zeros_like(us),) * order
     tangential = isinstance(mode, Tangential)
-    g = None if tangential else _reparam(mode, us, order)
+    g = None if tangential else _reparam(isinstance(mode, ExponentialAnticipated), n, us, order)
     nodes = us if tangential else g[0]
     if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
         curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)
     theta = _angle(curve_jets[1])
     if unwrap:
         theta = _nearest_branch(nodes, _heading_grid(curve), theta)
-    theta = theta + mode.alpha
+    theta = theta + alpha
     z = _rates(curve_jets, order)
     if tangential:
         return (theta, *z)

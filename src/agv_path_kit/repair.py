@@ -22,7 +22,7 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import BezierCurve, _BezierStack, _StackTables, _end_jets, irregular_parameter
+from .curve import BezierCurve, _BezierStack, _StackTables, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -407,7 +407,7 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     if irregular_parameter(new_left) is not None:
         return None
     beta1 = x1 / x3
-    d3_right = _end_jets(new_left, 1.0)[3][0] / (beta1**3 * n**2)
+    d3_right = new_left._derivative_net(3)[-1] / (beta1**3 * n**2)  # C'''(1), degree >= 3
     new_right = prescribe_endpoint_jet(ctx.right.curve, "start", x3 * v,
                                        x4 * v, d3_right)
     if irregular_parameter(new_right) is not None:

@@ -1,5 +1,6 @@
 """Layout parsing/serialization and the three CLI subcommands."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -321,6 +322,9 @@ def test_document_junctions_follow_adjacency():
     assert [(j[0], j[2]) for j in junctions] == [("a", "c"), ("a", "b")]
     assert junctions[0][1] is parsed.segment_by_id("a").segment
     assert junctions[0][3] is parsed.segment_by_id("c").segment
+    unknown = dataclasses.replace(parsed, adjacency=(("a", "b"), ("a", "zz")))
+    with pytest.raises(KeyError, match="zz"):
+        list(unknown.junctions())
 
 
 def test_check_reports_refused_junction(tmp_path, capsys):

@@ -457,6 +457,7 @@ PARAMETER_ENTRIES = {
     "orientation": lambda u: motion.orientation(Tangential(0.2), _PARAMETER_SEGMENT.curve, u),
     "heading": lambda u: motion.heading(_PARAMETER_SEGMENT.curve, u),
     "unwrapped_heading": lambda u: motion.unwrapped_heading(_PARAMETER_SEGMENT.curve, u),
+    "heading_rates": lambda u: motion.heading_rates(_PARAMETER_SEGMENT.curve, [0.5, u]),
     "wheel_curve_jet": lambda u: wheel_curve_jet(
         _PARAMETER_SEGMENT, _PARAMETER_VEHICLE.wheels[0], u),
     "wheel_state": lambda u: wheel_state(_PARAMETER_SEGMENT, _PARAMETER_VEHICLE.wheels[0], u),

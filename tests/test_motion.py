@@ -160,6 +160,13 @@ class TestJunctionJets:
             orientation_at_end(Tangential(0.0), curve, "middle")
 
 
+def test_heading_rates_refuses_parameters_outside_the_unit_interval():
+    """heading_rates extrapolated outside [0, 1] and passed NaN through."""
+    curve = BezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)])
+    with pytest.raises(ValueError, match=r"curve parameter must lie in \[0, 1\], got nan"):
+        heading_rates(curve, [math.nan, 1.5, -0.5])
+
+
 def test_wrap_angle_range():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
