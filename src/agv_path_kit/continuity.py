@@ -29,7 +29,7 @@ from .errors import DegenerateGeometryError
 from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
 from .motion import (ExponentialAnticipated, OrientationJet, Tangential, _orientation,
                      wrap_angle)
-from .vehicle import Path, PathSegment, VehicleModel
+from .vehicle import _G0_TOL, Path, PathSegment, VehicleModel
 
 __all__ = [
     "Tolerances",
@@ -64,7 +64,7 @@ class Tolerances:
     overrides ``relative`` for `default()`. Fields must be finite and >= 0.
     """
 
-    position: float = 1e-6
+    position: float = _G0_TOL
     angle: float = 1e-8
     relative: float = 1e-6
 
@@ -94,18 +94,17 @@ class JunctionContext:
     one-junction case. No curve is evaluated. The mode jets' theta is
     principal-branch: only its wrapped difference enters a verdict.
     Construction is refused when the segment endpoints are not even roughly
-    coincident (gap above ``refuse_tol``), since every downstream condition
+    coincident (gap above _REFUSE_TOL), since every downstream condition
     presumes a shared junction point.
     """
 
     def __init__(self, left: PathSegment, right: PathSegment,
                  vehicle: VehicleModel, left_id: str = "left",
-                 right_id: str = "right", refuse_tol: float = _REFUSE_TOL):
-        self._join(left, right, vehicle, left_id, right_id, refuse_tol,
+                 right_id: str = "right"):
+        self._join(left, right, vehicle, left_id, right_id,
                    *_end_states([(left, 1.0), (right, 0.0)]))
 
-    def _join(self, left, right, vehicle, left_id, right_id, refuse_tol,
-              left_state, right_state):
+    def _join(self, left, right, vehicle, left_id, right_id, left_state, right_state):
         """Fill the context from each side's (CurveJet, OrientationJet), or refuse it."""
         self.left, self.right, self.vehicle = left, right, vehicle
         self.left_id, self.right_id = left_id, right_id
@@ -113,7 +112,7 @@ class JunctionContext:
         self.right_jet, self.right_mode_jet = right_state
         self.position_gap = float(np.linalg.norm(
             self.left_jet.position - self.right_jet.position))
-        if self.position_gap > refuse_tol:
+        if self.position_gap > _REFUSE_TOL:
             raise DegenerateGeometryError(
                 f"segments {left_id!r} and {right_id!r} do not share a junction "
                 f"point (gap {self.position_gap:.3e} m)")
@@ -469,7 +468,7 @@ def check_junctions(junctions, vehicle: VehicleModel,
     for left_id, left, right_id, right in junctions:
         ctx = JunctionContext.__new__(JunctionContext)
         try:
-            ctx._join(left, right, vehicle, left_id, right_id, _REFUSE_TOL,
+            ctx._join(left, right, vehicle, left_id, right_id,
                       states[id(left), 1.0], states[id(right), 0.0])
         except DegenerateGeometryError as exc:
             reports.append(ContinuityReport(

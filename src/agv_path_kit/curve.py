@@ -36,6 +36,7 @@ REGULAR_SPEED = 1e-9
 _REGULARITY_SAMPLES = 1024  # uniform intervals at whose ends sampling checks |C'|
 _REGULARITY_U = np.linspace(0.0, 1.0, _REGULARITY_SAMPLES + 1)
 _REGULARITY_U.setflags(write=False)
+_REGULARITY_ROW = _REGULARITY_U.tobytes()
 _EPS = float(np.finfo(float).eps)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -156,35 +157,44 @@ def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarr
                               for m in range(n - lowest, n - min(order, n) - 1, -1)]
 
 
-@lru_cache(maxsize=None)
-def _regularity_basis(n: int) -> tuple[np.ndarray | None, ...]:
-    """`_basis` of degree n at _REGULARITY_U from C' up to order 1 (entry 0
-    None), built the first time degree n is validated."""
-    tables = tuple(_basis(n, _REGULARITY_U, 1, 1))
-    tables[1].setflags(write=False)
+# The one place tables outlive a call: process-wide, keyed by (degree,
+# node-row bytes, order), and bounded. One repair search meets at most three
+# keys: (_TIME_US, 3) on a tangential side, and (_TIME_US, 2) plus
+# (g(_TIME_US), 3) on an exponential side, _TIME_US being repair's 192
+# travel-time nodes; segment validation adds one regularity key per degree.
+# So 8 holds a two-sided search and two degrees.
+@lru_cache(maxsize=8)
+def _row_basis(n: int, row: bytes, order: int) -> tuple[np.ndarray | None, ...]:
+    """Read-only `_basis` tables of degree n from C' up to ``order`` at the
+    node row whose float64 bytes are ``row`` (entry 0 None)."""
+    tables = tuple(_basis(n, np.frombuffer(row), order, 1))
+    for table in tables[1:]:
+        table.setflags(write=False)
     return tables
 
 
-def _bernstein(net, n: int, us: np.ndarray, order: int,
-               basis: list[np.ndarray] | None = None,
-               lowest: int = 0) -> list[np.ndarray | None]:
+def _bernstein(net, n: int, us: np.ndarray, order: int, lowest: int = 0,
+               row: bytes | None = None) -> list[np.ndarray | None]:
     """Derivatives lowest..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
 
     Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
-    derivative net D_k = ``net(k)`` (degree m = n - k), with ``basis`` the
-    `_basis` tables of ``us`` (built here when not given, down to degree
-    n - ``lowest``; the order-1 tables of _REGULARITY_U come from
-    `_regularity_basis`). Entries below ``lowest`` are None and cost
-    nothing, so entry k is still the k-th derivative. ``net(k)`` has the
-    point axis first and the (x, y) axis second, shaped so that D_k[j]
-    broadcasts against ``us``. The sum runs elementwise in j order, so each
-    entry depends on its own u and net only, whatever ``lowest`` is; at
-    u = 0 and u = 1 it is the net's end point plus the other points times
-    +0.0 (`_end_rows` reads the end points directly).
+    derivative net D_k = ``net(k)`` (degree m = n - k), with the `_basis`
+    tables of ``us``. ``row``, the bytes of the one node row that every
+    block of ``us`` repeats (_REGULARITY_U is recognised by identity), takes
+    them from `_row_basis` when no position is read; otherwise they are
+    built here, down to degree n - ``lowest``. Both come from the same
+    arithmetic. Entries below ``lowest`` are None and cost nothing, so
+    entry k is still the k-th derivative. ``net(k)`` has the point axis
+    first and the (x, y) axis second, shaped so that D_k[j] broadcasts
+    against ``us``. The sum runs elementwise in j order, so each entry
+    depends on its own u and net only, whatever ``lowest`` is; at u = 0 and
+    u = 1 it is the net's end point plus the other points times +0.0
+    (`_end_rows` reads the end points directly).
     """
-    if basis is None:
-        basis = (_regularity_basis(n) if us is _REGULARITY_U and lowest == order == 1
-                 else _basis(n, us, order, lowest))
+    if us is _REGULARITY_U:
+        row = _REGULARITY_ROW
+    basis = (_row_basis(n, row, order) if row is not None and lowest >= 1
+             else _basis(n, us, order, lowest))
     out = []
     for k in range(order + 1):
         if k < lowest:
@@ -288,58 +298,31 @@ def _end_rows(ends) -> np.ndarray:
     return rows
 
 
-class _StackTables:
-    """`_basis` tables of the node rows a `_BezierStack` of one degree meets.
-
-    The first request for a row builds its tables from C' up to order 3;
-    requests with the same row, bit for bit, reuse them. A request whose
-    blocks are not all that row, or that reads positions (``lowest`` < 1),
-    gets None and the kernel builds its own tables.
-    """
-
-    _ORDER = 3
-
-    def __init__(self, degree: int):
-        self._degree = degree
-        self._rows: dict[bytes, list[np.ndarray | None]] = {}
-
-    def basis(self, n: int, blocks: np.ndarray, order: int,
-              lowest: int) -> list[np.ndarray | None] | None:
-        if n != self._degree or lowest < 1 or order > self._ORDER:
-            return None
-        row = blocks[0].tobytes()
-        if blocks.tobytes() != row * blocks.shape[0]:
-            return None
-        if row not in self._rows:
-            self._rows[row] = _basis(n, blocks[0], self._ORDER, 1)
-        return self._rows[row]
-
-
 class _BezierStack:
     """K Bezier curves of one degree, evaluated together: node block k on curve k.
 
     It stands in for a `BezierCurve` where only `derivatives_many` is used
     (`kinematics.limit_profile_fast`): ``us`` holds K equal blocks of one
-    node row, and the rows of each result follow them. ``tables``, a
-    `_StackTables` its caller holds, lends the tables of that row. Each net
-    broadcasts as (m+1, 2, K, 1) against a (m+1, K, N) or (m+1, N) basis in
-    the one kernel, with the same products summed in the same order, so
-    every row equals the single curve's result bit for bit.
+    node row, and the rows of each result follow them. When the blocks are
+    that row bit for bit, the kernel takes the row's tables from
+    `_row_basis`. Each net broadcasts as (m+1, 2, K, 1) against a (m+1, K,
+    N) or (m+1, N) basis in the one kernel, with the same products summed
+    in the same order, so every row equals the single curve's result bit
+    for bit.
     """
 
-    def __init__(self, curves, tables: _StackTables | None = None):
+    def __init__(self, curves):
         points = np.stack([curve.control_points for curve in curves])
         self._count, self.degree = len(curves), points.shape[1] - 1
         self._nets = [points.transpose(1, 2, 0)[..., None]]
-        self._tables = tables
 
     def derivatives_many(self, us: np.ndarray, order: int, *,
                          lowest: int = 0) -> list[np.ndarray | None]:
         blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
-        basis = self._tables and self._tables.basis(self.degree, blocks, order, lowest)
+        row = blocks[0].tobytes()
         return [None if value is None else value.reshape(2, -1).T for value in _bernstein(
-            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, basis,
-            lowest)]
+            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, lowest,
+            row if blocks.tobytes() == row * self._count else None)]
 
 
 def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
@@ -391,8 +374,9 @@ def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
     """Regularity by sampling alone, the rule `PathSegment` validates with.
 
     |C'| is sampled at the _REGULARITY_SAMPLES + 1 uniform nodes of
-    _REGULARITY_U, u = 0 and u = 1 among them, whose tables are built once
-    per degree: the curve is regular (None) when every sample exceeds
+    _REGULARITY_U, u = 0 and u = 1 among them, through `derivatives_many`,
+    whose kernel takes their tables from `_row_basis` (one entry per
+    degree): the curve is regular (None) when every sample exceeds
     REGULAR_SPEED, and irregular near the node of the smallest sample.
     """
     d1 = curve.derivatives_many(_REGULARITY_U, 1, lowest=1)[1]

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuity import (SMOOTH, ContinuityReport, JunctionContext,
+from .continuity import (SMOOTH, ContinuityReport, JunctionContext, Tolerances,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import BezierCurve, _BezierStack, _StackTables, irregular_parameter
+from .curve import BezierCurve, _BezierStack, irregular_parameter
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -101,8 +101,8 @@ def _travel_times(curves, count: int, mode, v_segment: float,
     """Travel time of each of ``count`` curves, from one speed-limit pass.
 
     ``curves`` is one `BezierCurve`, or a `_BezierStack` that evaluates its
-    ``count`` curves at their own blocks of the nodes; a stacked curve's
-    value equals its own pass's bit for bit.
+    ``count`` curves at their own blocks of the nodes, each block the same
+    _TIME_US row; a stacked curve's value equals its own pass's bit for bit.
     """
     v_max, speed = limit_profile_fast(curves, mode, v_segment, vehicle,
                                       np.tile(_TIME_US, count))
@@ -262,6 +262,12 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     return (b1, b2, b3), new, ctx.right.curve
 
 
+def _require_matching_offsets(ctx: JunctionContext):
+    """Refuse a junction whose angle offsets differ by more than `check` accepts."""
+    if abs(wrap_angle(ctx.left.mode.alpha - ctx.right.mode.alpha)) > Tolerances.default().angle:
+        raise RepairInfeasibleError("angle offsets must match across the junction")
+
+
 def _search(problem: RepairProblem, candidate, starts, bounds, names,
             what: str) -> RepairResult:
     """Minimize the objective over ``candidate``'s parameters; verify the winner.
@@ -270,12 +276,9 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     None, which scores 1e9; the result's parameters are the winner's full
     ones under ``names``. The starts run in lockstep, and under
     ``min_travel_time`` the edited curves of each side, one per start, are
-    timed in one stacked pass. Each side keeps one `_StackTables` for the
-    search, which builds the tables of each node row the passes meet once.
+    timed in one stacked pass.
     """
     ctx = problem.ctx
-    tables = {index: _StackTables(segment.curve.degree)
-              for index, segment in ((2, ctx.right), (1, ctx.left))}
 
     def objective(xs):
         built = [candidate(x) for x in xs]
@@ -287,7 +290,7 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
             rows = [i for i, b in enumerate(built)
                     if b is not None and b[index] is not segment.curve]
             if rows:
-                stack = _BezierStack([built[i][index] for i in rows], tables[index])
+                stack = _BezierStack([built[i][index] for i in rows])
                 times = _travel_times(stack, len(rows), segment.mode, segment.v_max,
                                       ctx.vehicle)
                 for i, time in zip(rows, times):
@@ -324,9 +327,7 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     if not (isinstance(ctx.left.mode, Tangential)
             and isinstance(ctx.right.mode, Tangential)):
         raise RepairInfeasibleError("tangential repair requires tangential modes")
-    if abs(wrap_angle(ctx.left.mode.alpha - ctx.right.mode.alpha)) > 1e-9:
-        raise RepairInfeasibleError(
-            "tangential modes must share the angle offset for a continuous junction")
+    _require_matching_offsets(ctx)
     seed = np.array(_extract_curve_route(ctx.left_jet, ctx.right_jet))
     if seed[0] <= 0.0:
         raise RepairInfeasibleError("junction tangents oppose; repair undefined")
@@ -427,8 +428,7 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
             "exponential repair expects the anticipated exponential mode downstream")
     if not isinstance(ctx.left.mode, Tangential):
         raise RepairInfeasibleError("exponential repair expects a tangential mode upstream")
-    if abs(wrap_angle(ctx.left.mode.alpha - ctx.right.mode.alpha)) > 1e-9:
-        raise RepairInfeasibleError("angle offsets must match across the junction")
+    _require_matching_offsets(ctx)
     v = ctx.left_jet.d1
     q = float(v @ v)
     seed = np.array([

@@ -28,6 +28,10 @@ __all__ = [
     "differential_alpha",
 ]
 
+# m; the end-point gap up to which a junction is G0-continuous, for `Path`
+# and for `continuity.Tolerances.position` alike.
+_G0_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Wheel:
@@ -159,7 +163,7 @@ class Path:
     """Ordered, non-empty sequence of segments, position-connected at junctions."""
 
     segments: tuple[PathSegment, ...]
-    g0_tol: float = 1e-9
+    g0_tol: float = _G0_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))

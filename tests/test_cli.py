@@ -556,6 +556,23 @@ def test_profile_gap_names_segment_ids_not_chain_positions(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_profile_accepts_the_gap_check_calls_g0_continuous(tmp_path, capsys):
+    # check and profile share one G0 threshold: a 5e-7 m junction gap is
+    # smooth to check, so profile connects the chain.
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    for seg in doc["segments"]:
+        if seg["id"] == "s2":
+            seg["control_points_m"] = [[x, y + 5e-7] for x, y in seg["control_points_m"]]
+    layout = tmp_path / "gap.json"
+    layout.write_text(json.dumps(doc))
+    assert run_cli(["check", str(layout)]) == 0
+    assert "g0=5.00e-07 m" in capsys.readouterr().out
+    out = tmp_path / "profile.csv"
+    assert run_cli(["profile", str(layout), "--samples", "20", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 def test_repeated_main_calls_match_fresh_interpreters(monkeypatch, capsys):
     # main reuses one parser: every call in this process, a usage error
     # among them, gives what a fresh interpreter gives for the same argv.

@@ -1,11 +1,11 @@
 """Evaluating only the derivative orders a caller reads gives the same bits.
 
-The kernel skips the orders below ``lowest``, and stacked tables hold the
-orders from C' up; the junction ends read the curve to order 3 off its nets
-and run the law to order 2 on those jets, with an exponential law reading
-them where g(u) == u; the unwrap grid runs order-1 jets. Each must return
-exactly the entries the full evaluation returns. Equality is bitwise,
-signed zeros and NaN positions included.
+The kernel skips the orders below ``lowest``, and the memoized tables of a
+stacked node row hold the orders from C' up; the junction ends read the
+curve to order 3 off its nets and run the law to order 2 on those jets,
+with an exponential law reading them where g(u) == u; the unwrap grid runs
+order-1 jets. Each must return exactly the entries the full evaluation
+returns. Equality is bitwise, signed zeros and NaN positions included.
 """
 
 import math
@@ -17,15 +17,15 @@ from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
                           JunctionContext, PathSegment, Tangential, VehicleModel, Wheel)
-from agv_path_kit.curve import _BezierStack, _StackTables
+from agv_path_kit.curve import _BezierStack
 from agv_path_kit.kinematics import _Jets, _mounts, _wheel_derivative_arrays
 from agv_path_kit.motion import _UNWRAP_U
 
 from test_basis_tables import ENTRY, NETS, bits
 
 # Interior nodes, both ends, and -0.0, which takes the general kernel path.
-NODES = arrays(float, st.integers(1, 5),
-               elements=st.one_of(st.sampled_from([0.0, 1.0, -0.0]), st.floats(0.0, 1.0)))
+NODE = st.one_of(st.sampled_from([0.0, 1.0, -0.0]), st.floats(0.0, 1.0))
+NODES = arrays(float, st.integers(1, 5), elements=NODE)
 
 
 def assert_lowest_entries_equal(full, part, lowest):
@@ -49,22 +49,25 @@ def test_lowest_skips_only_the_entries_below_it(net, us, order, lowest):
 
 @st.composite
 def stacks(draw):
-    """One to three nets of one degree, and the node row each is evaluated at."""
+    """One to three nets of one degree, and a node row of one length for each."""
     degree = draw(st.integers(1, 10))
     nets = draw(st.lists(arrays(float, (degree + 1, 2), elements=ENTRY),
                          min_size=1, max_size=3))
-    return degree, [BezierCurve(net) for net in nets], draw(NODES)
+    size = draw(st.integers(1, 5))
+    return [BezierCurve(net) for net in nets], [draw(arrays(float, size, elements=NODE))
+                                                for _ in nets]
 
 
 @settings(deadline=None, max_examples=200)
 @given(stacks(), st.integers(0, 4), st.integers(0, 5), st.booleans())
-def test_stacked_lowest_equals_the_full_stacked_evaluation(stack, order, lowest, held):
-    degree, curves, row = stack
+def test_stacked_lowest_equals_the_full_stacked_evaluation(stack, order, lowest, shared):
+    # One shared row takes the memo's tables whenever lowest >= 1; the full
+    # evaluation reads positions and so always builds its own.
+    curves, rows = stack
+    us = np.tile(rows[0], len(curves)) if shared else np.concatenate(rows)
     with np.errstate(all="ignore"):
-        tables = _StackTables(degree) if held else None
-        us = np.tile(row, len(curves))
-        full = _BezierStack(curves, tables).derivatives_many(us, order)
-        part = _BezierStack(curves, tables).derivatives_many(us, order, lowest=lowest)
+        full = _BezierStack(curves).derivatives_many(us, order)
+        part = _BezierStack(curves).derivatives_many(us, order, lowest=lowest)
     assert_lowest_entries_equal(full, part, lowest)
 
 

@@ -1,5 +1,6 @@
 """Control-point repair: endpoint-jet prescription, rule sets, travel time."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -372,3 +373,20 @@ def test_bundled_min_travel_time_repairs_are_unchanged(name, side):
     assert (result.evaluations, result.converged) == (evaluations, converged)
     assert [(p["side"], p["index"], tuple(p["before"]), tuple(p["after"]))
             for p in result.moved_points] == moved
+
+
+@pytest.mark.parametrize("name", ["two_wheel_g1", "six_wheel_exponential"])
+def test_offset_gaps_that_check_accepts_are_repaired(name):
+    # check calls angle offsets equal up to Tolerances.angle; both rule sets
+    # take that threshold, and refuse a larger gap with one message.
+    doc = parse_layout(bundled_layout_text(name))
+    left, right = doc.segments[0].segment, doc.segments[1].segment
+    for shift, accepted in ((5e-9, True), (2e-8, False)):
+        mode = dataclasses.replace(right.mode, alpha=right.mode.alpha + shift)
+        ctx = JunctionContext(left, PathSegment(right.curve, mode, right.v_max), doc.vehicle)
+        problem = RepairProblem(ctx, objective="min_displacement")
+        if accepted:
+            assert repair_junction(problem).report_after.verdict == SMOOTH
+        else:
+            with pytest.raises(RepairInfeasibleError, match="angle offsets must match"):
+                repair_junction(problem)

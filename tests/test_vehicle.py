@@ -97,7 +97,7 @@ class TestSegmentsAndPaths:
 
     def test_path_rejects_gap_beyond_tolerance(self):
         a = PathSegment(BezierCurve([(0, 0), (1, 0)]), Tangential(0.0), 1.0)
-        b = PathSegment(BezierCurve([(1 + 1e-6, 0), (2, 0)]), Tangential(0.0), 1.0)
+        b = PathSegment(BezierCurve([(1 + 2e-6, 0), (2, 0)]), Tangential(0.0), 1.0)
         with pytest.raises(ValueError):
             Path((a, b))
         assert Path((a, b), g0_tol=1e-5) is not None
