@@ -299,21 +299,21 @@ def _end_rows(ends) -> np.ndarray:
 
 
 class _BezierStack:
-    """K Bezier curves of one degree, evaluated together: node block k on curve k.
+    """K control nets of one degree, evaluated together: node block k on net k.
 
     It stands in for a `BezierCurve` where only `derivatives_many` is used
-    (`kinematics.limit_profile_fast`): ``us`` holds K equal blocks of one
-    node row, and the rows of each result follow them. When the blocks are
-    that row bit for bit, the kernel takes the row's tables from
-    `_row_basis`. Each net broadcasts as (m+1, 2, K, 1) against a (m+1, K,
-    N) or (m+1, N) basis in the one kernel, with the same products summed
-    in the same order, so every row equals the single curve's result bit
-    for bit.
+    (`kinematics.limit_profile_fast`), so repair scores candidate nets
+    without a curve each: ``us`` holds K equal blocks of one node row, and
+    the rows of each result follow them. When the blocks are that row bit
+    for bit, the kernel takes the row's tables from `_row_basis`. Each net
+    broadcasts as (m+1, 2, K, 1) against a (m+1, K, N) or (m+1, N) basis in
+    the one kernel, with the same products summed in the same order, so
+    every row equals the single curve's result bit for bit.
     """
 
-    def __init__(self, curves):
-        points = np.stack([curve.control_points for curve in curves])
-        self._count, self.degree = len(curves), points.shape[1] - 1
+    def __init__(self, nets):
+        points = np.stack(nets)
+        self._count, self.degree = len(nets), points.shape[1] - 1
         self._nets = [points.transpose(1, 2, 0)[..., None]]
 
     def derivatives_many(self, us: np.ndarray, order: int, *,
@@ -339,22 +339,25 @@ def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
     return CurveJet(vals[0], vals[1], vals[2], vals[3])
 
 
-def _hodograph_certifies(curve: BezierCurve) -> bool:
-    """True when the hodograph net proves |C'(u)| > REGULAR_SPEED on all of [0, 1].
+def _hodograph_certifies(net: np.ndarray) -> bool:
+    """True when the hodograph of ``net`` proves |C'(u)| > REGULAR_SPEED on all of [0, 1].
 
     C'(u) is a convex combination of the hodograph points H_j, so a unit
     direction e with min_j e.H_j above the threshold bounds e.C'(u), and
-    hence |C'(u)|, from below. The directions tried are each H_j and the
-    chord, unnormalized: min_j d.H_j > T |d| is the same test. The margin of
+    hence |C'(u)|, from below. The directions tried are the chord and each
+    H_j, unnormalized: min_j d.H_j > T |d| is the same test. The margin of
     64 eps n max|H| on T covers the rounding of the test and of the sampled
-    evaluation, so a certified curve also passes every sampled check.
+    evaluation, so a certified curve also passes every sampled check. It
+    runs on Python floats, with no BLAS call, up to the first certifying d.
     """
-    p, hodograph = curve.control_points, curve._derivative_net(1)
-    directions = np.concatenate([hodograph, (p[-1] - p[0])[None]])
-    lengths = np.hypot(directions[:, 0], directions[:, 1])
-    threshold = REGULAR_SPEED + 64.0 * _EPS * curve.degree * lengths[:-1].max()
-    lowest = (directions @ hodograph.T).min(axis=1)
-    return bool(np.any(lowest > threshold * lengths))
+    p = net.tolist()
+    n = len(p) - 1
+    hodograph = [(n * (b[0] - a[0]), n * (b[1] - a[1])) for a, b in zip(p, p[1:])]
+    directions = [(p[-1][0] - p[0][0], p[-1][1] - p[0][1])] + hodograph
+    lengths = [math.hypot(x, y) for x, y in directions]
+    threshold = REGULAR_SPEED + 64.0 * _EPS * n * max(lengths[1:])
+    return any(min(dx * hx + dy * hy for hx, hy in hodograph) > threshold * length
+               for (dx, dy), length in zip(directions, lengths))
 
 
 def irregular_parameter(curve: BezierCurve) -> float | None:
@@ -365,7 +368,7 @@ def irregular_parameter(curve: BezierCurve) -> float | None:
     validates with. The certificate only ever accepts curves the sampled
     check accepts, so the verdict is `PathSegment`'s.
     """
-    if _hodograph_certifies(curve):
+    if _hodograph_certifies(curve.control_points):
         return None
     return sampled_irregular_parameter(curve)
 

@@ -22,7 +22,8 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext, Tolerances,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import BezierCurve, _BezierStack, irregular_parameter
+from .curve import (BezierCurve, _BezierStack, _derivative_net, _hodograph_certifies,
+                    sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -58,13 +59,43 @@ def _endpoint_factors(degree: int) -> tuple[float, float, float]:
             float(degree * (degree - 1) * (degree - 2)))
 
 
+def _jet_net(points: np.ndarray, end: str, jet) -> np.ndarray:
+    """Copy of the net ``points`` with the jet (d1, ..., dk) of (x, y) float
+    pairs prescribed at ``end``, moving points 1..k counted from that end.
+
+    Each coordinate is float arithmetic grouped as numpy evaluates the vector
+    formulas: from the start P1 = P0 + d1/f1, P2 = (d2/f2 + 2 P1) - P0,
+    P3 = ((d3/f3 + 3 P2) - 3 P1) + P0; from the end P1 = P0 - d1/f1, the same
+    P2, P3 = ((P0 - 3 P1) + 3 P2) - d3/f3. Non-finite points raise
+    `BezierCurve`'s ValueError.
+    """
+    f1, f2, f3 = _endpoint_factors(points.shape[0] - 1)
+    start = end == "start"
+    p0 = (points[0] if start else points[-1]).tolist()
+    rows = [p1 := [a + d / f1 if start else a - d / f1 for a, d in zip(p0, jet[0])]]
+    if len(jet) > 1:
+        rows.append(p2 := [d / f2 + 2.0 * b - a for a, b, d in zip(p0, p1, jet[1])])
+    if len(jet) > 2:
+        rows.append([d / f3 + 3.0 * c - 3.0 * b + a if start else a - 3.0 * b + 3.0 * c - d / f3
+                     for a, b, c, d in zip(p0, p1, p2, jet[2])])
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ValueError("control points must be finite")
+    net = points.copy()
+    if start:
+        net[1:len(rows) + 1] = rows
+    else:
+        net[-len(rows) - 1:-1] = rows[::-1]
+    return net
+
+
 def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
                            d3=None) -> BezierCurve:
     """Return a copy of ``curve`` whose endpoint derivatives match the targets.
 
     Only the k control points nearest the chosen end move, where k is the
     highest prescribed order; the endpoint itself stays fixed. Prescribing
-    order k needs degree >= k.
+    order k needs degree >= k. The moved points come from `_jet_net`, the
+    rule the repair candidates use too.
     """
     if end not in ("start", "end"):
         raise ValueError(f"end must be 'start' or 'end', got {end!r}")
@@ -76,24 +107,8 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     n = curve.degree
     if n < order:
         raise ValueError(f"degree {n} cannot carry an order-{order} endpoint jet")
-    f1, f2, f3 = _endpoint_factors(n)
-    pts = curve.control_points.copy()
-    if end == "start":
-        p0 = pts[0]
-        pts[1] = p0 + np.asarray(d1, float) / f1
-        if d2 is not None:
-            pts[2] = np.asarray(d2, float) / f2 + 2.0 * pts[1] - p0
-        if d3 is not None:
-            pts[3] = np.asarray(d3, float) / f3 + 3.0 * pts[2] - 3.0 * pts[1] + p0
-    else:
-        pn = pts[n]
-        pts[n - 1] = pn - np.asarray(d1, float) / f1
-        if d2 is not None:
-            pts[n - 2] = np.asarray(d2, float) / f2 + 2.0 * pts[n - 1] - pn
-        if d3 is not None:
-            pts[n - 3] = pn - 3.0 * pts[n - 1] + 3.0 * pts[n - 2] \
-                - np.asarray(d3, float) / f3
-    return BezierCurve(pts)
+    jet = [np.broadcast_to(np.asarray(d, float), (2,)).tolist() for d in (d1, d2, d3)[:order]]
+    return BezierCurve(_jet_net(curve.control_points, end, jet))
 
 
 def _travel_times(curves, count: int, mode, v_segment: float,
@@ -175,8 +190,14 @@ def _moved_points(before: BezierCurve, after: BezierCurve, side: str) -> list[di
     return diffs
 
 
-def _displacement(before: BezierCurve, after: BezierCurve) -> float:
-    return float(np.sum((before.control_points - after.control_points)**2))
+def _displacement(before: np.ndarray, after: np.ndarray) -> float:
+    """Squared control-point moves of one side; 0.0 for ``before`` itself."""
+    return 0.0 if after is before else float(np.sum((before - after)**2))
+
+
+def _regular(net: np.ndarray) -> bool:
+    """`irregular_parameter`'s verdict, building a curve only if uncertified."""
+    return _hodograph_certifies(net) or sampled_irregular_parameter(BezierCurve(net)) is None
 
 
 def _box_least_squares(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -209,57 +230,57 @@ def _box_least_squares(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> np
 
 
 def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
-    """Curves with the third-order junction jet rewritten for a beta triple.
+    """Nets with the third-order junction jet rewritten for a beta triple.
 
     ``beta`` is (beta1, beta2, beta3), or (beta1, beta2) with beta3 solved:
     beta3 moves only the third control point from the junction, affinely,
     so the displacement-optimal beta3 is a 1-D least squares clipped to
-    ``beta3_bounds``. Returns (beta triple, left curve, right curve) or None.
+    ``beta3_bounds``. Returns (beta triple, left net, right net) or None.
+    The jets are Python floats, each formula grouped left to right as written.
     """
     b1, b2 = float(beta[0]), float(beta[1])
     if b1 <= 0.0:
         return None
     ctx = problem.ctx
     if problem.side == "right":
-        curve, end = ctx.right.curve, "start"
-        lj = ctx.left_jet
-        d1 = lj.d1 / b1
-        d2 = (lj.d2 - b2 * d1) / b1**2
-        d3_slope = -d1 / b1**3
+        points, end = ctx.right.curve.control_points, "start"
+        l1, l2, l3 = (d.tolist() for d in (ctx.left_jet.d1, ctx.left_jet.d2, ctx.left_jet.d3))
+        d1 = [x / b1 for x in l1]
+        d2 = [(y - b2 * x) / b1**2 for x, y in zip(d1, l2)]
+        d3_slope = [-x / b1**3 for x in d1]
 
         def d3_at(b3):
-            return (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
+            return [(z - 3.0 * b1 * b2 * y - b3 * x) / b1**3 for x, y, z in zip(d1, d2, l3)]
     else:
-        curve, end = ctx.left.curve, "end"
-        rj = ctx.right_jet
-        d1 = b1 * rj.d1
-        d2 = b1**2 * rj.d2 + b2 * rj.d1
-        d3_slope = rj.d1
+        points, end = ctx.left.curve.control_points, "end"
+        r1, r2, r3 = (d.tolist() for d in (ctx.right_jet.d1, ctx.right_jet.d2, ctx.right_jet.d3))
+        d1 = [b1 * x for x in r1]
+        d2 = [b1**2 * y + b2 * x for x, y in zip(r1, r2)]
+        d3_slope = r1
 
         def d3_at(b3):
-            return b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1
-    if curve.degree < 4:
-        return None
+            return [b1**3 * z + 3.0 * b1 * b2 * y + b3 * x for x, y, z in zip(r1, r2, r3)]
     if len(beta) > 2:
         b3 = float(beta[2])
     else:
-        # The end jet of order 3 that keeps the third point where it was,
-        # from the two points the order-2 jet sets: `prescribe_endpoint_jet`'s
-        # formulas on the net read from the junction, where d1 and d3 flip sign.
+        # The end jet of order 3 that keeps the third point where it was:
+        # sign * f3 * np.diff([q0, q1, q2, q3], 3), the net read from the
+        # junction (d1 and d3 flip sign at the end), q1 and q2 set by d1, d2.
         sign = 1.0 if end == "start" else -1.0
-        q = curve.control_points if end == "start" else curve.control_points[::-1]
-        f1, f2, f3 = _endpoint_factors(curve.degree)
-        q1 = q[0] + sign * d1 / f1
-        q2 = d2 / f2 + 2.0 * q1 - q[0]
-        kept = sign * f3 * np.diff([q[0], q1, q2, q[3]], 3, axis=0)[0]
-        b3 = float(_box_least_squares(d3_slope[:, None], kept - d3_at(0.0),
+        f3 = _endpoint_factors(points.shape[0] - 1)[2]
+        q = _jet_net(points, end, [d1, d2])
+        q0, q1, q2, q3 = (q[:4] if end == "start" else q[:-5:-1]).tolist()
+        kept = [sign * f3 * (((d - c) - (c - b)) - ((c - b) - (b - a)))
+                for a, b, c, d in zip(q0, q1, q2, q3)]
+        b3 = float(_box_least_squares(np.array(d3_slope)[:, None],
+                                      np.array([k - z for k, z in zip(kept, d3_at(0.0))]),
                                       *beta3_bounds)[0])
-    new = prescribe_endpoint_jet(curve, end, d1, d2, d3_at(b3))
-    if irregular_parameter(new) is not None:
+    net = _jet_net(points, end, [d1, d2, d3_at(b3)])
+    if not _regular(net):
         return None
     if problem.side == "right":
-        return (b1, b2, b3), ctx.left.curve, new
-    return (b1, b2, b3), new, ctx.right.curve
+        return (b1, b2, b3), ctx.left.curve.control_points, net
+    return (b1, b2, b3), net, ctx.right.curve.control_points
 
 
 def _require_matching_offsets(ctx: JunctionContext):
@@ -268,27 +289,37 @@ def _require_matching_offsets(ctx: JunctionContext):
         raise RepairInfeasibleError("angle offsets must match across the junction")
 
 
+def _require_degree(ctx: JunctionContext, side: str, lowest: int, rule: str):
+    """Refuse an edited curve too short for ``rule`` to keep its far end."""
+    segment, name = (ctx.left, ctx.left_id) if side == "left" else (ctx.right, ctx.right_id)
+    if segment.curve.degree < lowest:
+        raise RepairInfeasibleError(f"{rule} repair needs degree >= {lowest} on segment "
+                                    f"{name!r}, which has degree {segment.curve.degree}")
+
+
 def _search(problem: RepairProblem, candidate, starts, bounds, names,
             what: str) -> RepairResult:
     """Minimize the objective over ``candidate``'s parameters; verify the winner.
 
-    ``candidate(x)`` gives (full parameters, left curve, right curve) or
-    None, which scores 1e9; the result's parameters are the winner's full
-    ones under ``names``. The starts run in lockstep, and under
-    ``min_travel_time`` the edited curves of each side, one per start, are
-    timed in one stacked pass.
+    ``candidate(x)`` gives (full parameters, left net, right net), a side
+    left alone being its curve's own `control_points`, or None, which scores
+    1e9. The objective scores nets: displacement over the edited sides, or
+    under ``min_travel_time`` one stacked pass per side over the edited nets
+    of all lockstep starts. Only the winner becomes `BezierCurve`s; its full
+    parameters are the result's under ``names``.
     """
     ctx = problem.ctx
+    fixed = (None, ctx.left.curve.control_points, ctx.right.curve.control_points)
 
     def objective(xs):
         built = [candidate(x) for x in xs]
         if problem.objective == "min_displacement":
-            return [1e9 if b is None else _displacement(ctx.left.curve, b[1])
-                    + _displacement(ctx.right.curve, b[2]) for b in built]
+            return [1e9 if b is None else _displacement(fixed[1], b[1])
+                    + _displacement(fixed[2], b[2]) for b in built]
         values = [1e9 if b is None else 0.0 for b in built]
         for index, segment in ((2, ctx.right), (1, ctx.left)):
             rows = [i for i, b in enumerate(built)
-                    if b is not None and b[index] is not segment.curve]
+                    if b is not None and b[index] is not fixed[index]]
             if rows:
                 stack = _BezierStack([built[i][index] for i in rows])
                 times = _travel_times(stack, len(rows), segment.mode, segment.v_max,
@@ -300,7 +331,9 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     result = optimize.minimize(objective, starts, bounds)
     if result.fun >= 1e9:
         raise RepairInfeasibleError(f"no admissible {what} found in bounds")
-    params, left, right = candidate(result.x)
+    params, *nets = candidate(result.x)
+    left, right = (segment.curve if net is points else BezierCurve(net)
+                   for segment, net, points in zip((ctx.left, ctx.right), nets, fixed[1:]))
     report = analyze_junction(JunctionContext(
         PathSegment(left, ctx.left.mode, ctx.left.v_max),
         PathSegment(right, ctx.right.mode, ctx.right.v_max),
@@ -328,6 +361,7 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
             and isinstance(ctx.right.mode, Tangential)):
         raise RepairInfeasibleError("tangential repair requires tangential modes")
     _require_matching_offsets(ctx)
+    _require_degree(ctx, problem.side, 4, "tangential")
     seed = np.array(_extract_curve_route(ctx.left_jet, ctx.right_jet))
     if seed[0] <= 0.0:
         raise RepairInfeasibleError("junction tangents oppose; repair undefined")
@@ -357,21 +391,23 @@ def _closest_second_multipliers(problem: RepairProblem, x1: float, x3: float,
     x_d2R) along the junction tangent v; the coefficients follow
     `prescribe_endpoint_jet`. Only the components along v depend on the
     multipliers, so the problem is a 3 x 2 box-constrained least squares.
+    The offsets are floats grouped as the vector formulas in the comments.
     """
     ctx = problem.ctx
     v = ctx.left_jet.d1
     left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
-    m = ctx.left.curve.degree
-    f1l, f2l, f3l = _endpoint_factors(m)
-    f1r, f2r, f3r = _endpoint_factors(ctx.right.curve.degree)
-    pn, q0 = left[m], right[0]
-    l1 = pn - x1 * v / f1l                  # new P(m-1)
-    r1 = q0 + x3 * v / f1r                  # new Q1
+    f1l, f2l, f3l = _endpoint_factors(left.shape[0] - 1)
+    f1r, f2r, f3r = _endpoint_factors(right.shape[0] - 1)
+    (p3, p2, _, pn), (q0, _, q2, q3) = left[-4:].tolist(), right[:4].tolist()
+    l1 = [a - x1 * w / f1l for a, w in zip(pn, v.tolist())]   # new P(m-1) = pn - x1 v / f1l
+    r1 = [a + x3 * w / f1r for a, w in zip(q0, v.tolist())]   # new Q1 = q0 + x3 v / f1r
     c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)   # right Q3 per unit left d3
-    offsets = np.array([2.0 * l1 - pn - left[m - 2],
-                        2.0 * r1 - q0 - right[2],
-                        c * f3l * (3.0 * l1 - 2.0 * pn - left[m - 3])
-                        + 3.0 * r1 - 2.0 * q0 - right[3]])
+    offsets = np.array([   # 2 l1 - pn - P(m-2); 2 r1 - q0 - Q2;
+        [2.0 * a - b - d for a, b, d in zip(l1, pn, p2)],
+        [2.0 * a - b - d for a, b, d in zip(r1, q0, q2)],
+        # c f3l (3 l1 - 2 pn - P(m-3)) + 3 r1 - 2 q0 - Q3
+        [c * f3l * (3.0 * a - 2.0 * b - d) + 3.0 * e - 2.0 * g - h
+         for a, b, d, e, g, h in zip(l1, pn, p3, r1, q0, q3)]])
     a = np.array([[1.0 / f2l, 0.0],
                   [0.0, 1.0 / f2r],
                   [3.0 * c * f3l / f2l, 3.0 / f2r]])
@@ -388,7 +424,7 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     follows from the orientation-rate matching relation with the
     reparameterization factor n. Given only (x_d1L, x_d1R), the second-order
     multipliers are solved for least displacement within ``bound``.
-    Returns (multipliers, left curve, right curve) or None.
+    Returns (multipliers, left net, right net) or None.
     """
     if len(x) == 2:
         x1, x3 = float(x[0]), float(x[1])
@@ -398,22 +434,21 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     ctx = problem.ctx
     if x1 <= 0.0 or x3 <= 0.0:
         return None
-    if ctx.left.curve.degree < 3 or ctx.right.curve.degree < 4:
-        return None
     if x2 is None:
         x2, x4 = _closest_second_multipliers(problem, x1, x3, bound)
-    v = ctx.left_jet.d1
-    n = ctx.right.mode.n
-    new_left = prescribe_endpoint_jet(ctx.left.curve, "end", x1 * v, x2 * v)
-    if irregular_parameter(new_left) is not None:
+    v = ctx.left_jet.d1.tolist()
+    left = _jet_net(ctx.left.curve.control_points, "end",
+                    [[x1 * c for c in v], [x2 * c for c in v]])
+    if not _regular(left):
         return None
     beta1 = x1 / x3
-    d3_right = new_left._derivative_net(3)[-1] / (beta1**3 * n**2)  # C'''(1), degree >= 3
-    new_right = prescribe_endpoint_jet(ctx.right.curve, "start", x3 * v,
-                                       x4 * v, d3_right)
-    if irregular_parameter(new_right) is not None:
+    # C'''(1) of the new left net: the last point of its third derivative net.
+    d3_right = (_derivative_net([left], 3)[-1] / (beta1**3 * ctx.right.mode.n**2)).tolist()
+    right = _jet_net(ctx.right.curve.control_points, "start",
+                     [[x3 * c for c in v], [x4 * c for c in v], d3_right])
+    if not _regular(right):
         return None
-    return (x1, x2, x3, x4), new_left, new_right
+    return (x1, x2, x3, x4), left, right
 
 
 def repair_exponential(problem: RepairProblem) -> RepairResult:
@@ -429,6 +464,8 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
     if not isinstance(ctx.left.mode, Tangential):
         raise RepairInfeasibleError("exponential repair expects a tangential mode upstream")
     _require_matching_offsets(ctx)
+    _require_degree(ctx, "left", 3, "exponential")
+    _require_degree(ctx, "right", 4, "exponential")
     v = ctx.left_jet.d1
     q = float(v @ v)
     seed = np.array([

@@ -154,16 +154,17 @@ def test_stacked_pass_on_memo_tables_equals_each_curve_own_pass(curves, mode):
     count = len(curves)
     with np.errstate(all="ignore"):
         # The first pass memoizes the tables of every node row it meets.
-        _travel_times(_BezierStack(curves[:1]), 1, mode, 1.5, VEHICLE)
+        _travel_times(_BezierStack([curves[0].control_points]), 1, mode, 1.5, VEHICLE)
 
     def refuse(*args):
         raise AssertionError("the memo covers every node row of the pass")
 
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(curve_module, "_basis", refuse)
-        stack = _BezierStack(curves)
-        v, speed = limit_profile_fast(stack, mode, 1.5, VEHICLE, np.tile(_TIME_US, count))
-        times = _travel_times(_BezierStack(curves), count, mode, 1.5, VEHICLE)
+        nets = [c.control_points for c in curves]
+        v, speed = limit_profile_fast(_BezierStack(nets), mode, 1.5, VEHICLE,
+                                      np.tile(_TIME_US, count))
+        times = _travel_times(_BezierStack(nets), count, mode, 1.5, VEHICLE)
     with np.errstate(all="ignore"):
         for k, curve in enumerate(curves):
             v_one, speed_one = limit_profile_fast(curve, mode, 1.5, VEHICLE, _TIME_US)
@@ -178,7 +179,7 @@ def test_memo_stays_within_its_maxsize():
     _row_basis.cache_clear()
     for size in range(2, 2 + 3 * maxsize):
         row = np.linspace(0.0, 1.0, size)
-        _BezierStack([curve, curve]).derivatives_many(np.tile(row, 2), 3, lowest=1)
+        _BezierStack([curve.control_points] * 2).derivatives_many(np.tile(row, 2), 3, lowest=1)
         assert _row_basis.cache_info().currsize <= maxsize
     info = _row_basis.cache_info()
     assert info.misses == 3 * maxsize and info.currsize == maxsize

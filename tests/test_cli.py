@@ -215,6 +215,23 @@ class TestRepairCommand:
         assert err == ("error: repair infeasible: no repair rule for mode pair "
                        "(Crab, Tangential)\n")
 
+    @pytest.mark.parametrize("objective", ["min_travel_time", "min_displacement"])
+    @pytest.mark.parametrize("name, rule", [("two_wheel_g1", "tangential"),
+                                            ("six_wheel_exponential", "exponential")])
+    def test_cubic_edited_side_is_refused_by_name(self, tmp_path, capsys, name, rule,
+                                                  objective):
+        # Both rules move three points of s2 next to the junction; a cubic
+        # would move its far end too, so the repair is refused before the search.
+        doc = json.loads(bundled_layout_text(name))
+        doc["segments"][1]["control_points_m"] = doc["segments"][1]["control_points_m"][:4]
+        layout = tmp_path / "cubic.json"
+        layout.write_text(json.dumps(doc))
+        assert main(["repair", str(layout), "--objective", objective]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: repair infeasible: {rule} repair needs degree >= 4 on "
+                       f"segment 's2', which has degree 3\n")
+
 
 class TestProfileCommand:
     def read_csv(self, path):

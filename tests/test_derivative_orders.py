@@ -66,8 +66,9 @@ def test_stacked_lowest_equals_the_full_stacked_evaluation(stack, order, lowest,
     curves, rows = stack
     us = np.tile(rows[0], len(curves)) if shared else np.concatenate(rows)
     with np.errstate(all="ignore"):
-        full = _BezierStack(curves).derivatives_many(us, order)
-        part = _BezierStack(curves).derivatives_many(us, order, lowest=lowest)
+        nets = [c.control_points for c in curves]
+        full = _BezierStack(nets).derivatives_many(us, order)
+        part = _BezierStack(nets).derivatives_many(us, order, lowest=lowest)
     assert_lowest_entries_equal(full, part, lowest)
 
 

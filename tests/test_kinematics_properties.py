@@ -220,7 +220,8 @@ def test_one_pass_over_a_stack_equals_one_pass_per_curve(stack, mode, fleet):
     # Both ends are nodes, so the flat end of an exponential law is sampled.
     us = np.linspace(0.0, 1.0, 17)
     with np.errstate(all="ignore"):
-        v, speed = limit_profile_fast(_BezierStack(stack), mode, 1.5, vehicle,
+        nets = [c.control_points for c in stack]
+        v, speed = limit_profile_fast(_BezierStack(nets), mode, 1.5, vehicle,
                                       np.tile(us, len(stack)))
         for k, curve in enumerate(stack):
             v_one, speed_one = limit_profile_fast(curve, mode, 1.5, vehicle, us)

@@ -247,8 +247,9 @@ class TestSearchReport:
                                          _tangential_candidate)
 
         def displacement(problem, built):
-            return (_displacement(problem.ctx.left.curve, built[1])
-                    + _displacement(problem.ctx.right.curve, built[2]))
+            # The candidates return nets; a side left alone is its curve's own.
+            return (_displacement(problem.ctx.left.curve.control_points, built[1])
+                    + _displacement(problem.ctx.right.curve.control_points, built[2]))
 
         for side in ("right", "left"):
             problem = RepairProblem(junction_of(layout_g1), "min_displacement", side)
@@ -390,3 +391,22 @@ def test_offset_gaps_that_check_accepts_are_repaired(name):
         else:
             with pytest.raises(RepairInfeasibleError, match="angle offsets must match"):
                 repair_junction(problem)
+
+
+@pytest.mark.parametrize("name, side, keep, message", [
+    ("two_wheel_g1", "left", 4, "tangential repair needs degree >= 4 on segment 's1', "
+                                "which has degree 3"),
+    ("six_wheel_exponential", "right", 3, "exponential repair needs degree >= 3 on "
+                                          "segment 's1', which has degree 2"),
+])
+def test_degree_deficient_left_side_is_refused_by_name(name, side, keep, message):
+    # The rules move the points of s1 next to the junction, its last ones:
+    # keeping only the last `keep` leaves too few for its start to stay.
+    doc = parse_layout(bundled_layout_text(name))
+    left, right = doc.segments[0].segment, doc.segments[1].segment
+    short = PathSegment(BezierCurve(left.curve.control_points[-keep:]), left.mode, left.v_max)
+    ctx = JunctionContext(short, right, doc.vehicle, "s1", "s2")
+    for objective in ("min_travel_time", "min_displacement"):
+        with pytest.raises(RepairInfeasibleError) as info:
+            repair_junction(RepairProblem(ctx, objective=objective, side=side))
+        assert str(info.value) == message

@@ -1,0 +1,256 @@
+"""Repair candidates as moved control-point rows, held to the vector route.
+
+`repair._jet_net` computes the points an endpoint jet moves in Python
+floats, and the candidate builders return control nets, not curves. These
+properties compare them with the vector route bit for bit (signed zeros
+included):
+
+- `prescribe_endpoint_jet` against the endpoint-jet map written as numpy
+  vector expressions;
+- each candidate against its jets written as numpy vector expressions, then
+  `prescribe_endpoint_jet`, `BezierCurve` and `irregular_parameter`, with the
+  displacement taken on those curves: the moved points, the admissibility,
+  the solved beta3 or (x_d2L, x_d2R) and the displacement must be equal.
+
+Float arithmetic and numpy's elementwise loops round alike on every SIMD
+path, so CI runs this file with numpy's AVX-512 loops switched off too.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from agv_path_kit import (BezierCurve, ExponentialAnticipated, RepairProblem,
+                          Tangential, prescribe_endpoint_jet)
+from agv_path_kit import repair as R
+from agv_path_kit.curve import irregular_parameter
+
+from conftest import random_regular_curve
+from test_continuity import ctx_for
+
+COORDINATE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def factors(n: int) -> tuple[float, float, float]:
+    return float(n), float(n * (n - 1)), float(n * (n - 1) * (n - 2))
+
+
+def numpy_prescribe(points, end, d1, d2=None, d3=None) -> np.ndarray:
+    """The endpoint-jet map as numpy vector expressions."""
+    n = points.shape[0] - 1
+    f1, f2, f3 = factors(n)
+    pts = points.copy()
+    if end == "start":
+        p0 = pts[0]
+        pts[1] = p0 + d1 / f1
+        if d2 is not None:
+            pts[2] = d2 / f2 + 2.0 * pts[1] - p0
+        if d3 is not None:
+            pts[3] = d3 / f3 + 3.0 * pts[2] - 3.0 * pts[1] + p0
+    else:
+        pn = pts[n]
+        pts[n - 1] = pn - d1 / f1
+        if d2 is not None:
+            pts[n - 2] = d2 / f2 + 2.0 * pts[n - 1] - pn
+        if d3 is not None:
+            pts[n - 3] = pn - 3.0 * pts[n - 1] + 3.0 * pts[n - 2] - d3 / f3
+    return pts
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(3, 9).flatmap(lambda n: arrays(float, (n + 1, 2), elements=COORDINATE)),
+       st.sampled_from(["start", "end"]), st.integers(1, 3),
+       arrays(float, (3, 2), elements=COORDINATE))
+def test_prescribed_points_equal_the_vector_expressions(net, end, order, jet):
+    new = prescribe_endpoint_jet(BezierCurve(net), end, *jet[:order])
+    assert bits(new.control_points) == bits(numpy_prescribe(net, end, *jet[:order]))
+
+
+def displacement(before: BezierCurve, after: BezierCurve) -> float:
+    return float(np.sum((before.control_points - after.control_points)**2))
+
+
+def vector_tangential(ctx, side, beta, beta3_bounds):
+    """The tangential candidate on the vector route: (beta triple, left curve,
+    right curve) or None."""
+    b1, b2 = float(beta[0]), float(beta[1])
+    if side == "right":
+        curve, end, lj = ctx.right.curve, "start", ctx.left_jet
+        d1 = lj.d1 / b1
+        d2 = (lj.d2 - b2 * d1) / b1**2
+        d3_slope = -d1 / b1**3
+
+        def d3_at(b3):
+            return (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
+    else:
+        curve, end, rj = ctx.left.curve, "end", ctx.right_jet
+        d1 = b1 * rj.d1
+        d2 = b1**2 * rj.d2 + b2 * rj.d1
+        d3_slope = rj.d1
+
+        def d3_at(b3):
+            return b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1
+    if len(beta) > 2:
+        b3 = float(beta[2])
+    else:
+        sign = 1.0 if end == "start" else -1.0
+        q = curve.control_points if end == "start" else curve.control_points[::-1]
+        f1, f2, f3 = factors(curve.degree)
+        q1 = q[0] + sign * d1 / f1
+        q2 = d2 / f2 + 2.0 * q1 - q[0]
+        kept = sign * f3 * np.diff([q[0], q1, q2, q[3]], 3, axis=0)[0]
+        b3 = float(R._box_least_squares(d3_slope[:, None], kept - d3_at(0.0),
+                                        *beta3_bounds)[0])
+    new = prescribe_endpoint_jet(curve, end, d1, d2, d3_at(b3))
+    if irregular_parameter(new) is not None:
+        return None
+    if side == "right":
+        return (b1, b2, b3), ctx.left.curve, new
+    return (b1, b2, b3), new, ctx.right.curve
+
+
+def vector_second_multipliers(ctx, x1, x3, bound):
+    v = ctx.left_jet.d1
+    left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
+    m = ctx.left.curve.degree
+    f1l, f2l, f3l = factors(m)
+    f1r, f2r, f3r = factors(ctx.right.curve.degree)
+    pn, q0 = left[m], right[0]
+    l1 = pn - x1 * v / f1l
+    r1 = q0 + x3 * v / f1r
+    c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)
+    offsets = np.array([2.0 * l1 - pn - left[m - 2],
+                        2.0 * r1 - q0 - right[2],
+                        c * f3l * (3.0 * l1 - 2.0 * pn - left[m - 3])
+                        + 3.0 * r1 - 2.0 * q0 - right[3]])
+    a = np.array([[1.0 / f2l, 0.0],
+                  [0.0, 1.0 / f2r],
+                  [3.0 * c * f3l / f2l, 3.0 / f2r]])
+    x2, x4 = R._box_least_squares(a, -(offsets @ v) / float(v @ v), -bound, bound)
+    return float(x2), float(x4)
+
+
+def vector_exponential(ctx, x, bound):
+    """The exponential candidate on the vector route: (multipliers, left
+    curve, right curve) or None."""
+    if len(x) == 2:
+        x1, x3 = float(x[0]), float(x[1])
+        x2, x4 = vector_second_multipliers(ctx, x1, x3, bound)
+    else:
+        x1, x2, x3, x4 = (float(value) for value in x)
+    v, n = ctx.left_jet.d1, ctx.right.mode.n
+    new_left = prescribe_endpoint_jet(ctx.left.curve, "end", x1 * v, x2 * v)
+    if irregular_parameter(new_left) is not None:
+        return None
+    beta1 = x1 / x3
+    d3_right = new_left._derivative_net(3)[-1] / (beta1**3 * n**2)
+    new_right = prescribe_endpoint_jet(ctx.right.curve, "start", x3 * v, x4 * v, d3_right)
+    if irregular_parameter(new_right) is not None:
+        return None
+    return (x1, x2, x3, x4), new_left, new_right
+
+
+def assert_same_candidate(ctx, built, expected):
+    """``built`` (nets) equals ``expected`` (curves) bit for bit; a side left
+    alone is its curve's own control points."""
+    assert (built is None) == (expected is None)
+    if built is None:
+        return
+    assert bits(built[0]) == bits(expected[0])
+    total = 0.0
+    for net, curve, segment in zip(built[1:], expected[1:], (ctx.left, ctx.right)):
+        original = segment.curve.control_points
+        assert (net is original) == (curve is segment.curve)
+        assert bits(net) == bits(curve.control_points)
+        total += displacement(segment.curve, curve)
+    assert bits(R._displacement(ctx.left.curve.control_points, built[1])
+                + R._displacement(ctx.right.curve.control_points, built[2])) == bits(total)
+
+
+@st.composite
+def junctions(draw, right_mode):
+    """Two random curves of degrees 4-9 (the left one 3-9) meeting at a point,
+    with their tangents free."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = random_regular_curve(rng, degree=draw(st.integers(3, 9)))
+    right = random_regular_curve(rng, degree=draw(st.integers(4, 9)))
+    if draw(st.booleans()):
+        left, right = (BezierCurve(c.control_points * (1.0, -1.0)) for c in (left, right))
+    right = BezierCurve(right.control_points - right.control_points[0]
+                        + left.control_points[-1])
+    return left, right, right_mode
+
+
+def tangential_bounds(ctx) -> float:
+    return R._COEFFICIENT_BOUND * max(1.0, float(np.linalg.norm(ctx.left_jet.d2))
+                                      / float(np.linalg.norm(ctx.left_jet.d1)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(junctions(Tangential(0.0)), st.sampled_from(["right", "left"]),
+       st.floats(0.1, 10.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+       st.sampled_from([None, 1e-6, 1e-2, 1.0]))
+def test_tangential_candidate_equals_the_vector_route(two_wheel_vehicle, junction, side,
+                                                      b1, b2, b3, clip):
+    left, right, mode = junction
+    ctx = ctx_for(left, right, two_wheel_vehicle, mode)
+    edited = right if side == "right" else left
+    if edited.degree < 4:
+        return
+    cb = tangential_bounds(ctx)
+    problem = RepairProblem(ctx, "min_displacement", side)
+    # clip None runs the search's full triple; otherwise beta3 is solved
+    # within +-clip times its search bound, small enough to hit a face.
+    beta, bounds = ((b1, b2 * cb, b3 * 3.0 * cb), None) if clip is None \
+        else ((b1, b2 * cb), (-3.0 * cb * clip, 3.0 * cb * clip))
+    assert_same_candidate(ctx, R._tangential_candidate(problem, beta, bounds),
+                          vector_tangential(ctx, side, beta, bounds))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.floats(1.05, 4.0).flatmap(lambda n: junctions(ExponentialAnticipated(0.0, n))),
+       st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.sampled_from([None, 1e-3, 0.1, 10.0]))
+def test_exponential_candidate_equals_the_vector_route(two_wheel_vehicle, junction,
+                                                       x1, x3, x2, x4, bound):
+    left, right, mode = junction
+    ctx = ctx_for(left, right, two_wheel_vehicle, Tangential(0.0), mode)
+    problem = RepairProblem(ctx, "min_displacement")
+    # bound None runs the search's four multipliers; otherwise (x_d2L,
+    # x_d2R) are solved in a box small enough to hit a face.
+    x = (x1, 10.0 * x2, x3, 10.0 * x4) if bound is None else (x1, x3)
+    assert_same_candidate(ctx, R._exponential_candidate(problem, x, bound or 10.0),
+                          vector_exponential(ctx, x, bound or 10.0))
+
+
+def test_draws_reach_clipped_and_interior_solutions(two_wheel_vehicle):
+    # Both properties compare solutions on a face of the box as well as
+    # inside it: count both kinds on fixed draws.
+    rng = np.random.default_rng(18)
+    kinds = {"beta3": set(), "x_d2": set()}
+    for _ in range(30):
+        left = random_regular_curve(rng, degree=int(rng.integers(4, 10)))
+        right = random_regular_curve(rng, degree=int(rng.integers(4, 10)))
+        right = BezierCurve(right.control_points - right.control_points[0]
+                            + left.control_points[-1])
+        ctx = ctx_for(left, right, two_wheel_vehicle)
+        cb = tangential_bounds(ctx)
+        for clip in (1e-6, 1.0):
+            bound = 3.0 * cb * clip
+            built = vector_tangential(ctx, "right", (rng.uniform(0.5, 2.0), 0.0),
+                                      (-bound, bound))
+            if built is not None:
+                kinds["beta3"].add(abs(built[0][2]) == bound)
+        ctx = ctx_for(left, right, two_wheel_vehicle, Tangential(0.0),
+                      ExponentialAnticipated(0.0, 1.7))
+        for bound in (1e-3, 10.0):
+            x2, x4 = vector_second_multipliers(ctx, rng.uniform(0.5, 2.0),
+                                               rng.uniform(0.5, 2.0), bound)
+            kinds["x_d2"].add(bound in (abs(x2), abs(x4)))
+    assert kinds == {"beta3": {True, False}, "x_d2": {True, False}}
+
