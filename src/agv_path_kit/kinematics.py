@@ -192,18 +192,18 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
                      ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
     """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
 
-    Theta and the wheel headings are unwrapped on one evaluation of the
-    unwrap grid; each sample takes the nearest branch of its grid angles.
-    The grid reads theta and the wheel first derivatives only, so its jets
-    are order 1 from C' up: theta and theta'.
+    Theta and the wheel headings take the branch of their principal angles
+    on one evaluation of the unwrap grid (`_nearest_branch`). The grid reads
+    theta and the wheel first derivatives only, so its jets are order 1 from
+    C' up: theta and theta'.
     """
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U, 1, lowest=1)
-    theta_grid = np.unwrap(grid.theta[0])
+    theta_grid = grid.theta[0]
     theta = _nearest_branch(us, theta_grid, jets.theta[0])
     pos, d1, r_v, r_omega, kappa, singular = _ratios_from_derivatives(jets, wheels)
     d1_grid = _wheel_derivative_arrays(grid, _mounts(wheels), 1)[1]
-    zeta_grid = np.unwrap(np.arctan2(d1_grid[1], d1_grid[0]), axis=1)
+    zeta_grid = np.arctan2(d1_grid[1], d1_grid[0])
     zeta = _nearest_branch(us, zeta_grid, np.arctan2(d1[1], d1[0]))
     # Steering angle continuous along u, anchored at its principal value at u=0.
     anchor = np.array([wrap_angle(a) for a in (zeta_grid[:, 0] - theta_grid[0]).tolist()])
@@ -230,20 +230,21 @@ def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarr
     whenever the angle leaves [-limit, +limit], half-turn multiples are
     added to bring it back. Production tracks are reported unflipped; this
     post-processing is opt-in for vehicles with restricted steering ranges.
+    Counted in half turns, no finite angle overflows.
     """
     out = np.asarray(deltas, dtype=float).copy()
     if not 0.0 < limit <= math.pi:
         raise ValueError(f"steering limit must lie in (0, pi], got {limit}")
-    offset = 0.0
-    for i in range(out.size):
-        value = out[i] + offset
-        while value > limit:
-            offset -= math.pi
-            value -= math.pi
-        while value < -limit:
-            offset += math.pi
-            value += math.pi
-        out[i] = value
+    if not np.isfinite(out).all():
+        raise ValueError("steering angles must be finite")
+    bound = limit / math.pi
+    turns = 0  # half turns taken off so far
+    for i, h in enumerate((out / math.pi).tolist()):
+        if h - turns > bound:
+            turns += math.ceil(h - turns - bound)
+        if h - turns < -bound:
+            turns += math.floor(h - turns + bound)
+        out[i] -= turns * math.pi
     return out
 
 

@@ -117,31 +117,26 @@ def _angle(d1: np.ndarray) -> np.ndarray:
 
 def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
                     principal: np.ndarray) -> np.ndarray:
-    """Principal angles at ``us`` moved onto the branch of the unwrapped grid samples.
+    """Principal angles at ``us`` moved onto the branch of the principal grid
+    angles unwrapped along `_UNWRAP_U`, which keeps each row's first sample.
 
     ``grid_angles`` is one row of grid samples, or a row per row of ``principal``.
     """
     reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1,
-                                    grid_angles)
+                                    np.unwrap(grid_angles))
     # The shift is formed before it is added: where principal equals
     # reference, (reference + pi) - pi would round off the reference itself.
     return reference + (np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi)
 
 
-def _heading_grid(curve: BezierCurve) -> np.ndarray:
-    """Dense unwrapped tangent-angle samples used for branch selection."""
-    return np.unwrap(_angle(curve.derivatives_many(_UNWRAP_U, 1, lowest=1)[1]))
-
-
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:
     """Tangent angle at u, continuous along u and anchored at the principal value of u=0."""
-    return float(orientation_many(Tangential(), curve, np.array([float(u)]), order=1)[0][0])
+    return float(orientation_many(Tangential(), curve, [float(u)], order=1)[0][0])
 
 
 def heading(curve: BezierCurve, u: float) -> float:
     """Principal tangent angle at u, in (-pi, pi]."""
-    return float(orientation_many(Tangential(), curve, np.array([float(u)]),
-                                  unwrap=False, order=1)[0][0])
+    return float(orientation_many(Tangential(), curve, [float(u)], False, 1)[0][0])
 
 
 def _checked(us) -> np.ndarray:
@@ -184,9 +179,8 @@ def _rates(d: list[np.ndarray], order: int) -> list[np.ndarray]:
 
 def heading_rates(curve: BezierCurve, us: np.ndarray,
                   order: int = 2) -> tuple[np.ndarray, ...]:
-    """Analytic derivatives (zeta', ..., up to ``order``, at most 3) of the tangent angle."""
-    us = _checked(us)
-    return tuple(_rates(curve.derivatives_many(us, order + 1, lowest=1), order))
+    """Analytic derivatives zeta', ... up to ``order`` (1..3) of the tangent angle."""
+    return orientation_many(Tangential(), curve, us, False, order)[1:]
 
 
 # --------------------------------------------------------------------------
@@ -256,9 +250,9 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     derivatives at ``us`` up to ``order + 1`` (entry 0 may be None), spares
     the law its evaluation whenever its nodes equal ``us`` bit for bit: in
     tangential mode always, in an exponential mode where g(u) == u exactly,
-    as at u = +0.0 and u = 1 (a junction end). ``unwrap=False`` reports
-    theta on the principal branch, which is cheaper and sufficient wherever
-    theta only feeds a rotation.
+    as at u = +0.0 and u = 1 (a junction end). Theta takes the branch of the
+    law's principal theta on `_UNWRAP_U`, as in `profile_segment`; ``unwrap=False``
+    keeps it principal, cheaper and sufficient where theta only feeds a rotation.
     """
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
@@ -278,10 +272,10 @@ def _orientation(mode, curve, us, unwrap, order, curve_jets, alpha, n):
     nodes = us if tangential else g[0]
     if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
         curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)
-    theta = _angle(curve_jets[1])
-    if unwrap:
-        theta = _nearest_branch(nodes, _heading_grid(curve), theta)
-    theta = theta + alpha
+    theta = _angle(curve_jets[1]) + alpha
+    if unwrap:  # the branch of the law's own principal theta on the unwrap grid
+        grid = _orientation(mode, curve, _UNWRAP_U, False, 1, None, alpha, n)[0]
+        theta = _nearest_branch(us, grid, theta)
     z = _rates(curve_jets, order)
     if tangential:
         return (theta, *z)

@@ -113,12 +113,16 @@ def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
     Raises DiscontinuousPathError when any junction verdict is
     discontinuous, unless ``diagnostic`` is set (useful for visualizing what
     a broken layout would demand of the actuators). Junctions continuous
-    only to first order are planned as rest points.
+    only to first order are planned as rest points. ``boundary`` bounds the
+    speeds at the start and the end of the path; +inf leaves an end unbounded.
     """
     if not a_max > 0.0:
         raise ValueError(f"acceleration bound must be positive, got {a_max}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    for end, speed in zip(("start", "end"), boundary):
+        if not float(speed) >= 0.0:  # NaN fails too; +inf means no bound
+            raise ValueError(f"{end} boundary speed must be non-negative, got {speed}")
     reports = check_path(path, vehicle, tol)
     bad = [r for r in reports if r.verdict == DISCONTINUOUS]
     if bad and not diagnostic:

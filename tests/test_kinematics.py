@@ -446,6 +446,47 @@ class TestSteeringFold:
         with pytest.raises(ValueError):
             fold_steering_angles(np.zeros(3), limit=0.0)
 
+    @pytest.mark.parametrize("limit", [math.pi, math.radians(100.0), 1.0, 0.3])
+    def test_matches_the_half_turn_loop(self, limit):
+        # The reference takes half turns off one at a time; the fold counts
+        # them in one step, so only the rounding of the sum may differ.
+        from agv_path_kit import fold_steering_angles
+
+        def reference(track):
+            out, offset = [], 0.0
+            for x in track:
+                value = x + offset
+                while value > limit:
+                    offset, value = offset - math.pi, value - math.pi
+                while value < -limit:
+                    offset, value = offset + math.pi, value + math.pi
+                out.append(value)
+            return np.array(out)
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            track = np.cumsum(rng.normal(0.0, 0.4, 60)) + rng.normal(0.0, 5.0)
+            assert np.allclose(fold_steering_angles(track, limit), reference(track),
+                               rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angles_refused(self, bad):
+        from agv_path_kit import fold_steering_angles
+        with pytest.raises(ValueError, match="steering angles must be finite"):
+            fold_steering_angles(np.array([0.0, bad]))
+
+    def test_large_angles_fold_in_one_step(self):
+        # Half turns were taken off one loop pass at a time: 1e12 rad took
+        # 3e11 passes, and 1e300 never returned.
+        from agv_path_kit import fold_steering_angles
+        limit = math.radians(100.0)
+        track = np.array([0.0, 1e12, 1e12 + 1.0])
+        folded = fold_steering_angles(track, limit=limit)
+        assert np.abs(folded).max() <= limit + 1e-3  # 1e12 carries ulps of 1.2e-4
+        steps = (track - folded) / math.pi
+        assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-3)
+        assert np.all(np.isfinite(fold_steering_angles(np.array([0.0, 1e300, -1e300]))))
+
 
 _PARAMETER_SEGMENT = PathSegment(BezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)]),
                                  Tangential(0.2), 1.5)
@@ -472,3 +513,19 @@ PARAMETER_ENTRIES = {
 def test_parameters_outside_the_unit_interval_are_refused(entry, u):
     with pytest.raises(ValueError, match=r"curve parameter must lie in \[0, 1\], got"):
         PARAMETER_ENTRIES[entry](u)
+
+
+# Every public entry that takes an order of the orientation law or heading rates.
+ORDER_ENTRIES = {
+    "orientation_many": lambda order: motion.orientation_many(
+        Tangential(0.2), _PARAMETER_SEGMENT.curve, [0.5], order=order),
+    "heading_rates": lambda order: motion.heading_rates(_PARAMETER_SEGMENT.curve, [0.5], order),
+}
+
+
+@pytest.mark.parametrize("order", [0, 4, 7])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_orders_outside_one_to_three_are_refused(entry, order):
+    # heading_rates raised IndexError at order 0 and returned three rates at 4 and 7.
+    with pytest.raises(ValueError, match=rf"order must be in 1\.\.3, got {order}"):
+        ORDER_ENTRIES[entry](order)

@@ -110,12 +110,12 @@ def ref_profile(segment, vehicle, samples):
     us = np.linspace(0.0, 1.0, samples)
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
-    theta_grid = np.unwrap(grid.theta[0])
+    theta_grid = grid.theta[0]
     theta = _nearest_branch(us, theta_grid, jets.theta[0])
     tracks = {}
     for w in vehicle.sorted_wheels():
         track = ref_track(jets, w)
-        zeta_grid = np.unwrap(_angle(ref_derivatives(grid, w)[1]))
+        zeta_grid = _angle(ref_derivatives(grid, w)[1])
         zeta = _nearest_branch(us, zeta_grid, _angle(track["d1"]))
         track["delta_w"] = (wrap_angle(zeta_grid[0] - theta_grid[0])
                             + (zeta - zeta_grid[0]) - (theta - theta_grid[0]))

@@ -255,6 +255,9 @@ def test_profile_angles_are_their_principal_values_up_to_whole_turns(
     principal = orientation_many(segment.mode, segment.curve, prof.u,
                                  unwrap=False, order=1)[0]
     assert turns_off(prof.theta, principal).max() <= 1e-9
+    # One branch rule: the unwrapped law is the profile's theta, bit for bit.
+    assert (orientation_many(segment.mode, segment.curve, prof.u)[0].tobytes()
+            == prof.theta.tobytes())
     for w in vehicle.sorted_wheels():
         delta = prof.wheel_tracks[w.id].delta_w
         zeta = _wheel_track_arrays(segment, w, prof.u)["zeta_w"]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
-                          ExponentialDelayed, PathSegment, Tangential, Wheel,
-                          orientation, orientation_at_end, wheel_curve_jet)
+                          ExponentialDelayed, PathSegment, Tangential, VehicleModel,
+                          Wheel, orientation, orientation_at_end, profile_segment,
+                          wheel_curve_jet)
 from agv_path_kit.motion import (heading_rates, orientation_many,
                                  unwrapped_heading, wrap_angle)
 
@@ -158,6 +159,22 @@ class TestJunctionJets:
         curve = BezierCurve([(0, 0), (1, 0)])
         with pytest.raises(ValueError):
             orientation_at_end(Tangential(0.0), curve, "middle")
+
+
+def test_orientation_takes_the_branch_of_the_profile():
+    # orientation() once unwrapped on a grid in the curve parameter and read
+    # it at g(u); on this quartic it sat one turn above profile_segment's
+    # theta on 330 of 401 samples, from u = 0.1775 on.
+    curve = BezierCurve([(-0.3548041301011767, 0.32485848577290377),
+                         (-0.6439398915539821, 0.29007852458536004),
+                         (-0.36289007811925333, -0.04701511385233792),
+                         (-0.23425478692727286, 0.5795565561162972),
+                         (-2.0870129878862467, 1.4763079620836235)])
+    segment = PathSegment(curve, ExponentialAnticipated(0.3, 2.0), 1.5)
+    vehicle = VehicleModel((Wheel("w", (0.5, 0.2), 1.0, 1.0),))
+    prof = profile_segment(segment, vehicle, 401)
+    theta = [orientation(segment.mode, curve, float(u)).theta for u in prof.u]
+    assert theta == prof.theta.tolist()
 
 
 def test_heading_rates_refuses_parameters_outside_the_unit_interval():

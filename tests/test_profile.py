@@ -91,6 +91,24 @@ class TestInvariants:
         assert prof.v[0] == pytest.approx(0.5, abs=1e-12)
         assert prof.v[-1] == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("speed", [-1.0, math.nan])
+    def test_negative_or_nan_boundary_speed_refused(self, two_wheel_vehicle, end, speed):
+        # A negative start speed was planned as v[0] = -1; min(v, nan) dropped NaN.
+        boundary = [0.0, 0.0]
+        boundary[end] = speed
+        path = Path((straight_segment(length=3.0, v_max=1.5),))
+        name = ("start", "end")[end]
+        with pytest.raises(ValueError, match=f"{name} boundary speed must be non-negative"):
+            plan_velocity(path, two_wheel_vehicle, boundary=tuple(boundary), resolution=100)
+
+    def test_infinite_boundary_speed_leaves_an_end_unbounded(self, two_wheel_vehicle):
+        path = Path((straight_segment(length=3.0, v_max=1.5),))
+        prof = plan_velocity(path, two_wheel_vehicle, boundary=(0.0, math.inf),
+                             resolution=100)
+        assert prof.v[0] == 0.0
+        assert prof.v[-1] == prof.v_limit[-1] > 0.0
+
 
 class TestJunctionHandling:
     def test_discontinuous_path_refused(self, layout_g1):
