@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (CurveJet, ShapeParameters, curvature,
-                    curvature_arc_derivative, _continuity_defects, _end_rows)
+from .curve import (SINGULAR_SPEED, CurveJet, ShapeParameters, curvature,
+                    curvature_arc_derivative, _continuity_defects, _cross, _dot,
+                    _end_rows, _rhs)
 from .errors import DegenerateGeometryError
 from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
 from .motion import (ExponentialAnticipated, OrientationJet, Tangential, _orientation,
@@ -110,8 +111,8 @@ class JunctionContext:
         self.left_id, self.right_id = left_id, right_id
         self.left_jet, self.left_mode_jet = left_state
         self.right_jet, self.right_mode_jet = right_state
-        self.position_gap = float(np.linalg.norm(
-            self.left_jet.position - self.right_jet.position))
+        gap = [a - b for a, b in zip(self.left_jet._floats[0], self.right_jet._floats[0])]
+        self.position_gap = math.sqrt(_dot(gap, gap))
         if self.position_gap > _REFUSE_TOL:
             raise DegenerateGeometryError(
                 f"segments {left_id!r} and {right_id!r} do not share a junction "
@@ -131,7 +132,7 @@ def _end_states(sides) -> list[tuple[CurveJet, OrientationJet]]:
         us, alpha, n = np.array([(u, seg.mode.alpha, getattr(seg.mode, "n", math.nan))
                                  for seg, u in (sides[i] for i in members)]).T
         jets = np.ascontiguousarray(rows[members, 1:].transpose(1, 0, 2))  # C', C'', C'''
-        laws[:, members] = _orientation(sides[members[0]][0].mode, None, us, False, 2,
+        laws[:, members] = _orientation(sides[members[0]][0].mode, None, us, 2,
                                         [None, *jets], alpha, n)
     return [(CurveJet(*row), OrientationJet(*law)) for row, law in zip(rows, laws.T.tolist())]
 
@@ -147,15 +148,16 @@ def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     when the tangent reverses; beta2/beta3 by least squares on the
     second/third order conditions. Both norms exceed REGULAR_SPEED:
     `PathSegment` samples |C'| at u = 0 and 1, where the kernel gives the
-    net end points `JunctionContext` reads, up to the sign of a zero."""
-    t_minus, t_plus = left.d1, right.d1
-    beta1 = np.linalg.norm(t_minus) / np.linalg.norm(t_plus)
-    if float(t_minus @ t_plus) < 0.0:
+    net end points `JunctionContext` reads, up to the sign of a zero. beta1 is a
+    numpy float: its powers overflow to inf, where a Python float's would raise."""
+    (_, l1, l2, l3), (_, r1, r2, r3) = left._floats, right._floats
+    q = _dot(r1, r1)
+    beta1 = np.float64(math.sqrt(_dot(l1, l1))) / math.sqrt(q)
+    if _dot(l1, r1) < 0.0:
         beta1 = -beta1
-    q = float(t_plus @ t_plus)
-    beta2 = float((left.d2 - beta1**2 * right.d2) @ t_plus) / q
-    r3 = left.d3 - beta1**3 * right.d3 - 3.0 * beta1 * beta2 * right.d2
-    beta3 = float(r3 @ t_plus) / q
+    beta2 = float(_dot([a - beta1**2 * b for a, b in zip(l2, r2)], r1) / q)
+    beta3 = float(_dot([a - beta1**3 * c - 3.0 * beta1 * beta2 * b
+                        for a, b, c in zip(l3, r2, r3)], r1) / q)
     return _BetaExtraction(beta1, beta2, beta3)
 
 
@@ -229,9 +231,9 @@ def _relative(residual: float, scale: float) -> float:
 
 def _mode_residuals(left: OrientationJet, right: OrientationJet,
                     beta1: float, beta2: float) -> tuple[float, float]:
-    rhs1 = beta1 * right.dtheta
+    rhs1 = _rhs(1, beta1, beta2, None, right.dtheta)
     g1 = _relative(abs(left.dtheta - rhs1), abs(rhs1))
-    rhs2 = beta1**2 * right.ddtheta + beta2 * right.dtheta
+    rhs2 = _rhs(2, beta1, beta2, None, right.dtheta, right.ddtheta)
     if math.isfinite(left.ddtheta) and math.isfinite(rhs2):
         g2 = _relative(abs(left.ddtheta - rhs2), abs(rhs2))
     else:
@@ -267,9 +269,7 @@ def analyze_junction(ctx: JunctionContext,
 
     residuals, scales = _continuity_defects(ctx.left_jet, ctx.right_jet,
                                             beta1, beta2, beta3, order=3)
-    curve_g1 = _relative(residuals[1], scales[1])
-    curve_g2 = _relative(residuals[2], scales[2])
-    curve_g3 = _relative(residuals[3], scales[3])
+    curve_g1, curve_g2, curve_g3 = map(_relative, residuals[1:], scales[1:])
     mode_g1, mode_g2 = _mode_residuals(ctx.left_mode_jet, ctx.right_mode_jet,
                                        beta1, beta2)
 
@@ -323,18 +323,18 @@ def audit_wheel_continuity(ctx: JunctionContext,
     """Check every wheel curve's continuity against the shared beta set."""
     params = params or extract_shape_parameters(ctx)
     wheels = ctx.vehicle.sorted_wheels()
-    # (W, 2) first and second derivatives of every wheel curve, left then right.
-    (l1, l2), (r1, r2) = ([np.stack(d, axis=-1)[:, 0] for d in _wheel_derivative_arrays(
+    # (x, y) rows of W values: d1 and d2 of every wheel curve, left then right.
+    (l1, l2), (r1, r2) = ([np.stack(d)[:, :, 0] for d in _wheel_derivative_arrays(
         _Jets(seg.curve, seg.mode, np.array([u])), _mounts(wheels))[1:]]
         for seg, u in ((ctx.left, 1.0), (ctx.right, 0.0)))
-    finite = np.isfinite(l2).all(axis=1) & np.isfinite(r2).all(axis=1)
-    l2, r2 = (np.where(finite[:, None], d2, 0.0) for d2 in (l2, r2))
-    q = np.sum(r1 * r1, axis=1)
-    beta_w1 = np.sum(l1 * r1, axis=1) / q
-    beta_w2 = np.sum((l2 - beta_w1[:, None]**2 * r2) * r1, axis=1) / q
-    g1, g2 = (np.linalg.norm(left - rhs, axis=1)
-              / np.fmax(1.0, np.linalg.norm(rhs, axis=1)) for left, rhs in ((l1, params.beta1 * r1),
-                                (l2, params.beta1**2 * r2 + params.beta2 * r1)))
+    finite = np.isfinite(l2).all(axis=0) & np.isfinite(r2).all(axis=0)
+    l2, r2 = (np.where(finite, d2, 0.0) for d2 in (l2, r2))
+    q = _dot(r1, r1)
+    beta_w1 = _dot(l1, r1) / q
+    beta_w2 = _dot(l2 - beta_w1**2 * r2, r1) / q
+    g1, g2 = (np.sqrt(_dot(left - rhs, left - rhs)) / np.fmax(1.0, np.sqrt(_dot(rhs, rhs)))
+              for left, rhs in ((l1, _rhs(1, params.beta1, params.beta2, None, r1)),
+                                (l2, _rhs(2, params.beta1, params.beta2, None, r1, r2))))
     beta_w2 = np.where(finite, beta_w2, math.nan)
     g2 = np.where(finite, g2, math.inf)
     return [WheelContinuityAudit(w.id, *map(float, row))
@@ -425,29 +425,26 @@ def check_exponential_junction(ctx: JunctionContext,
     tol = tol or Tolerances.default()
     n = ctx.right.mode.n
     lj, rj = ctx.left_jet, ctx.right_jet
-    k_left = abs(curvature(lj))
-    k_right = abs(curvature(rj))
-    t = lj.d1 / np.linalg.norm(lj.d1)
+    k_left, k_right = (abs(curvature(jet)) for jet in (lj, rj))
+    (_, l1, l2, l3), (_, r1, r2, r3) = lj._floats, rj._floats
+    speed = math.sqrt(_dot(l1, l1))
+    t = [x / speed for x in l1]
 
-    def perp_fraction(v: np.ndarray) -> float:
-        m = np.linalg.norm(v)
-        if m <= 1e-12:
-            return 0.0
-        return abs(float(v[0] * t[1] - v[1] * t[0])) / m
+    def perp_fraction(v: list[float]) -> float:
+        m = math.sqrt(_dot(v, v))
+        return 0.0 if m <= SINGULAR_SPEED else abs(_cross(v, t)) / m
 
-    tangent_parallel = perp_fraction(rj.d1)
-    d2_left = perp_fraction(lj.d2)
-    d2_right = perp_fraction(rj.d2)
+    tangent_parallel, d2_left, d2_right = (perp_fraction(v) for v in (r1, l2, r2))
     beta1 = float(abs(_extract_curve_route(lj, rj).beta1))
-    rhs = beta1**3 * n**2 * rj.d3
-    third = _relative(float(np.linalg.norm(lj.d3 - rhs)),
-                      float(np.linalg.norm(rhs)))
+    rhs = [beta1**3 * n**2 * x for x in r3]
+    defect = [a - b for a, b in zip(l3, rhs)]
+    third = _relative(math.sqrt(_dot(defect, defect)), math.sqrt(_dot(rhs, rhs)))
     alpha_gap = abs(wrap_angle(ctx.left.mode.alpha - ctx.right.mode.alpha))
     ok = (ctx.position_gap <= tol.position and alpha_gap <= tol.angle
           and k_left <= tol.relative and k_right <= tol.relative
           and tangent_parallel <= tol.relative and d2_left <= tol.relative
           and d2_right <= tol.relative and third <= tol.relative
-          and float(lj.d1 @ rj.d1) > 0.0)
+          and _dot(l1, r1) > 0.0)
     verdict = SMOOTH if ok else DISCONTINUOUS
     return ExponentialJunctionChecks(k_left, k_right, tangent_parallel,
                                      d2_left, d2_right, third, beta1, n, verdict)

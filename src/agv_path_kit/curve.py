@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,6 +80,11 @@ class CurveJet:
             v = np.asarray(getattr(self, name), dtype=float)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+
+    @cached_property
+    def _floats(self) -> tuple[list[float], ...]:
+        """position, d1, d2, d3 as (x, y) lists of Python floats, converted once."""
+        return tuple(v.tolist() for v in (self.position, self.d1, self.d2, self.d3))
 
 
 @dataclass(frozen=True)
@@ -356,8 +361,8 @@ def _hodograph_certifies(net: np.ndarray) -> bool:
     directions = [(p[-1][0] - p[0][0], p[-1][1] - p[0][1])] + hodograph
     lengths = [math.hypot(x, y) for x, y in directions]
     threshold = REGULAR_SPEED + 64.0 * _EPS * n * max(lengths[1:])
-    return any(min(dx * hx + dy * hy for hx, hy in hodograph) > threshold * length
-               for (dx, dy), length in zip(directions, lengths))
+    return any(min(_dot(d, h) for h in hodograph) > threshold * length
+               for d, length in zip(directions, lengths))
 
 
 def irregular_parameter(curve: BezierCurve) -> float | None:
@@ -438,8 +443,28 @@ def arc_length(curve: BezierCurve, u1: float = 0.0, u2: float | np.ndarray = 1.0
     return float(lengths[0]) if ends.ndim == 0 else lengths.reshape(ends.shape)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+# The planar products: (x, y) parts are floats (one vector) or same-shape arrays
+# (column views of stacked rows), each product and sum rounded once in this
+# order, so no BLAS kernel or FMA enters. A norm is the sqrt of `_dot(a, a)`.
+def _dot(a, b):
+    """a . b of (x, y) pairs."""
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _cross(a, b):
+    """det(a, b) of (x, y) pairs."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _rhs(order: int, beta1, beta2, beta3, d1, d2=None, d3=None):
+    """Right-hand side of the order-1, 2 or 3 continuity condition on the leaving
+    side's d1..d3, per coordinate or elementwise: beta1 d1, beta1^2 d2 + beta2 d1,
+    or beta1^3 d3 + 3 beta1 beta2 d2 + beta3 d1."""
+    if order == 1:
+        return beta1 * d1
+    if order == 2:
+        return beta1**2 * d2 + beta2 * d1
+    return beta1**3 * d3 + 3.0 * beta1 * beta2 * d2 + beta3 * d1
 
 
 def curvature(jet: CurveJet) -> float:
@@ -448,19 +473,17 @@ def curvature(jet: CurveJet) -> float:
     if speed <= SINGULAR_SPEED:
         raise SingularParameterizationError(
             "curvature undefined where the first derivative vanishes")
-    return _cross(jet.d1, jet.d2) / speed**3
+    return _cross(*jet._floats[1:3]) / speed**3
 
 
 def curvature_arc_derivative(jet: CurveJet) -> float:
     """d(kappa)/ds in 1/m^2, expanded analytically from the curvature formula."""
-    q = float(jet.d1 @ jet.d1)
+    _, d1, d2, d3 = jet._floats
+    q = _dot(d1, d1)
     if q <= SINGULAR_SPEED**2:
         raise SingularParameterizationError(
             "curvature derivative undefined where the first derivative vanishes")
-    det12 = _cross(jet.d1, jet.d2)
-    det13 = _cross(jet.d1, jet.d3)
-    dot12 = float(jet.d1 @ jet.d2)
-    return det13 / q**2 - 3.0 * det12 * dot12 / q**3
+    return _cross(d1, d3) / q**2 - 3.0 * _cross(d1, d2) * _dot(d1, d2) / q**3
 
 
 def _continuity_defects(left: CurveJet, right: CurveJet, beta1: float,
@@ -473,23 +496,14 @@ def _continuity_defects(left: CurveJet, right: CurveJet, beta1: float,
     condition uses the chain-rule coefficient 3*beta1*beta2, i.e. the betas
     are the derivatives of a common reparameterization at the junction.
     """
-    residuals = np.zeros(order + 1)
-    scales = np.zeros(order + 1)
-    residuals[0] = np.linalg.norm(left.position - right.position)
-    scales[0] = np.linalg.norm(right.position)
-    if order >= 1:
-        rhs = beta1 * right.d1
-        residuals[1] = np.linalg.norm(left.d1 - rhs)
-        scales[1] = np.linalg.norm(rhs)
-    if order >= 2:
-        rhs = beta1**2 * right.d2 + beta2 * right.d1
-        residuals[2] = np.linalg.norm(left.d2 - rhs)
-        scales[2] = np.linalg.norm(rhs)
-    if order >= 3:
-        rhs = beta1**3 * right.d3 + 3.0 * beta1 * beta2 * right.d2 + beta3 * right.d1
-        residuals[3] = np.linalg.norm(left.d3 - rhs)
-        scales[3] = np.linalg.norm(rhs)
-    return residuals, scales
+    lefts, rights = left._floats, right._floats
+    residuals, scales = [], []
+    for k in range(order + 1):
+        rhs = [_rhs(k, beta1, beta2, beta3, *d) for d in zip(*rights[1:k + 1])] if k else rights[0]
+        defect = [a - b for a, b in zip(lefts[k], rhs)]
+        residuals.append(math.sqrt(_dot(defect, defect)))
+        scales.append(math.sqrt(_dot(rhs, rhs)))
+    return np.array(residuals), np.array(scales)
 
 
 def check_geometric_continuity(left: CurveJet, right: CurveJet,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BezierCurve, CurveJet, arc_length
+from .curve import BezierCurve, CurveJet, _cross, arc_length
 from .motion import _UNWRAP_U, Tangential, _nearest_branch, orientation_many, wrap_angle
 from .vehicle import PathSegment, VehicleModel, Wheel
 
@@ -179,7 +179,7 @@ def _ratios_from_derivatives(jets: _Jets, wheels):
     unbounded = ~(np.isfinite(x2) & np.isfinite(y2))
     safe = np.where(singular, 1.0, wheel_speed)
     with np.errstate(invalid="ignore", over="ignore"):
-        det = x1 * y2 - y1 * x2
+        det = _cross((x1, y1), (x2, y2))
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
         zeta_rate = det / safe**2  # = kappa_w |C_w'|
         r_v = wheel_speed / jets.speed
@@ -230,16 +230,17 @@ def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarr
     whenever the angle leaves [-limit, +limit], half-turn multiples are
     added to bring it back. Production tracks are reported unflipped; this
     post-processing is opt-in for vehicles with restricted steering ranges.
-    Counted in half turns, no finite angle overflows.
+    Angles of 2^53 half turns or more, whose count no float holds, are refused.
     """
     out = np.asarray(deltas, dtype=float).copy()
     if not 0.0 < limit <= math.pi:
         raise ValueError(f"steering limit must lie in (0, pi], got {limit}")
-    if not np.isfinite(out).all():
-        raise ValueError("steering angles must be finite")
+    halves = out / math.pi
+    if not (np.abs(halves) < 2.0**53).all():  # NaN fails too
+        raise ValueError("steering angles must be finite and below 2^53 half turns")
     bound = limit / math.pi
     turns = 0  # half turns taken off so far
-    for i, h in enumerate((out / math.pi).tolist()):
+    for i, h in enumerate(halves.tolist()):
         if h - turns > bound:
             turns += math.ceil(h - turns - bound)
         if h - turns < -bound:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..continuity import _extract_curve_route
-from ..curve import BezierCurve, CurveJet
+from ..curve import BezierCurve, CurveJet, _dot
 from ..repair import prescribe_endpoint_jet
 
 # Nominal control points (degree-6 curves, meters).
@@ -95,15 +95,12 @@ def build_exponential_curves() -> tuple[np.ndarray, np.ndarray]:
     point does not satisfy that relation, so it is rebuilt rather than kept.
     """
     v = _end_jet(np.array(INITIAL_LEFT))[0]  # shared junction tangent direction
-    q = v @ v
+    q = float(_dot(v, v))
     left_nom = np.array(EXPONENTIAL_LEFT_NOMINAL)
     right_nom = np.array(EXPONENTIAL_RIGHT_NOMINAL)
     l1, l2, _ = _end_jet(left_nom)
     r1, r2, _ = _start_jet(right_nom)
-    x_d1l = float(l1 @ v) / q
-    x_d2l = float(l2 @ v) / q
-    x_d1r = float(r1 @ v) / q
-    x_d2r = float(r2 @ v) / q
+    x_d1l, x_d2l, x_d1r, x_d2r = (float(_dot(d, v)) / q for d in (l1, l2, r1, r2))
     left = prescribe_endpoint_jet(BezierCurve(left_nom), "end", x_d1l * v,
                                   x_d2l * v).control_points
     l3 = _end_jet(left)[2]

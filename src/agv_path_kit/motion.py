@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .curve import BezierCurve, _parameter
+from .curve import BezierCurve, _cross, _dot, _parameter
 
 __all__ = [
     "OrientationJet",
@@ -152,26 +152,19 @@ def _rates(d: list[np.ndarray], order: int) -> list[np.ndarray]:
 
     ``d`` holds C', C'', ... from entry 1 at least up to order + 1; entry 0,
     the position, is not read. zeta' = det(C', C'')/|C'|^2; higher orders
-    follow from the quotient rule.
+    follow from the quotient rule. The products take the (x, y) column views.
     """
-
-    def cross(a, b):
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-    def dot(a, b):
-        return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-
-    d1, d2 = d[1], d[2]
-    q = dot(d1, d1)
-    det12 = cross(d1, d2)
+    d1, d2, d3, d4 = (d[k].T if k < len(d) else None for k in range(1, 5))
+    q = _dot(d1, d1)
+    det12 = _cross(d1, d2)
     out = [det12 / q]
     if order >= 2:
-        det13 = cross(d1, d[3])
-        qp = 2.0 * dot(d1, d2)
+        det13 = _cross(d1, d3)
+        qp = 2.0 * _dot(d1, d2)
         out.append(det13 / q - det12 * qp / q**2)
     if order >= 3:
-        detpp = cross(d2, d[3]) + cross(d1, d[4])
-        qpp = 2.0 * (dot(d2, d2) + dot(d1, d[3]))
+        detpp = _cross(d2, d3) + _cross(d1, d4)
+        qpp = 2.0 * (_dot(d2, d2) + _dot(d1, d3))
         out.append(detpp / q - 2.0 * det13 * qp / q**2
                    - det12 * qpp / q**2 + 2.0 * det12 * qp**2 / q**3)
     return out
@@ -256,11 +249,15 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     """
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
-    return _orientation(mode, curve, _checked(us), unwrap, order, curve_jets,
-                        mode.alpha, getattr(mode, "n", None))
+    us, n = _checked(us), getattr(mode, "n", None)
+    law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
+    if unwrap:  # the branch of the law's own principal theta on the unwrap grid
+        grid = _orientation(mode, curve, _UNWRAP_U, 1, None, mode.alpha, n)[0]
+        law = (_nearest_branch(us, grid, law[0]), *law[1:])
+    return law
 
 
-def _orientation(mode, curve, us, unwrap, order, curve_jets, alpha, n):
+def _orientation(mode, curve, us, order, curve_jets, alpha, n):
     """`orientation_many` on checked ``us`` for the mode class of ``mode``, the
     one copy of every law; ``alpha`` and ``n`` may be arrays, one value per
     node. `continuity._end_states` runs a class over junction-end rows this
@@ -273,9 +270,6 @@ def _orientation(mode, curve, us, unwrap, order, curve_jets, alpha, n):
     if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
         curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)
     theta = _angle(curve_jets[1]) + alpha
-    if unwrap:  # the branch of the law's own principal theta on the unwrap grid
-        grid = _orientation(mode, curve, _UNWRAP_U, False, 1, None, alpha, n)[0]
-        theta = _nearest_branch(us, grid, theta)
     z = _rates(curve_jets, order)
     if tangential:
         return (theta, *z)

@@ -15,6 +15,7 @@ closed form inside the search, so it runs over two parameters only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,8 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext, Tolerances,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import (BezierCurve, _BezierStack, _derivative_net, _hodograph_certifies,
-                    sampled_irregular_parameter)
+from .curve import (BezierCurve, _BezierStack, _cross, _derivative_net, _dot,
+                    _hodograph_certifies, _rhs, sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -121,14 +122,11 @@ def _travel_times(curves, count: int, mode, v_segment: float,
     """
     v_max, speed = limit_profile_fast(curves, mode, v_segment, vehicle,
                                       np.tile(_TIME_US, count))
-    times = []
-    for v, c in zip(v_max.reshape(count, -1), speed.reshape(count, -1)):
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-            times.append(math.inf)
-        else:
-            integrand = (c / v).reshape(_TIME_PANELS, -1)
-            times.append(float(_TIME_HALF * np.sum(integrand @ _TIME_GL_WEIGHTS)))
-    return times
+    v, c = (a.reshape(count, _TIME_PANELS, -1) for a in (v_max, speed))
+    collapsed = ~np.all((v > 0.0) & np.isfinite(v), axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only collapsed rows meet these
+        times = _TIME_HALF * np.sum(np.sum(c / v * _TIME_GL_WEIGHTS, axis=-1), axis=-1)
+    return np.where(collapsed, math.inf, times).tolist()
 
 
 def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
@@ -181,13 +179,9 @@ class RepairResult:
 
 
 def _moved_points(before: BezierCurve, after: BezierCurve, side: str) -> list[dict]:
-    diffs = []
-    for i, (b, a) in enumerate(zip(before.control_points, after.control_points)):
-        if not np.array_equal(b, a):
-            diffs.append({"side": side, "index": i,
-                          "before": [float(b[0]), float(b[1])],
-                          "after": [float(a[0]), float(a[1])]})
-    return diffs
+    pairs = zip(before.control_points.tolist(), after.control_points.tolist())
+    return [{"side": side, "index": i, "before": b, "after": a}
+            for i, (b, a) in enumerate(pairs) if b != a]
 
 
 def _displacement(before: np.ndarray, after: np.ndarray) -> float:
@@ -200,33 +194,38 @@ def _regular(net: np.ndarray) -> bool:
     return _hodograph_certifies(net) or sampled_irregular_parameter(BezierCurve(net)) is None
 
 
-def _box_least_squares(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """argmin |a z - b|^2 over lo <= z_i <= hi, for ``a`` of full column rank.
+def _box_least_squares(columns, b, lo: float, hi: float) -> list[float]:
+    """argmin |A z - b|^2 over lo <= z_i <= hi, for A of full column rank.
 
-    ``a`` has one or two columns. The problem is convex: its minimum is the
-    unconstrained solution when that lies in the box, and otherwise the best
-    minimum over the box's faces, each a smaller problem of the same kind.
+    A has one or two ``columns``, float sequences as long as ``b``; a sum of
+    products over the rows is a `math.fsum`. The problem is convex: with one
+    column its minimum is the unconstrained one clipped to the box (NaN to
+    ``lo``); with two, the unconstrained one when that lies in the box, and
+    otherwise the cheapest of the four faces' one-column minima.
     """
-    g, r = a.T @ a, a.T @ b
-    if a.shape[1] == 1:
-        z = r / g[0, 0]
-    else:
-        # Cramer's rule on the 2 x 2 normal equations.
-        z = np.array([g[1, 1] * r[0] - g[0, 1] * r[1],
-                      g[0, 0] * r[1] - g[1, 0] * r[0]]) / (g[0, 0] * g[1, 1] - g[0, 1]**2)
-    if np.all((lo <= z) & (z <= hi)):
+    def inner(u, v):
+        return math.fsum(map(operator.mul, u, v))
+
+    if len(columns) == 1:
+        z = inner(columns[0], b) / inner(columns[0], columns[0])
+        return [hi if z > hi else z if z >= lo else lo]
+    g = [[inner(u, v) for v in columns] for u in columns]
+    r = [inner(u, b) for u in columns]
+    det = _cross(g[0], g[1])  # Cramer's rule on the normal equations g z = r
+    z = [_cross(r, g[1]) / det, _cross(g[0], r) / det]
+    if all(lo <= x <= hi for x in z):
         return z
-    best = None
-    for i in range(a.shape[1]):
-        rest = [j for j in range(a.shape[1]) if j != i]
-        for bound in (lo, hi):
-            face = np.full(a.shape[1], bound)
-            if rest:
-                face[rest] = _box_least_squares(a[:, rest], b - a[:, i] * bound, lo, hi)
-            cost = float(np.sum((a @ face - b)**2))
-            if best is None or cost < best[0]:
-                best = (cost, face)
-    return best[1]
+    faces = []  # column i held at a bound, the other one solved
+    for i, bound in ((0, lo), (0, hi), (1, lo), (1, hi)):
+        face = [bound, bound]
+        face[1 - i], = _box_least_squares(
+            [columns[1 - i]], [y - x * bound for x, y in zip(columns[i], b)], lo, hi)
+        faces.append(face)
+
+    def cost(face):
+        residual = [_dot(row, face) - y for row, y in zip(zip(*columns), b)]
+        return inner(residual, residual)
+    return min(faces, key=cost)
 
 
 def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
@@ -244,7 +243,7 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     ctx = problem.ctx
     if problem.side == "right":
         points, end = ctx.right.curve.control_points, "start"
-        l1, l2, l3 = (d.tolist() for d in (ctx.left_jet.d1, ctx.left_jet.d2, ctx.left_jet.d3))
+        _, l1, l2, l3 = ctx.left_jet._floats
         d1 = [x / b1 for x in l1]
         d2 = [(y - b2 * x) / b1**2 for x, y in zip(d1, l2)]
         d3_slope = [-x / b1**3 for x in d1]
@@ -253,13 +252,13 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
             return [(z - 3.0 * b1 * b2 * y - b3 * x) / b1**3 for x, y, z in zip(d1, d2, l3)]
     else:
         points, end = ctx.left.curve.control_points, "end"
-        r1, r2, r3 = (d.tolist() for d in (ctx.right_jet.d1, ctx.right_jet.d2, ctx.right_jet.d3))
-        d1 = [b1 * x for x in r1]
-        d2 = [b1**2 * y + b2 * x for x, y in zip(r1, r2)]
+        _, r1, r2, r3 = ctx.right_jet._floats
+        d1 = [_rhs(1, b1, b2, None, x) for x in r1]
+        d2 = [_rhs(2, b1, b2, None, x, y) for x, y in zip(r1, r2)]
         d3_slope = r1
 
         def d3_at(b3):
-            return [b1**3 * z + 3.0 * b1 * b2 * y + b3 * x for x, y, z in zip(r1, r2, r3)]
+            return [_rhs(3, b1, b2, b3, x, y, z) for x, y, z in zip(r1, r2, r3)]
     if len(beta) > 2:
         b3 = float(beta[2])
     else:
@@ -272,9 +271,8 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
         q0, q1, q2, q3 = (q[:4] if end == "start" else q[:-5:-1]).tolist()
         kept = [sign * f3 * (((d - c) - (c - b)) - ((c - b) - (b - a)))
                 for a, b, c, d in zip(q0, q1, q2, q3)]
-        b3 = float(_box_least_squares(np.array(d3_slope)[:, None],
-                                      np.array([k - z for k, z in zip(kept, d3_at(0.0))]),
-                                      *beta3_bounds)[0])
+        b3, = _box_least_squares([d3_slope], [k - z for k, z in zip(kept, d3_at(0.0))],
+                                 *beta3_bounds)
     net = _jet_net(points, end, [d1, d2, d3_at(b3)])
     if not _regular(net):
         return None
@@ -365,9 +363,8 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     seed = np.array(_extract_curve_route(ctx.left_jet, ctx.right_jet))
     if seed[0] <= 0.0:
         raise RepairInfeasibleError("junction tangents oppose; repair undefined")
-    cb = _COEFFICIENT_BOUND * max(
-        1.0, float(np.linalg.norm(ctx.left_jet.d2))
-        / float(np.linalg.norm(ctx.left_jet.d1)))
+    _, d1, d2, _ = ctx.left_jet._floats
+    cb = _COEFFICIENT_BOUND * max(1.0, math.sqrt(_dot(d2, d2)) / math.sqrt(_dot(d1, d1)))
     bounds = [_BETA1_BOUNDS, (-cb, cb), (-cb * 3.0, cb * 3.0)]
     if problem.objective == "min_displacement":
         # Displacement is near-quadratic around the least-squares seed.
@@ -394,25 +391,24 @@ def _closest_second_multipliers(problem: RepairProblem, x1: float, x3: float,
     The offsets are floats grouped as the vector formulas in the comments.
     """
     ctx = problem.ctx
-    v = ctx.left_jet.d1
+    v = ctx.left_jet._floats[1]
     left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
     f1l, f2l, f3l = _endpoint_factors(left.shape[0] - 1)
     f1r, f2r, f3r = _endpoint_factors(right.shape[0] - 1)
     (p3, p2, _, pn), (q0, _, q2, q3) = left[-4:].tolist(), right[:4].tolist()
-    l1 = [a - x1 * w / f1l for a, w in zip(pn, v.tolist())]   # new P(m-1) = pn - x1 v / f1l
-    r1 = [a + x3 * w / f1r for a, w in zip(q0, v.tolist())]   # new Q1 = q0 + x3 v / f1r
+    l1 = [a - x1 * w / f1l for a, w in zip(pn, v)]   # new P(m-1) = pn - x1 v / f1l
+    r1 = [a + x3 * w / f1r for a, w in zip(q0, v)]   # new Q1 = q0 + x3 v / f1r
     c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)   # right Q3 per unit left d3
-    offsets = np.array([   # 2 l1 - pn - P(m-2); 2 r1 - q0 - Q2;
+    offsets = [   # 2 l1 - pn - P(m-2); 2 r1 - q0 - Q2;
         [2.0 * a - b - d for a, b, d in zip(l1, pn, p2)],
         [2.0 * a - b - d for a, b, d in zip(r1, q0, q2)],
         # c f3l (3 l1 - 2 pn - P(m-3)) + 3 r1 - 2 q0 - Q3
         [c * f3l * (3.0 * a - 2.0 * b - d) + 3.0 * e - 2.0 * g - h
-         for a, b, d, e, g, h in zip(l1, pn, p3, r1, q0, q3)]])
-    a = np.array([[1.0 / f2l, 0.0],
-                  [0.0, 1.0 / f2r],
-                  [3.0 * c * f3l / f2l, 3.0 / f2r]])
-    x2, x4 = _box_least_squares(a, -(offsets @ v) / float(v @ v), -bound, bound)
-    return float(x2), float(x4)
+         for a, b, d, e, g, h in zip(l1, pn, p3, r1, q0, q3)]]
+    q = _dot(v, v)
+    columns = [[1.0 / f2l, 0.0, 3.0 * c * f3l / f2l], [0.0, 1.0 / f2r, 3.0 / f2r]]
+    x2, x4 = _box_least_squares(columns, [-_dot(row, v) / q for row in offsets], -bound, bound)
+    return x2, x4
 
 
 def _exponential_candidate(problem: RepairProblem, x, bound: float):
@@ -436,7 +432,7 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
         return None
     if x2 is None:
         x2, x4 = _closest_second_multipliers(problem, x1, x3, bound)
-    v = ctx.left_jet.d1.tolist()
+    v = ctx.left_jet._floats[1]
     left = _jet_net(ctx.left.curve.control_points, "end",
                     [[x1 * c for c in v], [x2 * c for c in v]])
     if not _regular(left):
@@ -466,14 +462,10 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
     _require_matching_offsets(ctx)
     _require_degree(ctx, "left", 3, "exponential")
     _require_degree(ctx, "right", 4, "exponential")
-    v = ctx.left_jet.d1
-    q = float(v @ v)
-    seed = np.array([
-        1.0,
-        float(ctx.left_jet.d2 @ v) / q,
-        float(ctx.right_jet.d1 @ v) / q,
-        float(ctx.right_jet.d2 @ v) / q,
-    ])
+    v = ctx.left_jet._floats[1]
+    q = _dot(v, v)
+    seed = np.array([1.0] + [_dot(d, v) / q for d in (ctx.left_jet._floats[2],
+                                                      *ctx.right_jet._floats[1:3])])
     cb = _COEFFICIENT_BOUND
     bounds = [_BETA1_BOUNDS, (-cb, cb), _BETA1_BOUNDS, (-cb, cb)]
     if problem.objective == "min_displacement":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BezierCurve, sampled_irregular_parameter
+from .curve import BezierCurve, _dot, sampled_irregular_parameter
 from .errors import DegenerateGeometryError
 from .motion import MotionMode
 
@@ -150,8 +150,9 @@ class PathSegment:
 def _check_connected(segments, names, g0_tol: float):
     """Raise ValueError naming (by ``names``) the first pair of segments that do not meet."""
     for k in range(len(segments) - 1):
-        gap = np.linalg.norm(segments[k].curve.control_points[-1]
-                             - segments[k + 1].curve.control_points[0])
+        step = [a - b for a, b in zip(segments[k].curve.control_points[-1].tolist(),
+                                      segments[k + 1].curve.control_points[0].tolist())]
+        gap = math.sqrt(_dot(step, step))
         if gap > g0_tol:
             raise ValueError(
                 f"segments {names[k]} and {names[k + 1]} are not position-connected "

@@ -13,7 +13,8 @@ import pytest
 import agv_path_kit
 from agv_path_kit import LayoutError, parse_layout, serialize_layout
 from agv_path_kit.cli import main
-from agv_path_kit.layouts import bundled_layout_path, bundled_layout_text
+from agv_path_kit.layouts import (bundled_layout_names, bundled_layout_path,
+                                  bundled_layout_text)
 
 from conftest import NOMINAL_INITIAL_LEFT
 
@@ -461,6 +462,30 @@ def test_repair_runs_without_scipy(objective, tmp_path):
         runs.append((done.stdout, done.stderr, (cwd / "repaired.json").read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][1] == b""
+
+
+def test_check_and_repair_bytes_do_not_depend_on_the_blas_kernel():
+    # Every planar product is elementwise float arithmetic, never a BLAS
+    # ddot or gemv, so no kernel choice (FMA or not) reaches an output.
+    # OPENBLAS_CORETYPE=Prescott picks a kernel without FMA; it acts only on
+    # a DYNAMIC_ARCH OpenBLAS, such as numpy's wheels.
+    src = str(Path(agv_path_kit.__file__).resolve().parents[1])
+    runs = [[command, str(bundled_layout_path(name)), *flags]
+            for name in bundled_layout_names()
+            for command, *flags in (("check", "--format", "json"), ("repair",))]
+    code = ("from agv_path_kit.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    print('exit', main(argv), flush=True)\n")
+    outputs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_CORETYPE"}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**env, "PYTHONPATH": src, **kernel})
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, done.stderr))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"exit ") == len(runs)
 
 
 def test_repair_refused_junction_exits_2(tmp_path, capsys):

@@ -7,6 +7,8 @@ tolerances scale with the size of the control net and the derivative order.
 The hodograph certificate of regularity may only accept curves that the
 sampled checks accept, repair candidates and segments share one regularity
 verdict, and every segment a junction joins has a regular end jet there.
+The planar products give the same bits on Python floats as on stacked
+numpy columns.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, JunctionContext, PathSegment, Tangential,
                           VehicleModel, Wheel, arc_length, evaluate)
-from agv_path_kit.curve import REGULAR_SPEED, _hodograph_certifies, irregular_parameter
+from agv_path_kit.curve import (REGULAR_SPEED, _cross, _dot, _hodograph_certifies,
+                                irregular_parameter)
 
 COORDINATE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 UNIT = st.floats(0.0, 1.0)
@@ -212,3 +215,20 @@ def test_accepted_segments_have_regular_junction_end_jets(curve):
     ctx = JunctionContext(left, right, VehicleModel((Wheel("w", (0.0, 0.0), 1.0, 1.0),)))
     assert np.hypot(*ctx.left_jet.d1) > REGULAR_SPEED
     assert np.hypot(*ctx.right_jet.d1) > REGULAR_SPEED
+
+
+# Products of components below 1e150 neither overflow nor warn.
+COMPONENT = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(COMPONENT, COMPONENT, COMPONENT, COMPONENT), min_size=1,
+                max_size=20))
+def test_planar_products_on_floats_equal_them_on_stacked_columns(rows):
+    # One vector's products run on Python floats, stacked rows' on numpy
+    # column views: both round each product and each sum once, in one order.
+    a = np.array([row[:2] for row in rows])
+    b = np.array([row[2:] for row in rows])
+    for product in (_dot, _cross):
+        floats = [product(row[:2], row[2:]) for row in rows]
+        assert np.array(floats).tobytes() == product(a.T, b.T).tobytes()

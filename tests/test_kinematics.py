@@ -485,7 +485,22 @@ class TestSteeringFold:
         assert np.abs(folded).max() <= limit + 1e-3  # 1e12 carries ulps of 1.2e-4
         steps = (track - folded) / math.pi
         assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-3)
-        assert np.all(np.isfinite(fold_steering_angles(np.array([0.0, 1e300, -1e300]))))
+
+    @pytest.mark.parametrize("track", [[1.7e308, -1.7e308, 0.0], [0.0, 1e17],
+                                       [0.0, 1e300, -1e300]])
+    def test_angles_beyond_a_float_half_turn_count_refused(self, track):
+        # 1.7e308 folded to about -2.0e292 and 1e17 to 0.0, with no warning:
+        # a float holds no half-turn count from 2^53 on.
+        from agv_path_kit import fold_steering_angles
+        with pytest.raises(ValueError, match=r"finite and below 2\^53 half turns"):
+            fold_steering_angles(np.array(track))
+
+    @pytest.mark.parametrize("limit", [math.pi, math.radians(100.0)])
+    def test_largest_counted_angles_fold_to_their_own_rounding(self, limit):
+        from agv_path_kit import fold_steering_angles
+        for angle in (2.0**52 * math.pi, np.nextafter(2.0**53 * math.pi, 0.0)):
+            folded = fold_steering_angles(np.array([0.0, angle, -angle]), limit)
+            assert np.abs(folded).max() <= limit + 2.0 * np.spacing(angle)
 
 
 _PARAMETER_SEGMENT = PathSegment(BezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)]),

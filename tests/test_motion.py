@@ -177,6 +177,17 @@ def test_orientation_takes_the_branch_of_the_profile():
     assert theta == prof.theta.tolist()
 
 
+def test_crab_orientation_takes_the_branch_rule_too():
+    # The crab law skipped the branch rule: with alpha = -0.0 its unwrapped
+    # theta kept -0.0 where profile_segment's theta reads +0.0.
+    segment = PathSegment(BezierCurve([(0, 0), (1, 0), (2, 1)]), Crab(-0.0), 1.5)
+    vehicle = VehicleModel((Wheel("w", (0.0, 0.0), 1.0, 1.0),))
+    prof = profile_segment(segment, vehicle, 33)
+    theta = orientation_many(segment.mode, segment.curve, prof.u)[0]
+    assert theta.tobytes() == prof.theta.tobytes()
+    assert math.copysign(1.0, orientation(segment.mode, segment.curve, 0.5).theta) == 1.0
+
+
 def test_heading_rates_refuses_parameters_outside_the_unit_interval():
     """heading_rates extrapolated outside [0, 1] and passed NaN through."""
     curve = BezierCurve([(0, 0), (1, 1), (2, 0), (3, 1)])

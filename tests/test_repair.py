@@ -330,9 +330,11 @@ class TestTravelTime:
         assert t_smoothed > t_initial
 
 
-# The bundled min_travel_time repairs as recorded from scipy's Nelder-Mead:
-# objective (repr), evaluations, converged, and each moved point as
-# (side, index, before, after).
+# The bundled min_travel_time repairs: objective (repr), evaluations,
+# converged, and each moved point as (side, index, before, after). The planar
+# products behind them are elementwise float arithmetic, so the pins hold
+# under every BLAS kernel; the searches stop at their evaluation budget, so
+# an ulp anywhere in the objective moves these digits.
 GOLDEN_TRAVEL_TIME_REPAIRS = {
     ("two_wheel_g1", "right"): ("4.208581230475475", 1200, False, [
         ("right", 1, (5.025, -0.625),
@@ -350,17 +352,17 @@ GOLDEN_TRAVEL_TIME_REPAIRS = {
         ("left", 5, (4.125, -2.125),
          (4.348616758353111, -1.752305402744815)),
     ]),
-    ("six_wheel_exponential", "right"): ("7.39207961090847", 1200, False, [
+    ("six_wheel_exponential", "right"): ("7.392079610908477", 1200, False, [
         ("left", 4, (3.495441176470587, -3.1742647058823525),
-         (3.6097440198883533, -2.983759966852741)),
+         (3.6097440198882715, -2.9837599668528787)),
         ("left", 5, (4.039147058823529, -2.2680882352941176),
          (4.01595813263545, -2.3067364456075827)),
         ("right", 1, (4.847294117647059, -0.9211764705882352),
-         (5.035668926664748, -0.6072184555587538)),
+         (5.035668926664494, -0.6072184555591774)),
         ("right", 2, (5.2170000000000005, -0.30500000000000016),
-         (5.3786488562632595, -0.035585239561233495)),
+         (5.3786488562627515, -0.035585239562082815)),
         ("right", 3, (5.62435284977111, 0.1667522761443705),
-         (5.770625777743277, -0.03837588855915408)),
+         (5.77062577774206, -0.03837588856026386)),
     ]),
 }
 

@@ -14,17 +14,22 @@ included):
 
 Float arithmetic and numpy's elementwise loops round alike on every SIMD
 path, so CI runs this file with numpy's AVX-512 loops switched off too.
+
+The box-constrained least squares both candidates solve runs on Python
+floats; it is held to the normal equations inside the box and to scipy's
+`lsq_linear` on a face.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, ExponentialAnticipated, RepairProblem,
                           Tangential, prescribe_endpoint_jet)
 from agv_path_kit import repair as R
-from agv_path_kit.curve import irregular_parameter
+from agv_path_kit.curve import _dot, irregular_parameter
 
 from conftest import random_regular_curve
 from test_continuity import ctx_for
@@ -104,8 +109,7 @@ def vector_tangential(ctx, side, beta, beta3_bounds):
         q1 = q[0] + sign * d1 / f1
         q2 = d2 / f2 + 2.0 * q1 - q[0]
         kept = sign * f3 * np.diff([q[0], q1, q2, q[3]], 3, axis=0)[0]
-        b3 = float(R._box_least_squares(d3_slope[:, None], kept - d3_at(0.0),
-                                        *beta3_bounds)[0])
+        b3, = R._box_least_squares([d3_slope], kept - d3_at(0.0), *beta3_bounds)
     new = prescribe_endpoint_jet(curve, end, d1, d2, d3_at(b3))
     if irregular_parameter(new) is not None:
         return None
@@ -131,7 +135,7 @@ def vector_second_multipliers(ctx, x1, x3, bound):
     a = np.array([[1.0 / f2l, 0.0],
                   [0.0, 1.0 / f2r],
                   [3.0 * c * f3l / f2l, 3.0 / f2r]])
-    x2, x4 = R._box_least_squares(a, -(offsets @ v) / float(v @ v), -bound, bound)
+    x2, x4 = R._box_least_squares(a.T, -_dot(offsets.T, v) / _dot(v, v), -bound, bound)
     return float(x2), float(x4)
 
 
@@ -254,3 +258,30 @@ def test_draws_reach_clipped_and_interior_solutions(two_wheel_vehicle):
             kinds["x_d2"].add(bound in (abs(x2), abs(x4)))
     assert kinds == {"beta3": {True, False}, "x_d2": {True, False}}
 
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 2).flatmap(lambda cols: st.tuples(
+    arrays(float, (cols + 1, cols), elements=st.floats(-10.0, 10.0)),
+    arrays(float, cols + 1, elements=st.floats(-100.0, 100.0)))),
+    st.floats(-10.0, 10.0), st.floats(1e-6, 20.0))
+def test_box_least_squares_against_the_normal_equations_and_scipy(problem, lo, width):
+    # The candidates solve 1 column on 2 rows (beta3) and 2 columns on 3
+    # rows (x_d2L, x_d2R). Inside the box the solution is the normal
+    # equations' one; on a face its cost is no more than scipy's, up to
+    # rounding relative to the cost and to |b|^2 (an exact fit costs ~0).
+    lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
+    a, b = problem
+    # Well-conditioned columns whose squares do not underflow, as the
+    # candidates' are.
+    assume(np.abs(a).max(axis=0).min() > 1e-3 and np.linalg.cond(a) < 1e3)
+    hi = lo + width
+    z = np.array(R._box_least_squares(a.T.tolist(), b.tolist(), lo, hi))
+    assert np.all((lo <= z) & (z <= hi))
+    if np.all((lo < z) & (z < hi)):
+        assert np.allclose(z, np.linalg.solve(a.T @ a, a.T @ b), rtol=1e-9, atol=1e-9)
+    else:
+        def cost(x):
+            return float(np.sum((a @ x - b)**2))
+        reference = lsq_linear(a, b, bounds=(lo, hi), method="bvls").x
+        assert cost(z) <= cost(reference) + 1e-12 * max(cost(reference), float(b @ b))
