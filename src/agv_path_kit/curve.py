@@ -58,10 +58,6 @@ class Point2:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
 
-    @classmethod
-    def from_array(cls, a) -> "Point2":
-        return cls(float(a[0]), float(a[1]))
-
 
 @dataclass(frozen=True)
 class CurveJet:
@@ -467,23 +463,28 @@ def _rhs(order: int, beta1, beta2, beta3, d1, d2=None, d3=None):
     return beta1**3 * d3 + 3.0 * beta1 * beta2 * d2 + beta3 * d1
 
 
-def curvature(jet: CurveJet) -> float:
-    """Signed curvature in 1/m; positive for counter-clockwise turning."""
-    speed = float(np.hypot(*jet.d1))
+def _scaled_jet(jet: CurveJet, what: str):
+    """k = 2^floor(log2 |C'|) and C', C'', C''' over k: exact, and no power of |C'|/k overflows."""
+    _, d1, d2, d3 = jet._floats
+    speed = math.hypot(*d1)
     if speed <= SINGULAR_SPEED:
         raise SingularParameterizationError(
-            "curvature undefined where the first derivative vanishes")
-    return _cross(*jet._floats[1:3]) / speed**3
+            f"{what} undefined where the first derivative vanishes")
+    k = math.ldexp(1.0, math.frexp(speed)[1] - 1)
+    return k, *([x / k for x in d] for d in (d1, d2, d3))
+
+
+def curvature(jet: CurveJet) -> float:
+    """Signed curvature in 1/m; positive for counter-clockwise turning."""
+    k, d1, d2, _ = _scaled_jet(jet, "curvature")
+    return _cross(d1, d2) / math.hypot(*d1)**3 / k
 
 
 def curvature_arc_derivative(jet: CurveJet) -> float:
     """d(kappa)/ds in 1/m^2, expanded analytically from the curvature formula."""
-    _, d1, d2, d3 = jet._floats
+    k, d1, d2, d3 = _scaled_jet(jet, "curvature derivative")
     q = _dot(d1, d1)
-    if q <= SINGULAR_SPEED**2:
-        raise SingularParameterizationError(
-            "curvature derivative undefined where the first derivative vanishes")
-    return _cross(d1, d3) / q**2 - 3.0 * _cross(d1, d2) * _dot(d1, d2) / q**3
+    return (_cross(d1, d3) / q**2 - 3.0 * _cross(d1, d2) * _dot(d1, d2) / q**3) / k / k
 
 
 def _continuity_defects(left: CurveJet, right: CurveJet, beta1: float,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import _UNWRAP_U, Tangential, _nearest_branch, orientation_many, wrap_angle
+from .motion import _UNWRAP_U, Tangential, _nearest_branch, orientation_many
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -84,8 +84,7 @@ class _Jets:
     ``order``, or ``order + 1`` in tangential mode, where the law reads it
     too. The evaluation is shared by every wheel. Its arrays run over the N
     nodes; `_wheel_derivative_arrays` broadcasts them against the (W, 2)
-    mounts to add the wheel axis. Theta is on the principal branch;
-    `_steering_tracks` unwraps the angles it reports.
+    mounts to add the wheel axis. Theta is principal: `_steering_tracks` adds turns.
     """
 
     def __init__(self, curve: BezierCurve, mode, us: np.ndarray, order: int = 2, *,
@@ -192,23 +191,22 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
                      ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
     """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
 
-    Theta and the wheel headings take the branch of their principal angles
-    on one evaluation of the unwrap grid (`_nearest_branch`). The grid reads
-    theta and the wheel first derivatives only, so its jets are order 1 from
-    C' up: theta and theta'.
+    Theta and the wheel headings are principal values plus whole turns that
+    one `_nearest_branch` call picks on the unwrap grid, whose jets are order 1
+    from C' up. A steering angle zeta_w - theta also takes the whole turns that
+    put its grid value at u=0 in (-pi, pi].
     """
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U, 1, lowest=1)
-    theta_grid = grid.theta[0]
-    theta = _nearest_branch(us, theta_grid, jets.theta[0])
     pos, d1, r_v, r_omega, kappa, singular = _ratios_from_derivatives(jets, wheels)
     d1_grid = _wheel_derivative_arrays(grid, _mounts(wheels), 1)[1]
-    zeta_grid = np.arctan2(d1_grid[1], d1_grid[0])
-    zeta = _nearest_branch(us, zeta_grid, np.arctan2(d1[1], d1[0]))
-    # Steering angle continuous along u, anchored at its principal value at u=0.
-    anchor = np.array([wrap_angle(a) for a in (zeta_grid[:, 0] - theta_grid[0]).tolist()])
-    delta = (anchor[:, None] + (zeta - zeta_grid[:, :1])) - (theta - theta_grid[0])
-    return jets, theta, {"position": np.stack(pos, axis=-1), "zeta_w": zeta,
+    grid_angles = np.vstack((grid.theta[0], np.arctan2(d1_grid[1], d1_grid[0])))
+    principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
+    turns = _nearest_branch(us, grid_angles, principal)
+    unwrapped = principal + math.tau * turns
+    anchor = np.floor((math.pi - (grid_angles[1:, :1] - grid_angles[0, 0])) / math.tau)
+    delta = (principal[1:] - principal[0]) + math.tau * ((turns[1:] - turns[0]) + anchor)
+    return jets, unwrapped[0], {"position": np.stack(pos, axis=-1), "zeta_w": unwrapped[1:],
                          "delta_w": delta, "r_v": r_v, "r_omega": r_omega,
                          "kappa_w": kappa, "singular": singular}
 

@@ -115,18 +115,21 @@ def _angle(d1: np.ndarray) -> np.ndarray:
     return np.arctan2(d1[:, 1], d1[:, 0])
 
 
-def _nearest_branch(us: np.ndarray, grid_angles: np.ndarray,
-                    principal: np.ndarray) -> np.ndarray:
-    """Principal angles at ``us`` moved onto the branch of the principal grid
-    angles unwrapped along `_UNWRAP_U`, which keeps each row's first sample.
+def _turns(reference, angle):
+    """Whole turns k that move ``angle`` nearest ``reference``: angle + 2 pi k.
+    Within 1e-9 turns of a half turn (a tie, as at a crab cusp), the k nearer zero."""
+    q = (reference - angle) / math.tau
+    return np.where(np.abs(np.abs(q - np.rint(q)) - 0.5) <= 1e-9, np.trunc(q), np.rint(q))
 
-    ``grid_angles`` is one row of grid samples, or a row per row of ``principal``.
-    """
-    reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1,
-                                    np.unwrap(grid_angles))
-    # The shift is formed before it is added: where principal equals
-    # reference, (reference + pi) - pi would round off the reference itself.
-    return reference + (np.mod(principal - reference + np.pi, 2.0 * np.pi) - np.pi)
+
+def _nearest_branch(us, grid_angles: np.ndarray, principal: np.ndarray) -> np.ndarray:
+    """Whole turns that put ``principal`` angles at ``us`` on the branch of the
+    principal ``grid_angles`` on `_UNWRAP_U` (one row, or a row per row of ``principal``),
+    unwrapped from their first sample and interpolated to ``us`` to pick the turns."""
+    steps = math.tau * np.cumsum(np.rint(np.diff(grid_angles) / -math.tau), axis=-1)
+    grid = np.concatenate((grid_angles[..., :1], grid_angles[..., 1:] + steps), axis=-1)
+    reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1, grid)
+    return _turns(reference, principal)
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:
@@ -243,17 +246,17 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     derivatives at ``us`` up to ``order + 1`` (entry 0 may be None), spares
     the law its evaluation whenever its nodes equal ``us`` bit for bit: in
     tangential mode always, in an exponential mode where g(u) == u exactly,
-    as at u = +0.0 and u = 1 (a junction end). Theta takes the branch of the
-    law's principal theta on `_UNWRAP_U`, as in `profile_segment`; ``unwrap=False``
+    as at u = +0.0 and u = 1 (a junction end). Theta is principal plus the whole
+    turns `_nearest_branch` picks, as in `profile_segment`; ``unwrap=False``
     keeps it principal, cheaper and sufficient where theta only feeds a rotation.
     """
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
     us, n = _checked(us), getattr(mode, "n", None)
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
-    if unwrap:  # the branch of the law's own principal theta on the unwrap grid
+    if unwrap:
         grid = _orientation(mode, curve, _UNWRAP_U, 1, None, mode.alpha, n)[0]
-        law = (_nearest_branch(us, grid, law[0]), *law[1:])
+        law = (law[0] + math.tau * _nearest_branch(us, grid, law[0]), *law[1:])
     return law
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .continuity import DISCONTINUOUS, SMOOTH_AT_REST_ONLY, Tolerances, check_path
 from .errors import DiscontinuousPathError
 from .kinematics import profile_segment
+from .motion import _turns
 from .vehicle import Path, VehicleModel
 
 __all__ = ["VelocityProfile", "plan_velocity", "time_along"]
@@ -66,10 +67,9 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
     The wheel tracks come as one (4, W, N) array: delta, R_v, R_omega and
     kappa of each wheel in `sorted_wheels()` order. The duplicated junction
     sample is merged into one row carrying the minimum of the two one-sided
-    limits; steering angles are re-based to the branch nearest the previous
-    segment's end, all wheels in one step, so genuine sub-turn jumps survive
-    while branch artifacts do not. A jump of half a turn, to within 1e-9
-    turns, keeps the segment's own branch.
+    limits. Steering angles move by the whole turns (`_turns`, whose tie keeps
+    a half-turn jump) that bring each wheel's first sample nearest the previous
+    segment's end, so genuine sub-turn jumps survive while branch artifacts do not.
     """
     wheel_ids = [w.id for w in vehicle.sorted_wheels()]
     s_parts, u_parts, seg_parts, v_parts, track_parts, binding = [], [], [], [], [], []
@@ -85,12 +85,7 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
             if prof.v_max[0] < v_parts[-1][-1]:
                 binding[-1] = prof.binding[0]
                 v_parts[-1][-1] = prof.v_max[0]
-            turns = (track_parts[-1][0, :, -1] - tracks[0, :, 0]) / (2.0 * math.pi)
-            # A jump within rounding of half a turn (a crab cusp) keeps the
-            # segment's own branch: the whole-turn shift nearer zero.
-            tie = np.abs(np.abs(turns) % 1.0 - 0.5) <= 1e-9
-            tracks[0] += 2.0 * math.pi * np.where(tie, np.trunc(turns),
-                                                  np.round(turns))[:, None]
+            tracks[0] += math.tau * _turns(track_parts[-1][0, :, -1], tracks[0, :, 0])[:, None]
             start = 1
         s_parts.append(prof.s[start:] + offset)
         u_parts.append(prof.u[start:])

@@ -67,8 +67,7 @@ def _jet_net(points: np.ndarray, end: str, jet) -> np.ndarray:
     Each coordinate is float arithmetic grouped as numpy evaluates the vector
     formulas: from the start P1 = P0 + d1/f1, P2 = (d2/f2 + 2 P1) - P0,
     P3 = ((d3/f3 + 3 P2) - 3 P1) + P0; from the end P1 = P0 - d1/f1, the same
-    P2, P3 = ((P0 - 3 P1) + 3 P2) - d3/f3. Non-finite points raise
-    `BezierCurve`'s ValueError.
+    P2, P3 = ((P0 - 3 P1) + 3 P2) - d3/f3. None if a moved point is not finite.
     """
     f1, f2, f3 = _endpoint_factors(points.shape[0] - 1)
     start = end == "start"
@@ -80,7 +79,7 @@ def _jet_net(points: np.ndarray, end: str, jet) -> np.ndarray:
         rows.append([d / f3 + 3.0 * c - 3.0 * b + a if start else a - 3.0 * b + 3.0 * c - d / f3
                      for a, b, c, d in zip(p0, p1, p2, jet[2])])
     if not all(math.isfinite(x) for row in rows for x in row):
-        raise ValueError("control points must be finite")
+        return None
     net = points.copy()
     if start:
         net[1:len(rows) + 1] = rows
@@ -109,7 +108,10 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     if n < order:
         raise ValueError(f"degree {n} cannot carry an order-{order} endpoint jet")
     jet = [np.broadcast_to(np.asarray(d, float), (2,)).tolist() for d in (d1, d2, d3)[:order]]
-    return BezierCurve(_jet_net(curve.control_points, end, jet))
+    net = _jet_net(curve.control_points, end, jet)
+    if net is None:
+        raise ValueError("control points must be finite")
+    return BezierCurve(net)
 
 
 def _travel_times(curves, count: int, mode, v_segment: float,
@@ -267,14 +269,15 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
         # junction (d1 and d3 flip sign at the end), q1 and q2 set by d1, d2.
         sign = 1.0 if end == "start" else -1.0
         f3 = _endpoint_factors(points.shape[0] - 1)[2]
-        q = _jet_net(points, end, [d1, d2])
+        if (q := _jet_net(points, end, [d1, d2])) is None:
+            return None
         q0, q1, q2, q3 = (q[:4] if end == "start" else q[:-5:-1]).tolist()
         kept = [sign * f3 * (((d - c) - (c - b)) - ((c - b) - (b - a)))
                 for a, b, c, d in zip(q0, q1, q2, q3)]
         b3, = _box_least_squares([d3_slope], [k - z for k, z in zip(kept, d3_at(0.0))],
                                  *beta3_bounds)
     net = _jet_net(points, end, [d1, d2, d3_at(b3)])
-    if not _regular(net):
+    if net is None or not _regular(net):
         return None
     if problem.side == "right":
         return (b1, b2, b3), ctx.left.curve.control_points, net
@@ -435,14 +438,14 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     v = ctx.left_jet._floats[1]
     left = _jet_net(ctx.left.curve.control_points, "end",
                     [[x1 * c for c in v], [x2 * c for c in v]])
-    if not _regular(left):
+    if left is None or not _regular(left):
         return None
     beta1 = x1 / x3
     # C'''(1) of the new left net: the last point of its third derivative net.
     d3_right = (_derivative_net([left], 3)[-1] / (beta1**3 * ctx.right.mode.n**2)).tolist()
     right = _jet_net(ctx.right.curve.control_points, "start",
                      [[x3 * c for c in v], [x4 * c for c in v], d3_right])
-    if not _regular(right):
+    if right is None or not _regular(right):
         return None
     return (x1, x2, x3, x4), left, right
 

@@ -648,3 +648,24 @@ def test_main_runs_the_handler_bound_at_call_time(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.layout) or 7)
     assert main(["check", SMOOTHED]) == 7
     assert seen == [SMOOTHED]
+
+
+@pytest.mark.parametrize("objective", ["min_travel_time", "min_displacement"])
+def test_repair_of_a_far_scaled_segment_is_infeasible_not_a_traceback(objective, tmp_path):
+    # The left segment of two_wheel_g1 scaled by 1e110 about the junction:
+    # candidates whose moved control points overflow are inadmissible, as
+    # irregular ones are, so the search ends infeasible instead of raising.
+    doc = json.loads(bundled_layout_text("two_wheel_g1"))
+    points = doc["segments"][0]["control_points_m"]
+    jx, jy = points[-1]
+    doc["segments"][0]["control_points_m"] = [
+        [jx + (x - jx) * 1e110, jy + (y - jy) * 1e110] for x, y in points[:-1]] + [[jx, jy]]
+    layout = tmp_path / "far.json"
+    layout.write_text(json.dumps(doc))
+    src = str(Path(agv_path_kit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "agv_path_kit", "repair", str(layout),
+                           "--objective", objective], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("error: repair infeasible")

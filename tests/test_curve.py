@@ -1,6 +1,7 @@
 """Curve engine: evaluation, arc length, curvature, continuity primitives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,3 +292,29 @@ class TestGeometricContinuity:
             curve.split(0.0)
         with pytest.raises(ValueError):
             curve.split(1.0)
+
+
+def exact_curvature_terms(jet):
+    """kappa^2 and d(kappa)/ds of ``jet``'s float entries, as exact fractions."""
+    (x1, y1), (x2, y2), (x3, y3) = ([Fraction(v) for v in d.tolist()]
+                                    for d in (jet.d1, jet.d2, jet.d3))
+    q = x1 * x1 + y1 * y1
+    c12, c13 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3
+    return c12 * c12 / q**3, c13 / q**2 - 3 * c12 * (x1 * x2 + y1 * y2) / q**3
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1e60, 0), (2e60, 1e60), (3e60, 1e60)],
+    [(0, 0), (1e150, 0), (2e150, 1e150), (3e150, 3e150)],
+    [(0, 0), (1e-3, 0), (2e-3, 1e-3), (3e-3, 3e-3)],
+])
+def test_curvature_of_a_far_scaled_jet_is_exact_to_rounding(points):
+    # A power of |C'| in Python floats raises OverflowError on the first two
+    # jets, whose kappa and dkappa/ds are 0 and -2.8e-121, then 2.4e-151 and
+    # -1.7e-301; the third is the same shape at an ordinary scale.
+    jet = evaluate(BezierCurve(points), 0.5)
+    kappa2, dkappa = exact_curvature_terms(jet)
+    kappa = Fraction(curvature(jet))
+    assert abs(kappa * kappa - kappa2) <= 2e-12 * kappa2
+    assert abs(Fraction(curvature_arc_derivative(jet)) - dkappa) <= 1e-12 * abs(dkappa)
+    assert dkappa != 0

@@ -107,18 +107,25 @@ def ref_limit(v_segment, vehicle, tracks, size):
 
 
 def ref_profile(segment, vehicle, samples):
+    # Unwrapped angles are principal values plus whole turns: theta's, and
+    # each wheel heading's, picked on the unwrap grid one row at a time. A
+    # steering angle is the difference of the principal values plus that of
+    # the turns, plus the turns `wrap_angle` takes off its grid value at u=0.
     us = np.linspace(0.0, 1.0, samples)
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
     theta_grid = grid.theta[0]
-    theta = _nearest_branch(us, theta_grid, jets.theta[0])
+    theta_turns = _nearest_branch(us, theta_grid, jets.theta[0])
+    theta = jets.theta[0] + math.tau * theta_turns
     tracks = {}
     for w in vehicle.sorted_wheels():
         track = ref_track(jets, w)
         zeta_grid = _angle(ref_derivatives(grid, w)[1])
-        zeta = _nearest_branch(us, zeta_grid, _angle(track["d1"]))
-        track["delta_w"] = (wrap_angle(zeta_grid[0] - theta_grid[0])
-                            + (zeta - zeta_grid[0]) - (theta - theta_grid[0]))
+        zeta = _angle(track["d1"])
+        start = zeta_grid[0] - theta_grid[0]
+        anchor = round((wrap_angle(start) - start) / math.tau)
+        turns = _nearest_branch(us, zeta_grid, zeta) - theta_turns + anchor
+        track["delta_w"] = (zeta - jets.theta[0]) + math.tau * turns
         tracks[w.id] = track
     v, binding, flagged = ref_limit(segment.v_max, vehicle, tracks, samples)
     cusp = np.zeros(samples, dtype=bool)

@@ -5,15 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
                           ExponentialDelayed, PathSegment, Tangential, VehicleModel,
                           Wheel, orientation, orientation_at_end, profile_segment,
-                          wheel_curve_jet)
-from agv_path_kit.motion import (heading_rates, orientation_many,
-                                 unwrapped_heading, wrap_angle)
+                          wheel_curve_jet, wheel_state)
+from agv_path_kit.motion import (_UNWRAP_U, _nearest_branch, heading_rates,
+                                 orientation_many, unwrapped_heading, wrap_angle)
 
 from conftest import random_regular_curve
+from test_layout_properties import ANGLE, MODES, MOUNT, curves, moved
 
 
 def all_modes(alpha=0.3, n=1.7):
@@ -200,3 +203,55 @@ def test_wrap_angle_range():
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     assert wrap_angle(3.5 * math.pi) == pytest.approx(-0.5 * math.pi)
     assert wrap_angle(0.25) == pytest.approx(0.25)
+
+
+def nudged(angles: np.ndarray, seed: int, most: int = 4) -> np.ndarray:
+    """``angles`` each moved by up to ``most`` ulps, up or down, at random."""
+    ulps = np.random.default_rng(seed).integers(-most, most + 1, angles.shape)
+    out = angles.copy()
+    for step in range(1, most + 1):
+        out = np.where(ulps >= step, np.nextafter(out, np.inf), out)
+        out = np.where(ulps <= -step, np.nextafter(out, -np.inf), out)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(curves(), MODES, ANGLE, st.integers(0, 2**32 - 1))
+def test_grid_ulps_do_not_move_the_turn_counts(curve, mode, phi, seed):
+    # The unwrap grid only picks whole turns, so a few ulps of its angles, as
+    # another SIMD path of np.arctan2 gives, change no count away from a tie.
+    segment = moved(PathSegment(curve, mode, 1.5), phi, (0.0, 0.0))
+    us = np.linspace(0.0, 1.0, 65)
+    principal = orientation_many(segment.mode, segment.curve, us, unwrap=False, order=1)[0]
+    grid = orientation_many(segment.mode, segment.curve, _UNWRAP_U, unwrap=False, order=1)[0]
+    turns = _nearest_branch(us, grid, principal)
+    assert np.array_equal(turns, np.rint(turns))
+    q = (np.interp(us, _UNWRAP_U, np.unwrap(grid)) - principal) / math.tau
+    tie = np.abs(np.abs(q - np.rint(q)) - 0.5) <= 1e-9
+    moved_turns = _nearest_branch(us, nudged(grid, seed), principal)
+    assert np.array_equal(turns[~tie], moved_turns[~tie])
+
+
+def whole_turns(unwrapped, principal) -> np.ndarray:
+    """The whole k with ``unwrapped`` == principal + 2 pi k bit for bit; fails without one."""
+    k = np.rint((np.asarray(unwrapped) - principal) / math.tau)
+    assert np.array_equal(principal + math.tau * k, unwrapped)
+    return k
+
+
+@settings(deadline=None, max_examples=60)
+@given(curves(), MODES, ANGLE, st.tuples(MOUNT, MOUNT), st.sampled_from([0.0, 0.37, 1.0]))
+def test_reported_angles_are_principal_values_plus_whole_turns(curve, mode, phi, mount, u):
+    # Rotating the path carries its headings across the cut at +-pi.
+    segment = moved(PathSegment(curve, mode, 1.5), phi, (0.0, 0.0))
+    wheel = Wheel("w", mount, 1.0, 1.0)
+    prof = profile_segment(segment, VehicleModel((wheel,)), 17)
+    whole_turns(prof.theta, orientation_many(segment.mode, segment.curve, prof.u,
+                                             unwrap=False)[0])
+    theta = orientation_many(segment.mode, segment.curve, [u], unwrap=False)[0]
+    whole_turns([orientation(segment.mode, segment.curve, u).theta], theta)
+    d1 = wheel_curve_jet(segment, wheel, u).d1
+    zeta = np.arctan2(d1[1:], d1[:1])
+    state = wheel_state(segment, wheel, u)
+    whole_turns([state.zeta_w], zeta)
+    whole_turns([state.delta_w], zeta - theta)
