@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 discontinuity or infeasible repair, 2 bad input
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .continuity import (SMOOTH, SMOOTH_AT_REST_ONLY, JunctionContext,
                          Tolerances, check_junctions)
@@ -37,6 +37,25 @@ __all__ = [
 ]
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the report schema of `check --format json`:
+    strings, floats, None, booleans, and dicts and lists of these. ``pad`` is the
+    indent of the line that ``value`` starts on."""
+    if isinstance(value, float):
+        return (float.__repr__(value) if math.isfinite(value) else "NaN" if value != value
+                else "Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    items = ([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+             if isinstance(value, dict) else [_json_text(v, inner) for v in value])
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+            if items else brackets)
+
+
 def cmd_check(args) -> int:
     doc = load_layout(args.layout)
     reports = check_junctions(doc.junctions(), doc.vehicle, args.tolerances)
@@ -45,9 +64,8 @@ def cmd_check(args) -> int:
         acceptable.add(SMOOTH_AT_REST_ONLY)
     ok = all(r.verdict in acceptable for r in reports)
     if args.format == "json":
-        print(json.dumps({"layout": doc.name or args.layout,
-                          "junctions": [r.to_dict() for r in reports],
-                          "ok": ok}, indent=2))
+        print(_json_text({"layout": doc.name or args.layout,
+                          "junctions": [r.to_dict() for r in reports], "ok": ok}))
     else:
         for r in reports:
             print(f"{r.left_id}:{r.right_id}  {r.verdict}"

@@ -134,7 +134,7 @@ def _end_states(sides) -> list[tuple[CurveJet, OrientationJet]]:
         jets = np.ascontiguousarray(rows[members, 1:].transpose(1, 0, 2))  # C', C'', C'''
         laws[:, members] = _orientation(sides[members[0]][0].mode, None, us, 2,
                                         [None, *jets], alpha, n)
-    return [(CurveJet(*row), OrientationJet(*law)) for row, law in zip(rows, laws.T.tolist())]
+    return list(zip(CurveJet._of_rows(rows), (OrientationJet(*law) for law in laws.T.tolist())))
 
 
 class _BetaExtraction(NamedTuple):
@@ -435,10 +435,11 @@ def check_exponential_junction(ctx: JunctionContext,
         return 0.0 if m <= SINGULAR_SPEED else abs(_cross(v, t)) / m
 
     tangent_parallel, d2_left, d2_right = (perp_fraction(v) for v in (r1, l2, r2))
-    beta1 = float(abs(_extract_curve_route(lj, rj).beta1))
-    rhs = [beta1**3 * n**2 * x for x in r3]
+    beta1 = abs(_extract_curve_route(lj, rj).beta1)  # numpy: beta1**3 may overflow to inf
+    rhs = [beta1**3 * np.float64(n)**2 * x for x in r3]
     defect = [a - b for a, b in zip(l3, rhs)]
-    third = _relative(math.sqrt(_dot(defect, defect)), math.sqrt(_dot(rhs, rhs)))
+    scale = math.sqrt(_dot(rhs, rhs))
+    third = _relative(math.sqrt(_dot(defect, defect)), scale) if math.isfinite(scale) else math.inf
     alpha_gap = abs(wrap_angle(ctx.left.mode.alpha - ctx.right.mode.alpha))
     ok = (ctx.position_gap <= tol.position and alpha_gap <= tol.angle
           and k_left <= tol.relative and k_right <= tol.relative
@@ -447,7 +448,7 @@ def check_exponential_junction(ctx: JunctionContext,
           and _dot(l1, r1) > 0.0)
     verdict = SMOOTH if ok else DISCONTINUOUS
     return ExponentialJunctionChecks(k_left, k_right, tangent_parallel,
-                                     d2_left, d2_right, third, beta1, n, verdict)
+                                     d2_left, d2_right, third, float(beta1), n, verdict)
 
 
 def check_junctions(junctions, vehicle: VehicleModel,

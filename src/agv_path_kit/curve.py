@@ -82,6 +82,14 @@ class CurveJet:
         """position, d1, d2, d3 as (x, y) lists of Python floats, converted once."""
         return tuple(v.tolist() for v in (self.position, self.d1, self.d2, self.d3))
 
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> list["CurveJet"]:
+        """A jet per row of a read-only (E, 4, 2) array: fields view it, floats from one tolist."""
+        jets = [cls.__new__(cls) for _ in rows]
+        for jet, row, floats in zip(jets, rows, rows.tolist()):
+            jet.__dict__.update(zip(("position", "d1", "d2", "d3"), row), _floats=tuple(floats))
+        return jets
+
 
 @dataclass(frozen=True)
 class ShapeParameters:
@@ -489,13 +497,13 @@ def curvature_arc_derivative(jet: CurveJet) -> float:
 
 def _continuity_defects(left: CurveJet, right: CurveJet, beta1: float,
                         beta2: float, beta3: float | None,
-                        order: int) -> tuple[np.ndarray, np.ndarray]:
+                        order: int) -> tuple[list[float], list[float]]:
     """Raw defect vectors of the order-0..order continuity conditions.
 
-    Returns (residual norms, right-hand-side norms). ``beta1`` may carry any
-    sign here; positivity is a caller-level concern. The third-order
-    condition uses the chain-rule coefficient 3*beta1*beta2, i.e. the betas
-    are the derivatives of a common reparameterization at the junction.
+    Returns (residual norms, right-hand-side norms) as lists of floats.
+    ``beta1`` may carry any sign here; positivity is a caller-level concern.
+    The third-order condition uses the chain-rule coefficient 3*beta1*beta2,
+    i.e. the betas are the derivatives of a common reparameterization at the junction.
     """
     lefts, rights = left._floats, right._floats
     residuals, scales = [], []
@@ -504,7 +512,7 @@ def _continuity_defects(left: CurveJet, right: CurveJet, beta1: float,
         defect = [a - b for a, b in zip(lefts[k], rhs)]
         residuals.append(math.sqrt(_dot(defect, defect)))
         scales.append(math.sqrt(_dot(rhs, rhs)))
-    return np.array(residuals), np.array(scales)
+    return residuals, scales
 
 
 def check_geometric_continuity(left: CurveJet, right: CurveJet,
@@ -521,4 +529,4 @@ def check_geometric_continuity(left: CurveJet, right: CurveJet,
         raise ValueError("beta3 is required to check third-order continuity")
     residuals, _ = _continuity_defects(left, right, params.beta1, params.beta2,
                                        params.beta3, order)
-    return residuals
+    return np.array(residuals)

@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curve import BezierCurve
 from .errors import LayoutError
 from .motion import Crab, ExponentialAnticipated, ExponentialDelayed, Tangential
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() rounds past the range
 
 _MODES = {"tangential": Tangential, "crab": Crab,
           "exponential_delayed": ExponentialDelayed,
@@ -102,8 +105,10 @@ class LayoutDocument:
 
 
 def _is_number(value) -> bool:
-    """JSON numbers only: ``true`` and ``false`` are not read as 1 and 0."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """JSON numbers only: ``true`` and ``false`` are not read as 1 and 0, nor an
+    integer past the float range as infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, float) or abs(value) < _FLOAT_OVERFLOW))
 
 
 def _require(obj: dict, key: str, kind, location: str):
@@ -156,12 +161,10 @@ def _parse_wheel(obj, idx: int) -> Wheel:
 
 def parse_layout(data) -> LayoutDocument:
     """Parse and validate a layout document (JSON text, bytes, or dict)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
+    if isinstance(data, (bytes, str)):
+        try:  # bad UTF-8 or JSON, too long an integer, or too deep a nesting
+            data = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        except (ValueError, RecursionError) as exc:
             raise LayoutError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise LayoutError("layout document must be a JSON object")
@@ -196,9 +199,9 @@ def parse_layout(data) -> LayoutDocument:
         if len(pts) < 2:
             raise LayoutError("a curve needs at least two control points (degree >= 1)",
                               f"{loc}.control_points_m")
-        for j, p in enumerate(pts):
-            if (not isinstance(p, list) or len(p) != 2
-                    or not all(_is_number(c) for c in p)):
+        for j, p in enumerate(pts):  # a pair of floats passes without `_is_number`
+            if not (isinstance(p, list) and len(p) == 2 and (
+                    (type(p[0]) is float and type(p[1]) is float) or all(map(_is_number, p)))):
                 raise LayoutError("control point must be [x, y]",
                                   f"{loc}.control_points_m[{j}]")
         mode = _parse_mode(seg.get("mode"), f"{loc}.mode")
@@ -206,7 +209,7 @@ def parse_layout(data) -> LayoutDocument:
         if not v_max > 0.0:
             raise LayoutError("v_max_mps must be > 0", f"{loc}.v_max_mps")
         try:
-            segment = PathSegment(BezierCurve(pts), mode, v_max)
+            segment = PathSegment(BezierCurve(np.array(pts, dtype=float)), mode, v_max)
         except ValueError as exc:
             raise LayoutError(str(exc), loc) from exc
         segments.append(LayoutSegment(seg_id, segment))

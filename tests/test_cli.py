@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agv_path_kit
-from agv_path_kit import LayoutError, parse_layout, serialize_layout
-from agv_path_kit.cli import main
+from agv_path_kit import (ContinuityReport, LayoutError, ShapeParameters, parse_layout,
+                          serialize_layout)
+from agv_path_kit.cli import _json_text, main
 from agv_path_kit.layouts import (bundled_layout_names, bundled_layout_path,
                                   bundled_layout_text)
 
@@ -669,3 +673,112 @@ def test_repair_of_a_far_scaled_segment_is_infeasible_not_a_traceback(objective,
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines()[-1].startswith("error: repair infeasible")
+
+
+def _mutated(name: str, path, value) -> dict:
+    """Bundled layout ``name`` as a dict, with ``value`` written at ``path``."""
+    doc = json.loads(bundled_layout_text(name))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, error", [
+    pytest.param(("segments", 0, "control_points_m", 1, 0),
+                 "segments[0].control_points_m[1]: control point must be [x, y]",
+                 id="control-point"),
+    pytest.param(("vehicle", "wheels", 2, "position_m", 1),
+                 "vehicle.wheels[2].position_m: position_m must be [x, y]", id="position"),
+    pytest.param(("vehicle", "wheels", 1, "v_max_mps"),
+                 "vehicle.wheels[1].v_max_mps: 'v_max_mps' must be a finite number",
+                 id="wheel-v-max"),
+    pytest.param(("vehicle", "wheels", 0, "omega_max_degps"),
+                 "vehicle.wheels[0].omega_max_degps: 'omega_max_degps' must be a finite "
+                 "number", id="omega-max"),
+    pytest.param(("segments", 1, "v_max_mps"),
+                 "segments[1].v_max_mps: 'v_max_mps' must be a finite number",
+                 id="segment-v-max"),
+    pytest.param(("segments", 0, "mode", "alpha_deg"),
+                 "segments[0].mode.alpha_deg: 'alpha_deg' must be a finite number",
+                 id="alpha"),
+    pytest.param(("segments", 1, "mode", "n"),
+                 "segments[1].mode.n: 'n' must be a finite number", id="n"),
+])
+@pytest.mark.parametrize("value", [10**400, -(2**1024)])
+def test_integer_beyond_the_float_range_exits_2_at_its_location(tmp_path, capsys, path,
+                                                                 error, value):
+    layout = tmp_path / "huge.json"
+    layout.write_text(json.dumps(_mutated("six_wheel_exponential", path, value)))
+    assert run_cli(["check", str(layout)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b'{"schema_version": 1' + b"0" * 5000 + b"}", id="5001-digit-integer"),
+    pytest.param(b'\xff{"schema_version": 1}', id="not-utf-8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deep"),
+])
+def test_unreadable_json_exits_2(tmp_path, capsys, text):
+    layout = tmp_path / "unreadable.json"
+    layout.write_bytes(text)
+    assert run_cli(["check", str(layout)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+
+
+def _located_error(points, location: str) -> str:
+    """What the point-by-point rule says of a segment's points: the first one that
+    is not a pair of JSON numbers a float holds is named; otherwise a NaN makes the
+    curve refuse them. (Integers drawn here are far from the float range's edge.)"""
+    for j, p in enumerate(points):
+        if not (isinstance(p, list) and len(p) == 2 and all(
+                type(c) is float or (type(c) is int and abs(c) < 2**1024) for c in p)):
+            return f"{location}.control_points_m[{j}]: control point must be [x, y]"
+    return f"{location}: control points must be finite"
+
+
+BAD_COORDINATES = st.one_of(
+    st.sampled_from([True, False, None, "1.5", [1.0], [], {"x": 1.0}, math.nan]),
+    st.integers(2**1024, 2**1100), st.integers(-(2**1100), -(2**1024)),
+    st.just("third"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(bundled_layout_names()), st.data())
+def test_a_bad_control_point_is_named_as_the_located_rule_names_it(name, data):
+    # Only a pair of floats skips `_is_number` in the parse's one pass, so a
+    # mutated layout gets the point-by-point rule's message and location.
+    doc = json.loads(bundled_layout_text(name))
+    i = data.draw(st.integers(0, len(doc["segments"]) - 1), label="segment")
+    points = doc["segments"][i]["control_points_m"]
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        j = data.draw(st.integers(0, len(points) - 1), label="point")
+        value = data.draw(BAD_COORDINATES, label="value")
+        if value == "third":
+            points[j] = [*points[j], 0.0]
+        else:
+            points[j][data.draw(st.integers(0, 1), label="coordinate")] = value
+    with pytest.raises(LayoutError) as info:
+        parse_layout(json.dumps(doc))
+    assert str(info.value) == _located_error(points, f"segments[{i}]")
+
+
+SPECIAL_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                                  2.2250738585072e-308, 1e308, 1.7976931348623157e308])
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats()).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)]))  # reports carry numpy floats too
+TEXTS = st.one_of(st.text(max_size=12),
+                  st.sampled_from(['"', "\\", "a\nb", '"\t\r\x00', "é→😀", "s1:s2"]))
+BETAS = st.one_of(st.none(), st.builds(
+    ShapeParameters, st.floats(min_value=0.0, exclude_min=True), FLOATS,
+    st.one_of(st.none(), FLOATS)))
+REPORTS = st.builds(ContinuityReport, TEXTS, TEXTS, FLOATS, FLOATS, BETAS, FLOATS, FLOATS,
+                    FLOATS, FLOATS, FLOATS, TEXTS, st.lists(TEXTS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, st.lists(REPORTS, max_size=3), st.booleans())
+def test_check_json_writer_prints_the_bytes_of_json_dumps(layout, reports, ok):
+    document = {"layout": layout, "junctions": [r.to_dict() for r in reports], "ok": ok}
+    assert _json_text(document) == json.dumps(document, indent=2)

@@ -298,6 +298,28 @@ class TestExponentialRuleSet:
         with pytest.raises(ValueError):
             check_exponential_junction(junction_of(layout_smoothed))
 
+    @pytest.mark.parametrize("scale, n", [(1e110, 1.7), (1.0, 1e200)],
+                             ids=["left-scaled-1e110", "n-1e200"])
+    def test_overflowing_rhs_is_discontinuous_not_an_overflow(self, layout_exponential,
+                                                              scale, n):
+        # s1 scaled by 1e110 about the junction makes beta1 about 1.3e110, and
+        # n = 1e200 squares past the float range: either way beta1^3 n^2 d3 is
+        # not finite. The third-derivative residual is infinite and the verdict
+        # discontinuous, as analyze_junction's is.
+        left, right = (ls.segment for ls in layout_exponential.segments)
+        net = left.curve.control_points
+        far = PathSegment(BezierCurve(net[-1] + (net - net[-1]) * scale), left.mode,
+                          left.v_max)
+        right = PathSegment(right.curve, ExponentialAnticipated(right.mode.alpha, n),
+                            right.v_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctx = JunctionContext(far, right, layout_exponential.vehicle)
+            checks = check_exponential_junction(ctx)
+            assert analyze_junction(ctx).verdict == DISCONTINUOUS
+        assert checks.beta1 == pytest.approx(1.3269817073170733 * scale)
+        assert checks.third_derivative_residual == math.inf
+        assert checks.verdict == DISCONTINUOUS
+
 
 class TestPathChecks:
     def test_single_segment_has_no_junctions(self, two_wheel_vehicle):
