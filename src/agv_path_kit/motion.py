@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .curve import BezierCurve, _cross, _dot, _parameter
+from .curve import BezierCurve, _BezierStack, _cross, _dot, _parameter
 
 __all__ = [
     "OrientationJet",
@@ -210,6 +211,16 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
     return g
 
 
+@lru_cache(maxsize=4)
+def _row_reparam(anticipated: bool, n: float, row: bytes, order: int) -> tuple[np.ndarray, ...]:
+    """Read-only `_reparam` at the nodes with float64 bytes ``row``, for stacked passes only:
+    each call of a repair search meets the same rows, one per count of live starts."""
+    g = tuple(_reparam(anticipated, n, np.frombuffer(row), order))
+    for table in g:
+        table.setflags(write=False)
+    return g
+
+
 # --------------------------------------------------------------------------
 # Orientation jets.
 
@@ -267,8 +278,9 @@ def _orientation(mode, curve, us, order, curve_jets, alpha, n):
     way, with ``curve`` None: every law reuses ``curve_jets`` at an end."""
     if isinstance(mode, Crab):
         return (np.full_like(us, alpha),) + (np.zeros_like(us),) * order
-    tangential = isinstance(mode, Tangential)
-    g = None if tangential else _reparam(isinstance(mode, ExponentialAnticipated), n, us, order)
+    tangential, anticipated = isinstance(mode, Tangential), isinstance(mode, ExponentialAnticipated)
+    g = (None if tangential else _row_reparam(anticipated, n, us.tobytes(), order)
+         if isinstance(curve, _BezierStack) else _reparam(anticipated, n, us, order))
     nodes = us if tangential else g[0]
     if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
         curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)

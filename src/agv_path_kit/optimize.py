@@ -4,9 +4,10 @@ Each start follows scipy's bounded ``minimize(method="Nelder-Mead")`` (scipy
 1.17, non-adaptive) step for step: the same coefficients and initial
 simplex, the same clipping into the bounds, ordering, convergence test and
 evaluation budget. A start therefore visits the same points and ends with
-the same result, bit for bit. The starts of one search advance together:
-each live start proposes its next point, and one objective call scores all
-of those points as the rows of one array.
+the same result, bit for bit: the simplex is a list of float lists, and
+each step is float arithmetic in the order numpy evaluates scipy's. The
+starts of one search advance together: each live start proposes its next
+point, and one objective call scores all of those points.
 """
 
 from __future__ import annotations
@@ -41,6 +42,21 @@ class _Exhausted(Exception):
     """A start asked for an evaluation past its budget."""
 
 
+def _clip(x, lower, upper) -> list[float]:
+    """``np.clip`` on floats: max with the low bound, then min with the high
+    one, each keeping a NaN and taking the bound on a tie."""
+    low = (v if v > lo or v != v else lo for v, lo in zip(x, lower))
+    return [t if t < hi or t != t else hi for t, hi in zip(low, upper)]
+
+
+def _sorted(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
+    """``sim``, ``fsim`` by ``fsim``: stable where all sorts agree, else by np.argsort as scipy."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
 def _nelder_mead(x0, lower, upper):
     """One start as a generator: it yields each point to evaluate, is sent
     that point's value, and returns (fun, x, evaluations, status)."""
@@ -53,17 +69,16 @@ def _nelder_mead(x0, lower, upper):
         calls += 1
         return (yield x)
 
-    x0 = np.clip(x0, lower, upper)
+    def trial(a, c):  # a xbar - c worst, clipped; a - (-c) w is a + c w bit for bit
+        return _clip([a * b - c * w for b, w in zip(xbar, sim[-1])], lower, upper)
+
+    x0 = _clip(x0, lower, upper)
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + _NONZERO_STEP) * y[k] if y[k] != 0 else _ZERO_STEP
-        sim[k + 1] = y
+    steps = [(1 + _NONZERO_STEP) * v if v != 0 else _ZERO_STEP for v in x0]
     # Steps past an upper bound are reflected into the box, not only clipped.
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full((n + 1,), np.inf, dtype=float)
+    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(x, upper)], lower, upper)
+           for x in [x0] + [x0[:k] + [steps[k]] + x0[k + 1:] for k in range(n)]]
+    fsim = [np.inf] * (n + 1)
     try:
         for k in range(n + 1):
             fsim[k] = yield from value_at(sim[k])
@@ -71,60 +86,43 @@ def _nelder_mead(x0, lower, upper):
         pass
     # Sorted twice, as scipy does: argsort need not keep ties in place.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
 
     while calls < maxfev:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            if (all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, sim[0]))
+                    and all(abs(fsim[0] - f) <= _FATOL for f in fsim[1:])):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip((1 + _RHO) * xbar - _RHO * sim[-1], lower, upper)
+            xbar = sim[0]  # np.add.reduce(sim[:-1], 0) / n adds the rows in order
+            for x in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            xr = trial(1 + _RHO, _RHO)
             fxr = yield from value_at(xr)
             if fxr < fsim[0]:
-                xe = np.clip((1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1],
-                             lower, upper)
+                xe = trial(1 + _RHO * _CHI, _RHO * _CHI)
                 fxe = yield from value_at(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                shrink = False
-                if fxr < fsim[-1]:
-                    # Outside contraction.
-                    xc = np.clip((1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1],
-                                 lower, upper)
-                    fxc = yield from value_at(xc)
-                    if fxc <= fxr:
-                        sim[-1], fsim[-1] = xc, fxc
-                    else:
-                        shrink = True
+                # Contract outside the worst vertex if xr beats it, else inside.
+                outside = fxr < fsim[-1]
+                xc = trial(1 + _PSI * _RHO, _PSI * _RHO) if outside else trial(1 - _PSI, -_PSI)
+                fxc = yield from value_at(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
                 else:
-                    # Inside contraction.
-                    xcc = np.clip((1 - _PSI) * xbar + _PSI * sim[-1], lower, upper)
-                    fxcc = yield from value_at(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                    else:
-                        shrink = True
-                if shrink:
-                    # A budget cut inside this loop leaves the moved vertex
-                    # with its old value, as scipy does.
+                    # Shrink. A budget cut inside this loop leaves the moved
+                    # vertex with its old value, as scipy does.
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + _SIGMA * (sim[j] - sim[0]),
-                                         lower, upper)
+                        sim[j] = _clip([a + _SIGMA * (b - a) for a, b in zip(sim[0], sim[j])],
+                                       lower, upper)
                         fsim[j] = yield from value_at(sim[j])
         except _Exhausted:
             pass
         # Outside the try, as in scipy: a break on convergence skips this sort.
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        sim, fsim = _sorted(sim, fsim)
     return float(np.min(fsim)), sim[0], calls, int(calls >= maxfev)
 
 
@@ -132,14 +130,14 @@ def minimize(objective, starts, bounds) -> SearchResult:
     """Minimize ``objective`` over the box ``bounds`` from each of ``starts``.
 
     ``bounds`` holds one finite (low, high) pair per parameter; a start
-    outside them is clipped into them. ``objective`` takes an (S, D) array
-    of points, one row per live start, and returns their S values. Each
-    start stops when its simplex meets the tolerances or after ``_MAXFEV``
-    evaluations. The winner has the least (value, x), compared
-    as tuples, and the first such start wins a tie.
+    outside them is clipped into them. ``objective`` takes a list of S
+    points, one float list per live start, which it must not modify, and
+    returns their S values. Each start stops when its simplex meets the
+    tolerances or after ``_MAXFEV`` evaluations. The winner has the least
+    (value, x), compared as tuples, and the first such start wins a tie.
     """
-    lower, upper = np.array(bounds, dtype=float).T
-    runs = [_nelder_mead(np.asarray(x0, dtype=float), lower, upper) for x0 in starts]
+    lower, upper = ([float(v) for v in side] for side in zip(*bounds))
+    runs = [_nelder_mead([float(v) for v in x0], lower, upper) for x0 in starts]
     pending, results = {}, [None] * len(runs)
 
     def advance(i, value):
@@ -153,7 +151,7 @@ def minimize(objective, starts, bounds) -> SearchResult:
         advance(i, None)
     while pending:
         live = list(pending)
-        for i, value in zip(live, objective(np.array([pending[i] for i in live]))):
+        for i, value in zip(live, objective([pending[i] for i in live])):
             advance(i, float(value))
-    fun, x, _, status = min(results, key=lambda r: (r[0], tuple(r[1].tolist())))
-    return SearchResult(fun, x, sum(r[2] for r in results), status)
+    fun, x, _, status = min(results, key=lambda r: (r[0], tuple(r[1])))
+    return SearchResult(fun, np.array(x), sum(r[2] for r in results), status)

@@ -17,14 +17,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext, Tolerances,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import (BezierCurve, _BezierStack, _cross, _derivative_net, _dot,
-                    _hodograph_certifies, _rhs, sampled_irregular_parameter)
+from .curve import (BezierCurve, _BezierStack, _cross, _dot, _hodograph_certifies, _rhs,
+                    sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
 from .motion import ExponentialAnticipated, Tangential, wrap_angle
@@ -60,18 +61,18 @@ def _endpoint_factors(degree: int) -> tuple[float, float, float]:
             float(degree * (degree - 1) * (degree - 2)))
 
 
-def _jet_net(points: np.ndarray, end: str, jet) -> np.ndarray:
-    """Copy of the net ``points`` with the jet (d1, ..., dk) of (x, y) float
-    pairs prescribed at ``end``, moving points 1..k counted from that end.
+def _jet_net(points: list, end: str, jet) -> list | None:
+    """The [x, y] rows ``points`` with the jet (d1, ..., dk) of (x, y) float pairs
+    prescribed at ``end``: new rows for points 1..k from that end, the rest shared.
 
     Each coordinate is float arithmetic grouped as numpy evaluates the vector
     formulas: from the start P1 = P0 + d1/f1, P2 = (d2/f2 + 2 P1) - P0,
     P3 = ((d3/f3 + 3 P2) - 3 P1) + P0; from the end P1 = P0 - d1/f1, the same
     P2, P3 = ((P0 - 3 P1) + 3 P2) - d3/f3. None if a moved point is not finite.
     """
-    f1, f2, f3 = _endpoint_factors(points.shape[0] - 1)
+    f1, f2, f3 = _endpoint_factors(len(points) - 1)
     start = end == "start"
-    p0 = (points[0] if start else points[-1]).tolist()
+    p0 = points[0] if start else points[-1]
     rows = [p1 := [a + d / f1 if start else a - d / f1 for a, d in zip(p0, jet[0])]]
     if len(jet) > 1:
         rows.append(p2 := [d / f2 + 2.0 * b - a for a, b, d in zip(p0, p1, jet[1])])
@@ -80,12 +81,8 @@ def _jet_net(points: np.ndarray, end: str, jet) -> np.ndarray:
                      for a, b, c, d in zip(p0, p1, p2, jet[2])])
     if not all(math.isfinite(x) for row in rows for x in row):
         return None
-    net = points.copy()
-    if start:
-        net[1:len(rows) + 1] = rows
-    else:
-        net[-len(rows) - 1:-1] = rows[::-1]
-    return net
+    k = len(rows)
+    return [p0, *rows, *points[k + 1:]] if start else [*points[:-k - 1], *rows[::-1], p0]
 
 
 def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
@@ -108,7 +105,7 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     if n < order:
         raise ValueError(f"degree {n} cannot carry an order-{order} endpoint jet")
     jet = [np.broadcast_to(np.asarray(d, float), (2,)).tolist() for d in (d1, d2, d3)[:order]]
-    net = _jet_net(curve.control_points, end, jet)
+    net = _jet_net(curve.control_points.tolist(), end, jet)
     if net is None:
         raise ValueError("control points must be finite")
     return BezierCurve(net)
@@ -160,6 +157,11 @@ class RepairProblem:
         if self.side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
 
+    @cached_property
+    def _rows(self) -> tuple[list, list]:
+        """The left and right control points as [x, y] float rows, converted once."""
+        return tuple(s.curve.control_points.tolist() for s in (self.ctx.left, self.ctx.right))
+
 
 @dataclass
 class RepairResult:
@@ -186,12 +188,13 @@ def _moved_points(before: BezierCurve, after: BezierCurve, side: str) -> list[di
             for i, (b, a) in enumerate(pairs) if b != a]
 
 
-def _displacement(before: np.ndarray, after: np.ndarray) -> float:
-    """Squared control-point moves of one side; 0.0 for ``before`` itself."""
-    return 0.0 if after is before else float(np.sum((before - after)**2))
+def _displacement(before: list, after: list) -> float:
+    """Squared control-point moves of one side's rows, in ``np.sum``'s order; 0.0 for ``before``."""
+    return 0.0 if after is before else float(np.add.reduce(
+        [(a - b) * (a - b) for p, q in zip(before, after) for a, b in zip(p, q)]))
 
 
-def _regular(net: np.ndarray) -> bool:
+def _regular(net: list) -> bool:
     """`irregular_parameter`'s verdict, building a curve only if uncertified."""
     return _hodograph_certifies(net) or sampled_irregular_parameter(BezierCurve(net)) is None
 
@@ -242,9 +245,9 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     b1, b2 = float(beta[0]), float(beta[1])
     if b1 <= 0.0:
         return None
-    ctx = problem.ctx
+    ctx, (left, right) = problem.ctx, problem._rows
     if problem.side == "right":
-        points, end = ctx.right.curve.control_points, "start"
+        points, end = right, "start"
         _, l1, l2, l3 = ctx.left_jet._floats
         d1 = [x / b1 for x in l1]
         d2 = [(y - b2 * x) / b1**2 for x, y in zip(d1, l2)]
@@ -253,7 +256,7 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
         def d3_at(b3):
             return [(z - 3.0 * b1 * b2 * y - b3 * x) / b1**3 for x, y, z in zip(d1, d2, l3)]
     else:
-        points, end = ctx.left.curve.control_points, "end"
+        points, end = left, "end"
         _, r1, r2, r3 = ctx.right_jet._floats
         d1 = [_rhs(1, b1, b2, None, x) for x in r1]
         d2 = [_rhs(2, b1, b2, None, x, y) for x, y in zip(r1, r2)]
@@ -268,10 +271,10 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
         # sign * f3 * np.diff([q0, q1, q2, q3], 3), the net read from the
         # junction (d1 and d3 flip sign at the end), q1 and q2 set by d1, d2.
         sign = 1.0 if end == "start" else -1.0
-        f3 = _endpoint_factors(points.shape[0] - 1)[2]
+        f3 = _endpoint_factors(len(points) - 1)[2]
         if (q := _jet_net(points, end, [d1, d2])) is None:
             return None
-        q0, q1, q2, q3 = (q[:4] if end == "start" else q[:-5:-1]).tolist()
+        q0, q1, q2, q3 = q[:4] if end == "start" else q[:-5:-1]
         kept = [sign * f3 * (((d - c) - (c - b)) - ((c - b) - (b - a)))
                 for a, b, c, d in zip(q0, q1, q2, q3)]
         b3, = _box_least_squares([d3_slope], [k - z for k, z in zip(kept, d3_at(0.0))],
@@ -280,8 +283,8 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
     if net is None or not _regular(net):
         return None
     if problem.side == "right":
-        return (b1, b2, b3), ctx.left.curve.control_points, net
-    return (b1, b2, b3), net, ctx.right.curve.control_points
+        return (b1, b2, b3), left, net
+    return (b1, b2, b3), net, right
 
 
 def _require_matching_offsets(ctx: JunctionContext):
@@ -303,14 +306,14 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     """Minimize the objective over ``candidate``'s parameters; verify the winner.
 
     ``candidate(x)`` gives (full parameters, left net, right net), a side
-    left alone being its curve's own `control_points`, or None, which scores
+    left alone being its own rows in ``problem._rows``, or None, which scores
     1e9. The objective scores nets: displacement over the edited sides, or
     under ``min_travel_time`` one stacked pass per side over the edited nets
     of all lockstep starts. Only the winner becomes `BezierCurve`s; its full
     parameters are the result's under ``names``.
     """
     ctx = problem.ctx
-    fixed = (None, ctx.left.curve.control_points, ctx.right.curve.control_points)
+    fixed = (None, *problem._rows)
 
     def objective(xs):
         built = [candidate(x) for x in xs]
@@ -395,10 +398,10 @@ def _closest_second_multipliers(problem: RepairProblem, x1: float, x3: float,
     """
     ctx = problem.ctx
     v = ctx.left_jet._floats[1]
-    left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
-    f1l, f2l, f3l = _endpoint_factors(left.shape[0] - 1)
-    f1r, f2r, f3r = _endpoint_factors(right.shape[0] - 1)
-    (p3, p2, _, pn), (q0, _, q2, q3) = left[-4:].tolist(), right[:4].tolist()
+    left, right = problem._rows
+    f1l, f2l, f3l = _endpoint_factors(len(left) - 1)
+    f1r, f2r, f3r = _endpoint_factors(len(right) - 1)
+    (p3, p2, _, pn), (q0, _, q2, q3) = left[-4:], right[:4]
     l1 = [a - x1 * w / f1l for a, w in zip(pn, v)]   # new P(m-1) = pn - x1 v / f1l
     r1 = [a + x3 * w / f1r for a, w in zip(q0, v)]   # new Q1 = q0 + x3 v / f1r
     c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)   # right Q3 per unit left d3
@@ -431,19 +434,24 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     else:
         x1, x2, x3, x4 = (float(value) for value in x)
     ctx = problem.ctx
-    if x1 <= 0.0 or x3 <= 0.0:
+    try:  # the right C'''(0) is the new left C'''(1) over scale; none fits if it is inf
+        scale = (x1 / x3)**3 * ctx.right.mode.n**2
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not (x1 > 0.0 and x3 > 0.0 and scale < math.inf):
         return None
     if x2 is None:
         x2, x4 = _closest_second_multipliers(problem, x1, x3, bound)
     v = ctx.left_jet._floats[1]
-    left = _jet_net(ctx.left.curve.control_points, "end",
-                    [[x1 * c for c in v], [x2 * c for c in v]])
+    left = _jet_net(problem._rows[0], "end", [[x1 * c for c in v], [x2 * c for c in v]])
     if left is None or not _regular(left):
         return None
-    beta1 = x1 / x3
-    # C'''(1) of the new left net: the last point of its third derivative net.
-    d3_right = (_derivative_net([left], 3)[-1] / (beta1**3 * ctx.right.mode.n**2)).tolist()
-    right = _jet_net(ctx.right.curve.control_points, "start",
+    # C'''(1) of the new left net, differenced from its last 4 points as `_derivative_net` does.
+    m = len(left) - 1
+    d3_right = [(m - 2) * ((m - 1) * (m * (d - c) - m * (c - b))
+                           - (m - 1) * (m * (c - b) - m * (b - a))) / scale
+                for a, b, c, d in zip(*left[-4:])]
+    right = _jet_net(problem._rows[1], "start",
                      [[x3 * c for c in v], [x4 * c for c in v], d3_right])
     if right is None or not _regular(right):
         return None

@@ -196,6 +196,17 @@ def test_wheel_at_the_origin_keeps_a_finite_steering_ratio_at_a_flat_end():
     assert tracks["w1"].r_omega[0] == math.inf
 
 
+def test_steering_angle_one_ulp_above_minus_pi_stays_principal():
+    # With alpha one ulp below pi the origin wheel's steering angle is -alpha,
+    # inside (-pi, pi]; pi - (-alpha) rounds to 2 pi, so a floor of it took a turn.
+    alpha = math.nextafter(math.pi, 0.0)
+    segment = PathSegment(BezierCurve([[0.0, 0.0], [1.0, 0.3], [2.0, -0.2], [3.0, 0.1]]),
+                          Tangential(alpha), 1.5)
+    vehicle = VehicleModel((Wheel("w0", (0.0, 0.0), 1.0, 1.0),))
+    delta = profile_segment(segment, vehicle, 9).wheel_tracks["w0"].delta_w
+    assert (np.abs(delta + alpha) <= 1e-12).all()
+
+
 @st.composite
 def curve_stacks(draw):
     """One to four forward-moving curves of one degree from 3 to 7."""

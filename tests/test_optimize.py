@@ -7,9 +7,13 @@ separate scipy runs. The objectives are smooth, non-smooth, piecewise
 constant (ties everywhere), or carry a 1e9 plateau like a repair search's
 inadmissible candidates. On the plateau every step ends in a shrink, so the
 small budgets below cut some runs in the middle of a shrink, where scipy
-leaves a moved vertex with its old value.
+leaves a moved vertex with its old value. Two more are inf on part of the
+box, as a collapsed travel time scores, one of them with a 1e9 region too:
+there one simplex holds equal inf values, or equal 1e9 values, whose order
+comes from np.argsort as in scipy.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +35,13 @@ def objective_family(kind, rng, dim):
         # Piecewise constant: ties between trial points and between starts.
         return lambda x: float(np.floor(np.sum(scale * (x - center)**2)))
     cut = rng.uniform(0.0, 1.0)
+    if kind == "collapsed":
+        # A collapsed travel time (inf) wherever the last parameter passes the cut.
+        return lambda x: math.inf if x[-1] > cut else float(np.sum(scale * (x - center)**2))
+    if kind == "tied":
+        # inf below a cut on the first parameter, 1e9 past one on the last.
+        return lambda x: (math.inf if x[0] < cut - 0.5 else 1e9 if x[-1] > cut
+                          else float(np.sum(scale * (x - center)**2)))
 
     def plateau(x):
         # Inadmissible (1e9) wherever the first parameter falls below the cut.
@@ -72,10 +83,12 @@ def run(monkeypatch, objective, starts, bounds, maxfev):
 
 
 def rows(fun, calls=None):
+    """The batch objective over ``fun``, which gets each point as an array as
+    scipy hands it one; the points themselves come as float lists."""
     def objective(points):
         if calls is not None:
             calls.append(len(points))
-        return [fun(x) for x in points]
+        return [fun(np.array(x)) for x in points]
     return objective
 
 
@@ -90,7 +103,7 @@ def case(seed, kind):
         list(zip(low.tolist(), high.tolist()))
 
 
-KINDS = ("smooth", "non-smooth", "steps", "plateau")
+KINDS = ("smooth", "non-smooth", "steps", "plateau", "collapsed", "tied")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -147,3 +160,20 @@ def test_equal_values_go_to_the_start_with_the_least_x():
     got = optimize.minimize(rows(lambda x: 0.0), starts, bounds)
     want = scipy_run(lambda x: 0.0, starts[1], bounds, 400)
     assert got.fun == 0.0 and got.x.tobytes() == want[1].tobytes()
+
+
+def test_draws_reach_tied_inf_and_1e9_values(monkeypatch):
+    # The inf kinds above put equal inf values, and equal 1e9 values, in one
+    # simplex, where the order is np.argsort's: count both on their draws.
+    seen, sort = set(), optimize._sorted
+
+    def spy(sim, fsim):
+        seen.update(value for value in (math.inf, 1e9) if fsim.count(value) > 1)
+        return sort(sim, fsim)
+
+    monkeypatch.setattr(optimize, "_sorted", spy)
+    for seed in range(8):
+        for kind in ("collapsed", "tied"):
+            fun, starts, bounds = case(seed, kind)
+            run(monkeypatch, rows(fun), starts, bounds, 400)
+    assert seen == {math.inf, 1e9}

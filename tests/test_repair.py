@@ -1,11 +1,17 @@
 """Control-point repair: endpoint-jet prescription, rule sets, travel time."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agv_path_kit
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
                           JunctionContext, PathSegment, RepairInfeasibleError,
                           RepairProblem, Tangential, VehicleModel, Wheel,
@@ -247,9 +253,9 @@ class TestSearchReport:
                                          _tangential_candidate)
 
         def displacement(problem, built):
-            # The candidates return nets; a side left alone is its curve's own.
-            return (_displacement(problem.ctx.left.curve.control_points, built[1])
-                    + _displacement(problem.ctx.right.curve.control_points, built[2]))
+            # The candidates return row nets; a side left alone is its own rows.
+            return (_displacement(problem._rows[0], built[1])
+                    + _displacement(problem._rows[1], built[2]))
 
         for side in ("right", "left"):
             problem = RepairProblem(junction_of(layout_g1), "min_displacement", side)
@@ -412,3 +418,24 @@ def test_degree_deficient_left_side_is_refused_by_name(name, side, keep, message
         with pytest.raises(RepairInfeasibleError) as info:
             repair_junction(RepairProblem(ctx, objective=objective, side=side))
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("objective", ["min_travel_time", "min_displacement"])
+def test_repair_with_n_past_the_square_range_is_infeasible_not_a_traceback(objective,
+                                                                           tmp_path):
+    # six_wheel_exponential with n = 1e200 on s2: beta1^3 n^2 is past the
+    # float range for every multiplier, so no finite right jet meets the
+    # order-3 condition and every candidate is inadmissible. The RuntimeWarnings
+    # the junction's end states print for this n are not this test's concern.
+    doc = json.loads(bundled_layout_text("six_wheel_exponential"))
+    doc["segments"][1]["mode"]["n"] = 1e200
+    layout = tmp_path / "huge_n.json"
+    layout.write_text(json.dumps(doc))
+    src = str(Path(agv_path_kit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "agv_path_kit", "repair", str(layout),
+                           "--objective", objective], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == \
+        "error: repair infeasible: no admissible multipliers found in bounds"

@@ -1,12 +1,15 @@
 """Repair candidates as moved control-point rows, held to the vector route.
 
 `repair._jet_net` computes the points an endpoint jet moves in Python
-floats, and the candidate builders return control nets, not curves. These
-properties compare them with the vector route bit for bit (signed zeros
-included):
+floats, and the candidate builders return control nets as lists of [x, y]
+rows, not curves. These properties compare them with the vector route bit
+for bit (signed zeros included):
 
 - `prescribe_endpoint_jet` against the endpoint-jet map written as numpy
   vector expressions;
+- the row net `_jet_net` returns (None for a non-finite moved point), its
+  displacement and its hodograph certificate against the same map, ``np.sum``
+  and the certificate written as array expressions;
 - each candidate against its jets written as numpy vector expressions, then
   `prescribe_endpoint_jet`, `BezierCurve` and `irregular_parameter`, with the
   displacement taken on those curves: the moved points, the admissibility,
@@ -20,16 +23,19 @@ floats; it is held to the normal equations inside the box and to scipy's
 `lsq_linear` on a face.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, ExponentialAnticipated, RepairProblem,
                           Tangential, prescribe_endpoint_jet)
 from agv_path_kit import repair as R
-from agv_path_kit.curve import _dot, irregular_parameter
+from agv_path_kit.curve import (REGULAR_SPEED, _EPS, _dot, _hodograph_certifies,
+                                irregular_parameter)
 
 from conftest import random_regular_curve
 from test_continuity import ctx_for
@@ -74,6 +80,40 @@ def numpy_prescribe(points, end, d1, d2=None, d3=None) -> np.ndarray:
 def test_prescribed_points_equal_the_vector_expressions(net, end, order, jet):
     new = prescribe_endpoint_jet(BezierCurve(net), end, *jet[:order])
     assert bits(new.control_points) == bits(numpy_prescribe(net, end, *jet[:order]))
+
+
+def numpy_certifies(net: np.ndarray) -> bool:
+    """The hodograph certificate as array expressions: every direction's dot
+    products with the hodograph points as one (D, H) array, each a product
+    pair summed as `_dot` sums it. The lengths are `math.hypot`'s, the
+    certificate's own rounding (np.hypot differs in the last bit)."""
+    n = net.shape[0] - 1
+    hodograph = n * (net[1:] - net[:-1])
+    directions = np.vstack((net[-1] - net[0], hodograph))
+    lengths = np.array([math.hypot(x, y) for x, y in directions.tolist()])
+    threshold = REGULAR_SPEED + 64.0 * _EPS * n * float(lengths[1:].max())
+    dots = directions[:, :1] * hodograph[:, 0] + directions[:, 1:] * hodograph[:, 1]
+    return bool(np.any(dots.min(axis=1) > threshold * lengths))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(3, 9).flatmap(lambda n: arrays(float, (n + 1, 2), elements=COORDINATE)),
+       st.sampled_from(["start", "end"]), st.integers(1, 3),
+       arrays(float, (3, 2), elements=COORDINATE | st.sampled_from([1.7e308, -1.7e308])))
+@example(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]]), "start", 3,
+         np.full((3, 2), 1.7e308))
+def test_row_nets_equal_the_array_forms(net, end, order, jet):
+    rows = R._jet_net(net.tolist(), end, jet[:order].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = numpy_prescribe(net, end, *jet[:order])
+        moves = float(np.sum((net - expected)**2))
+    if not np.isfinite(expected).all():
+        assert rows is None
+        return
+    assert bits(rows) == bits(expected)
+    assert bits(R._displacement(net.tolist(), rows)) == bits(moves)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge net's hodograph overflows
+        assert _hodograph_certifies(rows) == numpy_certifies(expected)
 
 
 def displacement(before: BezierCurve, after: BezierCurve) -> float:
@@ -159,21 +199,21 @@ def vector_exponential(ctx, x, bound):
     return (x1, x2, x3, x4), new_left, new_right
 
 
-def assert_same_candidate(ctx, built, expected):
-    """``built`` (nets) equals ``expected`` (curves) bit for bit; a side left
-    alone is its curve's own control points."""
+def assert_same_candidate(problem, built, expected):
+    """``built`` (row nets) equals ``expected`` (curves) bit for bit; a side
+    left alone is its own rows of ``problem._rows``."""
     assert (built is None) == (expected is None)
     if built is None:
         return
     assert bits(built[0]) == bits(expected[0])
-    total = 0.0
-    for net, curve, segment in zip(built[1:], expected[1:], (ctx.left, ctx.right)):
-        original = segment.curve.control_points
-        assert (net is original) == (curve is segment.curve)
+    ctx, total = problem.ctx, 0.0
+    for net, curve, segment, rows in zip(built[1:], expected[1:], (ctx.left, ctx.right),
+                                         problem._rows):
+        assert (net is rows) == (curve is segment.curve)
         assert bits(net) == bits(curve.control_points)
         total += displacement(segment.curve, curve)
-    assert bits(R._displacement(ctx.left.curve.control_points, built[1])
-                + R._displacement(ctx.right.curve.control_points, built[2])) == bits(total)
+    assert bits(R._displacement(problem._rows[0], built[1])
+                + R._displacement(problem._rows[1], built[2])) == bits(total)
 
 
 @st.composite
@@ -212,7 +252,7 @@ def test_tangential_candidate_equals_the_vector_route(two_wheel_vehicle, junctio
     # within +-clip times its search bound, small enough to hit a face.
     beta, bounds = ((b1, b2 * cb, b3 * 3.0 * cb), None) if clip is None \
         else ((b1, b2 * cb), (-3.0 * cb * clip, 3.0 * cb * clip))
-    assert_same_candidate(ctx, R._tangential_candidate(problem, beta, bounds),
+    assert_same_candidate(problem, R._tangential_candidate(problem, beta, bounds),
                           vector_tangential(ctx, side, beta, bounds))
 
 
@@ -228,7 +268,7 @@ def test_exponential_candidate_equals_the_vector_route(two_wheel_vehicle, juncti
     # bound None runs the search's four multipliers; otherwise (x_d2L,
     # x_d2R) are solved in a box small enough to hit a face.
     x = (x1, 10.0 * x2, x3, 10.0 * x4) if bound is None else (x1, x3)
-    assert_same_candidate(ctx, R._exponential_candidate(problem, x, bound or 10.0),
+    assert_same_candidate(problem, R._exponential_candidate(problem, x, bound or 10.0),
                           vector_exponential(ctx, x, bound or 10.0))
 
 
