@@ -56,6 +56,14 @@ def _json_text(value, pad: str = "") -> str:
             if items else brackets)
 
 
+def _csv_text(cell: str) -> str:
+    """``cell`` as an RFC 4180 text field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, CR or LF; as it is otherwise."""
+    if any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def cmd_check(args) -> int:
     doc = load_layout(args.layout)
     reports = check_junctions(doc.junctions(), doc.vehicle, args.tolerances)
@@ -152,12 +160,16 @@ def cmd_profile(args) -> int:
         values = values.tolist()
         return map(repr, values if convert is None else map(convert, values))
 
+    # Wheel ids may hold CSV delimiters: quote each distinct binding label once.
+    quoted = {label: _csv_text(label) for label in set(profile.binding)}
+    binding = map(quoted.__getitem__, profile.binding)
     header = ["u", "s_m", "t_s", "v_mps", "v_max_mps", "binding"]
     columns = [cells(profile.u), cells(profile.s), cells(profile.t), cells(profile.v),
-               cells(profile.v_limit), profile.binding]
+               cells(profile.v_limit), binding]
     for wid in (w.id for w in doc.vehicle.sorted_wheels()):
-        header += [f"{name}_{wid}" for name in ("v_w_mps", "omega_w_degps", "delta_deg",
-                                                 "omega_ratio", "R_v", "kappa_w")]
+        header += [_csv_text(f"{name}_{wid}") for name in ("v_w_mps", "omega_w_degps",
+                                                            "delta_deg", "omega_ratio",
+                                                            "R_v", "kappa_w")]
         columns += [cells(profile.wheel_speeds[wid]),
                     cells(profile.wheel_steering_rates[wid], math.degrees),
                     cells(profile.wheel_deltas[wid], math.degrees),

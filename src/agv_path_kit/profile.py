@@ -1,8 +1,8 @@
 """Velocity planning over a multi-segment path.
 
-The pointwise speed-limit curve is sampled densely along the path; a
-forward pass enforces the acceleration bound, a backward pass the
-deceleration bound, and the planned profile is their pointwise minimum.
+The pointwise speed-limit curve is sampled densely along the path; one
+acceleration rule, run forward over the path and then over its reverse,
+lowers it where the acceleration and the deceleration bound demand.
 Junctions that are continuous only to first order are planned as rest
 points (speed forced to zero); junctions that are outright discontinuous
 make planning refuse unless a diagnostic profile is explicitly requested.
@@ -99,6 +99,28 @@ def _assemble_limit(path: Path, vehicle: VehicleModel, resolution: int):
             np.concatenate(track_parts, axis=2))
 
 
+def _speeds(s, v_limit, rest, boundary, a_max):
+    """``v_limit``, 0 at ``rest`` and at most ``boundary`` at the ends, lowered so that
+    w = v^2 keeps w_i <= w_j + 2 a_max (s_i - s_j) for j <= i on the path and on its
+    reverse. j is the latest argmin of the key w / (2 a_max) - s (w - 2 a_max s when
+    2 a_max < 1, so no key overflows), and s_i - s_j is taken as it is: 2 a_max s
+    would swamp w. The key rounds at the scale of s, so a near tie may pick another
+    j and leave w above the exact rule by a few eps (w + 2 a_max s), an absolute error."""
+    # The end bound may come first: the forward pass never lowers a sample from a later one.
+    v = v_limit.copy()
+    v[list(rest)] = 0.0
+    v[[0, -1]] = np.minimum(v[[0, -1]], list(map(float, boundary)))
+    with np.errstate(over="ignore"):    # an overflowing square or reach is +inf
+        w, two_a, index = v * v, 2.0 * a_max, np.arange(s.size)
+        if two_a < math.inf:            # an infinite bound lowers nothing; inf * 0 is NaN
+            for x, w_x in ((s, w), (-s[::-1], w[::-1])):
+                key = w_x / max(two_a, 1.0) - x * min(two_a, 1.0)
+                j = np.maximum.accumulate(np.where(key == np.minimum.accumulate(key), index, 0))
+                np.minimum(w_x, w_x[j] + two_a * (x - x[j]), out=w_x)
+        # A speed the rule did not lower stays as it is, also where its square leaves the range.
+        return np.where(w < v * v, np.minimum(np.sqrt(w), v), v)
+
+
 def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
                   boundary: tuple[float, float] = (0.0, 0.0),
                   resolution: int = 1000, diagnostic: bool = False,
@@ -126,23 +148,11 @@ def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
             "request a diagnostic profile")
     s, u, segment_index, v_limit, binding, junctions, tracks = _assemble_limit(
         path, vehicle, resolution)
-    n = s.size
     rest = tuple(idx for idx, rep in zip(junctions, reports)
                  if rep.verdict == SMOOTH_AT_REST_ONLY)
 
-    v = v_limit.copy()
-    v[list(rest)] = 0.0
-    v[0] = min(v[0], float(boundary[0]))
+    v = _speeds(s, v_limit, rest, boundary, a_max)
     ds = np.diff(s)
-    for i in range(1, n):
-        reachable = math.sqrt(v[i - 1]**2 + 2.0 * a_max * ds[i - 1])
-        if reachable < v[i]:
-            v[i] = reachable
-    v[-1] = min(v[-1], float(boundary[1]))
-    for i in range(n - 2, -1, -1):
-        reachable = math.sqrt(v[i + 1]**2 + 2.0 * a_max * ds[i])
-        if reachable < v[i]:
-            v[i] = reachable
 
     pair, moving = v[:-1] + v[1:], ds != 0.0
     if np.any(moving & (pair <= 0.0)):

@@ -1,11 +1,14 @@
 """Layout parsing/serialization and the three CLI subcommands."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +308,65 @@ class TestProfileCommand:
             for prefix in ("v_w_mps", "omega_w_degps", "delta_deg",
                            "omega_ratio", "R_v", "kappa_w"):
                 assert f"{prefix}_{wid}" in header
+
+
+@pytest.mark.parametrize("wid", ["w,1", 'w"1', "w\n1"])
+def test_profile_quotes_text_cells_that_hold_csv_delimiters(wid, tmp_path, capsys):
+    # A wheel id is any JSON string, and header names and binding labels carry it:
+    # such a cell is quoted as RFC 4180 says, and every other byte stays the same.
+    outputs = {}
+    for name in ("w1", wid):
+        doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+        doc["vehicle"]["wheels"][0].update(id=name, v_max_mps=0.5)   # traction(<id>) binds
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(doc))
+        assert main(["profile", str(layout), "--samples", "40"]) == 0
+        outputs[name] = capsys.readouterr().out
+    assert '"' not in outputs["w1"]
+    assert '"v_w_mps_' + wid.replace('"', '""') + '"' in outputs[wid]
+    plain = [line.split(",") for line in outputs["w1"].splitlines()]
+    rows = list(csv.reader(io.StringIO(outputs[wid], newline="")))
+    assert [len(row) for row in rows] == [len(plain[0])] * len(plain)
+    assert rows == [[cell.replace("w1", wid) for cell in row] for row in plain]
+    assert f"traction({wid})" in (row[rows[0].index("binding")] for row in rows)
+
+
+@pytest.mark.parametrize("a_max", ["1e-300", "1e16", "1e300", "inf"])
+@pytest.mark.parametrize("name", bundled_layout_names())
+def test_profile_at_extreme_acceleration_bounds(name, a_max, capsys):
+    # The closed form w = 2 a s + running-min(v_max^2 - 2 a s) loses every speed to
+    # 2 a s at 1e16 and makes inf * 0 = NaN at inf; the planner's rule must not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["profile", str(bundled_layout_path(name)), "--diagnostic",
+                     "--samples", "100", "--a-max", a_max])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    v, v_max = header.index("v_mps"), header.index("v_max_mps")
+    if float(a_max) >= 1e16:        # the bound binds nowhere: no rest junction, 0 at the ends
+        assert [row[v] for row in rows] == ["0.0"] + [row[v_max] for row in rows[1:-1]] + ["0.0"]
+
+
+@pytest.mark.parametrize("limit", [1e-200, 1e300])
+def test_profile_keeps_limits_whose_square_leaves_the_float_range(limit, tmp_path, capsys):
+    # v^2 of such a limit is 0 or inf: a speed the rule does not lower comes back as
+    # it was, where sqrt(v^2) would collapse it to 0 or overflow.
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    for item in doc["segments"] + doc["vehicle"]["wheels"]:
+        item["v_max_mps"] = limit
+    for wheel in doc["vehicle"]["wheels"]:
+        wheel["omega_max_degps"] = limit
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["profile", str(layout), "--samples", "50", "--a-max", "inf"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    v, v_max = header.index("v_mps"), header.index("v_max_mps")
+    assert [row[v] for row in rows] == ["0.0"] + [row[v_max] for row in rows[1:-1]] + ["0.0"]
 
 
 def run_cli(argv):

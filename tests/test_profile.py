@@ -1,9 +1,12 @@
 """Velocity planning: oracle cases, limit respect, rest points, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agv_path_kit import (BezierCurve, Crab, DiscontinuousPathError, Path,
                           PathSegment, VehicleModel, Wheel,
@@ -161,3 +164,86 @@ class TestJunctionHandling:
         with pytest.raises(ValueError):
             plan_velocity(layout_smoothed.path(), layout_smoothed.vehicle,
                           resolution=1)
+
+
+def reference_speeds(s, v_limit, rest, boundary, a_max):
+    """The planner's two loops before the one rule: a forward pass, the end
+    bound, then a backward pass, one sample at a time."""
+    n = s.size
+    v = v_limit.copy()
+    v[list(rest)] = 0.0
+    v[0] = min(v[0], float(boundary[0]))
+    ds = np.diff(s)
+    for i in range(1, n):
+        reachable = math.sqrt(v[i - 1]**2 + 2.0 * a_max * ds[i - 1])
+        if reachable < v[i]:
+            v[i] = reachable
+    v[-1] = min(v[-1], float(boundary[1]))
+    for i in range(n - 2, -1, -1):
+        reachable = math.sqrt(v[i + 1]**2 + 2.0 * a_max * ds[i])
+        if reachable < v[i]:
+            v[i] = reachable
+    return v
+
+
+@st.composite
+def planner_inputs(draw, limits, steps, speeds, a_maxes):
+    n = draw(st.integers(2, 60))
+    v_limit = np.array(draw(st.lists(limits, min_size=n, max_size=n)))
+    s = np.concatenate(([0.0], np.cumsum(draw(st.lists(steps, min_size=n - 1, max_size=n - 1)))))
+    rest = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))))
+    return s, v_limit, rest, (draw(speeds), draw(speeds)), draw(a_maxes)
+
+
+def rule_and_reference(s, v_limit, rest, boundary, a_max):
+    """Both planners' speeds, once the properties every input keeps are checked."""
+    assert np.all(np.diff(s) > 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = profile_module._speeds(s, v_limit, rest, boundary, a_max)
+        ref = reference_speeds(s, v_limit, rest, boundary, a_max)
+    assert np.all(v[list(rest)] == 0.0)
+    assert np.all(v <= v_limit)
+    return v, ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(planner_inputs(limits=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                      steps=st.floats(1e-9, 10.0),
+                      speeds=st.one_of(st.sampled_from([0.0, 1e300, math.inf]),
+                                       st.floats(0.0, 1e6)),
+                      a_maxes=st.one_of(st.just(math.inf),
+                                        st.floats(-300.0, 300.0).map(lambda e: 10.0**e))))
+def test_one_rule_matches_the_two_loops(inputs):
+    s, v_limit, rest, boundary, a_max = inputs
+    v, ref = rule_and_reference(*inputs)
+    # Both compute min over j <= i of w_j + 2 a (s_i - s_j) on w = v^2, forward and
+    # backward. The loops round a few times per step along a chain of up to n
+    # steps, so their w is off by at most ~3 n eps w. The rule takes the latest
+    # argmin of a key whose rounding is at most ~eps (w + 2 a s_max) in w units;
+    # a near tie may pick another j, which moves w by that much, and the chosen
+    # reach w_j + 2 a (s_i - s_j) is formed in three roundings. At an infinite a
+    # no key is compared. Squares and roots add eps (v + ref)^2, and a square
+    # below the normal range 2^-1074 per rounding.
+    eps = np.finfo(float).eps
+    keys = 2.0 * a_max * s[-1] if a_max < math.inf else 0.0
+    slack = 8.0 * eps * ((s.size + 1) * (v + ref)**2 + keys) + 8.0 * s.size * 2.0**-1074
+    assert np.all(np.abs(v - ref) * (v + ref) <= slack)
+
+
+@settings(max_examples=400, deadline=None)
+@given(planner_inputs(limits=st.one_of(st.just(0.0), st.floats(1e-3, 100.0)),
+                      steps=st.floats(1e-3, 10.0),
+                      speeds=st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-3, 10.0)),
+                      a_maxes=st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+def test_one_rule_stays_relatively_close_to_the_two_loops_on_plannable_inputs(inputs):
+    s, v_limit, rest, boundary, a_max = inputs
+    v, ref = rule_and_reference(*inputs)
+    # Where the rule lowers a sample from an earlier one, w >= 2 a ds_min, so the
+    # absolute key error eps (w + 2 a s_max) is at most eps (1 + s_max / ds_min)
+    # relative to w; where it keeps the sample's own w, that sample's key is the
+    # least and nothing is lost. With the loops' ~3 n eps and v's half of w's
+    # relative error this gives the bound below, about 1e-10 at these inputs.
+    eps = np.finfo(float).eps
+    tol = 4.0 * eps * (s.size + s[-1] / np.diff(s).min())
+    assert np.all(np.abs(v - ref) <= tol * ref)
