@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .curve import BezierCurve, _BezierStack, _cross, _dot, _parameter
+from .curve import BezierCurve, _BezierStack, _cross, _dot, _hodograph_certifies, _parameter
 
 __all__ = [
     "OrientationJet",
@@ -39,9 +39,13 @@ __all__ = [
 # At or below this |zeta'| a diverging g'' meets a path that does not turn.
 _FLAT_RATE = 1e-12
 
-# Read-only parameter grid on which angles are unwrapped to pick their branch.
+# Read-only parameter grid on which angles are unwrapped to pick their branch
+# where `_half_plane` does not hold (its first node alone where it does).
 _UNWRAP_U = np.linspace(0.0, 1.0, 4097)
 _UNWRAP_U.setflags(write=False)
+# Least distance, relative to |C'|, from the origin to a tangential wheel's
+# body-frame velocity line under `_half_plane`.
+_LINE_MARGIN = 1e-6
 
 
 def wrap_angle(a: float) -> float:
@@ -131,6 +135,35 @@ def _nearest_branch(us, grid_angles: np.ndarray, principal: np.ndarray) -> np.nd
     grid = np.concatenate((grid_angles[..., :1], grid_angles[..., 1:] + steps), axis=-1)
     reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1, grid)
     return _turns(reference, principal)
+
+
+def _half_plane(mode, curve: BezierCurve, mounts: np.ndarray = np.zeros((0, 2))) -> bool:
+    """True when theta and each wheel velocity in the vehicle frame stay in open
+    half-planes, so every angle stays within a half turn of its u = 0 value.
+
+    That needs a tangential or crab law on a curve whose hodograph certifies:
+    C' stays in an open half-plane. A wheel at a row of ``mounts`` then moves
+    along C' in crab mode, and in tangential mode with
+    |C'| ((cos alpha, -sin alpha) + kappa J r_w), on a fixed line that must pass
+    _LINE_MARGIN clear of the origin. On a `differential_alpha` axle it does
+    not: the wheel reverses where 1 + kappa t changes sign, a half-turn flip
+    that the grid's tie rule picks.
+    """
+    if not (isinstance(mode, (Tangential, Crab))
+            and _hodograph_certifies(curve.control_points.tolist())):
+        return False
+    x, y = mounts[:, 0], mounts[:, 1]
+    gap = x * math.cos(mode.alpha) - y * math.sin(mode.alpha)
+    return isinstance(mode, Crab) or bool((np.abs(gap) >= _LINE_MARGIN * np.hypot(x, y)).all())
+
+
+def _half_plane_turns(start: np.ndarray, principal: np.ndarray) -> np.ndarray:
+    """Whole turns of ``principal`` rows, theta first, then wheel headings, where
+    theta and every steering angle heading - theta stay within a half turn of
+    their ``start`` values at u = 0: theta's turns, plus each steering angle's."""
+    body = _turns(start[0], principal[0])
+    steering = _turns(start[1:, None] - start[0], principal[1:] - principal[0])
+    return body + np.vstack((np.zeros_like(body), steering))
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:
@@ -257,17 +290,22 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     derivatives at ``us`` up to ``order + 1`` (entry 0 may be None), spares
     the law its evaluation whenever its nodes equal ``us`` bit for bit: in
     tangential mode always, in an exponential mode where g(u) == u exactly,
-    as at u = +0.0 and u = 1 (a junction end). Theta is principal plus the whole
-    turns `_nearest_branch` picks, as in `profile_segment`; ``unwrap=False``
-    keeps it principal, cheaper and sufficient where theta only feeds a rotation.
+    as at u = +0.0 and u = 1 (a junction end). Theta is principal plus whole
+    turns, as in `profile_segment`: under `_half_plane` the turns that put it
+    within a half turn of its u = 0 value, else those `_nearest_branch` picks on
+    the unwrap grid. ``unwrap=False`` keeps it principal, cheaper and
+    sufficient where theta only feeds a rotation.
     """
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
     us, n = _checked(us), getattr(mode, "n", None)
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
     if unwrap:
-        grid = _orientation(mode, curve, _UNWRAP_U, 1, None, mode.alpha, n)[0]
-        law = (law[0] + math.tau * _nearest_branch(us, grid, law[0]), *law[1:])
+        direct = _half_plane(mode, curve)
+        grid = _orientation(mode, curve, _UNWRAP_U[:1] if direct else _UNWRAP_U, 1,
+                            None, mode.alpha, n)[0]
+        turns = _turns(grid[0], law[0]) if direct else _nearest_branch(us, grid, law[0])
+        law = (law[0] + math.tau * turns, *law[1:])
     return law
 
 

@@ -10,6 +10,7 @@ from agv_path_kit import (BezierCurve, Crab, Path, PathSegment, Tangential,
                           plan_velocity, profile_segment, speed_limit,
                           wheel_curve_jet, wheel_speed_limit, wheel_state)
 from agv_path_kit import motion
+from agv_path_kit.curve import _hodograph_certifies
 from agv_path_kit.kinematics import (_wheel_track_arrays, limit_profile_fast,
                                      wheel_end_jet)
 from agv_path_kit.motion import _UNWRAP_U
@@ -242,7 +243,6 @@ class TestSegmentProfile:
 
     def test_wheel_grids_share_one_grid_evaluation(self, layout_exponential,
                                                    monkeypatch):
-        seg = layout_exponential.segments[0].segment
         vehicle = layout_exponential.vehicle
         grid_orders = []
         original = BezierCurve.derivatives_many
@@ -252,13 +252,19 @@ class TestSegmentProfile:
                 grid_orders.append(order)
             return original(curve, us, order, **kwargs)
 
-        monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
-        profile_segment(seg, vehicle, 1000)
-        monkeypatch.undo()
-        # Six wheels, one grid evaluation of the curve and the tangential law,
-        # to order 2: the grid reads theta and theta' only.
-        assert len(vehicle.wheels) == 6 and isinstance(seg.mode, Tangential)
-        assert grid_orders == [2]
+        tangential, exponential = (ls.segment for ls in layout_exponential.segments)
+        assert len(vehicle.wheels) == 6 and isinstance(tangential.mode, Tangential)
+        assert _hodograph_certifies(tangential.curve.control_points.tolist())
+        for seg, expected in ((tangential, []), (exponential, [1, 2])):
+            grid_orders.clear()
+            monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+            profile_segment(seg, vehicle, 1000)
+            monkeypatch.undo()
+            # Tangential on a certified hodograph: theta and the six steering
+            # angles stay within a half turn of u = 0, so no grid. Exponential:
+            # six wheels share one grid evaluation, of the curve at the nodes to
+            # order 1 and of the law at g(nodes) to order 2.
+            assert grid_orders == expected
 
     def test_repeated_profiles_make_the_same_evaluations(self, layout_exponential,
                                                           monkeypatch):
@@ -310,13 +316,21 @@ class TestSegmentProfile:
                              vehicle, us)) == per_node_set
             # The third derivative of theta needs no call of its own.
             assert len(calls(wheel_curve_jet, seg, w, 0.37, 3)) == per_node_set
-            # A steering angle needs the unwrap grid as a second node set, on
-            # every call: nothing is kept between calls.
+            # A steering angle needs a second node set, on every call: nothing
+            # is kept between calls. On a certified hodograph a tangential law
+            # reads the u = 0 node alone; an exponential law reads the unwrap
+            # grid, its law alone for orientation().
+            tangential = isinstance(seg.mode, Tangential)
+            grid_sets = 0 if tangential else per_node_set
             for u in (0.37, 0.61):
-                assert len(calls(wheel_state, seg, w, u)) == 2 * per_node_set
+                sizes_u = calls(wheel_state, seg, w, u)
+                assert len(sizes_u) == 2 * per_node_set
+                assert sizes_u.count(_UNWRAP_U.size) == grid_sets
+                assert calls(motion.orientation, seg.mode, seg.curve, u).count(
+                    _UNWRAP_U.size) == (0 if tangential else 1)
             grid = [n for n in calls(profile_segment, seg, vehicle, 1000)
                     if n == _UNWRAP_U.size]
-            assert len(grid) == per_node_set
+            assert len(grid) == grid_sets
 
     def test_one_point_limits_build_no_heading_grid(self, layout_exponential,
                                                     monkeypatch):

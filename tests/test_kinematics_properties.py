@@ -7,22 +7,25 @@ constraint, and every public result must equal it bit for bit: the same
 floats and the same non-finite entries. Flat exponential ends with
 1 < n < 2 (infinite theta''), a wheel at the origin and two identical
 wheels (exact ties) are always in play. Likewise, one pass over a stack of
-curves must equal one pass per curve.
+curves must equal one pass per curve, and the whole turns of theta and the
+wheel headings, whichever rule picks them, must equal the grid reference's
+for any sample set.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
                           PathSegment, Tangential, VehicleModel, Wheel,
                           profile_segment, speed_limit, wheel_speed_limit)
-from agv_path_kit.curve import _BezierStack
-from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, limit_profile_fast
-from agv_path_kit.motion import _UNWRAP_U, _angle, _nearest_branch, wrap_angle
+from agv_path_kit.curve import _BezierStack, sampled_irregular_parameter
+from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
+from agv_path_kit.motion import (_UNWRAP_U, _angle, _half_plane, _nearest_branch,
+                                 orientation_many, wrap_angle)
 
 from test_layout_properties import ANGLE, MOUNT, curves
 
@@ -106,26 +109,39 @@ def ref_limit(v_segment, vehicle, tracks, size):
     return v, [str(b) for b in binding], flagged
 
 
-def ref_profile(segment, vehicle, samples):
-    # Unwrapped angles are principal values plus whole turns: theta's, and
-    # each wheel heading's, picked on the unwrap grid one row at a time. A
-    # steering angle is the difference of the principal values plus that of
-    # the turns, plus the turns `wrap_angle` takes off its grid value at u=0.
-    us = np.linspace(0.0, 1.0, samples)
+def ref_branches(segment, wheels, us):
+    """The jets at ``us``, unwrapped theta there, and each wheel's unwrapped
+    heading and steering angle.
+
+    Unwrapped angles are principal values plus whole turns: theta's, and
+    each wheel heading's, picked on the unwrap grid one row at a time. A
+    steering angle is the difference of the principal values plus that of
+    the turns, plus the turns `wrap_angle` takes off its grid value at u=0.
+    """
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
     theta_grid = grid.theta[0]
     theta_turns = _nearest_branch(us, theta_grid, jets.theta[0])
     theta = jets.theta[0] + math.tau * theta_turns
-    tracks = {}
-    for w in vehicle.sorted_wheels():
-        track = ref_track(jets, w)
+    angles = []
+    for w in wheels:
         zeta_grid = _angle(ref_derivatives(grid, w)[1])
-        zeta = _angle(track["d1"])
+        zeta = _angle(ref_derivatives(jets, w)[1])
         start = zeta_grid[0] - theta_grid[0]
         anchor = round((wrap_angle(start) - start) / math.tau)
-        turns = _nearest_branch(us, zeta_grid, zeta) - theta_turns + anchor
-        track["delta_w"] = (zeta - jets.theta[0]) + math.tau * turns
+        turns = _nearest_branch(us, zeta_grid, zeta)
+        angles.append((zeta + math.tau * turns,
+                       (zeta - jets.theta[0]) + math.tau * (turns - theta_turns + anchor)))
+    return jets, theta, angles
+
+
+def ref_profile(segment, vehicle, samples):
+    us = np.linspace(0.0, 1.0, samples)
+    jets, theta, angles = ref_branches(segment, vehicle.sorted_wheels(), us)
+    tracks = {}
+    for w, (_, delta) in zip(vehicle.sorted_wheels(), angles):
+        track = ref_track(jets, w)
+        track["delta_w"] = delta
         tracks[w.id] = track
     v, binding, flagged = ref_limit(segment.v_max, vehicle, tracks, samples)
     cusp = np.zeros(samples, dtype=bool)
@@ -205,6 +221,115 @@ def test_steering_angle_one_ulp_above_minus_pi_stays_principal():
     vehicle = VehicleModel((Wheel("w0", (0.0, 0.0), 1.0, 1.0),))
     delta = profile_segment(segment, vehicle, 9).wheel_tracks["w0"].delta_w
     assert (np.abs(delta + alpha) <= 1e-12).all()
+
+
+def nudged(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Offsets anywhere, and within a few ulps or a micro-radian of +-pi.
+BRANCH_ANGLE = st.one_of(
+    ANGLE,
+    st.builds(nudged, st.sampled_from([math.pi, -math.pi]), st.integers(-4, 4)),
+    st.floats(math.pi - 1e-6, math.pi), st.floats(-math.pi, -math.pi + 1e-6))
+
+
+@st.composite
+def branch_curves(draw):
+    """A regular curve of degree 1 to 9, turned so that its tangent at u = 0
+    points anywhere or near the principal cut at +-pi, where wheel headings
+    straddle it, and whether it winds past a half turn: one in four has its
+    control points on a circular arc of 1.5 to 1.9 pi."""
+    winds = draw(st.integers(0, 3)) == 0
+    if winds:
+        degree = draw(st.integers(6, 9))
+        phi = np.linspace(0.0, draw(st.floats(1.5 * math.pi, 1.9 * math.pi)), degree + 1)
+        points = draw(st.floats(0.5, 3.0)) * np.column_stack((np.cos(phi), np.sin(phi)))
+    else:
+        degree = draw(st.integers(1, 9))
+        points = np.column_stack([
+            np.linspace(0.0, 6.0, degree + 1)
+            + draw(arrays(float, degree + 1, elements=st.floats(-0.5, 0.5))),
+            draw(arrays(float, degree + 1, elements=st.floats(-1.5, 1.5)))])
+    turn = draw(BRANCH_ANGLE) - math.atan2(points[1, 1] - points[0, 1], points[1, 0] - points[0, 0])
+    c, s = math.cos(turn), math.sin(turn)
+    curve = BezierCurve(points @ np.array([[c, s], [-s, c]]))
+    assume(sampled_irregular_parameter(curve) is None)
+    return curve, winds
+
+
+@st.composite
+def branch_wheels(draw, alpha: float):
+    """One to four wheels: anywhere, or where a tangential law with offset
+    ``alpha`` has its body-frame velocity line through the origin,
+    t (sin alpha, cos alpha), moved off it by a few ulps per coordinate or by
+    a gap near `motion._LINE_MARGIN` times |t| along (cos alpha, -sin alpha)."""
+    wheels = []
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["free", "free", "ulps", "gap"]))
+        if kind == "free":
+            mount = (draw(MOUNT), draw(MOUNT))
+        else:
+            t = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            x, y = t * math.sin(alpha), t * math.cos(alpha)
+            if kind == "ulps":
+                mount = (nudged(x, draw(st.integers(-3, 3))), nudged(y, draw(st.integers(-3, 3))))
+            else:
+                gap = abs(t) * draw(st.sampled_from([1e-7, 9.9e-7, 1.01e-6, 1e-5, 1e-3]))
+                gap *= draw(st.sampled_from([-1.0, 1.0]))
+                mount = (x + gap * math.cos(alpha), y - gap * math.sin(alpha))
+        wheels.append(Wheel(f"w{k}", mount, 1.0, 1.0))
+    return wheels
+
+
+# Sample sets in any order, with or without the ends.
+SAMPLE_SETS = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                       min_size=1, max_size=12)
+
+
+def assert_reference_branches(segment, wheels, us) -> np.ndarray:
+    """Theta from `_steering_tracks` and `orientation_many`, and the headings and
+    steering angles, equal `ref_branches` bit for bit; returns the headings."""
+    _, theta, tracks = _steering_tracks(segment, wheels, us)
+    _, ref_theta, angles = ref_branches(segment, wheels, us)
+    assert same(theta, ref_theta)
+    assert same(orientation_many(segment.mode, segment.curve, us)[0], ref_theta)
+    for k, (zeta, delta) in enumerate(angles):
+        assert same(tracks["zeta_w"][k], zeta) and same(tracks["delta_w"][k], delta)
+    return tracks["zeta_w"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(branch_curves(), st.data())
+def test_half_plane_turns_equal_the_grid_turns(case, data):
+    # On a certified hodograph a tangential or crab law takes its whole turns
+    # from the u = 0 values (`_half_plane_turns`), unless a tangential wheel's
+    # velocity line nearly meets the origin; a curve that winds past a half
+    # turn never certifies. Every path must pick the grid reference's turns,
+    # so theta, the headings and the steering angles are equal bit for bit.
+    curve, winds = case
+    mode = data.draw(st.one_of(st.builds(Tangential, BRANCH_ANGLE),
+                               st.builds(Crab, BRANCH_ANGLE)))
+    wheels = data.draw(branch_wheels(mode.alpha))
+    us = np.array(data.draw(SAMPLE_SETS))
+    assert not (winds and _half_plane(mode, curve))
+    assert_reference_branches(PathSegment(curve, mode, 1.5), wheels, us)
+
+
+def test_headings_that_straddle_the_cut_keep_their_own_start():
+    # The path starts heading along -x and turns left, so the front wheel's
+    # heading starts below pi and the rear wheel's above -pi: their steering
+    # angles at u = 0 differ by nearly 2 pi before `wrap_angle`.
+    curve = BezierCurve([[0.0, 0.0], [-1.0, 0.0], [-2.0, 0.5], [-3.0, 1.5]])
+    segment = PathSegment(curve, Tangential(0.0), 1.5)
+    wheels = [Wheel("front", (1.0, 0.5), 1.0, 1.0), Wheel("rear", (-1.0, -0.5), 1.0, 1.0)]
+    us = np.linspace(0.0, 1.0, 5)
+    assert _half_plane(segment.mode, curve, np.array([w.r_w for w in wheels]))
+    zeta = assert_reference_branches(segment, wheels, us)
+    assert zeta[0, 0] > 2.5 and zeta[1, 0] < -2.5
 
 
 @st.composite
