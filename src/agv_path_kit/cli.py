@@ -148,12 +148,19 @@ def cmd_profile(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        profile = plan_velocity(path, doc.vehicle, a_max=args.a_max,
-                                resolution=args.samples,
-                                diagnostic=args.diagnostic, tol=args.tolerances)
-    except DiscontinuousPathError as exc:
-        print(f"error: {exc} (use --diagnostic to profile anyway)", file=sys.stderr)
+        return _write_profile(doc, path, args)
+    except DiscontinuousPathError as exc:  # --diagnostic bypasses the junction refusal only
+        hint = " (use --diagnostic to profile anyway)" if "junction(s)" in str(exc) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: --samples {args.samples}: not enough memory for this layout", file=sys.stderr)
+        return 2
+
+
+def _write_profile(doc: LayoutDocument, path, args) -> int:
+    profile = plan_velocity(path, doc.vehicle, a_max=args.a_max, resolution=args.samples,
+                            diagnostic=args.diagnostic, tol=args.tolerances)
 
     def cells(values, convert=None):
         # Numbers print as Python float reprs, formatted one column at a time.
@@ -200,6 +207,7 @@ def _number(accept, requirement: str, convert=float):
 
 
 _TOLERANCE = _number(lambda x: math.isfinite(x) and x >= 0.0, "a finite number >= 0")
+_MAX_SAMPLES = 1_000_000  # 10^6 samples of a segment take about 4 GB
 
 
 @lru_cache(maxsize=None)
@@ -233,8 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser("profile", help="plan a velocity profile, write CSV")
     p_profile.add_argument("layout")
     p_profile.add_argument("--samples", default=1000,
-                           type=_number(lambda n: n >= 2, "an integer >= 2", int),
-                           help="samples per segment")
+                           type=_number(lambda n: 2 <= n <= _MAX_SAMPLES,
+                                        f"an integer from 2 to {_MAX_SAMPLES}", int),
+                           help=f"samples per segment, 2 to {_MAX_SAMPLES} (about 4 KB "
+                                "of memory per sample and segment)")
     p_profile.add_argument("--a-max", default=0.5,
                            type=_number(lambda x: x > 0.0, "a number > 0"),
                            help="acceleration bound, m/s^2")

@@ -166,7 +166,7 @@ def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarr
                               for m in range(n - lowest, n - min(order, n) - 1, -1)]
 
 
-# Bernstein tables outlive a call only here (g tables: `motion._row_reparam`):
+# Node tables outlive a call only here (g(u) is recomputed on each call):
 # keyed by (degree, node-row bytes, order), and bounded. One search meets at most three
 # keys: (_TIME_US, 3) on a tangential side, and (_TIME_US, 2) plus
 # (g(_TIME_US), 3) on an exponential side, _TIME_US being repair's 192

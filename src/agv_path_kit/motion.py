@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .curve import BezierCurve, _BezierStack, _cross, _dot, _hodograph_certifies, _parameter
+from .curve import BezierCurve, _cross, _dot, _hodograph_certifies, _parameter
 
 __all__ = [
     "OrientationJet",
@@ -39,8 +38,8 @@ __all__ = [
 # At or below this |zeta'| a diverging g'' meets a path that does not turn.
 _FLAT_RATE = 1e-12
 
-# Read-only parameter grid on which angles are unwrapped to pick their branch
-# where `_half_plane` does not hold (its first node alone where it does).
+# Read-only parameter grid on which angles are unwrapped to pick their branch on
+# uncertified curves and for wheels outside `_half_plane` (else its first node alone).
 _UNWRAP_U = np.linspace(0.0, 1.0, 4097)
 _UNWRAP_U.setflags(write=False)
 # Least distance, relative to |C'|, from the origin to a tangential wheel's
@@ -137,24 +136,22 @@ def _nearest_branch(us, grid_angles: np.ndarray, principal: np.ndarray) -> np.nd
     return _turns(reference, principal)
 
 
-def _half_plane(mode, curve: BezierCurve, mounts: np.ndarray = np.zeros((0, 2))) -> bool:
+def _half_plane(mode, curve: BezierCurve, mounts: np.ndarray) -> bool:
     """True when theta and each wheel velocity in the vehicle frame stay in open
     half-planes, so every angle stays within a half turn of its u = 0 value.
 
-    That needs a tangential or crab law on a curve whose hodograph certifies:
-    C' stays in an open half-plane. A wheel at a row of ``mounts`` then moves
-    along C' in crab mode, and in tangential mode with
-    |C'| ((cos alpha, -sin alpha) + kappa J r_w), on a fixed line that must pass
-    _LINE_MARGIN clear of the origin. On a `differential_alpha` axle it does
-    not: the wheel reverses where 1 + kappa t changes sign, a half-turn flip
-    that the grid's tie rule picks.
+    Theta does under every law on a certified hodograph (see `orientation_many`).
+    A wheel at a row of ``mounts`` moves along C' in crab mode, and in tangential
+    mode with |C'| ((cos alpha, -sin alpha) + kappa J r_w), on a fixed line that
+    must pass _LINE_MARGIN clear of the origin; an exponential law puts it on no
+    fixed line. On a `differential_alpha` axle the line meets the origin: the
+    wheel reverses where 1 + kappa t changes sign, a flip the grid's tie rule picks.
     """
-    if not (isinstance(mode, (Tangential, Crab))
-            and _hodograph_certifies(curve.control_points.tolist())):
-        return False
     x, y = mounts[:, 0], mounts[:, 1]
     gap = x * math.cos(mode.alpha) - y * math.sin(mode.alpha)
-    return isinstance(mode, Crab) or bool((np.abs(gap) >= _LINE_MARGIN * np.hypot(x, y)).all())
+    clear = isinstance(mode, Crab) or isinstance(mode, Tangential) and bool(
+        (np.abs(gap) >= _LINE_MARGIN * np.hypot(x, y)).all())
+    return clear and _hodograph_certifies(curve.control_points.tolist())
 
 
 def _half_plane_turns(start: np.ndarray, principal: np.ndarray) -> np.ndarray:
@@ -230,9 +227,10 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
     base = np.where(zero, 1.0, x)
 
     def power(expo) -> np.ndarray:
-        # x**expo with the x == 0 limit made explicit (0, finite, or +inf).
-        return np.where(zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, np.inf)),
-                        base**expo)
+        # x**expo with the x == 0 limit made explicit (0, finite, or +inf); overflow is +inf.
+        with np.errstate(over="ignore"):
+            return np.where(zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, np.inf)),
+                            base**expo)
 
     g = [1.0 - power(n) if anticipated else power(n), n * power(n - 1.0)]
     if order >= 2:
@@ -241,16 +239,6 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
         # For n = 2, g''' is identically 0; the product would give 0 * inf at x = 0.
         c3 = n * (n - 1.0) * (n - 2.0)
         g.append(np.multiply(c3, power(n - 3.0), out=np.zeros_like(x), where=c3 != 0.0))
-    return g
-
-
-@lru_cache(maxsize=4)
-def _row_reparam(anticipated: bool, n: float, row: bytes, order: int) -> tuple[np.ndarray, ...]:
-    """Read-only `_reparam` at the nodes with float64 bytes ``row``, for stacked passes only:
-    each call of a repair search meets the same rows, one per count of live starts."""
-    g = tuple(_reparam(anticipated, n, np.frombuffer(row), order))
-    for table in g:
-        table.setflags(write=False)
     return g
 
 
@@ -291,17 +279,18 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     the law its evaluation whenever its nodes equal ``us`` bit for bit: in
     tangential mode always, in an exponential mode where g(u) == u exactly,
     as at u = +0.0 and u = 1 (a junction end). Theta is principal plus whole
-    turns, as in `profile_segment`: under `_half_plane` the turns that put it
-    within a half turn of its u = 0 value, else those `_nearest_branch` picks on
-    the unwrap grid. ``unwrap=False`` keeps it principal, cheaper and
-    sufficient where theta only feeds a rotation.
+    turns, as in `profile_segment`. Every law reads the tangent at u or at g(u),
+    with g(0) = 0 and g([0, 1]) = [0, 1], so on a certified hodograph (C' in an
+    open half-plane) theta takes the turns that put it within a half turn of
+    its u = 0 value, elsewhere those `_nearest_branch` picks on the unwrap grid.
+    ``unwrap=False`` keeps it principal, enough where theta only feeds a rotation.
     """
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
     us, n = _checked(us), getattr(mode, "n", None)
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
     if unwrap:
-        direct = _half_plane(mode, curve)
+        direct = _hodograph_certifies(curve.control_points.tolist())
         grid = _orientation(mode, curve, _UNWRAP_U[:1] if direct else _UNWRAP_U, 1,
                             None, mode.alpha, n)[0]
         turns = _turns(grid[0], law[0]) if direct else _nearest_branch(us, grid, law[0])
@@ -317,8 +306,7 @@ def _orientation(mode, curve, us, order, curve_jets, alpha, n):
     if isinstance(mode, Crab):
         return (np.full_like(us, alpha),) + (np.zeros_like(us),) * order
     tangential, anticipated = isinstance(mode, Tangential), isinstance(mode, ExponentialAnticipated)
-    g = (None if tangential else _row_reparam(anticipated, n, us.tobytes(), order)
-         if isinstance(curve, _BezierStack) else _reparam(anticipated, n, us, order))
+    g = None if tangential else _reparam(anticipated, n, us, order)
     nodes = us if tangential else g[0]
     if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
         curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)

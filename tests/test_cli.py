@@ -450,6 +450,11 @@ def test_bad_tolerance_environment_exits_2(monkeypatch, capsys, command, value):
 
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["profile", SMOOTHED, "--samples", "1"], "--samples", id="samples-1"),
+    pytest.param(["profile", SMOOTHED, "--samples", "1000001"], "--samples",
+                 id="samples-above-maximum"),
+    # numpy cannot size 10^20 samples: argparse refuses the count before any allocation.
+    pytest.param(["profile", SMOOTHED, "--samples", "99999999999999999999"], "--samples",
+                 id="samples-past-numpy"),
     pytest.param(["profile", SMOOTHED, "--a-max", "-1"], "--a-max", id="a-max-negative"),
     pytest.param(["profile", SMOOTHED, "--a-max", "0"], "--a-max", id="a-max-zero"),
     pytest.param(["profile", SMOOTHED, "--a-max", "nan"], "--a-max", id="a-max-nan"),
@@ -465,6 +470,32 @@ def test_bad_flag_or_path_exits_2(argv, named, capsys):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_memory_error_while_profiling_exits_2(monkeypatch, capsys):
+    from agv_path_kit import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "plan_velocity", exhausted)
+    assert run_cli(["profile", SMOOTHED, "--samples", "999999"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --samples 999999: not enough memory")
+    assert len(err.splitlines()) == 1
+
+
+def test_diagnostic_hint_only_where_diagnostic_helps(capsys):
+    # --diagnostic profiles past discontinuous junctions, not past a collapsed limit.
+    g1 = str(bundled_layout_path("two_wheel_g1"))
+    assert run_cli(["profile", g1, "--samples", "50"]) == 1
+    assert capsys.readouterr().err == (
+        "error: 1 junction(s) are discontinuous; repair the layout or request a "
+        "diagnostic profile (use --diagnostic to profile anyway)\n")
+    for flags in ([], ["--diagnostic"]):
+        assert run_cli(["profile", SMOOTHED, "--samples", "50", "--a-max", "5e-324",
+                        *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: speed limit collapses to zero over an interval of positive length\n")
 
 
 @pytest.mark.parametrize("mutation, location", [

@@ -319,7 +319,7 @@ class TestSegmentProfile:
             # A steering angle needs a second node set, on every call: nothing
             # is kept between calls. On a certified hodograph a tangential law
             # reads the u = 0 node alone; an exponential law reads the unwrap
-            # grid, its law alone for orientation().
+            # grid for its wheels, and the u = 0 node alone for orientation().
             tangential = isinstance(seg.mode, Tangential)
             grid_sets = 0 if tangential else per_node_set
             for u in (0.37, 0.61):
@@ -327,7 +327,7 @@ class TestSegmentProfile:
                 assert len(sizes_u) == 2 * per_node_set
                 assert sizes_u.count(_UNWRAP_U.size) == grid_sets
                 assert calls(motion.orientation, seg.mode, seg.curve, u).count(
-                    _UNWRAP_U.size) == (0 if tangential else 1)
+                    _UNWRAP_U.size) == 0
             grid = [n for n in calls(profile_segment, seg, vehicle, 1000)
                     if n == _UNWRAP_U.size]
             assert len(grid) == grid_sets

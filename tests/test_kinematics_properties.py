@@ -15,6 +15,7 @@ for any sample set.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
                           PathSegment, Tangential, VehicleModel, Wheel,
                           profile_segment, speed_limit, wheel_speed_limit)
-from agv_path_kit.curve import _BezierStack, sampled_irregular_parameter
+from agv_path_kit.curve import _BezierStack, _hodograph_certifies, sampled_irregular_parameter
 from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
 from agv_path_kit.motion import (_UNWRAP_U, _angle, _half_plane, _nearest_branch,
                                  orientation_many, wrap_angle)
@@ -302,21 +303,44 @@ def assert_reference_branches(segment, wheels, us) -> np.ndarray:
     return tracks["zeta_w"]
 
 
-@settings(deadline=None, max_examples=300)
+# Every law: n in (1, 2), where theta'' is infinite at the flat end, n = 2 and n > 2.
+BRANCH_EXPONENT = st.one_of(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+                            st.just(2.0), st.floats(2.0, 6.0, exclude_min=True))
+BRANCH_MODES = st.one_of(
+    st.builds(Tangential, BRANCH_ANGLE),
+    st.builds(Crab, BRANCH_ANGLE),
+    st.builds(ExponentialDelayed, BRANCH_ANGLE, BRANCH_EXPONENT),
+    st.builds(ExponentialAnticipated, BRANCH_ANGLE, BRANCH_EXPONENT),
+)
+
+
+@settings(deadline=None, max_examples=400)
 @given(branch_curves(), st.data())
 def test_half_plane_turns_equal_the_grid_turns(case, data):
-    # On a certified hodograph a tangential or crab law takes its whole turns
-    # from the u = 0 values (`_half_plane_turns`), unless a tangential wheel's
-    # velocity line nearly meets the origin; a curve that winds past a half
-    # turn never certifies. Every path must pick the grid reference's turns,
-    # so theta, the headings and the steering angles are equal bit for bit.
+    # On a certified hodograph theta takes its whole turns from its u = 0
+    # value under every law, and so does each steering angle of a tangential
+    # or crab law (`_half_plane_turns`), unless a tangential wheel's velocity
+    # line nearly meets the origin; a curve that winds past a half turn never
+    # certifies. Every path must pick the grid reference's turns, so theta,
+    # the headings and the steering angles are equal bit for bit.
     curve, winds = case
-    mode = data.draw(st.one_of(st.builds(Tangential, BRANCH_ANGLE),
-                               st.builds(Crab, BRANCH_ANGLE)))
+    mode = data.draw(BRANCH_MODES)
     wheels = data.draw(branch_wheels(mode.alpha))
     us = np.array(data.draw(SAMPLE_SETS))
-    assert not (winds and _half_plane(mode, curve))
+    assert not (winds and _hodograph_certifies(curve.control_points.tolist()))
     assert_reference_branches(PathSegment(curve, mode, 1.5), wheels, us)
+
+
+@pytest.mark.parametrize("mode", [Tangential(0.0), Crab(math.pi), ExponentialDelayed(0.0, 1.5),
+                                  ExponentialDelayed(0.0, 2.0), ExponentialAnticipated(0.0, 3.0)])
+def test_theta_start_keeps_the_sign_of_a_zero_tangent_component(mode):
+    # The end row gives C'(0) = (-2, -0.0) and the kernel (-2, +0.0): atan2 reads
+    # -pi against pi, so a start read off the end row would move theta by a turn.
+    curve = BezierCurve([(0.0, 0.0), (-1.0, -0.0), (-2.0, 1.0)])
+    assert _hodograph_certifies(curve.control_points.tolist())
+    wheels = [Wheel("w0", (0.0, 0.0), 1.0, 1.0), Wheel("w1", (0.4, -0.3), 1.0, 1.0)]
+    assert_reference_branches(PathSegment(curve, mode, 1.5), wheels,
+                              np.array([0.0, 0.3, 1.0]))
 
 
 def test_headings_that_straddle_the_cut_keep_their_own_start():

@@ -142,6 +142,14 @@ class TestJunctionJets:
         assert jet.dtheta == 0.0
         assert math.isinf(jet.ddtheta)
 
+    def test_second_rate_one_subnormal_from_the_flat_end_overflows_to_infinity(self):
+        # g'' = n(n-1) u^(n-2) at u = 5e-324 is past the float range: +inf, with no warning.
+        curve = BezierCurve([(0, 0), (1, 0), (2, 1), (3, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jet = orientation(ExponentialDelayed(0.0, 1.03125), curve, 5e-324)
+        assert jet.ddtheta == math.inf
+
     def test_flat_end_second_rate_vanishes_on_straight_exit(self):
         curve = BezierCurve([(0, 0), (1, 1), (2, 2)])
         jet = orientation_at_end(ExponentialAnticipated(0.0, 1.7), curve, "end")
