@@ -25,7 +25,7 @@ import numpy as np
 
 from .curve import (SINGULAR_SPEED, CurveJet, ShapeParameters, curvature,
                     curvature_arc_derivative, _continuity_defects, _cross, _dot,
-                    _end_rows, _rhs)
+                    _end_rows, _pow, _rhs)
 from .errors import DegenerateGeometryError
 from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
 from .motion import (ExponentialAnticipated, OrientationJet, Tangential, _orientation,
@@ -148,16 +148,16 @@ def _extract_curve_route(left: CurveJet, right: CurveJet) -> _BetaExtraction:
     when the tangent reverses; beta2/beta3 by least squares on the
     second/third order conditions. Both norms exceed REGULAR_SPEED:
     `PathSegment` samples |C'| at u = 0 and 1, where the kernel gives the
-    net end points `JunctionContext` reads, up to the sign of a zero. beta1 is a
-    numpy float: its powers overflow to inf, where a Python float's would raise."""
+    net end points `JunctionContext` reads, up to the sign of a zero. Powers of
+    beta1 overflow to inf by `curve._pow`."""
     (_, l1, l2, l3), (_, r1, r2, r3) = left._floats, right._floats
     q = _dot(r1, r1)
-    beta1 = np.float64(math.sqrt(_dot(l1, l1))) / math.sqrt(q)
+    beta1 = math.sqrt(_dot(l1, l1)) / math.sqrt(q)
     if _dot(l1, r1) < 0.0:
         beta1 = -beta1
-    beta2 = float(_dot([a - beta1**2 * b for a, b in zip(l2, r2)], r1) / q)
-    beta3 = float(_dot([a - beta1**3 * c - 3.0 * beta1 * beta2 * b
-                        for a, b, c in zip(l3, r2, r3)], r1) / q)
+    beta2 = _dot([a - _pow(beta1, 2) * b for a, b in zip(l2, r2)], r1) / q
+    beta3 = _dot([a - _pow(beta1, 3) * c - 3.0 * beta1 * beta2 * b
+                  for a, b, c in zip(l3, r2, r3)], r1) / q
     return _BetaExtraction(beta1, beta2, beta3)
 
 
@@ -435,8 +435,8 @@ def check_exponential_junction(ctx: JunctionContext,
         return 0.0 if m <= SINGULAR_SPEED else abs(_cross(v, t)) / m
 
     tangent_parallel, d2_left, d2_right = (perp_fraction(v) for v in (r1, l2, r2))
-    beta1 = abs(_extract_curve_route(lj, rj).beta1)  # numpy: beta1**3 may overflow to inf
-    rhs = [beta1**3 * np.float64(n)**2 * x for x in r3]
+    beta1 = abs(_extract_curve_route(lj, rj).beta1)
+    rhs = [_pow(beta1, 3) * _pow(n, 2) * x for x in r3]
     defect = [a - b for a, b in zip(l3, rhs)]
     scale = math.sqrt(_dot(rhs, rhs))
     third = _relative(math.sqrt(_dot(defect, defect)), scale) if math.isfinite(scale) else math.inf
@@ -448,7 +448,7 @@ def check_exponential_junction(ctx: JunctionContext,
           and _dot(l1, r1) > 0.0)
     verdict = SMOOTH if ok else DISCONTINUOUS
     return ExponentialJunctionChecks(k_left, k_right, tangent_parallel,
-                                     d2_left, d2_right, third, float(beta1), n, verdict)
+                                     d2_left, d2_right, third, beta1, n, verdict)
 
 
 def check_junctions(junctions, vehicle: VehicleModel,

@@ -256,6 +256,8 @@ class BezierCurve:
         position passes ``lowest=1``.
         """
         us = np.atleast_1d(np.asarray(us, dtype=float))
+        if us.ndim > 1:
+            raise ValueError(f"parameters must be a scalar or 1-D, got shape {us.shape}")
         return [None if value is None else value.T for value in _bernstein(
             lambda k: self._derivative_net(k)[:, :, None], self.degree, us, order,
             lowest=lowest)]
@@ -459,6 +461,14 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _pow(x, k: int):
+    """x**k, or +-inf where a Python float's ``**`` overflows and raises."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
+
+
 def _rhs(order: int, beta1, beta2, beta3, d1, d2=None, d3=None):
     """Right-hand side of the order-1, 2 or 3 continuity condition on the leaving
     side's d1..d3, per coordinate or elementwise: beta1 d1, beta1^2 d2 + beta2 d1,
@@ -466,8 +476,8 @@ def _rhs(order: int, beta1, beta2, beta3, d1, d2=None, d3=None):
     if order == 1:
         return beta1 * d1
     if order == 2:
-        return beta1**2 * d2 + beta2 * d1
-    return beta1**3 * d3 + 3.0 * beta1 * beta2 * d2 + beta3 * d1
+        return _pow(beta1, 2) * d2 + beta2 * d1
+    return _pow(beta1, 3) * d3 + 3.0 * beta1 * beta2 * d2 + beta3 * d1
 
 
 def _scaled_jet(jet: CurveJet, what: str):

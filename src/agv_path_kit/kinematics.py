@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import (_UNWRAP_U, Tangential, _half_plane, _half_plane_turns, _nearest_branch,
-                     orientation_many, wrap_angle)
+from .motion import Tangential, _branch_nodes, _branch_turns, orientation_many, wrap_angle
 from .vehicle import PathSegment, VehicleModel, Wheel
 
 __all__ = [
@@ -191,18 +190,15 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
                      ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
     """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
 
-    Theta and the wheel headings are principal values plus whole turns. Under
-    `motion._half_plane` theta and each steering angle stay within a half turn
-    of their u = 0 values, read on the unwrap grid's first node
-    (`_half_plane_turns`); otherwise one `_nearest_branch` call picks the turns
-    on the whole grid. Grid jets are order 1 from C' up. A steering angle
-    zeta_w - theta also takes the whole turns that put its value at u=0 in
-    (-pi, pi], by `wrap_angle`'s exact remainder.
+    Theta and the wheel headings are principal values plus the whole turns that
+    `motion._branch_turns` picks at the `_branch_nodes` nodes, as `orientation_many`
+    does for theta alone; grid jets are order 1 from C' up. A steering angle
+    zeta_w - theta also takes the turns that put its u=0 value in (-pi, pi].
     """
     mounts = _mounts(wheels)
     jets = _Jets(segment.curve, segment.mode, us)
-    direct = _half_plane(segment.mode, segment.curve, mounts)
-    grid = _Jets(segment.curve, segment.mode, _UNWRAP_U[:1] if direct else _UNWRAP_U, 1, lowest=1)
+    nodes = _branch_nodes(segment.mode, segment.curve, mounts)
+    grid = _Jets(segment.curve, segment.mode, nodes, 1, lowest=1)
     pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
     with np.errstate(invalid="ignore", over="ignore"):
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
@@ -210,8 +206,7 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
     d1_grid = _wheel_derivative_arrays(grid, mounts, 1)[1]
     grid_angles = np.vstack((grid.theta[0], np.arctan2(d1_grid[1], d1_grid[0])))
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
-    turns = (_half_plane_turns(grid_angles[:, 0], principal) if direct
-             else _nearest_branch(us, grid_angles, principal))
+    turns = _branch_turns(us, grid_angles, principal)
     unwrapped = principal + math.tau * turns
     anchor = np.rint([[(wrap_angle(s) - s) / math.tau]
                       for s in (grid_angles[1:, 0] - grid_angles[0, 0]).tolist()]).reshape(-1, 1)

@@ -38,12 +38,10 @@ __all__ = [
 # At or below this |zeta'| a diverging g'' meets a path that does not turn.
 _FLAT_RATE = 1e-12
 
-# Read-only parameter grid on which angles are unwrapped to pick their branch on
-# uncertified curves and for wheels outside `_half_plane` (else its first node alone).
+# Read-only grid on which `_branch_turns` unwraps angles whose branch u = 0 cannot fix.
 _UNWRAP_U = np.linspace(0.0, 1.0, 4097)
 _UNWRAP_U.setflags(write=False)
-# Least distance, relative to |C'|, from the origin to a tangential wheel's
-# body-frame velocity line under `_half_plane`.
+# Least distance, relative to |C'|, from the origin to a tangential wheel's velocity line.
 _LINE_MARGIN = 1e-6
 
 
@@ -126,19 +124,10 @@ def _turns(reference, angle):
     return np.where(np.abs(np.abs(q - np.rint(q)) - 0.5) <= 1e-9, np.trunc(q), np.rint(q))
 
 
-def _nearest_branch(us, grid_angles: np.ndarray, principal: np.ndarray) -> np.ndarray:
-    """Whole turns that put ``principal`` angles at ``us`` on the branch of the
-    principal ``grid_angles`` on `_UNWRAP_U` (one row, or a row per row of ``principal``),
-    unwrapped from their first sample and interpolated to ``us`` to pick the turns."""
-    steps = math.tau * np.cumsum(np.rint(np.diff(grid_angles) / -math.tau), axis=-1)
-    grid = np.concatenate((grid_angles[..., :1], grid_angles[..., 1:] + steps), axis=-1)
-    reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1, grid)
-    return _turns(reference, principal)
-
-
-def _half_plane(mode, curve: BezierCurve, mounts: np.ndarray) -> bool:
-    """True when theta and each wheel velocity in the vehicle frame stay in open
-    half-planes, so every angle stays within a half turn of its u = 0 value.
+def _branch_nodes(mode, curve: BezierCurve, mounts: np.ndarray) -> np.ndarray:
+    """`_UNWRAP_U`'s first node (u = 0) alone when theta and each wheel velocity in
+    the vehicle frame stay in open half-planes, so every angle stays within a half
+    turn of its u = 0 value; else all of `_UNWRAP_U`. (0, 2) ``mounts``: theta alone.
 
     Theta does under every law on a certified hodograph (see `orientation_many`).
     A wheel at a row of ``mounts`` moves along C' in crab mode, and in tangential
@@ -147,19 +136,28 @@ def _half_plane(mode, curve: BezierCurve, mounts: np.ndarray) -> bool:
     fixed line. On a `differential_alpha` axle the line meets the origin: the
     wheel reverses where 1 + kappa t changes sign, a flip the grid's tie rule picks.
     """
-    x, y = mounts[:, 0], mounts[:, 1]
-    gap = x * math.cos(mode.alpha) - y * math.sin(mode.alpha)
-    clear = isinstance(mode, Crab) or isinstance(mode, Tangential) and bool(
-        (np.abs(gap) >= _LINE_MARGIN * np.hypot(x, y)).all())
-    return clear and _hodograph_certifies(curve.control_points.tolist())
+    x, y = mounts.T
+    clear = not mounts.size or isinstance(mode, Crab) or isinstance(mode, Tangential) and bool(
+        (np.abs(x * math.cos(mode.alpha) - y * math.sin(mode.alpha))
+         >= _LINE_MARGIN * np.hypot(x, y)).all())
+    direct = clear and _hodograph_certifies(curve.control_points.tolist())
+    return _UNWRAP_U[:1] if direct else _UNWRAP_U
 
 
-def _half_plane_turns(start: np.ndarray, principal: np.ndarray) -> np.ndarray:
-    """Whole turns of ``principal`` rows, theta first, then wheel headings, where
-    theta and every steering angle heading - theta stay within a half turn of
-    their ``start`` values at u = 0: theta's turns, plus each steering angle's."""
-    body = _turns(start[0], principal[0])
-    steering = _turns(start[1:, None] - start[0], principal[1:] - principal[0])
+def _branch_turns(us, grid: np.ndarray, principal: np.ndarray) -> np.ndarray:
+    """Whole turns of the ``principal`` angles at ``us`` (theta alone, 1-D ``grid``, or
+    theta and each wheel heading, a row each) from the same angles at `_branch_nodes`:
+    on u = 0 alone theta and each steering angle heading - theta keep within a half
+    turn of their u = 0 values; on `_UNWRAP_U` each row is unwrapped, read at ``us``."""
+    if grid.shape[-1] > 1:
+        steps = math.tau * np.cumsum(np.rint(np.diff(grid) / -math.tau), axis=-1)
+        grid = np.concatenate((grid[..., :1], grid[..., 1:] + steps), axis=-1)
+        reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1, grid)
+        return _turns(reference, principal)
+    if grid.ndim == 1:
+        return _turns(grid[0], principal)
+    body = _turns(grid[0, 0], principal[0])
+    steering = _turns(grid[1:] - grid[0, 0], principal[1:] - principal[0])
     return body + np.vstack((np.zeros_like(body), steering))
 
 
@@ -282,7 +280,7 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     turns, as in `profile_segment`. Every law reads the tangent at u or at g(u),
     with g(0) = 0 and g([0, 1]) = [0, 1], so on a certified hodograph (C' in an
     open half-plane) theta takes the turns that put it within a half turn of
-    its u = 0 value, elsewhere those `_nearest_branch` picks on the unwrap grid.
+    its u = 0 value, elsewhere those `_branch_turns` picks on the unwrap grid.
     ``unwrap=False`` keeps it principal, enough where theta only feeds a rotation.
     """
     if not 1 <= order <= 3:
@@ -290,11 +288,9 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     us, n = _checked(us), getattr(mode, "n", None)
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
     if unwrap:
-        direct = _hodograph_certifies(curve.control_points.tolist())
-        grid = _orientation(mode, curve, _UNWRAP_U[:1] if direct else _UNWRAP_U, 1,
-                            None, mode.alpha, n)[0]
-        turns = _turns(grid[0], law[0]) if direct else _nearest_branch(us, grid, law[0])
-        law = (law[0] + math.tau * turns, *law[1:])
+        nodes = _branch_nodes(mode, curve, np.empty((0, 2)))
+        grid = _orientation(mode, curve, nodes, 1, None, mode.alpha, n)[0]
+        law = (law[0] + math.tau * _branch_turns(us, grid, law[0]), *law[1:])
     return law
 
 

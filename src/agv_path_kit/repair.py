@@ -24,7 +24,7 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext, Tolerances,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import (BezierCurve, _BezierStack, _cross, _dot, _hodograph_certifies, _rhs,
+from .curve import (BezierCurve, _BezierStack, _cross, _dot, _hodograph_certifies, _pow, _rhs,
                     sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
@@ -434,11 +434,10 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
     else:
         x1, x2, x3, x4 = (float(value) for value in x)
     ctx = problem.ctx
-    try:  # the right C'''(0) is the new left C'''(1) over scale; none fits if it is inf
-        scale = (x1 / x3)**3 * ctx.right.mode.n**2
-    except (OverflowError, ZeroDivisionError):
+    if not (x1 > 0.0 and x3 > 0.0):
         return None
-    if not (x1 > 0.0 and x3 > 0.0 and scale < math.inf):
+    # The right C'''(0) is the new left C'''(1) over scale; none fits if it is inf.
+    if not (scale := _pow(x1 / x3, 3) * _pow(ctx.right.mode.n, 2)) < math.inf:
         return None
     if x2 is None:
         x2, x4 = _closest_second_multipliers(problem, x1, x3, bound)

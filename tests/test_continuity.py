@@ -86,6 +86,16 @@ class TestExtraction:
         # The orientation-rate ratio (7.0 here) only feeds the report's note.
         assert params.beta1 == pytest.approx(5.0 / 7.0, rel=1e-12)
 
+    def test_report_holds_python_floats(self, layout_g1, layout_exponential):
+        # beta1 was a numpy float, so that its powers overflowed to inf, and
+        # every value computed from it was one too.
+        report = analyze_junction(junction_of(layout_g1))
+        values = [getattr(report.beta, name) for name in ("beta1", "beta2", "beta3")]
+        values += [report.g0_position, report.g0_orientation, report.curve_g1,
+                   report.curve_g2, report.curve_g3, report.mode_g1, report.mode_g2]
+        assert all(type(v) is float for v in values), [type(v) for v in values]
+        assert type(check_exponential_junction(junction_of(layout_exponential)).beta1) is float
+
     def test_reversal_raises(self, two_wheel_vehicle):
         left = BezierCurve([(0, 0), (1, 0), (2, 0), (3, 0)])
         right = BezierCurve([(3, 0), (2, 0), (1, 0), (0, 0)])

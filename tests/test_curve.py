@@ -257,6 +257,15 @@ class TestGeometricContinuity:
         with pytest.raises(ValueError):
             check_geometric_continuity(jet, jet, ShapeParameters(1.0, 0.0), order=3)
 
+    def test_overflowing_beta1_gives_inf_residuals_not_an_overflow_error(self):
+        # beta1^2 and beta1^3 pass the float range: a Python float's ** raised
+        # OverflowError here; `analyze_junction` reports such a junction with
+        # non-finite residuals, and so does this check now.
+        left, right = BezierCurve([(0, 0), (1, 0), (2, 1), (3, 1)]).split(0.4)
+        res = check_geometric_continuity(evaluate(left, 1.0), evaluate(right, 0.0),
+                                         ShapeParameters(1e200, 0.0, 0.0), order=3)
+        assert res[0] == 0.0 and not np.isfinite(res[1:]).any()
+
     def test_beta1_must_be_positive(self):
         with pytest.raises(ValueError):
             ShapeParameters(0.0)

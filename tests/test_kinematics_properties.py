@@ -25,7 +25,7 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Exponential
                           profile_segment, speed_limit, wheel_speed_limit)
 from agv_path_kit.curve import _BezierStack, _hodograph_certifies, sampled_irregular_parameter
 from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
-from agv_path_kit.motion import (_UNWRAP_U, _angle, _half_plane, _nearest_branch,
+from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _branch_turns,
                                  orientation_many, wrap_angle)
 
 from test_layout_properties import ANGLE, MOUNT, curves
@@ -122,7 +122,7 @@ def ref_branches(segment, wheels, us):
     jets = _Jets(segment.curve, segment.mode, us)
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
     theta_grid = grid.theta[0]
-    theta_turns = _nearest_branch(us, theta_grid, jets.theta[0])
+    theta_turns = _branch_turns(us, theta_grid, jets.theta[0])
     theta = jets.theta[0] + math.tau * theta_turns
     angles = []
     for w in wheels:
@@ -130,7 +130,7 @@ def ref_branches(segment, wheels, us):
         zeta = _angle(ref_derivatives(jets, w)[1])
         start = zeta_grid[0] - theta_grid[0]
         anchor = round((wrap_angle(start) - start) / math.tau)
-        turns = _nearest_branch(us, zeta_grid, zeta)
+        turns = _branch_turns(us, zeta_grid, zeta)
         angles.append((zeta + math.tau * turns,
                        (zeta - jets.theta[0]) + math.tau * (turns - theta_turns + anchor)))
     return jets, theta, angles
@@ -319,7 +319,7 @@ BRANCH_MODES = st.one_of(
 def test_half_plane_turns_equal_the_grid_turns(case, data):
     # On a certified hodograph theta takes its whole turns from its u = 0
     # value under every law, and so does each steering angle of a tangential
-    # or crab law (`_half_plane_turns`), unless a tangential wheel's velocity
+    # or crab law (`_branch_turns` on u = 0 alone), unless a tangential wheel's velocity
     # line nearly meets the origin; a curve that winds past a half turn never
     # certifies. Every path must pick the grid reference's turns, so theta,
     # the headings and the steering angles are equal bit for bit.
@@ -351,7 +351,7 @@ def test_headings_that_straddle_the_cut_keep_their_own_start():
     segment = PathSegment(curve, Tangential(0.0), 1.5)
     wheels = [Wheel("front", (1.0, 0.5), 1.0, 1.0), Wheel("rear", (-1.0, -0.5), 1.0, 1.0)]
     us = np.linspace(0.0, 1.0, 5)
-    assert _half_plane(segment.mode, curve, np.array([w.r_w for w in wheels]))
+    assert _branch_nodes(segment.mode, curve, np.array([w.r_w for w in wheels])).size == 1
     zeta = assert_reference_branches(segment, wheels, us)
     assert zeta[0, 0] > 2.5 and zeta[1, 0] < -2.5
 

@@ -12,7 +12,7 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
                           ExponentialDelayed, PathSegment, Tangential, VehicleModel,
                           Wheel, orientation, orientation_at_end, profile_segment,
                           wheel_curve_jet, wheel_state)
-from agv_path_kit.motion import (_UNWRAP_U, _nearest_branch, heading_rates,
+from agv_path_kit.motion import (_UNWRAP_U, _branch_turns, heading_rates,
                                  orientation_many, unwrapped_heading, wrap_angle)
 
 from conftest import random_regular_curve
@@ -206,6 +206,19 @@ def test_heading_rates_refuses_parameters_outside_the_unit_interval():
         heading_rates(curve, [math.nan, 1.5, -0.5])
 
 
+def test_two_dimensional_parameters_are_refused():
+    # A (2, 3) array gave (3, 2) derivative arrays for 6 nodes, and tangential
+    # thetas for 3 of them, silently.
+    curve = BezierCurve([(0, 0), (1, 0), (2, 1), (3, 1)])
+    us = np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+        curve.derivatives_many(us, 1)
+    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+        orientation_many(Tangential(), curve, us)
+    assert [d.shape for d in curve.derivatives_many(0.3, 1)] == [(1, 2), (1, 2)]
+    assert orientation_many(Tangential(), curve, us.ravel())[0].shape == (6,)
+
+
 def test_wrap_angle_range():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
@@ -232,11 +245,11 @@ def test_grid_ulps_do_not_move_the_turn_counts(curve, mode, phi, seed):
     us = np.linspace(0.0, 1.0, 65)
     principal = orientation_many(segment.mode, segment.curve, us, unwrap=False, order=1)[0]
     grid = orientation_many(segment.mode, segment.curve, _UNWRAP_U, unwrap=False, order=1)[0]
-    turns = _nearest_branch(us, grid, principal)
+    turns = _branch_turns(us, grid, principal)
     assert np.array_equal(turns, np.rint(turns))
     q = (np.interp(us, _UNWRAP_U, np.unwrap(grid)) - principal) / math.tau
     tie = np.abs(np.abs(q - np.rint(q)) - 0.5) <= 1e-9
-    moved_turns = _nearest_branch(us, nudged(grid, seed), principal)
+    moved_turns = _branch_turns(us, nudged(grid, seed), principal)
     assert np.array_equal(turns[~tie], moved_turns[~tie])
 
 
