@@ -172,8 +172,11 @@ def heading(curve: BezierCurve, u: float) -> float:
 
 
 def _checked(us) -> np.ndarray:
-    """``us`` as floats, refused as `evaluate` refuses a u outside [0, 1] or NaN."""
+    """``us`` as floats, refused as `evaluate` refuses a u outside [0, 1] or NaN,
+    and as `BezierCurve.derivatives_many` refuses more than one dimension."""
     us = np.asarray(us, dtype=float)
+    if us.ndim > 1:
+        raise ValueError(f"parameters must be a scalar or 1-D, got shape {us.shape}")
     if us.size and not (us.min() >= 0.0 and us.max() <= 1.0):  # NaN fails both
         _parameter(us[~((0.0 <= us) & (us <= 1.0))].flat[0])  # raises as `evaluate` does
     return us

@@ -7,9 +7,11 @@ Repair picks the prescription's free parameters (shape parameters, or
 scalar multipliers of the junction tangent for the exponential rule set) by
 bounded multi-start direct search, minimizing either estimated travel time
 or control-point displacement; `repair_junction` picks the rule set from
-the junction's mode pair. Under displacement, the parameters that move
-control points affinely (beta3; the second-order multipliers) are solved in
-closed form inside the search, so it runs over two parameters only.
+the junction's mode pair. Under displacement, beta1 fixed, every other
+parameter moves the control points affinely, or so after a change of
+variable (variable projection: Golub and Pereyra, SIAM J. Numer. Anal.
+1973). They are solved by least squares inside the search, which runs over
+beta1 alone (for the exponential rule, beta1 = x_d1L / x_d1R).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .continuity import (SMOOTH, ContinuityReport, JunctionContext, Tolerances,
                          analyze_junction, _extract_curve_route)
 from . import optimize
-from .curve import (BezierCurve, _BezierStack, _cross, _dot, _hodograph_certifies, _pow, _rhs,
+from .curve import (BezierCurve, _BezierStack, _dot, _hodograph_certifies, _pow, _rhs,
                     sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
@@ -199,50 +201,94 @@ def _regular(net: list) -> bool:
     return _hodograph_certifies(net) or sampled_irregular_parameter(BezierCurve(net)) is None
 
 
-def _box_least_squares(columns, b, lo: float, hi: float) -> list[float]:
-    """argmin |A z - b|^2 over lo <= z_i <= hi, for A of full column rank.
+def _inner(u, v) -> float:
+    """The sum of products of two float sequences, as a `math.fsum`."""
+    return math.fsum(map(operator.mul, u, v))
 
-    A has one or two ``columns``, float sequences as long as ``b``; a sum of
-    products over the rows is a `math.fsum`. The problem is convex: with one
-    column its minimum is the unconstrained one clipped to the box (NaN to
-    ``lo``); with two, the unconstrained one when that lies in the box, and
-    otherwise the cheapest of the four faces' one-column minima.
+
+def _box_least_squares(columns, b, bounds) -> list[float]:
+    """argmin |A z - b|^2 over bounds[i][0] <= z_i <= bounds[i][1], for A of full column rank.
+
+    A has one to three ``columns``, float sequences as long as ``b``, and
+    ``bounds`` holds one (low, high) pair per column. The normal equations
+    are solved by Gauss-Jordan elimination. The problem is convex, so when
+    their solution leaves the box the minimum lies on a face: the cheapest
+    of the faces' minima, each found the same way with one column held at
+    one of its bounds. One column clips (NaN to its low bound).
     """
-    def inner(u, v):
-        return math.fsum(map(operator.mul, u, v))
-
-    if len(columns) == 1:
-        z = inner(columns[0], b) / inner(columns[0], columns[0])
-        return [hi if z > hi else z if z >= lo else lo]
-    g = [[inner(u, v) for v in columns] for u in columns]
-    r = [inner(u, b) for u in columns]
-    det = _cross(g[0], g[1])  # Cramer's rule on the normal equations g z = r
-    z = [_cross(r, g[1]) / det, _cross(g[0], r) / det]
-    if all(lo <= x <= hi for x in z):
+    k = len(columns)
+    g = [[_inner(u, v) for v in columns] + [_inner(u, b)] for u in columns]
+    for i in range(k):
+        for j in range(k):
+            if j != i:
+                f = g[j][i] / g[i][i]
+                g[j] = [x - f * y for x, y in zip(g[j], g[i])]
+    z = [row[k] / row[i] for i, row in enumerate(g)]
+    if all(lo <= x <= hi for x, (lo, hi) in zip(z, bounds)):
         return z
-    faces = []  # column i held at a bound, the other one solved
-    for i, bound in ((0, lo), (0, hi), (1, lo), (1, hi)):
-        face = [bound, bound]
-        face[1 - i], = _box_least_squares(
-            [columns[1 - i]], [y - x * bound for x, y in zip(columns[i], b)], lo, hi)
-        faces.append(face)
+    if k == 1:
+        return [bounds[0][1] if z[0] > bounds[0][1] else bounds[0][0]]
+    faces = []
+    for i, pair in enumerate(bounds):
+        for bound in pair:
+            rest = _box_least_squares([*columns[:i], *columns[i + 1:]],
+                                      [y - x * bound for x, y in zip(columns[i], b)],
+                                      [*bounds[:i], *bounds[i + 1:]])
+            faces.append([*rest[:i], bound, *rest[i:]])
 
     def cost(face):
-        residual = [_dot(row, face) - y for row, y in zip(zip(*columns), b)]
-        return inner(residual, residual)
+        residual = [_inner(row, face) - y for row, y in zip(zip(*columns), b)]
+        return _inner(residual, residual)
     return min(faces, key=cost)
 
 
-def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
+def _sheared_least_squares(columns, b, shear: float, bounds) -> list[float]:
+    """argmin |c1 z1 + c2 (z2 - shear z1^2) - b|^2 over the box ``bounds``.
+
+    In (z1, z2 - shear z1^2) the cost is a convex quadratic, so its
+    unconstrained minimum stands when its z lies in the box. Otherwise the
+    minimum lies on the box's boundary. On a z1 side, z2 is one clipped
+    column. On a z2 side the residual is quadratic in z1 and the cost a
+    quartic, least at the side's ends (covered by the z1 sides) or at a real
+    root of its derivative; each root's real part, clipped to the side, is a
+    candidate, and the cheapest candidate wins.
+    """
+    c1, c2 = columns
+    z1, z2 = _box_least_squares(columns, b, [(-math.inf, math.inf)] * 2)
+    z2 += shear * (z1 * z1)
+    (lo1, hi1), (lo2, hi2) = bounds
+    if lo1 <= z1 <= hi1 and lo2 <= z2 <= hi2:
+        return [z1, z2]
+    points = [[z1, *_box_least_squares([c2], [y - x * z1 + w * (shear * (z1 * z1))
+                                              for x, w, y in zip(c1, c2, b)], bounds[1:])]
+              for z1 in (lo1, hi1)]
+    a = [-shear * w for w in c2]
+    for z2 in (lo2, hi2):
+        c = [w * z2 - y for w, y in zip(c2, b)]   # residual a z1^2 + c1 z1 + c
+        roots = np.roots([2.0 * _inner(a, a), 3.0 * _inner(a, c1),
+                          _inner(c1, c1) + 2.0 * _inner(a, c), _inner(c1, c)])
+        points += [[min(max(float(r.real), lo1), hi1), z2] for r in roots]
+
+    def cost(z):
+        s = z[1] - shear * (z[0] * z[0])
+        return math.fsum((x * z[0] + w * s - y)**2 for x, w, y in zip(c1, c2, b))
+    return min(points, key=cost)
+
+
+def _tangential_candidate(problem: RepairProblem, beta, bounds):
     """Nets with the third-order junction jet rewritten for a beta triple.
 
-    ``beta`` is (beta1, beta2, beta3), or (beta1, beta2) with beta3 solved:
-    beta3 moves only the third control point from the junction, affinely,
-    so the displacement-optimal beta3 is a 1-D least squares clipped to
-    ``beta3_bounds``. Returns (beta triple, left net, right net) or None.
-    The jets are Python floats, each formula grouped left to right as written.
+    ``beta`` is (beta1, beta2, beta3), or (beta1,) with (beta2, beta3) solved
+    for least displacement within ``bounds``, their two (low, high) pairs.
+    A fixed beta1 fixes the first control point from the junction, and the
+    second and third move affinely in (beta2, beta3) when the left side is
+    edited, so that is one box least squares. On the right side they are
+    affine in (beta2, beta3*), beta3* = beta3 - 3 beta2^2 / beta1, which is
+    not a box in beta3: `_sheared_least_squares` solves that. Returns (beta
+    triple, left net, right net) or None. The jets are Python floats, each
+    formula grouped left to right as written.
     """
-    b1, b2 = float(beta[0]), float(beta[1])
+    b1 = float(beta[0])
     if b1 <= 0.0:
         return None
     ctx, (left, right) = problem.ctx, problem._rows
@@ -250,36 +296,35 @@ def _tangential_candidate(problem: RepairProblem, beta, beta3_bounds):
         points, end = right, "start"
         _, l1, l2, l3 = ctx.left_jet._floats
         d1 = [x / b1 for x in l1]
-        d2 = [(y - b2 * x) / b1**2 for x, y in zip(d1, l2)]
-        d3_slope = [-x / b1**3 for x in d1]
 
-        def d3_at(b3):
-            return [(z - 3.0 * b1 * b2 * y - b3 * x) / b1**3 for x, y, z in zip(d1, d2, l3)]
+        def jet(b2, b3):
+            d2 = [(y - b2 * x) / b1**2 for x, y in zip(d1, l2)]
+            return [d1, d2, [(z - 3.0 * b1 * b2 * y - b3 * x) / b1**3
+                             for x, y, z in zip(d1, d2, l3)]]
+        # d2 and d3 per unit beta2 and per unit beta3*
+        slopes = [([-x / b1**2 for x in d1], [-3.0 * y / b1**4 for y in l2]),
+                  ([0.0, 0.0], [-x / b1**3 for x in d1])]
     else:
         points, end = left, "end"
         _, r1, r2, r3 = ctx.right_jet._floats
-        d1 = [_rhs(1, b1, b2, None, x) for x in r1]
-        d2 = [_rhs(2, b1, b2, None, x, y) for x, y in zip(r1, r2)]
-        d3_slope = r1
 
-        def d3_at(b3):
-            return [_rhs(3, b1, b2, b3, x, y, z) for x, y, z in zip(r1, r2, r3)]
-    if len(beta) > 2:
-        b3 = float(beta[2])
+        def jet(b2, b3):
+            return [[_rhs(k, b1, b2, b3, *ds[:k]) for ds in zip(r1, r2, r3)] for k in (1, 2, 3)]
+        slopes = [(r1, [3.0 * b1 * y for y in r2]), ([0.0, 0.0], r1)]
+    if len(beta) > 1:
+        b2, b3 = float(beta[1]), float(beta[2])
     else:
-        # The end jet of order 3 that keeps the third point where it was:
-        # sign * f3 * np.diff([q0, q1, q2, q3], 3), the net read from the
-        # junction (d1 and d3 flip sign at the end), q1 and q2 set by d1, d2.
-        sign = 1.0 if end == "start" else -1.0
-        f3 = _endpoint_factors(len(points) - 1)[2]
-        if (q := _jet_net(points, end, [d1, d2])) is None:
+        if (zero := _jet_net(points, end, jet(0.0, 0.0))) is None:
             return None
-        q0, q1, q2, q3 = q[:4] if end == "start" else q[:-5:-1]
-        kept = [sign * f3 * (((d - c) - (c - b)) - ((c - b) - (b - a)))
-                for a, b, c, d in zip(q0, q1, q2, q3)]
-        b3, = _box_least_squares([d3_slope], [k - z for k, z in zip(kept, d3_at(0.0))],
-                                 *beta3_bounds)
-    net = _jet_net(points, end, [d1, d2, d3_at(b3)])
+        # The moves of points 2 and 3 from the junction: d2 / f2, 3 d2 / f2 +- d3 / f3.
+        _, f2, f3 = _endpoint_factors(len(points) - 1)
+        sign, (i2, i3) = (1.0, (2, 3)) if end == "start" else (-1.0, (-3, -4))
+        columns = [[*(x / f2 for x in s2), *(3.0 * x / f2 + sign * y / f3 for x, y in zip(s2, s3))]
+                   for s2, s3 in slopes]
+        b = [a - z for i in (i2, i3) for a, z in zip(points[i], zero[i])]
+        b2, b3 = (_box_least_squares(columns, b, bounds) if end == "end"
+                  else _sheared_least_squares(columns, b, 3.0 / b1, bounds))
+    net = _jet_net(points, end, jet(b2, b3))
     if net is None or not _regular(net):
         return None
     if problem.side == "right":
@@ -357,8 +402,8 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     Rewrites the edited curve's junction jet from the fixed side's jet and a
     shape-parameter triple; the triple is chosen by bounded multi-start
     search on the objective. Under ``min_displacement`` the search runs
-    over (beta1, beta2) only, with beta3 solved in closed form. The
-    repaired junction is re-verified and must come back smooth.
+    over beta1 alone, with (beta2, beta3) solved by least squares for each
+    candidate. The repaired junction is re-verified and must come back smooth.
     """
     ctx = problem.ctx
     if not (isinstance(ctx.left.mode, Tangential)
@@ -374,74 +419,56 @@ def repair_tangential(problem: RepairProblem) -> RepairResult:
     bounds = [_BETA1_BOUNDS, (-cb, cb), (-cb * 3.0, cb * 3.0)]
     if problem.objective == "min_displacement":
         # Displacement is near-quadratic around the least-squares seed.
-        starts = [seed[:2]]
-        bounds, beta3_bounds = bounds[:2], bounds[2]
+        starts, bounds, solved = [seed[:1]], bounds[:1], bounds[1:]
     else:
         starts = [seed * (scale, 1.0, 1.0) for scale in (1.0, 0.5, 2.0)]
-        beta3_bounds = None
-    return _search(problem,
-                   lambda beta: _tangential_candidate(problem, beta, beta3_bounds),
+        solved = None
+    return _search(problem, lambda beta: _tangential_candidate(problem, beta, solved),
                    starts, bounds, ("beta1", "beta2", "beta3"), "shape parameters")
-
-
-def _closest_second_multipliers(problem: RepairProblem, x1: float, x3: float,
-                                bound: float) -> tuple[float, float]:
-    """Displacement-optimal (x_d2L, x_d2R) in [-bound, bound] for fixed x_d1L, x_d1R.
-
-    With the first-order multipliers fixed, the moved points that depend on
-    the second-order ones are the left P(m-2), the right Q2 and the right
-    Q3 (through the new left third derivative), each affine in (x_d2L,
-    x_d2R) along the junction tangent v; the coefficients follow
-    `prescribe_endpoint_jet`. Only the components along v depend on the
-    multipliers, so the problem is a 3 x 2 box-constrained least squares.
-    The offsets are floats grouped as the vector formulas in the comments.
-    """
-    ctx = problem.ctx
-    v = ctx.left_jet._floats[1]
-    left, right = problem._rows
-    f1l, f2l, f3l = _endpoint_factors(len(left) - 1)
-    f1r, f2r, f3r = _endpoint_factors(len(right) - 1)
-    (p3, p2, _, pn), (q0, _, q2, q3) = left[-4:], right[:4]
-    l1 = [a - x1 * w / f1l for a, w in zip(pn, v)]   # new P(m-1) = pn - x1 v / f1l
-    r1 = [a + x3 * w / f1r for a, w in zip(q0, v)]   # new Q1 = q0 + x3 v / f1r
-    c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)   # right Q3 per unit left d3
-    offsets = [   # 2 l1 - pn - P(m-2); 2 r1 - q0 - Q2;
-        [2.0 * a - b - d for a, b, d in zip(l1, pn, p2)],
-        [2.0 * a - b - d for a, b, d in zip(r1, q0, q2)],
-        # c f3l (3 l1 - 2 pn - P(m-3)) + 3 r1 - 2 q0 - Q3
-        [c * f3l * (3.0 * a - 2.0 * b - d) + 3.0 * e - 2.0 * g - h
-         for a, b, d, e, g, h in zip(l1, pn, p3, r1, q0, q3)]]
-    q = _dot(v, v)
-    columns = [[1.0 / f2l, 0.0, 3.0 * c * f3l / f2l], [0.0, 1.0 / f2r, 3.0 / f2r]]
-    x2, x4 = _box_least_squares(columns, [-_dot(row, v) / q for row in offsets], -bound, bound)
-    return x2, x4
 
 
 def _exponential_candidate(problem: RepairProblem, x, bound: float):
     """Both curves rebuilt from tangent multipliers (x_d1L, x_d2L, x_d1R, x_d2R).
 
     All first and second junction derivatives become scalar multiples of the
-    original upstream tangent, forcing zero endpoint curvature on both sides
+    original upstream tangent v, forcing zero endpoint curvature on both sides
     while preserving the junction heading; the downstream third derivative
     follows from the orientation-rate matching relation with the
-    reparameterization factor n. Given only (x_d1L, x_d1R), the second-order
-    multipliers are solved for least displacement within ``bound``.
-    Returns (multipliers, left net, right net) or None.
+    reparameterization factor n. Given only beta1 = x_d1L / x_d1R, the moved
+    points (the left P(m-1), P(m-2) and the right Q1, Q2, Q3) are affine in
+    (x_d1L, x_d2L, x_d2R) along v: a 5 x 3 box least squares, with x_d1L
+    where x_d1R = x_d1L / beta1 stays in _BETA1_BOUNDS and the others within
+    ``bound``. That x_d1R is clamped into its bounds, since it may round one
+    ulp out. Returns (multipliers, left net, right net) or None.
     """
-    if len(x) == 2:
-        x1, x3 = float(x[0]), float(x[1])
-        x2 = x4 = None
-    else:
-        x1, x2, x3, x4 = (float(value) for value in x)
     ctx = problem.ctx
+    v = ctx.left_jet._floats[1]
+    if len(x) == 1:
+        b1, (left, right) = float(x[0]), problem._rows
+        (p3, p2, p1, pn), (q0, q1, q2, q3) = left[-4:], right[:4]
+        f1l, f2l, f3l = _endpoint_factors(len(left) - 1)
+        f1r, f2r, f3r = _endpoint_factors(len(right) - 1)
+        # Q3 moves by w per unit of the left's third difference at its end.
+        w = f3l / (_pow(b1, 3) * _pow(ctx.right.mode.n, 2) * f3r)
+        # Along v, per unit multiplier and at zero multipliers: P(m-1), P(m-2), Q1, Q2, Q3.
+        columns = [[-1.0 / f1l, -2.0 / f1l, 1.0 / (b1 * f1r), 2.0 / (b1 * f1r),
+                    3.0 / (b1 * f1r) - 3.0 * w / f1l],
+                   [0.0, 1.0 / f2l, 0.0, 0.0, 3.0 * w / f2l],
+                   [0.0, 0.0, 0.0, 1.0 / f2r, 3.0 / f2r]]
+        zero = [pn, pn, q0, q0, [a + w * (b - d) for a, b, d in zip(q0, pn, p3)]]
+        q = _dot(v, v)
+        b = [_dot([a - z for a, z in zip(old, at)], v) / q
+             for old, at in zip((p1, p2, q1, q2, q3), zero)]
+        lo, hi = _BETA1_BOUNDS
+        x1, x2, x4 = _box_least_squares(
+            columns, b, [(max(lo, lo * b1), min(hi, hi * b1)), (-bound, bound), (-bound, bound)])
+        x = x1, x2, min(max(x1 / b1, lo), hi), x4
+    x1, x2, x3, x4 = (float(value) for value in x)
     if not (x1 > 0.0 and x3 > 0.0):
         return None
     # The right C'''(0) is the new left C'''(1) over scale; none fits if it is inf.
     if not (scale := _pow(x1 / x3, 3) * _pow(ctx.right.mode.n, 2)) < math.inf:
         return None
-    if x2 is None:
-        x2, x4 = _closest_second_multipliers(problem, x1, x3, bound)
-    v = ctx.left_jet._floats[1]
     left = _jet_net(problem._rows[0], "end", [[x1 * c for c in v], [x2 * c for c in v]])
     if left is None or not _regular(left):
         return None
@@ -460,8 +487,9 @@ def _exponential_candidate(problem: RepairProblem, x, bound: float):
 def repair_exponential(problem: RepairProblem) -> RepairResult:
     """Restore continuity for a tangential -> anticipated-exponential junction.
 
-    Under ``min_displacement`` the search runs over (x_d1L, x_d1R) only,
-    with (x_d2L, x_d2R) solved in closed form.
+    Under ``min_displacement`` the search runs over beta1 = x_d1L / x_d1R
+    alone, with (x_d1L, x_d2L, x_d2R) solved by least squares for each
+    candidate.
     """
     ctx = problem.ctx
     if not isinstance(ctx.right.mode, ExponentialAnticipated):
@@ -476,14 +504,15 @@ def repair_exponential(problem: RepairProblem) -> RepairResult:
     q = _dot(v, v)
     seed = np.array([1.0] + [_dot(d, v) / q for d in (ctx.left_jet._floats[2],
                                                       *ctx.right_jet._floats[1:3])])
-    cb = _COEFFICIENT_BOUND
-    bounds = [_BETA1_BOUNDS, (-cb, cb), _BETA1_BOUNDS, (-cb, cb)]
+    cb, (lo, hi) = _COEFFICIENT_BOUND, _BETA1_BOUNDS
     if problem.objective == "min_displacement":
-        starts = [seed[[0, 2]]]
-        bounds = bounds[0::2]
+        # The seed's x_d1L / x_d1R, each clipped first: x_d1R's seed may be 0.
+        x1, x3 = (min(max(float(seed[i]), lo), hi) for i in (0, 2))
+        starts, bounds = [[x1 / x3]], [(lo / hi, hi / lo)]
     else:
         starts = [np.array([seed[0] * scale, seed[1], seed[2] / scale, seed[3]])
                   for scale in (1.0, 0.75, 1.25)]
+        bounds = [_BETA1_BOUNDS, (-cb, cb), _BETA1_BOUNDS, (-cb, cb)]
     result = _search(problem, lambda x: _exponential_candidate(problem, x, cb),
                      starts, bounds,
                      ("x_d1_left", "x_d2_left", "x_d1_right", "x_d2_right"),

@@ -213,8 +213,9 @@ def test_two_dimensional_parameters_are_refused():
     us = np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
     with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
         curve.derivatives_many(us, 1)
-    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
-        orientation_many(Tangential(), curve, us)
+    for mode in (Tangential(), Crab(0.3)):
+        with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+            orientation_many(mode, curve, us)
     assert [d.shape for d in curve.derivatives_many(0.3, 1)] == [(1, 2), (1, 2)]
     assert orientation_many(Tangential(), curve, us.ravel())[0].shape == (6,)
 

@@ -231,8 +231,8 @@ class TestSearchReport:
         repair = repair_exponential if exponential else repair_tangential
         result = repair(RepairProblem(ctx, objective="min_displacement", side=side))
         assert result.converged is True
-        # one start of a two-parameter search, inside its evaluation budget
-        assert 0 < result.evaluations < 400
+        # one start of a search over beta1 alone, well inside its budget of 400
+        assert 0 < result.evaluations < 100
 
     def test_min_travel_time_convergence_is_reported(self, fixture_repair,
                                                      exponential_repair,
@@ -257,28 +257,35 @@ class TestSearchReport:
             return (_displacement(problem._rows[0], built[1])
                     + _displacement(problem._rows[1], built[2]))
 
+        # Beta1 alone is given; the solved (beta2, beta3), and (x_d1L, x_d2L,
+        # x_d2R) with x_d1R = x_d1L / beta1, lie inside their boxes, so each
+        # step about them moves no fewer points.
         for side in ("right", "left"):
             problem = RepairProblem(junction_of(layout_g1), "min_displacement", side)
-            built = _tangential_candidate(problem, (1.1, 0.2), (-1e3, 1e3))
+            built = _tangential_candidate(problem, (1.1,), ((-1e3, 1e3), (-1e3, 1e3)))
             best = displacement(problem, built)
-            for step in (-1e-4, 1e-4):
-                beta = np.array(built[0]) + [0.0, 0.0, step]
-                other = _tangential_candidate(problem, beta, None)
-                assert displacement(problem, other) >= best
+            assert max(map(abs, built[0][1:])) < 1e3
+            for step in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                for sign in (-1e-4, 1e-4):
+                    beta = np.array(built[0]) + sign * np.array([0.0, *step])
+                    other = _tangential_candidate(problem, beta, None)
+                    assert displacement(problem, other) >= best
         alpha = layout_exponential.segments[0].segment.mode.alpha
         left = PathSegment(layout_g1.segments[0].segment.curve, Tangential(alpha), 1.5)
         right = PathSegment(layout_g1.segments[1].segment.curve,
                             ExponentialAnticipated(alpha, 1.7), 1.5)
         problem = RepairProblem(JunctionContext(left, right, layout_exponential.vehicle),
                                 "min_displacement")
-        built = _exponential_candidate(problem, (0.9, 1.2), 10.0)
+        beta1 = 0.9 / 1.2
+        built = _exponential_candidate(problem, (beta1,), 10.0)
         best = displacement(problem, built)
-        x = np.array(built[0])
-        assert np.abs(x[[1, 3]]).max() < 10.0    # interior: no bound is active
-        for step in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        x1, x2, _, x4 = built[0]
+        assert 0.1 < x1 < 10.0 and 0.1 < x1 / beta1 < 10.0 and max(abs(x2), abs(x4)) < 10.0
+        for step in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, -1), (0, 1, 1)):
             for sign in (-1e-4, 1e-4):
-                other = x + sign * np.array([0.0, step[0], 0.0, step[1]])
-                assert displacement(problem, _exponential_candidate(problem, other, 10.0)) >= best
+                y1, y2, y4 = np.array([x1, x2, x4]) + sign * np.array(step)
+                other = _exponential_candidate(problem, (y1, y2, y1 / beta1, y4), 10.0)
+                assert displacement(problem, other) >= best
 
 
 class TestTravelTime:

@@ -13,14 +13,18 @@ for bit (signed zeros included):
 - each candidate against its jets written as numpy vector expressions, then
   `prescribe_endpoint_jet`, `BezierCurve` and `irregular_parameter`, with the
   displacement taken on those curves: the moved points, the admissibility,
-  the solved beta3 or (x_d2L, x_d2R) and the displacement must be equal.
+  the parameters and the displacement must be equal. Given beta1 alone, a
+  candidate solves the other parameters by least squares on columns of
+  Python floats; the vector route writes the same columns and offsets as
+  arrays.
 
 Float arithmetic and numpy's elementwise loops round alike on every SIMD
 path, so CI runs this file with numpy's AVX-512 loops switched off too.
 
-The box-constrained least squares both candidates solve runs on Python
-floats; it is held to the normal equations inside the box and to scipy's
-`lsq_linear` on a face.
+The least squares the candidates solve runs on Python floats: the box form
+(1-3 columns, a bound pair each) is held to the normal equations inside the
+box and to scipy's `lsq_linear` on a face, and the sheared form of the
+right side's (beta2, beta3) to a fine scan of its box.
 """
 
 import math
@@ -120,37 +124,39 @@ def displacement(before: BezierCurve, after: BezierCurve) -> float:
     return float(np.sum((before.control_points - after.control_points)**2))
 
 
-def vector_tangential(ctx, side, beta, beta3_bounds):
+def vector_tangential(ctx, side, beta, bounds):
     """The tangential candidate on the vector route: (beta triple, left curve,
-    right curve) or None."""
-    b1, b2 = float(beta[0]), float(beta[1])
+    right curve) or None. Given (beta1,) alone, (beta2, beta3) are solved
+    from the moved points written as arrays: affine in (beta2, beta3) on the
+    left, in (beta2, beta3 - 3 beta2^2 / beta1) on the right."""
+    b1 = float(beta[0])
     if side == "right":
         curve, end, lj = ctx.right.curve, "start", ctx.left_jet
         d1 = lj.d1 / b1
-        d2 = (lj.d2 - b2 * d1) / b1**2
-        d3_slope = -d1 / b1**3
 
-        def d3_at(b3):
-            return (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
+        def jet(b2, b3):
+            d2 = (lj.d2 - b2 * d1) / b1**2
+            return d1, d2, (lj.d3 - 3.0 * b1 * b2 * d2 - b3 * d1) / b1**3
+        # (d2, d3) per unit beta2 and per unit beta3* = beta3 - 3 beta2^2 / beta1
+        slopes = [(-d1 / b1**2, -3.0 * lj.d2 / b1**4), (np.zeros(2), -d1 / b1**3)]
     else:
         curve, end, rj = ctx.left.curve, "end", ctx.right_jet
-        d1 = b1 * rj.d1
-        d2 = b1**2 * rj.d2 + b2 * rj.d1
-        d3_slope = rj.d1
 
-        def d3_at(b3):
-            return b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1
-    if len(beta) > 2:
-        b3 = float(beta[2])
+        def jet(b2, b3):
+            return (b1 * rj.d1, b1**2 * rj.d2 + b2 * rj.d1,
+                    b1**3 * rj.d3 + 3.0 * b1 * b2 * rj.d2 + b3 * rj.d1)
+        slopes = [(rj.d1, 3.0 * b1 * rj.d2), (np.zeros(2), rj.d1)]
+    if len(beta) > 1:
+        b2, b3 = float(beta[1]), float(beta[2])
     else:
-        sign = 1.0 if end == "start" else -1.0
-        q = curve.control_points if end == "start" else curve.control_points[::-1]
-        f1, f2, f3 = factors(curve.degree)
-        q1 = q[0] + sign * d1 / f1
-        q2 = d2 / f2 + 2.0 * q1 - q[0]
-        kept = sign * f3 * np.diff([q[0], q1, q2, q[3]], 3, axis=0)[0]
-        b3, = R._box_least_squares([d3_slope], kept - d3_at(0.0), *beta3_bounds)
-    new = prescribe_endpoint_jet(curve, end, d1, d2, d3_at(b3))
+        _, f2, f3 = factors(curve.degree)
+        sign, moved = (1.0, [2, 3]) if end == "start" else (-1.0, [-3, -4])
+        columns = [np.concatenate((s2 / f2, 3.0 * s2 / f2 + sign * s3 / f3)) for s2, s3 in slopes]
+        zero = prescribe_endpoint_jet(curve, end, *jet(0.0, 0.0)).control_points
+        b = (curve.control_points[moved] - zero[moved]).ravel()
+        b2, b3 = (R._box_least_squares(columns, b, bounds) if side == "left"
+                  else R._sheared_least_squares(columns, b, 3.0 / b1, bounds))
+    new = prescribe_endpoint_jet(curve, end, *jet(b2, b3))
     if irregular_parameter(new) is not None:
         return None
     if side == "right":
@@ -158,36 +164,32 @@ def vector_tangential(ctx, side, beta, beta3_bounds):
     return (b1, b2, b3), new, ctx.right.curve
 
 
-def vector_second_multipliers(ctx, x1, x3, bound):
-    v = ctx.left_jet.d1
-    left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
-    m = ctx.left.curve.degree
-    f1l, f2l, f3l = factors(m)
-    f1r, f2r, f3r = factors(ctx.right.curve.degree)
-    pn, q0 = left[m], right[0]
-    l1 = pn - x1 * v / f1l
-    r1 = q0 + x3 * v / f1r
-    c = x3**3 / (x1**3 * ctx.right.mode.n**2 * f3r)
-    offsets = np.array([2.0 * l1 - pn - left[m - 2],
-                        2.0 * r1 - q0 - right[2],
-                        c * f3l * (3.0 * l1 - 2.0 * pn - left[m - 3])
-                        + 3.0 * r1 - 2.0 * q0 - right[3]])
-    a = np.array([[1.0 / f2l, 0.0],
-                  [0.0, 1.0 / f2r],
-                  [3.0 * c * f3l / f2l, 3.0 / f2r]])
-    x2, x4 = R._box_least_squares(a.T, -_dot(offsets.T, v) / _dot(v, v), -bound, bound)
-    return float(x2), float(x4)
-
-
 def vector_exponential(ctx, x, bound):
     """The exponential candidate on the vector route: (multipliers, left
-    curve, right curve) or None."""
-    if len(x) == 2:
-        x1, x3 = float(x[0]), float(x[1])
-        x2, x4 = vector_second_multipliers(ctx, x1, x3, bound)
-    else:
-        x1, x2, x3, x4 = (float(value) for value in x)
+    curve, right curve) or None. Given (beta1,) alone, (x_d1L, x_d2L, x_d2R)
+    are solved along v from the moved points written as arrays."""
     v, n = ctx.left_jet.d1, ctx.right.mode.n
+    if len(x) == 1:
+        b1 = float(x[0])
+        left, right = ctx.left.curve.control_points, ctx.right.curve.control_points
+        f1l, f2l, f3l = factors(ctx.left.curve.degree)
+        f1r, f2r, f3r = factors(ctx.right.curve.degree)
+        w = f3l / (b1**3 * n**2 * f3r)
+        # Per unit multiplier, and at zero multipliers: P(m-1), P(m-2), Q1, Q2, Q3.
+        a = np.array([[-1.0 / f1l, 0.0, 0.0],
+                      [-2.0 / f1l, 1.0 / f2l, 0.0],
+                      [1.0 / (b1 * f1r), 0.0, 0.0],
+                      [2.0 / (b1 * f1r), 0.0, 1.0 / f2r],
+                      [3.0 / (b1 * f1r) - 3.0 * w / f1l, 3.0 * w / f2l, 3.0 / f2r]])
+        zero = np.array([left[-1], left[-1], right[0], right[0],
+                         right[0] + w * (left[-1] - left[-4])])
+        moved = np.vstack((left[[-2, -3]], right[1:4]))
+        lo, hi = R._BETA1_BOUNDS
+        x1, x2, x4 = R._box_least_squares(
+            a.T, _dot((moved - zero).T, v) / _dot(v, v),
+            [(max(lo, lo * b1), min(hi, hi * b1)), (-bound, bound), (-bound, bound)])
+        x = x1, x2, float(np.clip(x1 / b1, lo, hi)), x4
+    x1, x2, x3, x4 = (float(value) for value in x)
     new_left = prescribe_endpoint_jet(ctx.left.curve, "end", x1 * v, x2 * v)
     if irregular_parameter(new_left) is not None:
         return None
@@ -248,10 +250,11 @@ def test_tangential_candidate_equals_the_vector_route(two_wheel_vehicle, junctio
         return
     cb = tangential_bounds(ctx)
     problem = RepairProblem(ctx, "min_displacement", side)
-    # clip None runs the search's full triple; otherwise beta3 is solved
-    # within +-clip times its search bound, small enough to hit a face.
+    # clip None runs the search's full triple; otherwise (beta2, beta3) are
+    # solved within +-clip times their search bounds, small enough to hit a
+    # face (on the right side, to fire the clip rule).
     beta, bounds = ((b1, b2 * cb, b3 * 3.0 * cb), None) if clip is None \
-        else ((b1, b2 * cb), (-3.0 * cb * clip, 3.0 * cb * clip))
+        else ((b1,), ((-cb * clip, cb * clip), (-3.0 * cb * clip, 3.0 * cb * clip)))
     assert_same_candidate(problem, R._tangential_candidate(problem, beta, bounds),
                           vector_tangential(ctx, side, beta, bounds))
 
@@ -265,18 +268,20 @@ def test_exponential_candidate_equals_the_vector_route(two_wheel_vehicle, juncti
     left, right, mode = junction
     ctx = ctx_for(left, right, two_wheel_vehicle, Tangential(0.0), mode)
     problem = RepairProblem(ctx, "min_displacement")
-    # bound None runs the search's four multipliers; otherwise (x_d2L,
-    # x_d2R) are solved in a box small enough to hit a face.
-    x = (x1, 10.0 * x2, x3, 10.0 * x4) if bound is None else (x1, x3)
+    # bound None runs the search's four multipliers; otherwise beta1 is
+    # x1 / x3 and (x_d1L, x_d2L, x_d2R) are solved in a box whose
+    # second-order sides are small enough to hit a face.
+    x = (x1, 10.0 * x2, x3, 10.0 * x4) if bound is None else (x1 / x3,)
     assert_same_candidate(problem, R._exponential_candidate(problem, x, bound or 10.0),
                           vector_exponential(ctx, x, bound or 10.0))
 
 
 def test_draws_reach_clipped_and_interior_solutions(two_wheel_vehicle):
-    # Both properties compare solutions on a face of the box as well as
-    # inside it: count both kinds on fixed draws.
+    # Both properties compare solutions on a face of the box (on the right
+    # side, with the clip rule fired) as well as inside it: count both kinds
+    # on fixed draws.
     rng = np.random.default_rng(18)
-    kinds = {"beta3": set(), "x_d2": set()}
+    kinds = {"right": set(), "left": set(), "exponential": set()}
     for _ in range(30):
         left = random_regular_curve(rng, degree=int(rng.integers(4, 10)))
         right = random_regular_curve(rng, degree=int(rng.integers(4, 10)))
@@ -284,39 +289,41 @@ def test_draws_reach_clipped_and_interior_solutions(two_wheel_vehicle):
                             + left.control_points[-1])
         ctx = ctx_for(left, right, two_wheel_vehicle)
         cb = tangential_bounds(ctx)
-        for clip in (1e-6, 1.0):
-            bound = 3.0 * cb * clip
-            built = vector_tangential(ctx, "right", (rng.uniform(0.5, 2.0), 0.0),
-                                      (-bound, bound))
-            if built is not None:
-                kinds["beta3"].add(abs(built[0][2]) == bound)
+        for side in ("right", "left"):
+            for clip in (1e-6, 1.0):
+                bounds = ((-cb * clip, cb * clip), (-3.0 * cb * clip, 3.0 * cb * clip))
+                built = vector_tangential(ctx, side, (rng.uniform(0.5, 2.0),), bounds)
+                if built is not None:
+                    kinds[side].add(any(abs(b) == hi for b, (_, hi) in zip(built[0][1:], bounds)))
         ctx = ctx_for(left, right, two_wheel_vehicle, Tangential(0.0),
                       ExponentialAnticipated(0.0, 1.7))
         for bound in (1e-3, 10.0):
-            x2, x4 = vector_second_multipliers(ctx, rng.uniform(0.5, 2.0),
-                                               rng.uniform(0.5, 2.0), bound)
-            kinds["x_d2"].add(bound in (abs(x2), abs(x4)))
-    assert kinds == {"beta3": {True, False}, "x_d2": {True, False}}
-
+            built = vector_exponential(ctx, (rng.uniform(0.5, 2.0),), bound)
+            if built is not None:
+                kinds["exponential"].add(bound in np.abs(built[0][1::2]))
+    assert kinds == {"right": {True, False}, "left": {True, False},
+                     "exponential": {True, False}}
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.integers(1, 2).flatmap(lambda cols: st.tuples(
-    arrays(float, (cols + 1, cols), elements=st.floats(-10.0, 10.0)),
-    arrays(float, cols + 1, elements=st.floats(-100.0, 100.0)))),
-    st.floats(-10.0, 10.0), st.floats(1e-6, 20.0))
-def test_box_least_squares_against_the_normal_equations_and_scipy(problem, lo, width):
-    # The candidates solve 1 column on 2 rows (beta3) and 2 columns on 3
-    # rows (x_d2L, x_d2R). Inside the box the solution is the normal
-    # equations' one; on a face its cost is no more than scipy's, up to
-    # rounding relative to the cost and to |b|^2 (an exact fit costs ~0).
+@given(st.integers(1, 3).flatmap(lambda cols: st.tuples(
+    arrays(float, (cols + 2, cols), elements=st.floats(-10.0, 10.0)),
+    arrays(float, cols + 2, elements=st.floats(-100.0, 100.0)),
+    arrays(float, cols, elements=st.floats(-10.0, 10.0)),
+    arrays(float, cols, elements=st.floats(1e-6, 20.0)))))
+def test_box_least_squares_against_the_normal_equations_and_scipy(problem):
+    # The candidates solve 2 columns on 4 rows (beta2, beta3), 1 column on
+    # 4 rows (beta3 alone) and 3 columns on 5 rows (x_d1L, x_d2L, x_d2R),
+    # each column with its own bounds. Inside the box the solution is the
+    # normal equations' one; on a face its cost is no more than scipy's, up
+    # to rounding relative to the cost and to |b|^2 (an exact fit costs ~0).
     lsq_linear = pytest.importorskip("scipy.optimize").lsq_linear
-    a, b = problem
+    a, b, lo, width = problem
     # Well-conditioned columns whose squares do not underflow, as the
     # candidates' are.
     assume(np.abs(a).max(axis=0).min() > 1e-3 and np.linalg.cond(a) < 1e3)
     hi = lo + width
-    z = np.array(R._box_least_squares(a.T.tolist(), b.tolist(), lo, hi))
+    z = np.array(R._box_least_squares(a.T.tolist(), b.tolist(), list(zip(lo, hi))))
     assert np.all((lo <= z) & (z <= hi))
     if np.all((lo < z) & (z < hi)):
         assert np.allclose(z, np.linalg.solve(a.T @ a, a.T @ b), rtol=1e-9, atol=1e-9)
@@ -325,3 +332,28 @@ def test_box_least_squares_against_the_normal_equations_and_scipy(problem, lo, w
             return float(np.sum((a @ x - b)**2))
         reference = lsq_linear(a, b, bounds=(lo, hi), method="bvls").x
         assert cost(z) <= cost(reference) + 1e-12 * max(cost(reference), float(b @ b))
+
+
+@settings(deadline=None, max_examples=300)
+@given(arrays(float, (4, 2), elements=st.floats(-10.0, 10.0)),
+       arrays(float, 4, elements=st.floats(-100.0, 100.0)), st.floats(0.3, 30.0),
+       arrays(float, 2, elements=st.floats(-10.0, 10.0)),
+       arrays(float, 2, elements=st.floats(1e-3, 20.0)))
+def test_sheared_least_squares_against_a_scan(a, b, shear, lo, width):
+    # The right side's (beta2, beta3) on 4 rows, shear = 3 / beta1: the cost
+    # |a (z1, z2 - shear z1^2) - b|^2 over a box. At each z1 of a fine scan
+    # of its side the best z2 is one clipped column; the solution lies in the
+    # box and costs no more than the scan's best, up to rounding.
+    assume(np.abs(a).max(axis=0).min() > 1e-3 and np.linalg.cond(a) < 1e3)
+    hi = lo + width
+    z = R._sheared_least_squares(a.T.tolist(), b.tolist(), shear, list(zip(lo, hi)))
+    assert np.all((lo <= z) & (z <= hi))
+
+    def cost(z1, z2):
+        residual = (np.multiply.outer(z1, a[:, 0])
+                    + np.multiply.outer(z2 - shear * z1**2, a[:, 1]) - b)
+        return np.sum(residual**2, axis=-1)
+    z1 = np.linspace(lo[0], hi[0], 20001)
+    free = (b - np.multiply.outer(z1, a[:, 0])) @ a[:, 1] / (a[:, 1] @ a[:, 1]) + shear * z1**2
+    scan = float(cost(z1, np.clip(free, lo[1], hi[1])).min())
+    assert cost(*z) <= scan + 1e-12 * max(scan, float(b @ b))
