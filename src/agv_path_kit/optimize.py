@@ -1,17 +1,29 @@
-"""Bounded Nelder-Mead direct search, with the starts of a search in lockstep.
+"""Bounded direct search, with the starts of a search in lockstep.
 
-Each start follows scipy's bounded ``minimize(method="Nelder-Mead")`` (scipy
-1.17, non-adaptive) step for step: the same coefficients and initial
-simplex, the same clipping into the bounds, ordering, convergence test and
-evaluation budget. A start therefore visits the same points and ends with
-the same result, bit for bit: the simplex is a list of float lists, and
-each step is float arithmetic in the order numpy evaluates scipy's. The
-starts of one search advance together: each live start proposes its next
-point, and one objective call scores all of those points.
+A box of two or more parameters takes Nelder-Mead. Each start follows
+scipy's bounded ``minimize(method="Nelder-Mead")`` (scipy 1.17,
+non-adaptive) step for step: the same coefficients and initial simplex, the
+same clipping into the bounds, ordering, convergence test and evaluation
+budget. A start therefore visits the same points and ends with the same
+result, bit for bit: the simplex is a list of float lists, and each step is
+float arithmetic in the order numpy evaluates scipy's.
+
+A box of one parameter takes a bracket and Brent's method (Brent,
+Algorithms for Minimization without Derivatives, 1973). From the start,
+steps that grow by the golden ratio walk downhill until the value rises or
+a bound is reached; Brent's bounded method then runs on that bracket, step
+for step as scipy's ``fminbound`` (``xtol`` 1e-10) in Python floats, and
+the start ends with the least value it evaluated. On the bundled
+least-displacement repairs this takes 10-27 evaluations, where
+Nelder-Mead's two-point simplex takes 62-75.
+
+The starts of one search advance together: each live start proposes its
+next point, and one objective call scores all of those points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +34,13 @@ __all__ = ["SearchResult", "minimize"]
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 # Initial simplex steps: relative for a nonzero component, absolute for a zero one.
 _NONZERO_STEP, _ZERO_STEP = 0.05, 0.00025
-# Evaluation budget per start, and the simplex tolerances on x and on values.
+# Evaluation budget per start, and the tolerances on x and on simplex values.
 _MAXFEV, _XATOL, _FATOL = 400, 1e-10, 1e-12
+# Bracketing steps grow by the golden ratio; Brent's golden section takes the
+# fraction (3 - sqrt 5) / 2 of an interval, and its tolerance is relative to
+# sqrt(2.2e-16), as in scipy.
+_GROWTH = 0.5 * (1.0 + math.sqrt(5.0))
+_GOLDEN_MEAN, _SQRT_EPS = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
 
 
 @dataclass(frozen=True)
@@ -126,18 +143,116 @@ def _nelder_mead(x0, lower, upper):
     return float(np.min(fsim)), sim[0], calls, int(calls >= maxfev)
 
 
+def _fminbound(a: float, b: float, maxfun: int):
+    """Brent's bounded method on [a, b] as a generator of [x] points, step for
+    step as scipy's ``fminbound(xtol=_XATOL, maxfun=maxfun)``: the same points,
+    and it returns scipy's (x, fun, evaluations)."""
+    fulc = nfc = xf = x = a + _GOLDEN_MEAN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = yield [x]
+    num, xm = 1, 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q, r, e = abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+        # Never a step below tol1: scipy's xf + sign(rat) max(|rat|, tol1), 0 counting as +.
+        step = abs(rat) if not abs(rat) < tol1 else tol1
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = yield [x]
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx, num
+
+
+def _bracketed_brent(x0, lower, upper):
+    """One start over one parameter as a generator, with `_nelder_mead`'s
+    protocol: walk downhill from the clipped start to a bracket, then run
+    `_fminbound` on it; returns the least value evaluated with its [x]."""
+    (lo,), (hi,) = lower, upper
+    (xa,) = _clip(x0, lower, upper)
+    fa = yield [xa]
+    # A first step of Nelder-Mead's size; up, unless the room is below.
+    h = _NONZERO_STEP * abs(xa) or _ZERO_STEP
+    xb = xa + h if xa + h <= hi or hi - xa >= xa - lo else xa - h
+    (xb,) = _clip([xb], lower, upper)
+    fb = yield [xb]
+    calls = 2
+    if fb > fa:  # uphill: turn around
+        xa, xb, fb = xb, xa, fa
+    xc = xb
+    while calls < _MAXFEV:
+        (xc,) = _clip([xb + _GROWTH * (xb - xa)], lower, upper)
+        if xc == xb:  # the walk reached a bound
+            break
+        fc = yield [xc]
+        calls += 1
+        if not fc < fb:
+            break
+        xa, xb, fb = xb, xc, fc
+    best, status = (fb, xb), 1
+    if _MAXFEV - calls >= 2:  # fminbound may take one evaluation past a budget of 1
+        xf, fx, num = yield from _fminbound(min(xa, xc), max(xa, xc), _MAXFEV - calls)
+        calls += num
+        status = int(calls >= _MAXFEV)
+        if not fb < fx:
+            best = (fx, xf)
+    return best[0], [best[1]], calls, status
+
+
 def minimize(objective, starts, bounds) -> SearchResult:
     """Minimize ``objective`` over the box ``bounds`` from each of ``starts``.
 
     ``bounds`` holds one finite (low, high) pair per parameter; a start
-    outside them is clipped into them. ``objective`` takes a list of S
-    points, one float list per live start, which it must not modify, and
-    returns their S values. Each start stops when its simplex meets the
-    tolerances or after ``_MAXFEV`` evaluations. The winner has the least
-    (value, x), compared as tuples, and the first such start wins a tie.
+    outside them is clipped into them, and every point evaluated lies in
+    them. ``objective`` takes a list of S points, one float list per live
+    start, which it must not modify, and returns their S values. One pair
+    takes `_bracketed_brent`, which stops when Brent's interval meets
+    ``_XATOL``; more take `_nelder_mead`, which stops when its simplex meets
+    ``_XATOL`` and ``_FATOL``. Either stops after ``_MAXFEV`` evaluations.
+    The winner has the least (value, x), compared as tuples, and the first
+    such start wins a tie.
     """
     lower, upper = ([float(v) for v in side] for side in zip(*bounds))
-    runs = [_nelder_mead([float(v) for v in x0], lower, upper) for x0 in starts]
+    search = _bracketed_brent if len(lower) == 1 else _nelder_mead
+    runs = [search([float(v) for v in x0], lower, upper) for x0 in starts]
     pending, results = {}, [None] * len(runs)
 
     def advance(i, value):

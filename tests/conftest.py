@@ -1,13 +1,22 @@
 """Shared fixtures: bundled layouts, nominal control points, random-curve helpers."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from agv_path_kit import (BezierCurve, JunctionContext, PathSegment, Tangential,
                           VehicleModel, Wheel, parse_layout)
 from agv_path_kit.layouts import bundled_layout_text
+
+# A local failure prints the blob that replays it (`@reproduce_failure`), so
+# it outlives the local example database. With CI set, Hypothesis's own "ci"
+# profile (derandomized, printing the blob too) stays in force.
+if "CI" not in os.environ:
+    settings.register_profile("local", print_blob=True)
+    settings.load_profile("local")
 
 # Nominal (print-precision) control points the bundled layouts are anchored to.
 NOMINAL_INITIAL_LEFT = np.array([

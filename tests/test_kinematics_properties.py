@@ -8,15 +8,17 @@ floats and the same non-finite entries. Flat exponential ends with
 1 < n < 2 (infinite theta''), a wheel at the origin and two identical
 wheels (exact ties) are always in play. Likewise, one pass over a stack of
 curves must equal one pass per curve, and the whole turns of theta and the
-wheel headings, whichever rule picks them, must equal the grid reference's
-for any sample set.
+wheel headings, whichever rule picks them, must equal the reference's for
+any sample set: the grid unwrap, refined between nodes where an angle swings
+by more than a quarter turn inside one grid step and the half-plane rule
+applies.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,7 +27,7 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Exponential
                           profile_segment, speed_limit, wheel_speed_limit)
 from agv_path_kit.curve import _BezierStack, _hodograph_certifies, sampled_irregular_parameter
 from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
-from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _branch_turns,
+from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _turns,
                                  orientation_many, wrap_angle)
 
 from test_layout_properties import ANGLE, MOUNT, curves
@@ -110,19 +112,68 @@ def ref_limit(v_segment, vehicle, tracks, size):
     return v, [str(b) for b in binding], flagged
 
 
+def step_turns(angles):
+    """Whole turns that continue each angle of ``angles`` from the one before,
+    and whether that step swings by more than a quarter turn."""
+    diff = np.diff(angles)
+    turns = np.rint(diff / -math.tau)
+    return turns, np.abs(diff + math.tau * turns) > math.pi / 2
+
+
+def swing_turns(angle_at, a, b, depth=6):
+    """Whole turns across [a, b] from 64 steps, each step that swings by more
+    than a quarter turn split again, ``depth`` levels at most; None if a
+    swing remains there (the angle jumps)."""
+    nodes = np.linspace(a, b, 65)
+    turns, swings = step_turns(angle_at(nodes))
+    for i in np.flatnonzero(swings):
+        inner = None if depth == 0 else swing_turns(angle_at, nodes[i], nodes[i + 1], depth - 1)
+        if inner is None:
+            return None
+        turns[i] = inner
+    return float(np.sum(turns))
+
+
+def refined_turns(us, angle_at, principal, refine):
+    """Whole turns of the ``principal`` angles at ``us`` from ``angle_at``'s
+    angles on the unwrap grid, unwrapped and read at ``us``. With ``refine``,
+    a grid step whose angles differ by more than a quarter turn takes its
+    turns from finer steps (`swing_turns`): a wheel velocity that passes near
+    the origin swings its angle by up to a half turn inside one grid step,
+    and unwrapping that step alone may take the wrong way round. Where the
+    angle jumps, as at a cusp, the grid step's own turns stand."""
+    angles = angle_at(_UNWRAP_U)
+    turns, swings = step_turns(angles)
+    for i in np.flatnonzero(swings & refine):
+        if (finer := swing_turns(angle_at, _UNWRAP_U[i], _UNWRAP_U[i + 1])) is not None:
+            turns[i] = finer
+    unwrapped = np.concatenate((angles[:1], angles[1:] + math.tau * np.cumsum(turns)))
+    return _turns(np.interp(us, _UNWRAP_U, unwrapped), principal)
+
+
 def ref_branches(segment, wheels, us):
     """The jets at ``us``, unwrapped theta there, and each wheel's unwrapped
     heading and steering angle.
 
     Unwrapped angles are principal values plus whole turns: theta's, and
-    each wheel heading's, picked on the unwrap grid one row at a time. A
+    each wheel heading's, picked by `refined_turns` one angle at a time. A
     steering angle is the difference of the principal values plus that of
     the turns, plus the turns `wrap_angle` takes off its grid value at u=0.
+
+    Where `_branch_nodes` claims the half-plane rule, the turns are those of
+    the continuous angle, grid steps refined. Elsewhere (an uncertified
+    hodograph, or a tangential wheel's velocity line within _LINE_MARGIN of
+    the origin) the rule is the grid unwrap itself, and so is the reference.
     """
-    jets = _Jets(segment.curve, segment.mode, us)
+    def jets_at(nodes):
+        return grid if nodes is _UNWRAP_U else _Jets(segment.curve, segment.mode, nodes)
+
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
+    jets = jets_at(us)
+    mounts = np.array([w.r_w for w in wheels], dtype=float).reshape(-1, 2)
+    refine = _branch_nodes(segment.mode, segment.curve, mounts).size == 1
     theta_grid = grid.theta[0]
-    theta_turns = _branch_turns(us, theta_grid, jets.theta[0])
+    theta_turns = refined_turns(us, lambda nodes: jets_at(nodes).theta[0], jets.theta[0], refine)
     theta = jets.theta[0] + math.tau * theta_turns
     angles = []
     for w in wheels:
@@ -130,7 +181,8 @@ def ref_branches(segment, wheels, us):
         zeta = _angle(ref_derivatives(jets, w)[1])
         start = zeta_grid[0] - theta_grid[0]
         anchor = round((wrap_angle(start) - start) / math.tau)
-        turns = _branch_turns(us, zeta_grid, zeta)
+        turns = refined_turns(us, lambda nodes: _angle(ref_derivatives(jets_at(nodes), w)[1]),
+                              zeta, refine)
         angles.append((zeta + math.tau * turns,
                        (zeta - jets.theta[0]) + math.tau * (turns - theta_turns + anchor)))
     return jets, theta, angles
@@ -314,19 +366,31 @@ BRANCH_MODES = st.one_of(
 )
 
 
+@st.composite
+def branch_steering(draw):
+    """A law from BRANCH_MODES and `branch_wheels` for its offset."""
+    mode = draw(BRANCH_MODES)
+    return mode, draw(branch_wheels(mode.alpha))
+
+
 @settings(deadline=None, max_examples=400)
-@given(branch_curves(), st.data())
-def test_half_plane_turns_equal_the_grid_turns(case, data):
+@given(branch_curves(), branch_steering(), SAMPLE_SETS)
+# A wheel 1.01e-6 |t| off its velocity line: as kappa passes -0.5 its angle
+# swings by nearly a half turn inside one grid step, which the grid alone
+# unwraps the wrong way round.
+@example((BezierCurve([[0, 0], [0.75, 0], [1.5, 0], [2.25, 0], [3, 0], [3.75, 0], [4.5, 0],
+                       [5.25, 1], [6, -0.5]]), False),
+         (Tangential(0.0), [Wheel("w0", (-2.02e-6, -2.0), 1.0, 1.0)]), [1.0])
+def test_half_plane_turns_equal_the_grid_turns(case, steering, us):
     # On a certified hodograph theta takes its whole turns from its u = 0
     # value under every law, and so does each steering angle of a tangential
     # or crab law (`_branch_turns` on u = 0 alone), unless a tangential wheel's velocity
     # line nearly meets the origin; a curve that winds past a half turn never
-    # certifies. Every path must pick the grid reference's turns, so theta,
-    # the headings and the steering angles are equal bit for bit.
+    # certifies. Every path must pick the reference's turns, so theta, the
+    # headings and the steering angles are equal bit for bit.
     curve, winds = case
-    mode = data.draw(BRANCH_MODES)
-    wheels = data.draw(branch_wheels(mode.alpha))
-    us = np.array(data.draw(SAMPLE_SETS))
+    mode, wheels = steering
+    us = np.array(us)
     assert not (winds and _hodograph_certifies(curve.control_points.tolist()))
     assert_reference_branches(PathSegment(curve, mode, 1.5), wheels, us)
 

@@ -1,16 +1,22 @@
-"""The in-house bounded Nelder-Mead against scipy's, bit for bit.
+"""The in-house bounded searches against scipy's, bit for bit.
 
-`optimize.minimize` follows scipy's bounded ``minimize(method="Nelder-Mead")``
-step for step, so one start must give scipy's ``x``, ``fun``, ``nfev`` and
-``status`` exactly, and starts run in lockstep must give the best of the
-separate scipy runs. The objectives are smooth, non-smooth, piecewise
-constant (ties everywhere), or carry a 1e9 plateau like a repair search's
-inadmissible candidates. On the plateau every step ends in a shrink, so the
-small budgets below cut some runs in the middle of a shrink, where scipy
-leaves a moved vertex with its old value. Two more are inf on part of the
-box, as a collapsed travel time scores, one of them with a 1e9 region too:
-there one simplex holds equal inf values, or equal 1e9 values, whose order
-comes from np.argsort as in scipy.
+Over two or more parameters `optimize.minimize` follows scipy's bounded
+``minimize(method="Nelder-Mead")`` step for step, so one start must give
+scipy's ``x``, ``fun``, ``nfev`` and ``status`` exactly, and starts run in
+lockstep must give the best of the separate scipy runs. The objectives are
+smooth, non-smooth, piecewise constant (ties everywhere), or carry a 1e9
+plateau like a repair search's inadmissible candidates. On the plateau every
+step ends in a shrink, so the small budgets below cut some runs in the
+middle of a shrink, where scipy leaves a moved vertex with its old value.
+Two more are inf on part of the box, as a collapsed travel time scores, one
+of them with a 1e9 region too: there one simplex holds equal inf values, or
+equal 1e9 values, whose order comes from np.argsort as in scipy.
+
+Over one parameter it brackets a minimum from the start and runs Brent's
+bounded method on the bracket; that stage must give scipy ``fminbound``'s
+``x``, ``fun`` and evaluation count on the same bracket, on smooth, kinked,
+plateau, inf and bound-minimum objectives, and the whole search must stay
+in the box and report a spent budget.
 """
 
 import math
@@ -177,3 +183,125 @@ def test_draws_reach_tied_inf_and_1e9_values(monkeypatch):
             fun, starts, bounds = case(seed, kind)
             run(monkeypatch, rows(fun), starts, bounds, 400)
     assert seen == {math.inf, 1e9}
+
+
+def scalar_family(kind, rng, low, high):
+    """One-parameter objectives on [low, high]; the minimum inside unless ``bound``."""
+    center, scale = rng.uniform(low, high), rng.uniform(0.5, 4.0)
+    if kind == "smooth":
+        return lambda x: scale * (x - center)**2 + math.sin(3.0 * x)
+    if kind == "kinked":
+        # Two quadratics that meet at the minimum, as when a solve switches faces.
+        return lambda x: scale * (x - center)**2 if x < center else 3.0 * scale * (x - center)**2
+    if kind == "plateau":
+        cut = rng.uniform(low, center)
+        return lambda x: 1e9 if x < cut else scale * (x - center)**2
+    if kind == "inf":
+        cut = rng.uniform(center, high)
+        return lambda x: math.inf if x > cut else scale * (x - center)**2
+    beyond = high + rng.uniform(0.0, 1.0)
+    return lambda x: scale * (x - beyond)**2
+
+
+def scalar_case(seed, kind):
+    rng = np.random.default_rng(seed)
+    low = rng.uniform(-2.0, 1.0)
+    high = low + rng.uniform(0.5, 4.0)
+    fun = scalar_family(kind, rng, low, high)
+    inside = rng.uniform(low, high)
+    starts = [inside, low, high, high + rng.uniform(0.0, 1e-3), 0.0 if low < 0.0 < high else inside]
+    return fun, starts, [(low, high)]
+
+
+SCALAR_KINDS = ("smooth", "kinked", "plateau", "inf", "bound")
+
+
+def fminbound(fun, a, b, maxfun):
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        # inf - inf in scipy's parabola is nan on numpy floats, which warn.
+        warnings.simplefilter("ignore")
+        x, fx, _, nfev = scipy_optimize.fminbound(fun, a, b, xtol=1e-10, maxfun=maxfun,
+                                                  full_output=True, disp=0)
+    return float(x), float(fx), int(nfev)
+
+
+def brent_stages(monkeypatch):
+    """Record each Brent stage's bracket, budget and result."""
+    stages, stage = [], optimize._fminbound
+
+    def spy(a, b, maxfun):
+        result = yield from stage(a, b, maxfun)
+        stages.append(((a, b, maxfun), result))
+        return result
+
+    monkeypatch.setattr(optimize, "_fminbound", spy)
+    return stages
+
+
+def scalar_run(monkeypatch, fun, x0, bounds, maxfev):
+    """One start over one parameter; returns the result and the points evaluated."""
+    points = []
+
+    def objective(xs):
+        points.extend(x[0] for x in xs)
+        return [fun(x[0]) for x in xs]
+    return run(monkeypatch, objective, [[x0]], bounds, maxfev), points
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("maxfev", [5, 8, 12, 400])
+def test_brent_stage_equals_fminbound_on_its_bracket(monkeypatch, seed, kind, maxfev):
+    fun, starts, bounds = scalar_case(seed, kind)
+    (low, high), = bounds
+    stages = brent_stages(monkeypatch)
+    for x0 in starts:
+        before = len(stages)
+        got, points = scalar_run(monkeypatch, fun, x0, bounds, maxfev)
+        # Every point lies in the box, and the first is the start clipped into it.
+        assert all(low <= x <= high for x in points)
+        assert points[0] == min(max(x0, low), high)
+        assert got.nfev == len(points) <= maxfev
+        # The budget ran out, or left too little for a Brent stage to start.
+        assert got.status == int(len(points) == maxfev or len(stages) == before)
+        # The result is the least value evaluated, with its point.
+        assert got.fun == min(map(fun, points)) and fun(got.x[0]) == got.fun
+    assert stages or maxfev < 12
+    for (a, b, maxfun), (x, fx, nfev) in stages:
+        want_x, want_fx, want_nfev = fminbound(fun, a, b, maxfun)
+        assert low <= a <= b <= high
+        assert (x.hex(), repr(fx), nfev) == (want_x.hex(), repr(want_fx), want_nfev)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_minimum_on_a_bound_ends_on_the_bound(monkeypatch, seed):
+    fun, starts, bounds = scalar_case(seed, "bound")
+    for x0 in starts:
+        got, _ = scalar_run(monkeypatch, fun, x0, bounds, 400)
+        assert got.x[0] == bounds[0][1] and got.status == 0
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+def test_scalar_searches_meet_the_tolerance_in_few_evaluations(monkeypatch, kind):
+    fun, starts, bounds = scalar_case(0, kind)
+    for x0 in starts:
+        got, _ = scalar_run(monkeypatch, fun, x0, bounds, 400)
+        assert got.status == 0 and got.nfev < 80
+
+
+@pytest.mark.parametrize("maxfev", [3, 4, 6, 9])
+def test_a_spent_budget_reports_status_one(monkeypatch, maxfev):
+    # A Brent stage needs more than these budgets leave it, or gets none.
+    got, points = scalar_run(monkeypatch, lambda x: (x - 0.3)**2, 0.9, [(0.0, 1.0)], maxfev)
+    assert got.status == 1 and got.nfev == len(points) <= maxfev
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+def test_lockstep_scalar_starts_equal_separate_runs(monkeypatch, kind):
+    fun, starts, bounds = scalar_case(1, kind)
+    runs = [scalar_run(monkeypatch, fun, x0, bounds, 400)[0] for x0 in starts]
+    best = min(runs, key=lambda r: (r.fun, r.x[0]))
+    got = run(monkeypatch, rows(lambda x: fun(float(x[0]))), [[x0] for x0 in starts], bounds, 400)
+    assert (got.x.tobytes(), repr(got.fun), got.status) == \
+        (best.x.tobytes(), repr(best.fun), best.status)
+    assert got.nfev == sum(r.nfev for r in runs)

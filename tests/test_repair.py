@@ -231,8 +231,9 @@ class TestSearchReport:
         repair = repair_exponential if exponential else repair_tangential
         result = repair(RepairProblem(ctx, objective="min_displacement", side=side))
         assert result.converged is True
-        # one start of a search over beta1 alone, well inside its budget of 400
-        assert 0 < result.evaluations < 100
+        # one start of a bracket and Brent search over beta1 alone: 10-27
+        # evaluations, where a two-point Nelder-Mead simplex takes 62-75
+        assert 0 < result.evaluations <= 30
 
     def test_min_travel_time_convergence_is_reported(self, fixture_repair,
                                                      exponential_repair,

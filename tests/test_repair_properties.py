@@ -10,10 +10,15 @@ That repair searches beta1 alone and solves the other parameters in closed
 form; the exponential rule set's search does the same. Held to the searches
 over two parameters they replaced, kept here: at the reference's beta1 the
 solved parameters move no more, and on junctions like the benchmark's the
-whole search ends no higher.
+whole search ends no higher. The search over beta1 is a bracket and Brent's
+method; on those junctions it ends no higher than scipy's Nelder-Mead over
+beta1 from the same start, the search it replaced.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -216,6 +221,40 @@ def test_beta1_search_is_no_worse_than_the_two_parameter_search(two_wheel_vehicl
     assert result.report_after.verdict == SMOOTH
     reference, _ = two_parameter_search(problem)
     assert result.objective_value <= reference.fun * (1.0 + 1e-9) + 1e-12
+
+
+def beta1_search(problem):
+    """The start, bounds and candidate of the repair's search over beta1."""
+    ctx, cb, (lo, hi) = problem.ctx, R._COEFFICIENT_BOUND, R._BETA1_BOUNDS
+    if isinstance(ctx.right.mode, ExponentialAnticipated):
+        v = ctx.left_jet.d1
+        x3 = min(max(float(ctx.right_jet.d1 @ v / (v @ v)), lo), hi)
+        return 1.0 / x3, (lo / hi, hi / lo), lambda b1: R._exponential_candidate(problem, (b1,), cb)
+    cb *= max(1.0, float(np.linalg.norm(ctx.left_jet.d2) / np.linalg.norm(ctx.left_jet.d1)))
+    return (_extract_curve_route(ctx.left_jet, ctx.right_jet).beta1, (lo, hi),
+            lambda b1: R._tangential_candidate(problem, (b1,), ((-cb, cb), (-3.0 * cb, 3.0 * cb))))
+
+
+@settings(deadline=None, max_examples=20)
+@given(broken_junctions(), st.sampled_from(["right", "left", "exponential"]))
+def test_beta1_search_is_no_worse_than_nelder_mead_over_beta1(two_wheel_vehicle, junction, rule):
+    # One start of scipy's bounded Nelder-Mead over beta1, from the repair's
+    # start and with its tolerances and budget: the search before Brent's.
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    problem = rule_problem(two_wheel_vehicle, junction, rule)
+    result = (repair_exponential if rule == "exponential" else repair_tangential)(problem)
+    assert result.converged and result.report_after.verdict == SMOOTH
+    start, bounds, candidate = beta1_search(problem)
+
+    def objective(x):
+        built = candidate(float(x[0]))
+        return 1e9 if built is None else displacement(problem, built)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns of a start on a bound
+        reference = minimize(objective, [start], method="Nelder-Mead", bounds=[bounds],
+                             options={"maxfev": 400, "xatol": 1e-10, "fatol": 1e-12})
+    assert result.objective_value <= reference.fun * (1.0 + 1e-12)
 
 
 @settings(deadline=None, max_examples=20)
