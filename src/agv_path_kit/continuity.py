@@ -27,7 +27,7 @@ from .curve import (SINGULAR_SPEED, CurveJet, ShapeParameters, curvature,
                     curvature_arc_derivative, _continuity_defects, _cross, _dot,
                     _end_rows, _pow, _rhs)
 from .errors import DegenerateGeometryError
-from .kinematics import _Jets, _mounts, _wheel_derivative_arrays
+from .kinematics import _Jets, _wheel_derivative_arrays
 from .motion import (ExponentialAnticipated, OrientationJet, Tangential, _orientation,
                      wrap_angle)
 from .vehicle import _G0_TOL, Path, PathSegment, VehicleModel
@@ -322,10 +322,10 @@ def audit_wheel_continuity(ctx: JunctionContext,
                            ) -> list[WheelContinuityAudit]:
     """Check every wheel curve's continuity against the shared beta set."""
     params = params or extract_shape_parameters(ctx)
-    wheels = ctx.vehicle.sorted_wheels()
+    wheels = ctx.vehicle._arrays
     # (x, y) rows of W values: d1 and d2 of every wheel curve, left then right.
     (l1, l2), (r1, r2) = ([np.stack(d)[:, :, 0] for d in _wheel_derivative_arrays(
-        _Jets(seg.curve, seg.mode, np.array([u])), _mounts(wheels))[1:]]
+        _Jets(seg.curve, seg.mode, np.array([u])), wheels)[1:]]
         for seg, u in ((ctx.left, 1.0), (ctx.right, 0.0)))
     finite = np.isfinite(l2).all(axis=0) & np.isfinite(r2).all(axis=0)
     l2, r2 = (np.where(finite, d2, 0.0) for d2 in (l2, r2))
@@ -338,7 +338,7 @@ def audit_wheel_continuity(ctx: JunctionContext,
     beta_w2 = np.where(finite, beta_w2, math.nan)
     g2 = np.where(finite, g2, math.inf)
     return [WheelContinuityAudit(w.id, *map(float, row))
-            for w, *row in zip(wheels, beta_w1, beta_w2, g1, g2)]
+            for w, *row in zip(wheels.wheels, beta_w1, beta_w2, g1, g2)]
 
 
 @dataclass(frozen=True)

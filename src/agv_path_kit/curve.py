@@ -166,12 +166,13 @@ def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarr
                               for m in range(n - lowest, n - min(order, n) - 1, -1)]
 
 
-# Node tables outlive a call only here (g(u) is recomputed on each call):
-# keyed by (degree, node-row bytes, order), and bounded. One search meets at most three
-# keys: (_TIME_US, 3) on a tangential side, and (_TIME_US, 2) plus
-# (g(_TIME_US), 3) on an exponential side, _TIME_US being repair's 192
-# travel-time nodes; segment validation adds one regularity key per degree.
-# So 8 holds a two-sided search and two degrees.
+# Node tables outlive a call only here, as wheel arrays do on their vehicle
+# (`VehicleModel._arrays`); g(u) is computed in each speed-limit pass. The
+# memo is keyed by (degree, node-row bytes, order), and bounded. One search
+# meets at most three keys: (_TIME_US, 3) on a tangential side, and
+# (_TIME_US, 2) plus (g(_TIME_US), 3) on an exponential side, _TIME_US being
+# repair's 192 travel-time nodes; segment validation adds one regularity key
+# per degree. So 8 holds a two-sided search and two degrees.
 @lru_cache(maxsize=8)
 def _row_basis(n: int, row: bytes, order: int) -> tuple[np.ndarray | None, ...]:
     """Read-only `_basis` tables of degree n from C' up to ``order`` at the
@@ -316,9 +317,10 @@ class _BezierStack:
     (`kinematics.limit_profile_fast`), so repair scores candidate nets
     without a curve each: ``us`` holds K equal blocks of one node row, and
     the rows of each result follow them. When the blocks are that row bit
-    for bit, the kernel takes the row's tables from `_row_basis`. Each net
-    broadcasts as (m+1, 2, K, 1) against a (m+1, K, N) or (m+1, N) basis in
-    the one kernel, with the same products summed in the same order, so
+    for bit, the kernel takes the row's tables from `_row_basis`; a byte
+    comparison and a memo lookup are all a new stack repeats of them. Each
+    net broadcasts as (m+1, 2, K, 1) against a (m+1, K, N) or (m+1, N) basis
+    in the one kernel, with the same products summed in the same order, so
     every row equals the single curve's result bit for bit.
     """
 

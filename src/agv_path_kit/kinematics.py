@@ -11,6 +11,7 @@ and the pointwise vehicle speed limit
 The formulas differ between wheels only in r_w, so they run for all wheels
 at once: the mounts of `sorted_wheels()` form one (W, 2) array, and wheel
 derivatives, ratios and quotas are (W, N) arrays over the wheel axis and N nodes.
+A vehicle builds its wheel arrays once (`VehicleModel._arrays`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
 from .motion import Tangential, _branch_nodes, _branch_turns, orientation_many, wrap_angle
-from .vehicle import PathSegment, VehicleModel, Wheel
+from .vehicle import PathSegment, VehicleModel, Wheel, _WheelArrays
 
 __all__ = [
     "WheelState",
@@ -99,23 +100,18 @@ class _Jets:
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 
-def _mounts(wheels) -> np.ndarray:
-    """The (W, 2) mounts of ``wheels``, one row per wheel in the given order."""
-    return np.array([w.r_w for w in wheels], dtype=float)
-
-
-def _wheel_derivative_arrays(jets: _Jets, mounts: np.ndarray, order: int = 2):
+def _wheel_derivative_arrays(jets: _Jets, wheels: _WheelArrays, order: int = 2):
     """Position and derivatives up to ``order`` (1 to 3) of every wheel curve at each u.
 
     Entry k is the (x, y) pair of (W, N) components of the k-th derivative,
-    row w for the wheel mounted at ``mounts[w]``; the position is None when
-    ``jets`` holds no curve position. C_w = C + R r_w; every derivative of
-    R r_w combines R r_w and J R r_w, with J the rotation by +90 degrees. A
-    wheel at the origin keeps the curve's own rows: where theta'' is
+    row w for the wheel mounted at ``wheels.mounts[w]``; the position is None
+    when ``jets`` holds no curve position. C_w = C + R r_w; every derivative
+    of R r_w combines R r_w and J R r_w, with J the rotation by +90 degrees.
+    A wheel at the origin keeps the curve's own rows: where theta'' is
     infinite, J R r_w = 0 would turn them into NaN.
     """
     c = [None if d is None else (d[:, 0], d[:, 1]) for d in jets.c[:order + 1]]
-    mx, my = mounts[:, :1], mounts[:, 1:]
+    mx, my = wheels.mounts[:, :1], wheels.mounts[:, 1:]
     rx = jets.cos * mx - jets.sin * my
     ry = jets.sin * mx + jets.cos * my
     th1 = jets.theta[1]
@@ -129,11 +125,10 @@ def _wheel_derivative_arrays(jets: _Jets, mounts: np.ndarray, order: int = 2):
             if order >= 3:
                 a, b = 3.0 * th1 * th2, jets.theta[3] - th1**3
                 out.append((c[3][0] - a * rx - b * ry, c[3][1] - a * ry + b * rx))
-    at_origin = ~mounts.any(axis=1)
-    if at_origin.any():
+    if wheels.at_origin is not None:
         for ck, dk in zip(c, out):
             for cx, dx in zip(ck or (), dk or ()):
-                dx[at_origin] = cx
+                dx[wheels.at_origin] = cx
     return out
 
 
@@ -149,7 +144,7 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     k = max(order, 1)
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
     d = [np.stack(a, axis=-1)[0, 0] for a in
-         _wheel_derivative_arrays(jets, _mounts([wheel]), k)]
+         _wheel_derivative_arrays(jets, _WheelArrays([wheel]), k)]
     zero = np.zeros(2)
     return CurveJet(d[0], d[1], d[2] if order >= 2 else zero,
                     d[3] if order >= 3 else zero)
@@ -162,7 +157,7 @@ def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
     return wheel_curve_jet(segment, wheel, 0.0 if end == "start" else 1.0)
 
 
-def _ratios_from_derivatives(jets: _Jets, wheels):
+def _ratios_from_derivatives(jets: _Jets, wheels: _WheelArrays):
     """Position (None when ``jets`` holds no curve position), d1, then r_v,
     r_omega and singular of every wheel of ``wheels``, and the det(d1, d2),
     |d1| (1 where singular) and non-finite-d2 arrays kappa_w is formed from.
@@ -171,22 +166,27 @@ def _ratios_from_derivatives(jets: _Jets, wheels):
     exponential reparameterization with 1 < n < 2) have a genuinely
     unbounded steering ratio: r_omega is +inf there, never NaN, so the
     steering constraint collapses the speed limit instead of dropping out.
+    Either mask is written only when it is not empty, which it rarely is.
     """
-    pos, (x1, y1), (x2, y2) = _wheel_derivative_arrays(jets, _mounts(wheels))
+    pos, (x1, y1), (x2, y2) = _wheel_derivative_arrays(jets, wheels)
     wheel_speed = np.hypot(x1, y1)
     singular = ~(wheel_speed > _WHEEL_SINGULAR)
     unbounded = ~(np.isfinite(x2) & np.isfinite(y2))
-    safe = np.where(singular, 1.0, wheel_speed)
+    any_singular = singular.any()
+    safe = np.where(singular, 1.0, wheel_speed) if any_singular else wheel_speed
     with np.errstate(invalid="ignore", over="ignore"):
         det = _cross((x1, y1), (x2, y2))
         zeta_rate = det / safe**2  # = kappa_w |C_w'|
         r_v = wheel_speed / jets.speed
-        r_omega = np.where(singular, np.nan, (zeta_rate - jets.theta[1]) / jets.speed)
-    r_omega = np.where(unbounded & ~singular, np.inf, r_omega)
+        r_omega = (zeta_rate - jets.theta[1]) / jets.speed
+    if any_singular:
+        r_omega[singular] = np.nan
+    if unbounded.any():
+        r_omega[unbounded & ~singular] = np.inf
     return pos, (x1, y1), r_v, r_omega, singular, (det, safe, unbounded)
 
 
-def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
+def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
                      ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
     """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
 
@@ -195,15 +195,14 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
     does for theta alone; grid jets are order 1 from C' up. A steering angle
     zeta_w - theta also takes the turns that put its u=0 value in (-pi, pi].
     """
-    mounts = _mounts(wheels)
     jets = _Jets(segment.curve, segment.mode, us)
-    nodes = _branch_nodes(segment.mode, segment.curve, mounts)
+    nodes = _branch_nodes(segment.mode, segment.curve, wheels.mounts)
     grid = _Jets(segment.curve, segment.mode, nodes, 1, lowest=1)
     pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
     with np.errstate(invalid="ignore", over="ignore"):
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
     del det, safe, unbounded  # held through the grid pass, they cost 8 % more page faults
-    d1_grid = _wheel_derivative_arrays(grid, mounts, 1)[1]
+    d1_grid = _wheel_derivative_arrays(grid, wheels, 1)[1]
     grid_angles = np.vstack((grid.theta[0], np.arctan2(d1_grid[1], d1_grid[0])))
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
     turns = _branch_turns(us, grid_angles, principal)
@@ -218,7 +217,7 @@ def _steering_tracks(segment: PathSegment, wheels, us: np.ndarray
 
 def _wheel_track_arrays(segment: PathSegment, wheel: Wheel, us: np.ndarray):
     """Vectorized wheel-state quantities across many parameters."""
-    tracks = _steering_tracks(segment, [wheel], np.asarray(us, dtype=float))[2]
+    tracks = _steering_tracks(segment, _WheelArrays([wheel]), np.asarray(us, dtype=float))[2]
     return {key: rows[0] for key, rows in tracks.items()}
 
 
@@ -259,24 +258,29 @@ def wheel_state(segment: PathSegment, wheel: Wheel, u: float) -> WheelState:
     return WheelState(t["position"][0], *scalars, bool(t["singular"][0]))
 
 
-def _limit_from_tracks(v_segment: float, wheels, r_v: np.ndarray,
+def _limit_from_tracks(v_segment: float, wheels: _WheelArrays, r_v: np.ndarray,
                        r_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Speed limit at each u and the quota rows it is the minimum of: the
     segment, then traction and then steering per wheel of ``wheels``. A quota
-    past the float range (a ratio within rounding of 0), or NaN, is +inf."""
-    limits = np.array([[w.v_max for w in wheels] + [w.omega_max for w in wheels]]).T
+    past the float range (a ratio within rounding of 0), or NaN, is +inf, as
+    is one over a ratio of 0 or NaN. A quota that this rewrite changes is NaN
+    or -inf, and so then is the limit: quotas are rewritten only then."""
+    mag = np.abs(np.concatenate((r_v, r_omega)))
+    rows = np.empty((mag.shape[0] + 1, mag.shape[1]))
+    rows[0], quota = float(v_segment), rows[1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mag = np.abs(np.concatenate((r_v, r_omega)))
-        quota = np.where(mag > 0.0, limits / mag, np.inf)
-    quota[np.isnan(quota)] = np.inf
-    rows = np.concatenate((np.full((1, mag.shape[1]), float(v_segment)), quota))
-    return rows.min(axis=0), rows
+        np.divide(wheels.limits, mag, out=quota)
+        v = rows.min(axis=0)
+        if not (v > -np.inf).all():
+            quota[~(mag > 0.0) | np.isnan(quota)] = np.inf
+            v = rows.min(axis=0)
+    return v, rows
 
 
-def _binding(wheels, rows: np.ndarray) -> list[str]:
+def _binding(wheels: _WheelArrays, rows: np.ndarray) -> list[str]:
     """Label of the first quota row that attains the minimum at each u."""
     labels = ["segment"] + [f"{kind}({w.id})" for kind in ("traction", "steering")
-                            for w in wheels]
+                            for w in wheels.wheels]
     return [labels[i] for i in rows.argmin(axis=0).tolist()]
 
 
@@ -288,9 +292,10 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
     Repair scores its candidates with this. ``curve`` may be a
     `curve._BezierStack` with ``us`` one block of nodes per curve: every
     step is elementwise over the nodes, so each block equals its own curve's
-    pass. No position is read, so the curve is evaluated from C' up.
+    pass. No position is read, so the curve is evaluated from C' up. The
+    wheel arrays are the vehicle's, built on its first pass.
     """
-    wheels = vehicle.sorted_wheels()
+    wheels = vehicle._arrays
     jets = _Jets(curve, mode, np.asarray(us, dtype=float), lowest=1)
     r_v, r_omega = _ratios_from_derivatives(jets, wheels)[2:4]
     return _limit_from_tracks(v_segment, wheels, r_v, r_omega)[0], jets.speed
@@ -299,7 +304,7 @@ def limit_profile_fast(curve: BezierCurve, mode, v_segment: float,
 def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
                 s: float | None = None) -> SpeedLimitSample:
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
-    wheels = vehicle.sorted_wheels()
+    wheels = vehicle._arrays
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
     r_v, r_omega, singular = _ratios_from_derivatives(jets, wheels)[2:5]
     v, rows = _limit_from_tracks(segment.v_max, wheels, r_v, r_omega)
@@ -315,9 +320,9 @@ def wheel_speed_limit(segment: PathSegment, vehicle: VehicleModel,
 
     ``wheel`` rides along in the vehicle's pass as one more row, which limits nothing.
     """
-    wheels = vehicle.sorted_wheels()
+    wheels = vehicle._arrays
     jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
-    r_v, r_omega = _ratios_from_derivatives(jets, [*wheels, wheel])[2:4]
+    r_v, r_omega = _ratios_from_derivatives(jets, _WheelArrays([*wheels.wheels, wheel]))[2:4]
     v = _limit_from_tracks(segment.v_max, wheels, r_v[:-1], r_omega[:-1])[0]
     return float(v[0]) * float(r_v[-1, 0])
 
@@ -361,7 +366,7 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         raise ValueError(f"need at least 2 samples, got {samples}")
     us = np.linspace(0.0, 1.0, samples)
     s = arc_length(segment.curve, 0.0, us)
-    wheels = vehicle.sorted_wheels()
+    wheels = vehicle._arrays
     jets, theta, tracks = _steering_tracks(segment, wheels, us)
     v, rows = _limit_from_tracks(segment.v_max, wheels, tracks["r_v"], tracks["r_omega"])
     # At an isolated wheel-cusp sample the cusp wheel imposes no constraint
@@ -374,6 +379,6 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
         v[cusp] = np.minimum(v[cusp], v[near])
     flagged = (tracks["singular"] | ~np.isfinite(tracks["r_omega"])).any(axis=0)
     fields = [tracks[key] for key in ("delta_w", "r_v", "r_omega", "kappa_w", "singular")]
-    wheel_tracks = {w.id: WheelTrack(*track) for w, *track in zip(wheels, *fields)}
+    wheel_tracks = {w.id: WheelTrack(*track) for w, *track in zip(wheels.wheels, *fields)}
     return SegmentProfile(us, s, v, tuple(_binding(wheels, rows)), flagged,
                           theta, jets.theta[1], wheel_tracks)

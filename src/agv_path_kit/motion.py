@@ -225,13 +225,16 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
     """
     x = 1.0 - us if anticipated else us
     zero = x == 0.0
-    base = np.where(zero, 1.0, x)
+    ends = zero.any()
+    base = np.where(zero, 1.0, x) if ends else x
 
     def power(expo) -> np.ndarray:
-        # x**expo with the x == 0 limit made explicit (0, finite, or +inf); overflow is +inf.
+        # x**expo with the x == 0 limit made explicit (0, finite, or +inf) where some
+        # node has x == 0; overflow is +inf.
         with np.errstate(over="ignore"):
-            return np.where(zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, np.inf)),
-                            base**expo)
+            value = base**expo
+        return value if not ends else np.where(
+            zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, np.inf)), value)
 
     g = [1.0 - power(n) if anticipated else power(n), n * power(n - 1.0)]
     if order >= 2:

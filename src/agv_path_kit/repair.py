@@ -124,12 +124,14 @@ def _travel_times(curves, count: int, mode, v_segment: float,
     _TIME_US row; a stacked curve's value equals its own pass's bit for bit.
     """
     v_max, speed = limit_profile_fast(curves, mode, v_segment, vehicle,
-                                      np.tile(_TIME_US, count))
+                                      np.concatenate((_TIME_US,) * count))
     v, c = (a.reshape(count, _TIME_PANELS, -1) for a in (v_max, speed))
-    collapsed = ~np.all((v > 0.0) & np.isfinite(v), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):  # only collapsed rows meet these
-        times = _TIME_HALF * np.sum(np.sum(c / v * _TIME_GL_WEIGHTS, axis=-1), axis=-1)
-    return np.where(collapsed, math.inf, times).tolist()
+        times = _TIME_HALF * np.add.reduce(np.add.reduce(c / v * _TIME_GL_WEIGHTS, axis=-1),
+                                           axis=-1)
+        if not (v_max.min() > 0.0 and v_max.max() < math.inf):  # some row collapsed
+            times[~np.all((v > 0.0) & np.isfinite(v), axis=(1, 2))] = math.inf
+    return times.tolist()
 
 
 def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
@@ -304,21 +306,21 @@ def _tangential_candidate(problem: RepairProblem, beta, bounds):
             d2 = [(y - b2 * x) / b1**2 for x, y in zip(d1, l2)]
             return [d1, d2, [(z - 3.0 * b1 * b2 * y - b3 * x) / b1**3
                              for x, y, z in zip(d1, d2, l3)]]
-        # d2 and d3 per unit beta2 and per unit beta3*
-        slopes = [([-x / b1**2 for x in d1], [-3.0 * y / b1**4 for y in l2]),
-                  ([0.0, 0.0], [-x / b1**3 for x in d1])]
     else:
         points, end = left, "end"
         _, r1, r2, r3 = ctx.right_jet._floats
 
         def jet(b2, b3):
             return [[_rhs(k, b1, b2, b3, *ds[:k]) for ds in zip(r1, r2, r3)] for k in (1, 2, 3)]
-        slopes = [(r1, [3.0 * b1 * y for y in r2]), ([0.0, 0.0], r1)]
     if len(beta) > 1:
         b2, b3 = float(beta[1]), float(beta[2])
     else:
         if (zero := _jet_net(points, end, jet(0.0, 0.0))) is None:
             return None
+        # d2 and d3 per unit beta2 and per unit beta3*
+        slopes = ([([-x / b1**2 for x in d1], [-3.0 * y / b1**4 for y in l2]),
+                   ([0.0, 0.0], [-x / b1**3 for x in d1])] if end == "start"
+                  else [(r1, [3.0 * b1 * y for y in r2]), ([0.0, 0.0], r1)])
         # The moves of points 2 and 3 from the junction: d2 / f2, 3 d2 / f2 +- d3 / f3.
         _, f2, f3 = _endpoint_factors(len(points) - 1)
         sign, (i2, i3) = (1.0, (2, 3)) if end == "start" else (-1.0, (-3, -4))

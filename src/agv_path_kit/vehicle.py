@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,23 @@ class Wheel:
         return np.array(self.r_w, dtype=float)
 
 
+class _WheelArrays:
+    """Wheels in a fixed order with the read-only arrays a kinematic pass reads:
+    the (W, 2) ``mounts``, row w that of ``wheels[w]``; the rows of wheels at
+    the origin, ``at_origin`` (None when there are none); and ``limits``, the
+    (2W, 1) column of traction limits, then steering limits."""
+
+    def __init__(self, wheels):
+        self.wheels = tuple(wheels)
+        self.mounts = np.array([w.r_w for w in self.wheels], dtype=float)
+        at_origin = ~self.mounts.any(axis=1)
+        self.at_origin = at_origin if at_origin.any() else None
+        self.limits = np.array([[w.v_max for w in self.wheels]
+                                + [w.omega_max for w in self.wheels]]).T
+        for a in (self.mounts, self.limits, at_origin):
+            a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class VehicleModel:
     """A vehicle as a non-empty collection of wheels, tracked at the frame origin."""
@@ -67,6 +85,11 @@ class VehicleModel:
 
     def sorted_wheels(self) -> list[Wheel]:
         return sorted(self.wheels, key=lambda w: w.id)
+
+    @cached_property
+    def _arrays(self) -> _WheelArrays:
+        """`sorted_wheels()` as `_WheelArrays`, built once per vehicle."""
+        return _WheelArrays(self.sorted_wheels())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
                           JunctionContext, PathSegment, Tangential, VehicleModel, Wheel)
 from agv_path_kit.curve import _BezierStack
-from agv_path_kit.kinematics import _Jets, _mounts, _wheel_derivative_arrays
+from agv_path_kit.kinematics import _Jets, _wheel_derivative_arrays
 from agv_path_kit.motion import _UNWRAP_U
 
 from test_basis_tables import ENTRY, NETS, bits
@@ -105,7 +105,7 @@ def test_junction_jets_equal_order_3_jets():
 
 
 def test_order_1_grid_equals_the_order_2_grid():
-    mounts = _mounts(VEHICLE.sorted_wheels())
+    mounts = VEHICLE._arrays
     for curve in CURVES:
         for mode in MODES:
             order1 = _Jets(curve, mode, _UNWRAP_U, 1, lowest=1)

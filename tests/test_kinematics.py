@@ -1,12 +1,13 @@
 """Wheel-level kinematics: wheel jets, states, ratios, speed limits, profiles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from agv_path_kit import (BezierCurve, Crab, Path, PathSegment, Tangential,
-                          VehicleModel, Wheel, curvature, evaluate,
+from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Path, PathSegment,
+                          Tangential, VehicleModel, Wheel, curvature, evaluate,
                           plan_velocity, profile_segment, speed_limit,
                           wheel_curve_jet, wheel_speed_limit, wheel_state)
 from agv_path_kit import motion
@@ -428,6 +429,61 @@ def test_crab_cusp_branch_survives_ulp_drift(monkeypatch, shift):
     for deltas in prof.wheel_deltas.values():
         got = np.degrees(deltas[[0, 148, 149, 150, 297, 298, 299, 447]])
         assert np.allclose(got, CUSP_DELTA_DEG, rtol=0.0, atol=1e-9)
+
+
+# Cases where a mask of the speed-limit core is not empty: curve, mode, wheels
+# and nodes, then v and |C'| of limit_profile_fast at the nodes, and v_max,
+# binding and flag of speed_limit at each node; floats as the hex of their
+# float64 bytes.
+# - crab_cusp: CUSP_CHAIN's first segment out and back, so C' = 0 at the
+#   cusp u = 0.5 (up to rounding), where every wheel is singular;
+# - flat_end: n = 1.5 at the flat end u = 1, where r_omega is +inf;
+# - origin_wheel: a wheel at the origin keeps the curve's own rows.
+MASK_CASES = {
+    "crab_cusp": (
+        CUSP_CHAIN[0] + CUSP_CHAIN[0][-2::-1], Crab(math.radians(-20.731)),
+        (("w1", (1.0407600430154627, 0.5242419606534718), 1.4, 0.9),
+         ("w2", (1.1447461974453423, -0.4560250960477397), 1.7, 0.8),
+         ("w3", (-1.0843022984022759, 0.4487352260876353), 1.8, 0.7)), (0.25, 0.5, 0.75),
+        "666666666666f63f666666666666f63f666666666666f63f",
+        "59feeb206b8f16408f4a95606506843c5afeeb206b8f1640",
+        (("0x1.6666666666666p+0", "traction(w1)", False),
+         ("0x1.6666666666666p+0", "traction(w1)", True),
+         ("0x1.6666666666666p+0", "traction(w1)", False))),
+    "flat_end": (
+        [(0, 0), (1, 0.3), (2, 1), (3, 0.8), (4, 1.5)], ExponentialAnticipated(0.0, 1.5),
+        (("w1", (1.0, 0.5), 1.7, math.radians(45.0)),
+         ("w2", (-1.0, -0.5), 1.7, math.radians(45.0))), (0.0, 0.5, 1.0),
+        "778d552671bce03f000000000000f83f0000000000000000",
+        "2c94d97b59b410403e39158c57c31040d2354a20ce871340",
+        (("0x1.0bc7126558d77p-1", "steering(w1)", False),
+         ("0x1.8000000000000p+0", "segment", False),
+         ("0x0.0p+0", "steering(w1)", True))),
+    "origin_wheel": (
+        [(0, 0), (1, 1), (2, 0), (3, 1)], Tangential(0.2),
+        (("w1", (1.0, 0.5), 1.7, math.radians(45.0)),
+         ("c", (0.0, 0.0), 1.7, math.radians(45.0)),
+         ("w2", (-1.0, -0.5), 1.7, math.radians(45.0))), (0.0, 0.5, 1.0),
+        "e31994110098f33f5637cc71360df03fe31994110098f33f",
+        "d96cdfcc76f810400000000000000840d96cdfcc76f81040",
+        (("0x1.39800119419e3p+0", "traction(w1)", False),
+         ("0x1.00d3671cc3756p+0", "steering(w1)", False),
+         ("0x1.39800119419e3p+0", "traction(w2)", False))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_CASES))
+def test_speed_limit_bits_where_a_mask_is_not_empty(name):
+    points, mode, wheels, nodes, v_hex, speed_hex, samples = MASK_CASES[name]
+    curve = BezierCurve(points)
+    vehicle = VehicleModel(tuple(Wheel(*w) for w in wheels))
+    us = np.array(nodes)
+    v, speed = limit_profile_fast(curve, mode, 1.5, vehicle, us)
+    assert (v.tobytes().hex(), speed.tobytes().hex()) == (v_hex, speed_hex)
+    # PathSegment refuses a curve whose C' vanishes; speed_limit reads these three fields.
+    segment = SimpleNamespace(curve=curve, mode=mode, v_max=1.5)
+    got = [speed_limit(segment, vehicle, float(u), s=0.0) for u in us]
+    assert [(s.v_max.hex(), s.binding, s.flagged) for s in got] == list(samples)
 
 
 class TestEndJets:

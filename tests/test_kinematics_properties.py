@@ -29,6 +29,7 @@ from agv_path_kit.curve import _BezierStack, _hodograph_certifies, sampled_irreg
 from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
 from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _turns,
                                  orientation_many, wrap_angle)
+from agv_path_kit.vehicle import _WheelArrays
 
 from test_layout_properties import ANGLE, MOUNT, curves
 
@@ -346,7 +347,7 @@ SAMPLE_SETS = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]
 def assert_reference_branches(segment, wheels, us) -> np.ndarray:
     """Theta from `_steering_tracks` and `orientation_many`, and the headings and
     steering angles, equal `ref_branches` bit for bit; returns the headings."""
-    _, theta, tracks = _steering_tracks(segment, wheels, us)
+    _, theta, tracks = _steering_tracks(segment, _WheelArrays(wheels), us)
     _, ref_theta, angles = ref_branches(segment, wheels, us)
     assert same(theta, ref_theta)
     assert same(orientation_many(segment.mode, segment.curve, us)[0], ref_theta)

@@ -344,8 +344,20 @@ class TestTravelTime:
         assert t_smoothed > t_initial
 
 
-# The bundled min_travel_time repairs: objective (repr), evaluations,
-# converged, and each moved point as (side, index, before, after). The planar
+def four_wheel_g1_text() -> str:
+    """two_wheel_g1's segments on four wheels, one of them at the origin."""
+    doc = json.loads(bundled_layout_text("two_wheel_g1"))
+    doc["vehicle"]["wheels"] = [
+        {"id": wid, "position_m": list(r_w), "v_max_mps": v_max, "omega_max_degps": omega}
+        for wid, r_w, v_max, omega in (("c", (0.0, 0.0), 1.7, 45.0), ("w1", (1.0, 0.5), 1.7, 45.0),
+                                       ("w2", (-1.0, -0.5), 1.7, 45.0),
+                                       ("w3", (0.8, -0.6), 1.2, 30.0))]
+    return json.dumps(doc)
+
+
+# The min_travel_time repairs of the bundled layouts and of four_wheel_g1:
+# objective (repr), evaluations, converged, and each moved point as (side,
+# index, before, after). The planar
 # products behind them are elementwise float arithmetic, so the pins hold
 # under every BLAS kernel; the searches stop at their evaluation budget, so
 # an ulp anywhere in the objective moves these digits.
@@ -366,6 +378,14 @@ GOLDEN_TRAVEL_TIME_REPAIRS = {
         ("left", 5, (4.125, -2.125),
          (4.348616758353111, -1.752305402744815)),
     ]),
+    ("four_wheel_g1", "right"): ("4.56480279878727", 1200, False, [
+        ("right", 1, (5.025, -0.625),
+         (4.751748547424897, -1.080419087625172)),
+        ("right", 2, (5.43, 0.15),
+         (5.027738675707495, -0.3950939186900131)),
+        ("right", 3, (5.873, 0.787),
+         (5.151638041255248, 0.714393510950174)),
+    ]),
     ("six_wheel_exponential", "right"): ("7.392079610908477", 1200, False, [
         ("left", 4, (3.495441176470587, -3.1742647058823525),
          (3.6097440198882715, -2.9837599668528787)),
@@ -383,7 +403,8 @@ GOLDEN_TRAVEL_TIME_REPAIRS = {
 
 @pytest.mark.parametrize("name, side", list(GOLDEN_TRAVEL_TIME_REPAIRS))
 def test_bundled_min_travel_time_repairs_are_unchanged(name, side):
-    ctx = junction_of(parse_layout(bundled_layout_text(name)))
+    text = four_wheel_g1_text() if name == "four_wheel_g1" else bundled_layout_text(name)
+    ctx = junction_of(parse_layout(text))
     result = repair_junction(RepairProblem(ctx, objective="min_travel_time", side=side))
     value, evaluations, converged, moved = GOLDEN_TRAVEL_TIME_REPAIRS[name, side]
     assert repr(result.objective_value) == value
