@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import Tangential, _branch_nodes, _branch_turns, orientation_many, wrap_angle
+from .motion import Tangential, _branch_nodes, _branch_turns, _turns, orientation_many, wrap_angle
 from .vehicle import PathSegment, VehicleModel, Wheel, _WheelArrays
 
 __all__ = [
@@ -190,25 +190,39 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
                      ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
     """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
 
-    Theta and the wheel headings are principal values plus the whole turns that
-    `motion._branch_turns` picks at the `_branch_nodes` nodes, as `orientation_many`
-    does for theta alone; grid jets are order 1 from C' up. A steering angle
-    zeta_w - theta also takes the turns that put its u=0 value in (-pi, pi].
+    Angles are principal values plus whole turns, theta's from `motion._branch_turns`
+    at the `_branch_nodes` nodes. Exponential wheels, and crab ones on an uncertified
+    hodograph, unwrap on that grid (order 1 jets from C' up). Any other steering angle
+    zeta_w - theta takes the branch nearest its value at u = 0 (crab) or angle(s r_w),
+    s = sign(r_x cos alpha - r_y sin alpha) or +1 at 0 (tangential; see README,
+    "Conventions worth knowing"), and zeta_w theta's turns plus its own. A steering
+    angle also takes the turns that put its u = 0 value in (-pi, pi].
     """
-    jets = _Jets(segment.curve, segment.mode, us)
-    nodes = _branch_nodes(segment.mode, segment.curve, wheels.mounts)
-    grid = _Jets(segment.curve, segment.mode, nodes, 1, lowest=1)
+    mode, curve = segment.mode, segment.curve
+    jets = _Jets(curve, mode, us)
+    nodes = _branch_nodes(mode, curve, True)
+    grid = _Jets(curve, mode, nodes, 1, lowest=1)
+    tangential = isinstance(mode, Tangential)
+    start = _Jets(curve, mode, nodes[:1], 1, lowest=1) if tangential and nodes.size > 1 else grid
     pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
     with np.errstate(invalid="ignore", over="ignore"):
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
     del det, safe, unbounded  # held through the grid pass, they cost 8 % more page faults
-    d1_grid = _wheel_derivative_arrays(grid, wheels, 1)[1]
-    grid_angles = np.vstack((grid.theta[0], np.arctan2(d1_grid[1], d1_grid[0])))
+    d1_start = _wheel_derivative_arrays(start, wheels, 1)[1]
+    headings = np.arctan2(d1_start[1], d1_start[0])
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
-    turns = _branch_turns(us, grid_angles, principal)
+    delta0 = headings[:, :1] - start.theta[0][0]
+    if headings.shape[1] > 1:
+        turns = _branch_turns(us, np.vstack((grid.theta[0], headings)), principal)
+    else:
+        x, y = wheels.mounts.T
+        side = np.where(x * math.cos(mode.alpha) - y * math.sin(mode.alpha) < 0.0, -1.0, 1.0)
+        reference = np.arctan2(side * y, side * x)[:, None] if tangential else delta0
+        body = _branch_turns(us, grid.theta[0], principal[0])
+        turns = np.vstack((body, body + _turns(reference, principal[1:] - principal[0])
+                           - _turns(reference, delta0)))
     unwrapped = principal + math.tau * turns
-    anchor = np.rint([[(wrap_angle(s) - s) / math.tau]
-                      for s in (grid_angles[1:, 0] - grid_angles[0, 0]).tolist()]).reshape(-1, 1)
+    anchor = np.rint([(wrap_angle(s) - s) / math.tau for s in delta0[:, 0].tolist()])[:, None]
     delta = (principal[1:] - principal[0]) + math.tau * ((turns[1:] - turns[0]) + anchor)
     return jets, unwrapped[0], {"position": np.stack(pos, axis=-1), "zeta_w": unwrapped[1:],
                          "delta_w": delta, "r_v": r_v, "r_omega": r_omega,

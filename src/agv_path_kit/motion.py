@@ -41,8 +41,6 @@ _FLAT_RATE = 1e-12
 # Read-only grid on which `_branch_turns` unwraps angles whose branch u = 0 cannot fix.
 _UNWRAP_U = np.linspace(0.0, 1.0, 4097)
 _UNWRAP_U.setflags(write=False)
-# Least distance, relative to |C'|, from the origin to a tangential wheel's velocity line.
-_LINE_MARGIN = 1e-6
 
 
 def wrap_angle(a: float) -> float:
@@ -124,41 +122,26 @@ def _turns(reference, angle):
     return np.where(np.abs(np.abs(q - np.rint(q)) - 0.5) <= 1e-9, np.trunc(q), np.rint(q))
 
 
-def _branch_nodes(mode, curve: BezierCurve, mounts: np.ndarray) -> np.ndarray:
-    """`_UNWRAP_U`'s first node (u = 0) alone when theta and each wheel velocity in
-    the vehicle frame stay in open half-planes, so every angle stays within a half
-    turn of its u = 0 value; else all of `_UNWRAP_U`. (0, 2) ``mounts``: theta alone.
-
-    Theta does under every law on a certified hodograph (see `orientation_many`).
-    A wheel at a row of ``mounts`` moves along C' in crab mode, and in tangential
-    mode with |C'| ((cos alpha, -sin alpha) + kappa J r_w), on a fixed line that
-    must pass _LINE_MARGIN clear of the origin; an exponential law puts it on no
-    fixed line. On a `differential_alpha` axle the line meets the origin: the
-    wheel reverses where 1 + kappa t changes sign, a flip the grid's tie rule picks.
-    """
-    x, y = mounts.T
-    clear = not mounts.size or isinstance(mode, Crab) or isinstance(mode, Tangential) and bool(
-        (np.abs(x * math.cos(mode.alpha) - y * math.sin(mode.alpha))
-         >= _LINE_MARGIN * np.hypot(x, y)).all())
-    direct = clear and _hodograph_certifies(curve.control_points.tolist())
+def _branch_nodes(mode, curve: BezierCurve, wheels: bool) -> np.ndarray:
+    """`_UNWRAP_U`'s first node (u = 0) alone, or all of `_UNWRAP_U` where an angle needs
+    it: theta on an uncertified hodograph and, with ``wheels``, the wheels of an exponential
+    law, whose body-frame velocities lie on no fixed line (tangential and crab wheels: see
+    `kinematics._steering_tracks`)."""
+    wheel_grid = wheels and isinstance(mode, (ExponentialDelayed, ExponentialAnticipated))
+    direct = not wheel_grid and _hodograph_certifies(curve.control_points.tolist())
     return _UNWRAP_U[:1] if direct else _UNWRAP_U
 
 
 def _branch_turns(us, grid: np.ndarray, principal: np.ndarray) -> np.ndarray:
-    """Whole turns of the ``principal`` angles at ``us`` (theta alone, 1-D ``grid``, or
-    theta and each wheel heading, a row each) from the same angles at `_branch_nodes`:
-    on u = 0 alone theta and each steering angle heading - theta keep within a half
-    turn of their u = 0 values; on `_UNWRAP_U` each row is unwrapped, read at ``us``."""
+    """Whole turns of the ``principal`` angles at ``us`` (a row each, or theta alone,
+    1-D) from the same angles at `_branch_nodes`: theta's within a half turn of its
+    u = 0 value, or each row's unwrapped along `_UNWRAP_U` and read at ``us``."""
     if grid.shape[-1] > 1:
         steps = math.tau * np.cumsum(np.rint(np.diff(grid) / -math.tau), axis=-1)
         grid = np.concatenate((grid[..., :1], grid[..., 1:] + steps), axis=-1)
         reference = np.apply_along_axis(lambda row: np.interp(us, _UNWRAP_U, row), -1, grid)
         return _turns(reference, principal)
-    if grid.ndim == 1:
-        return _turns(grid[0], principal)
-    body = _turns(grid[0, 0], principal[0])
-    steering = _turns(grid[1:] - grid[0, 0], principal[1:] - principal[0])
-    return body + np.vstack((np.zeros_like(body), steering))
+    return _turns(grid[0], principal)
 
 
 def unwrapped_heading(curve: BezierCurve, u: float) -> float:
@@ -294,7 +277,7 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     us, n = _checked(us), getattr(mode, "n", None)
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
     if unwrap:
-        nodes = _branch_nodes(mode, curve, np.empty((0, 2)))
+        nodes = _branch_nodes(mode, curve, False)
         grid = _orientation(mode, curve, nodes, 1, None, mode.alpha, n)[0]
         law = (law[0] + math.tau * _branch_turns(us, grid, law[0]), *law[1:])
     return law

@@ -10,7 +10,7 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Path, PathS
                           Tangential, VehicleModel, Wheel, curvature, evaluate,
                           plan_velocity, profile_segment, speed_limit,
                           wheel_curve_jet, wheel_speed_limit, wheel_state)
-from agv_path_kit import motion
+from agv_path_kit import kinematics, motion
 from agv_path_kit.curve import _hodograph_certifies
 from agv_path_kit.kinematics import (_wheel_track_arrays, limit_profile_fast,
                                      wheel_end_jet)
@@ -261,11 +261,47 @@ class TestSegmentProfile:
             monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
             profile_segment(seg, vehicle, 1000)
             monkeypatch.undo()
-            # Tangential on a certified hodograph: theta and the six steering
-            # angles stay within a half turn of u = 0, so no grid. Exponential:
+            # Tangential on a certified hodograph: theta stays within a half turn
+            # of u = 0 and each steering angle within a quarter turn of its
+            # velocity line's normal, so no grid. Exponential:
             # six wheels share one grid evaluation, of the curve at the nodes to
             # order 1 and of the law at g(nodes) to order 2.
             assert grid_orders == expected
+
+    def test_only_uncertified_theta_and_non_tangential_wheels_take_the_grid(self, monkeypatch):
+        grid_orders, grid_wheel_passes = [], []
+        curve_pass, wheel_pass = BezierCurve.derivatives_many, kinematics._wheel_derivative_arrays
+
+        def counting(curve, us, order, **kwargs):
+            if np.size(us) == _UNWRAP_U.size:
+                grid_orders.append(order)
+            return curve_pass(curve, us, order, **kwargs)
+
+        def counting_wheels(jets, wheels, order=2):
+            grid_wheel_passes.append(jets.c[1].shape[0] == _UNWRAP_U.size)
+            return wheel_pass(jets, wheels, order)
+
+        phi = np.linspace(0.0, 1.6 * math.pi, 9)
+        winding = BezierCurve(2.0 * np.column_stack((np.cos(phi), np.sin(phi))))
+        bend = BezierCurve([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [3.0, 1.5]])
+        assert not _hodograph_certifies(winding.control_points.tolist())
+        assert _hodograph_certifies(bend.control_points.tolist())
+        vehicle = VehicleModel((wheel("a", 0.8, 0.4), wheel("b", -0.8, -0.4), wheel("c", 0.0, 0.0)))
+        # Tangential: one grid evaluation, of theta's law to order 1 (the curve to
+        # order 2, since theta' reads C''), and no wheel derivatives on the grid.
+        # Crab on a certified hodograph: no grid. Crab on an uncertified one: the
+        # curve to order 1, theta and the wheels unwrapped on the grid together.
+        for curve, mode, orders, wheels_on_grid in (
+                (winding, Tangential(0.4), [2], False), (bend, Tangential(0.4), [], False),
+                (bend, Crab(0.4), [], False), (winding, Crab(0.4), [1], True)):
+            grid_orders.clear()
+            grid_wheel_passes.clear()
+            monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
+            monkeypatch.setattr(kinematics, "_wheel_derivative_arrays", counting_wheels)
+            profile_segment(PathSegment(curve, mode, 1.5), vehicle, 200)
+            monkeypatch.undo()
+            assert grid_orders == orders
+            assert any(grid_wheel_passes) == wheels_on_grid
 
     def test_repeated_profiles_make_the_same_evaluations(self, layout_exponential,
                                                           monkeypatch):

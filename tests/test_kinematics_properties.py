@@ -10,8 +10,9 @@ wheels (exact ties) are always in play. Likewise, one pass over a stack of
 curves must equal one pass per curve, and the whole turns of theta and the
 wheel headings, whichever rule picks them, must equal the reference's for
 any sample set: the grid unwrap, refined between nodes where an angle swings
-by more than a quarter turn inside one grid step and the half-plane rule
-applies.
+by more than a quarter turn inside one grid step and the program claims the
+continuous angle (theta on a certified hodograph, every tangential steering
+angle, and crab ones on a certified hodograph).
 """
 
 import math
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed,
-                          PathSegment, Tangential, VehicleModel, Wheel,
-                          profile_segment, speed_limit, wheel_speed_limit)
+                          PathSegment, Tangential, VehicleModel, Wheel, differential_alpha,
+                          profile_segment, speed_limit, wheel_speed_limit, wheel_state)
 from agv_path_kit.curve import _BezierStack, _hodograph_certifies, sampled_irregular_parameter
 from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
 from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _turns,
@@ -135,55 +136,81 @@ def swing_turns(angle_at, a, b, depth=6):
     return float(np.sum(turns))
 
 
-def refined_turns(us, angle_at, principal, refine):
+def refined_turns(us, angle_at, principal, refine, normal=None):
     """Whole turns of the ``principal`` angles at ``us`` from ``angle_at``'s
     angles on the unwrap grid, unwrapped and read at ``us``. With ``refine``,
     a grid step whose angles differ by more than a quarter turn takes its
     turns from finer steps (`swing_turns`): a wheel velocity that passes near
     the origin swings its angle by up to a half turn inside one grid step,
     and unwrapping that step alone may take the wrong way round. Where the
-    angle jumps, as at a cusp, the grid step's own turns stand."""
+    angle jumps, as at a cusp, the grid step's own turns stand; with a
+    ``normal``, the step instead ends on the branch nearest normal + 2 pi k,
+    the k nearest the angle where the step starts: a steering angle that flips
+    at a wheel stop stays within a quarter turn of its velocity line's normal."""
     angles = angle_at(_UNWRAP_U)
     turns, swings = step_turns(angles)
     for i in np.flatnonzero(swings & refine):
-        if (finer := swing_turns(angle_at, _UNWRAP_U[i], _UNWRAP_U[i + 1])) is not None:
+        finer = swing_turns(angle_at, _UNWRAP_U[i], _UNWRAP_U[i + 1])
+        if finer is None and normal is not None:
+            before = float(np.sum(turns[:i]))
+            centre = normal + math.tau * round((angles[i] + math.tau * before - normal) / math.tau)
+            finer = round((centre - angles[i + 1]) / math.tau) - before
+        if finer is not None:
             turns[i] = finer
     unwrapped = np.concatenate((angles[:1], angles[1:] + math.tau * np.cumsum(turns)))
     return _turns(np.interp(us, _UNWRAP_U, unwrapped), principal)
+
+
+def velocity_line_normal(mode, wheel) -> float:
+    """Angle of s r_w, the normal through the origin of a tangential wheel's
+    body-frame velocity line (cos alpha, -sin alpha) + k J r_w; s is the sign
+    of r_x cos alpha - r_y sin alpha, and +1 where that is 0."""
+    x, y = wheel.r_w
+    side = -1.0 if x * math.cos(mode.alpha) - y * math.sin(mode.alpha) < 0.0 else 1.0
+    return math.atan2(side * y, side * x)
 
 
 def ref_branches(segment, wheels, us):
     """The jets at ``us``, unwrapped theta there, and each wheel's unwrapped
     heading and steering angle.
 
-    Unwrapped angles are principal values plus whole turns: theta's, and
-    each wheel heading's, picked by `refined_turns` one angle at a time. A
-    steering angle is the difference of the principal values plus that of
-    the turns, plus the turns `wrap_angle` takes off its grid value at u=0.
-
-    Where `_branch_nodes` claims the half-plane rule, the turns are those of
-    the continuous angle, grid steps refined. Elsewhere (an uncertified
-    hodograph, or a tangential wheel's velocity line within _LINE_MARGIN of
-    the origin) the rule is the grid unwrap itself, and so is the reference.
+    Unwrapped angles are principal values plus whole turns, picked by
+    `refined_turns` one angle at a time. On a certified hodograph theta's
+    turns are those of the continuous angle, grid steps refined; elsewhere
+    the grid unwrap itself is the rule, and so the reference. Every
+    tangential steering angle, and a crab one on a certified hodograph,
+    takes the turns of the continuous steering angle zeta_w - theta, grid
+    steps refined, and a tangential one flips at a wheel stop within a quarter
+    turn of `velocity_line_normal`; its heading adds theta's turns. The other
+    headings (an exponential law, crab on an uncertified hodograph) take the
+    grid unwrap's turns. A steering angle adds the turns `wrap_angle` takes off
+    its grid value at u = 0.
     """
     def jets_at(nodes):
         return grid if nodes is _UNWRAP_U else _Jets(segment.curve, segment.mode, nodes)
 
     grid = _Jets(segment.curve, segment.mode, _UNWRAP_U)
     jets = jets_at(us)
-    mounts = np.array([w.r_w for w in wheels], dtype=float).reshape(-1, 2)
-    refine = _branch_nodes(segment.mode, segment.curve, mounts).size == 1
-    theta_grid = grid.theta[0]
-    theta_turns = refined_turns(us, lambda nodes: jets_at(nodes).theta[0], jets.theta[0], refine)
+    mode = segment.mode
+    certified = _hodograph_certifies(segment.curve.control_points.tolist())
+    theta_turns = refined_turns(us, lambda nodes: jets_at(nodes).theta[0], jets.theta[0],
+                                certified)
     theta = jets.theta[0] + math.tau * theta_turns
     angles = []
     for w in wheels:
-        zeta_grid = _angle(ref_derivatives(grid, w)[1])
-        zeta = _angle(ref_derivatives(jets, w)[1])
-        start = zeta_grid[0] - theta_grid[0]
+        def zeta_at(nodes, w=w):
+            return _angle(ref_derivatives(jets_at(nodes), w)[1])
+
+        zeta = zeta_at(us)
+        start = zeta_at(_UNWRAP_U)[0] - grid.theta[0][0]
         anchor = round((wrap_angle(start) - start) / math.tau)
-        turns = refined_turns(us, lambda nodes: _angle(ref_derivatives(jets_at(nodes), w)[1]),
-                              zeta, refine)
+        if isinstance(mode, Tangential) or certified and isinstance(mode, Crab):
+            normal = velocity_line_normal(mode, w) if isinstance(mode, Tangential) else None
+            turns = theta_turns + refined_turns(
+                us, lambda nodes: zeta_at(nodes) - jets_at(nodes).theta[0],
+                zeta - jets.theta[0], True, normal)
+        else:
+            turns = refined_turns(us, zeta_at, zeta, False)
         angles.append((zeta + math.tau * turns,
                        (zeta - jets.theta[0]) + math.tau * (turns - theta_turns + anchor)))
     return jets, theta, angles
@@ -320,7 +347,8 @@ def branch_wheels(draw, alpha: float):
     """One to four wheels: anywhere, or where a tangential law with offset
     ``alpha`` has its body-frame velocity line through the origin,
     t (sin alpha, cos alpha), moved off it by a few ulps per coordinate or by
-    a gap near `motion._LINE_MARGIN` times |t| along (cos alpha, -sin alpha)."""
+    a gap of 1e-7 to 1e-3 times |t| along (cos alpha, -sin alpha), where the
+    steering angle swings by nearly a half turn within a short stretch of u."""
     wheels = []
     for k in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["free", "free", "ulps", "gap"]))
@@ -384,11 +412,11 @@ def branch_steering(draw):
          (Tangential(0.0), [Wheel("w0", (-2.02e-6, -2.0), 1.0, 1.0)]), [1.0])
 def test_half_plane_turns_equal_the_grid_turns(case, steering, us):
     # On a certified hodograph theta takes its whole turns from its u = 0
-    # value under every law, and so does each steering angle of a tangential
-    # or crab law (`_branch_turns` on u = 0 alone), unless a tangential wheel's velocity
-    # line nearly meets the origin; a curve that winds past a half turn never
-    # certifies. Every path must pick the reference's turns, so theta, the
-    # headings and the steering angles are equal bit for bit.
+    # value under every law, and so does each steering angle of a crab law; a
+    # tangential steering angle takes the branch nearest its velocity line's
+    # normal however near the origin the line passes; a curve that winds past a
+    # half turn never certifies. Every path must pick the reference's turns, so
+    # theta, the headings and the steering angles are equal bit for bit.
     curve, winds = case
     mode, wheels = steering
     us = np.array(us)
@@ -416,7 +444,7 @@ def test_headings_that_straddle_the_cut_keep_their_own_start():
     segment = PathSegment(curve, Tangential(0.0), 1.5)
     wheels = [Wheel("front", (1.0, 0.5), 1.0, 1.0), Wheel("rear", (-1.0, -0.5), 1.0, 1.0)]
     us = np.linspace(0.0, 1.0, 5)
-    assert _branch_nodes(segment.mode, curve, np.array([w.r_w for w in wheels])).size == 1
+    assert _branch_nodes(segment.mode, curve, True).size == 1
     zeta = assert_reference_branches(segment, wheels, us)
     assert zeta[0, 0] > 2.5 and zeta[1, 0] < -2.5
 
@@ -459,3 +487,88 @@ def test_one_pass_over_a_stack_equals_one_pass_per_curve(stack, mode, fleet):
             v_one, speed_one = limit_profile_fast(curve, mode, 1.5, vehicle, us)
             block = slice(k * us.size, (k + 1) * us.size)
             assert same(v[block], v_one) and same(speed[block], speed_one)
+
+
+def test_a_swing_inside_one_grid_step_keeps_its_way_round():
+    # A wheel 1e-7 |t| off its body-frame velocity line: its steering angle
+    # swings by nearly a half turn inside one step of the 4097-node grid, which,
+    # unwrapped alone, took that step the wrong way round and put the heading a
+    # turn too high from there on (7.68885, 10.36412, 6.47064).
+    curve = BezierCurve([[1.4921438059183292, -0.518785806317149],
+                         [0.6882811102448075, 0.8930061243367731],
+                         [2.435327446919328, 0.7684109827792878],
+                         [1.0798965138226877, 3.3725049121888313],
+                         [1.5386764955259529, 4.453491411603607],
+                         [3.5543676959387134, 4.835825484058697]])
+    segment = PathSegment(curve, Tangential(-0.21107936148564033), 1.5)
+    wheels = [Wheel("w0", (0.3674618465587424, -1.7149397382793405), 1.0, 1.0)]
+    zeta = assert_reference_branches(segment, wheels, np.array([0.0, 0.6137, 0.78233, 1.0]))
+    assert np.allclose(zeta[0], [2.08841, 1.40566, 4.08093, 0.18745], rtol=0.0, atol=1e-5)
+
+
+# An S-bend whose curvature runs from -3.73 to 3.73: its hodograph does not certify.
+S_BEND = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+def kappa_at(curve, us):
+    d = curve.derivatives_many(us, 2, lowest=1)
+    return (d[1][:, 0] * d[2][:, 1] - d[1][:, 1] * d[2][:, 0]) / np.hypot(*d[1].T)**3
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.7, -2.9, math.pi])
+def test_differential_axle_flips_within_a_quarter_turn_of_plus_r_w(turn):
+    # On a `differential_alpha` axle each wheel sits at r_w = t (sin alpha,
+    # cos alpha), so its body-frame velocity |C'| (1 - kappa t) (cos alpha,
+    # -sin alpha) lies on a line through the origin: the steering angle is
+    # -alpha, and pi - alpha after a stop reverses the wheel. Here
+    # r_x cos alpha - r_y sin alpha is exactly 0, so each wheel's reference is
+    # angle(+r_w), a quarter turn from both values, and the flip goes through
+    # it: to pi - alpha for t = 1, to -pi - alpha for t = -1. That choice, not
+    # the rounding of a grid step, fixes the track, so turning the path
+    # changes nothing.
+    vehicle = VehicleModel((Wheel("w0", (0.6, 0.8), 1.0, 1.0),
+                            Wheel("w1", (-0.6, -0.8), 1.0, 1.0)))
+    alpha = differential_alpha(vehicle)
+    c, s = math.cos(turn), math.sin(turn)
+    curve = BezierCurve(np.array(S_BEND) @ np.array([[c, s], [-s, c]]))
+    segment = PathSegment(curve, Tangential(alpha), 1.5)
+    us = np.linspace(0.0, 1.0, 41)
+    kappa = kappa_at(curve, us)
+    tracks = profile_segment(segment, vehicle, us.size).wheel_tracks
+    for w, t, reversed_delta in zip(vehicle.wheels, (1.0, -1.0),
+                                    (math.pi - alpha, -math.pi - alpha)):
+        x, y = w.r_w
+        assert x * math.cos(alpha) - y * math.sin(alpha) == 0.0
+        rolling = 1.0 - kappa * t
+        assert (np.abs(rolling) > 1e-3).all() and (rolling < 0.0).any() and (rolling > 0.0).any()
+        delta = tracks[w.id].delta_w
+        normal = math.atan2(y, x)
+        assert (np.abs(delta - normal) <= math.pi / 2 + 1e-12).all()
+        assert np.allclose(delta, np.where(rolling > 0.0, -alpha, reversed_delta),
+                           rtol=0.0, atol=1e-12)
+    assert_reference_branches(segment, vehicle.sorted_wheels(), us)
+
+
+@settings(deadline=None, max_examples=40)
+@given(BRANCH_ANGLE, st.floats(0.5, 2.0), st.sampled_from([-1.0, 1.0]),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_a_wheel_whose_side_rounding_decides_stops_within_rounding(alpha, size, sign, ux, uy):
+    # Computed r_x cos alpha - r_y sin alpha is off by at most about
+    # 3 eps (|r_x| + |r_y|), so its sign, the side of the reference, can be
+    # wrong only for a line within 3 sqrt(2) eps |C'| of the origin. A wheel a
+    # few ulps off such a line, as here, then slows to that size where
+    # 1 - kappa t = 0: its velocity is at the rounding of C_w' itself, a stop
+    # within rounding, and |C_w'| <= 1e-12 flags it singular there.
+    t = size * sign
+    wheel = Wheel("w", (nudged(t * math.sin(alpha), ux), nudged(t * math.cos(alpha), uy)), 1.0, 1.0)
+    x, y = wheel.r_w
+    eps = np.finfo(float).eps
+    assert abs(x * math.cos(alpha) - y * math.sin(alpha)) <= 3.0 * eps * (abs(x) + abs(y))
+    segment = PathSegment(BezierCurve(S_BEND), Tangential(alpha), 1.5)
+    rolling = 1.0 - kappa_at(segment.curve, _UNWRAP_U) * t
+    i = int(np.flatnonzero(rolling[:-1] * rolling[1:] < 0.0)[0])
+    lo, hi = float(_UNWRAP_U[i]), float(_UNWRAP_U[i + 1])
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if (1.0 - kappa_at(segment.curve, np.array([mid]))[0] * t > 0.0
+                               ) == (rolling[i] > 0.0) else (lo, mid)
+    assert any(wheel_state(segment, wheel, u).singular for u in (lo, hi))
