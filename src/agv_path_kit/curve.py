@@ -1,6 +1,6 @@
 """Planar Bezier curve engine.
 
-Evaluation with exact polynomial derivatives, Gauss-Legendre arc length,
+Evaluation with exact polynomial derivatives, piecewise Chebyshev arc length,
 signed curvature and its arc-length derivative, and the raw geometric
 continuity conditions that relate one-sided derivatives at a junction
 through shape parameters.
@@ -39,9 +39,12 @@ _REGULARITY_U.setflags(write=False)
 _REGULARITY_ROW = _REGULARITY_U.tobytes()
 _EPS = float(np.finfo(float).eps)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-# Most quadrature nodes per curve evaluation in a batched arc length; bounds its memory.
-_ARC_POINTS = 1 << 15
+# Arc length's first-kind Chebyshev points on [-1, 1], and DCT rows weighing sample j
+# into coefficients k = 0..m-1 (c_0 doubled): from math.cos, so no ufunc's dispatch.
+_CHEB_M, _CHEB_TAIL, _CHEB_DEPTH, _CHEB_WIDTH = 33, 4e-15, 32, 64
+_CHEB_X = np.array([math.cos(math.pi * (j + 0.5) / _CHEB_M) for j in range(_CHEB_M)])
+_CHEB_DCT = np.array([[2.0 / _CHEB_M * math.cos(math.pi * k * (j + 0.5) / _CHEB_M)
+                       for k in range(_CHEB_M)] for j in range(_CHEB_M)])
 
 
 @dataclass(frozen=True)
@@ -361,15 +364,16 @@ def _hodograph_certifies(p: list) -> bool:
     H_j, unnormalized: min_j d.H_j > T |d| is the same test. The margin of
     64 eps n max|H| on T covers the rounding of the test and of the sampled
     evaluation, so a certified curve also passes every sampled check. It
-    runs on Python floats, with no BLAS call, up to the first certifying d.
+    runs on Python floats, with no BLAS call, up to the first certifying d,
+    whose norm is taken only when d is tried.
     """
     n = len(p) - 1
     hodograph = [(n * (b[0] - a[0]), n * (b[1] - a[1])) for a, b in zip(p, p[1:])]
-    directions = [(p[-1][0] - p[0][0], p[-1][1] - p[0][1])] + hodograph
-    lengths = [math.hypot(x, y) for x, y in directions]
-    threshold = REGULAR_SPEED + 64.0 * _EPS * n * max(lengths[1:])
-    return any(min(_dot(d, h) for h in hodograph) > threshold * length
-               for d, length in zip(directions, lengths))
+    threshold = REGULAR_SPEED + 64.0 * _EPS * n * max([math.hypot(x, y) for x, y in hodograph])
+    for d in [(p[-1][0] - p[0][0], p[-1][1] - p[0][1])] + hodograph:
+        if min([_dot(d, h) for h in hodograph]) > threshold * math.hypot(*d):
+            return True
+    return False
 
 
 def irregular_parameter(curve: BezierCurve) -> float | None:
@@ -401,52 +405,63 @@ def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
     return None
 
 
-def _panel_quadrature(curve: BezierCurve, u1: float, u2: np.ndarray,
-                      panels: int) -> np.ndarray:
-    """Composite Gauss-Legendre length over [u1, u2[i]] with ``panels`` panels each."""
-    edges = np.linspace(u1, u2, panels + 1, axis=-1)
-    half = 0.5 * (edges[:, 1] - edges[:, 0])
-    centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    us = (centers[:, :, None] + half[:, None, None] * _GL_NODES).ravel()
-    d1 = curve.derivatives_many(us, 1, lowest=1)[1]
-    speeds = np.hypot(d1[:, 0], d1[:, 1]).reshape(u2.size, panels, _GL_NODES.size)
-    return half * np.sum(np.sum(speeds * _GL_WEIGHTS, axis=-1), axis=-1)
-
-
-def _panel_estimates(curve: BezierCurve, u1: float, u2: np.ndarray,
-                     panels: int) -> np.ndarray:
-    """`_panel_quadrature` for every end in ``u2``, at most _ARC_POINTS nodes per call."""
-    step = max(1, _ARC_POINTS // (panels * _GL_NODES.size))
-    parts = [_panel_quadrature(curve, u1, u2[i:i + step], panels)
-             for i in range(0, u2.size, step)]
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
 def arc_length(curve: BezierCurve, u1: float = 0.0, u2: float | np.ndarray = 1.0,
                tol: float = 1e-9) -> float | np.ndarray:
-    """Arc length of ``curve`` over [u1, u2] in meters.
+    """Arc length of ``curve`` over [u1, u2] in meters: S(u2) - S(u1), S one piecewise
+    Chebyshev antiderivative of |C'| (Chebfun's cumsum with splitting).
 
-    24-point Gauss-Legendre per panel, with the panel count doubled until
-    two successive estimates agree to ``tol``. An array ``u2`` gives an
-    array of lengths, one per end: all ends run the rule together, each
-    doubling evaluates the curve once for the ends still unconverged, and
-    every length equals the scalar call's bit for bit.
+    Each depth samples |C'| (b - a)/2 on its pieces [a, b] in one curve evaluation.
+    A piece is bisected, up to _CHEB_DEPTH times, while one of its last three
+    coefficients exceeds _CHEB_TAIL times the mean sample plus the rounding of the
+    samples, 64 eps n max|H_j| (b - a)/2 (the margin of `_hodograph_certifies`). A
+    NaN splits nothing, nor does a depth with over _CHEB_WIDTH such pieces (subnormal
+    samples never pass). S(u) is the integrated series of u's piece by Clenshaw's
+    recurrence plus the earlier pieces, each its series at x = 1 less x = -1. The
+    error is absolute, a few eps of the length on a regular curve; ``tol`` is not
+    read. Each length of an array ``u2`` is the scalar call's bit for bit, since S
+    depends on the curve alone; u1 == u2 gives 0.0.
     """
     ends = np.asarray(u2, dtype=float)
     flat = ends.ravel()
     if not (0.0 <= u1 and np.all((u1 <= flat) & (flat <= 1.0))):
         raise ValueError(f"need 0 <= u1 <= u2 <= 1, got ({u1}, {u2})")
-    lengths = np.zeros(flat.size)
-    live = np.flatnonzero(flat > u1)
-    previous = _panel_estimates(curve, u1, flat[live], 1)
-    panels = 2
-    while live.size and panels <= 4096:
-        current = _panel_estimates(curve, u1, flat[live], panels)
-        done = np.abs(current - previous) < tol
-        lengths[live[done]] = current[done]
-        live, previous = live[~done], current[~done]
-        panels *= 2
-    lengths[live] = previous
+    noise = 64.0 * _EPS * curve.degree * float(np.hypot(*curve._derivative_net(1).T).max())
+    lo, hi, kept = np.zeros(1), np.ones(1), []
+    for depth in range(_CHEB_DEPTH + 1):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        d1 = curve.derivatives_many((mid[:, None] + half[:, None] * _CHEB_X).ravel(), 1,
+                                    lowest=1)[1]
+        terms = (np.hypot(*d1.T).reshape(-1, _CHEB_M) * half[:, None])[:, :, None] * _CHEB_DCT
+        while terms.shape[1] > 1:  # pairwise sums over j, in an order fixed by m
+            k = terms.shape[1] // 2
+            terms = np.concatenate((terms[:, :k] + terms[:, k:2 * k], terms[:, 2 * k:]), axis=1)
+        c = terms[:, 0]
+        split = np.abs(c[:, -3:]).max(axis=1) > _CHEB_TAIL * 0.5 * c[:, 0] + noise * half
+        split &= depth < _CHEB_DEPTH and np.count_nonzero(split) <= _CHEB_WIDTH
+        kept.append((lo[~split], c[~split]))
+        if not split.any():
+            break
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+    lo, c = (np.concatenate(parts) for parts in zip(*kept))
+    c = np.concatenate((c[np.argsort(lo)], np.zeros((lo.size, 2))), axis=1)
+    coefs = (c[:, :-2] - c[:, 2:]) / (2.0 * np.arange(1, _CHEB_M + 1))  # C_k, k = 1..m
+    edges = np.append(np.sort(lo), 1.0)
+    count, us = lo.size, np.concatenate(([float(u1)], flat))
+    piece = np.minimum(np.searchsorted(edges, us, side="right") - 1, count - 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    rows = np.concatenate((np.arange(count), np.arange(count), piece))
+    x = np.concatenate((-np.ones(count), np.ones(count), (us - mid[piece]) / half[piece]))
+    two_x, b1, b2 = x + x, np.zeros(x.size), np.zeros(x.size)
+    # Clenshaw, k = m..1; one piece's C_k are added as floats: the same sums, no gather.
+    for ck in coefs[0, ::-1].tolist() if count == 1 else (ck[rows] for ck in coefs.T[::-1]):
+        b = two_x * b1
+        b -= b2
+        b += ck
+        b1, b2 = b, b1
+    values = x * b1 - b2
+    left, right, inner = values[:count], values[count:2 * count], values[2 * count:]
+    s = np.concatenate(([0.0], np.cumsum(right - left)[:-1]))[piece] + (inner - left[piece])
+    lengths = s[1:] - s[0]
     return float(lengths[0]) if ends.ndim == 0 else lengths.reshape(ends.shape)
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import Tangential, _branch_nodes, _branch_turns, _turns, orientation_many, wrap_angle
+from .motion import (Tangential, _branch_nodes, _branch_turns, _orientation, _turns,
+                     orientation_many, wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel, _WheelArrays
 
 __all__ = [
@@ -192,7 +193,8 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
 
     Angles are principal values plus whole turns, theta's from `motion._branch_turns`
     at the `_branch_nodes` nodes. Exponential wheels, and crab ones on an uncertified
-    hodograph, unwrap on that grid (order 1 jets from C' up). Any other steering angle
+    hodograph, unwrap on that grid (order 1 jets from C' up); a tangential theta alone
+    takes its grid angles from C' there. Any other steering angle
     zeta_w - theta takes the branch nearest its value at u = 0 (crab) or angle(s r_w),
     s = sign(r_x cos alpha - r_y sin alpha) or +1 at 0 (tangential; see README,
     "Conventions worth knowing"), and zeta_w theta's turns plus its own. A steering
@@ -201,9 +203,10 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
     mode, curve = segment.mode, segment.curve
     jets = _Jets(curve, mode, us)
     nodes = _branch_nodes(mode, curve, True)
-    grid = _Jets(curve, mode, nodes, 1, lowest=1)
     tangential = isinstance(mode, Tangential)
-    start = _Jets(curve, mode, nodes[:1], 1, lowest=1) if tangential and nodes.size > 1 else grid
+    start = _Jets(curve, mode, nodes[:1] if tangential else nodes, 1, lowest=1)
+    grid = (_orientation(mode, curve, nodes, 0, None, mode.alpha, None)[0]
+            if tangential and nodes.size > 1 else start.theta[0])
     pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
     with np.errstate(invalid="ignore", over="ignore"):
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
@@ -213,12 +216,12 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
     delta0 = headings[:, :1] - start.theta[0][0]
     if headings.shape[1] > 1:
-        turns = _branch_turns(us, np.vstack((grid.theta[0], headings)), principal)
+        turns = _branch_turns(us, np.vstack((grid, headings)), principal)
     else:
         x, y = wheels.mounts.T
         side = np.where(x * math.cos(mode.alpha) - y * math.sin(mode.alpha) < 0.0, -1.0, 1.0)
         reference = np.arctan2(side * y, side * x)[:, None] if tangential else delta0
-        body = _branch_turns(us, grid.theta[0], principal[0])
+        body = _branch_turns(us, grid, principal[0])
         turns = np.vstack((body, body + _turns(reference, principal[1:] - principal[0])
                            - _turns(reference, delta0)))
     unwrapped = principal + math.tau * turns
@@ -370,10 +373,9 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
                     samples: int) -> SegmentProfile:
     """Uniform-u sampling of the limit profile and all wheel tracks.
 
-    Arc length from u=0 comes from one batched `arc_length` call over all
-    samples: the adaptive rule runs for every sample at once, and each value
-    equals a per-sample call bit for bit, so evaluation order cannot change
-    the result. Samples flagged as singular take the speed limit of their
+    Arc length from u=0 comes from one `arc_length` call over all samples,
+    one antiderivative for the segment, each value a per-sample call's bit
+    for bit. Samples flagged as singular take the speed limit of their
     nearest unflagged neighbor rather than a silently interpolated value.
     """
     if samples < 2:

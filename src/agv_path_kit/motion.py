@@ -278,7 +278,7 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
     if unwrap:
         nodes = _branch_nodes(mode, curve, False)
-        grid = _orientation(mode, curve, nodes, 1, None, mode.alpha, n)[0]
+        grid = _orientation(mode, curve, nodes, 0, None, mode.alpha, n)[0]
         law = (law[0] + math.tau * _branch_turns(us, grid, law[0]), *law[1:])
     return law
 
@@ -287,7 +287,8 @@ def _orientation(mode, curve, us, order, curve_jets, alpha, n):
     """`orientation_many` on checked ``us`` for the mode class of ``mode``, the
     one copy of every law; ``alpha`` and ``n`` may be arrays, one value per
     node. `continuity._end_states` runs a class over junction-end rows this
-    way, with ``curve`` None: every law reuses ``curve_jets`` at an end."""
+    way, with ``curve`` None: every law reuses ``curve_jets`` at an end.
+    Order 0 gives theta alone, from the curve read to order 1."""
     if isinstance(mode, Crab):
         return (np.full_like(us, alpha),) + (np.zeros_like(us),) * order
     tangential, anticipated = isinstance(mode, Tangential), isinstance(mode, ExponentialAnticipated)
@@ -296,6 +297,8 @@ def _orientation(mode, curve, us, order, curve_jets, alpha, n):
     if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
         curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)
     theta = _angle(curve_jets[1]) + alpha
+    if not order:
+        return (theta,)
     z = _rates(curve_jets, order)
     if tangential:
         return (theta, *z)

@@ -287,12 +287,12 @@ class TestSegmentProfile:
         assert not _hodograph_certifies(winding.control_points.tolist())
         assert _hodograph_certifies(bend.control_points.tolist())
         vehicle = VehicleModel((wheel("a", 0.8, 0.4), wheel("b", -0.8, -0.4), wheel("c", 0.0, 0.0)))
-        # Tangential: one grid evaluation, of theta's law to order 1 (the curve to
-        # order 2, since theta' reads C''), and no wheel derivatives on the grid.
+        # Tangential: one grid evaluation, of the curve to order 1 (theta's
+        # principal angles read C' alone), and no wheel derivatives on the grid.
         # Crab on a certified hodograph: no grid. Crab on an uncertified one: the
         # curve to order 1, theta and the wheels unwrapped on the grid together.
         for curve, mode, orders, wheels_on_grid in (
-                (winding, Tangential(0.4), [2], False), (bend, Tangential(0.4), [], False),
+                (winding, Tangential(0.4), [1], False), (bend, Tangential(0.4), [], False),
                 (bend, Crab(0.4), [], False), (winding, Crab(0.4), [1], True)):
             grid_orders.clear()
             grid_wheel_passes.clear()
