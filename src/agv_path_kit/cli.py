@@ -16,14 +16,15 @@ import argparse
 import math
 import sys
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _json_str
+
+import numpy as np
 
 from .continuity import (SMOOTH, SMOOTH_AT_REST_ONLY, JunctionContext,
                          Tolerances, check_junctions)
 from .errors import (DegenerateGeometryError, DiscontinuousPathError,
                      LayoutError, RepairInfeasibleError)
 from .layout import (LayoutDocument, LayoutSegment, load_layout, parse_layout,
-                     serialize_layout)
+                     serialize_check, serialize_layout)
 from .profile import plan_velocity
 from .repair import RepairProblem, repair_junction
 from .vehicle import PathSegment
@@ -35,25 +36,6 @@ __all__ = [
     "serialize_layout",
     "main",
 ]
-
-
-def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for the report schema of `check --format json`:
-    strings, floats, None, booleans, and dicts and lists of these. ``pad`` is the
-    indent of the line that ``value`` starts on."""
-    if isinstance(value, float):
-        return (float.__repr__(value) if math.isfinite(value) else "NaN" if value != value
-                else "Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
-    inner = pad + "  "
-    items = ([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-             if isinstance(value, dict) else [_json_text(v, inner) for v in value])
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
-            if items else brackets)
 
 
 def _csv_text(cell: str) -> str:
@@ -72,8 +54,7 @@ def cmd_check(args) -> int:
         acceptable.add(SMOOTH_AT_REST_ONLY)
     ok = all(r.verdict in acceptable for r in reports)
     if args.format == "json":
-        print(_json_text({"layout": doc.name or args.layout,
-                          "junctions": [r.to_dict() for r in reports], "ok": ok}))
+        print(serialize_check(doc.name or args.layout, reports, ok))
     else:
         for r in reports:
             print(f"{r.left_id}:{r.right_id}  {r.verdict}"
@@ -162,10 +143,14 @@ def _write_profile(doc: LayoutDocument, path, args) -> int:
     profile = plan_velocity(path, doc.vehicle, a_max=args.a_max, resolution=args.samples,
                             diagnostic=args.diagnostic, tol=args.tolerances)
 
-    def cells(values, convert=None):
+    def cells(values):
         # Numbers print as Python float reprs, formatted one column at a time.
-        values = values.tolist()
-        return map(repr, values if convert is None else map(convert, values))
+        return map(repr, values.tolist())
+
+    def degrees(values):
+        # One np.degrees per column, the bits of math.degrees per cell; past the range is inf.
+        with np.errstate(over="ignore"):
+            return cells(np.degrees(values))
 
     # Wheel ids may hold CSV delimiters: quote each distinct binding label once.
     quoted = {label: _csv_text(label) for label in set(profile.binding)}
@@ -178,8 +163,8 @@ def _write_profile(doc: LayoutDocument, path, args) -> int:
                                                             "delta_deg", "omega_ratio",
                                                             "R_v", "kappa_w")]
         columns += [cells(profile.wheel_speeds[wid]),
-                    cells(profile.wheel_steering_rates[wid], math.degrees),
-                    cells(profile.wheel_deltas[wid], math.degrees),
+                    degrees(profile.wheel_steering_rates[wid]),
+                    degrees(profile.wheel_deltas[wid]),
                     cells(profile.wheel_r_omega[wid]), cells(profile.wheel_r_v[wid]),
                     cells(profile.wheel_kappa[wid])]
     lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]

@@ -187,9 +187,10 @@ def _ratios_from_derivatives(jets: _Jets, wheels: _WheelArrays):
     return pos, (x1, y1), r_v, r_omega, singular, (det, safe, unbounded)
 
 
-def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
-                     ) -> tuple[_Jets, np.ndarray, dict[str, np.ndarray]]:
-    """Jets at ``us``, unwrapped theta there and the (W, N) wheel tracks.
+def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray,
+                     lowest: int = 0) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Theta' and unwrapped theta at ``us``, and the (W, N) wheel tracks; with ``lowest``
+    1 the curve is evaluated from C' up and the position track is None.
 
     Angles are principal values plus whole turns, theta's from `motion._branch_turns`
     at the `_branch_nodes` nodes. Exponential wheels, and crab ones on an uncertified
@@ -198,23 +199,33 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
     zeta_w - theta takes the branch nearest its value at u = 0 (crab) or angle(s r_w),
     s = sign(r_x cos alpha - r_y sin alpha) or +1 at 0 (tangential; see README,
     "Conventions worth knowing"), and zeta_w theta's turns plus its own. A steering
-    angle also takes the turns that put its u = 0 value in (-pi, pi].
+    angle also takes the turns that put its u = 0 value in (-pi, pi]. Where the
+    wheels start from u = 0 alone (tangential, or on one branch node), theta and the
+    headings there are column 0 of the pass at ``us``, with u = +0.0 put first when
+    ``us`` does not start there: each node's values depend on that node alone.
     """
     mode, curve = segment.mode, segment.curve
-    jets = _Jets(curve, mode, us)
     nodes = _branch_nodes(mode, curve, True)
     tangential = isinstance(mode, Tangential)
-    start = _Jets(curve, mode, nodes[:1] if tangential else nodes, 1, lowest=1)
+    from_main = tangential or nodes.size == 1
+    lead = int(from_main and us[:1].tobytes() != bytes(8))  # +0.0 is eight zero bytes
+    jets = _Jets(curve, mode, np.concatenate((nodes[:1], us)) if lead else us, lowest=lowest)
+    start = None if from_main else _Jets(curve, mode, nodes, 1, lowest=1)
+    start_theta = jets.theta[0][:1] if from_main else start.theta[0]
     grid = (_orientation(mode, curve, nodes, 0, None, mode.alpha, None)[0]
-            if tangential and nodes.size > 1 else start.theta[0])
+            if tangential and nodes.size > 1 else start_theta)
     pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
     with np.errstate(invalid="ignore", over="ignore"):
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
     del det, safe, unbounded  # held through the grid pass, they cost 8 % more page faults
-    d1_start = _wheel_derivative_arrays(start, wheels, 1)[1]
-    headings = np.arctan2(d1_start[1], d1_start[0])
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
-    delta0 = headings[:, :1] - start.theta[0][0]
+    if from_main:
+        headings = principal[1:, :1]
+    else:
+        d1_start = _wheel_derivative_arrays(start, wheels, 1)[1]
+        headings = np.arctan2(d1_start[1], d1_start[0])
+    principal = principal[:, lead:]
+    delta0 = headings[:, :1] - start_theta[0]
     if headings.shape[1] > 1:
         turns = _branch_turns(us, np.vstack((grid, headings)), principal)
     else:
@@ -227,9 +238,11 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray
     unwrapped = principal + math.tau * turns
     anchor = np.rint([(wrap_angle(s) - s) / math.tau for s in delta0[:, 0].tolist()])[:, None]
     delta = (principal[1:] - principal[0]) + math.tau * ((turns[1:] - turns[0]) + anchor)
-    return jets, unwrapped[0], {"position": np.stack(pos, axis=-1), "zeta_w": unwrapped[1:],
-                         "delta_w": delta, "r_v": r_v, "r_omega": r_omega,
-                         "kappa_w": kappa, "singular": singular}
+    return jets.theta[1][lead:], unwrapped[0], {
+        "position": None if pos is None else np.stack(pos, axis=-1)[:, lead:],
+        "zeta_w": unwrapped[1:], "delta_w": delta, "r_v": r_v[:, lead:],
+        "r_omega": r_omega[:, lead:], "kappa_w": kappa[:, lead:],
+        "singular": singular[:, lead:]}
 
 
 def _wheel_track_arrays(segment: PathSegment, wheel: Wheel, us: np.ndarray):
@@ -383,7 +396,7 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
     us = np.linspace(0.0, 1.0, samples)
     s = arc_length(segment.curve, 0.0, us)
     wheels = vehicle._arrays
-    jets, theta, tracks = _steering_tracks(segment, wheels, us)
+    dtheta, theta, tracks = _steering_tracks(segment, wheels, us, lowest=1)
     v, rows = _limit_from_tracks(segment.v_max, wheels, tracks["r_v"], tracks["r_omega"])
     # At an isolated wheel-cusp sample the cusp wheel imposes no constraint
     # of its own; borrow the nearest clean sample's limit instead of leaving
@@ -397,4 +410,4 @@ def profile_segment(segment: PathSegment, vehicle: VehicleModel,
     fields = [tracks[key] for key in ("delta_w", "r_v", "r_omega", "kappa_w", "singular")]
     wheel_tracks = {w.id: WheelTrack(*track) for w, *track in zip(wheels.wheels, *fields)}
     return SegmentProfile(us, s, v, tuple(_binding(wheels, rows)), flagged,
-                          theta, jets.theta[1], wheel_tracks)
+                          theta, dtheta, wheel_tracks)

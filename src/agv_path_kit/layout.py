@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -235,35 +236,102 @@ def parse_layout(data) -> LayoutDocument:
     return LayoutDocument(name, vehicle, tuple(segments), adjacency)
 
 
-def _mode_to_json(mode) -> dict:
-    tag = next(tag for tag, cls in _MODES.items() if isinstance(mode, cls))
-    out = {"type": tag, "alpha_deg": math.degrees(mode.alpha)}
-    if tag.startswith("exponential"):
-        out["n"] = mode.n
-    return out
+def _scalar(value) -> str:
+    """``json.dumps`` text of a str, float, int, bool or None: a float, ``np.float64``
+    too, by ``float.__repr__``, a non-finite one as NaN or (-)Infinity."""
+    if isinstance(value, float):
+        return (float.__repr__(value) if math.isfinite(value) else "NaN" if value != value
+                else "Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value)
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON list (or object) of entries already written, its first line at ``pad``."""
+    inner = pad + "  "
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+            if items else brackets)
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for data of no fixed shape (repair annotations):
+    dicts with str keys, lists and tuples, and `_scalar`'s types. ``pad`` is the
+    indent of the line that ``value`` starts on."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return _block([f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in value.items()],
+                      pad, "{}")
+    if isinstance(value, (list, tuple)):
+        return _block([_json_text(v, inner) for v in value], pad)
+    return _scalar(value)
+
+
+def _object(pad: str, *fields) -> str:
+    """`str.format` template of a JSON object whose first line is at ``pad``, as
+    ``json.dumps(indent=2)`` writes it: a field is a key, whose value fills one
+    slot, or a (key, template) pair, whose value is written by that template."""
+    inner = pad + "  "
+    lines = (f"{inner}{_json_str(f)}: {{}}" if isinstance(f, str)
+             else f"{inner}{_json_str(f[0])}: {f[1]}" for f in fields)
+    return "{{\n" + ",\n".join(lines) + f"\n{pad}}}}}"
+
+
+# One template per record shape, indented for where the record sits in its document.
+_REPORT = _object("    ", "junction", "g0_position_m", "g0_orientation_rad", "beta",
+                  ("residuals", _object("      ", "curve_g1", "curve_g2", "curve_g3",
+                                        "mode_g1", "mode_g2")), "verdict", "notes")
+_BETA = _object("      ", "beta1", "beta2", "beta3")
+_CHECK = _object("", "layout", "junctions", "ok")
+_PAIR = ["{}", "{}"]  # a two-entry list's template is `_block` of two slots
+_WHEEL = _object("      ", "id", ("position_m", _block(_PAIR, "        ")), "v_max_mps",
+                 "omega_max_degps")
+_SEGMENT = _object("    ", "id", "control_points_m", "mode", "v_max_mps")
+_POINT, _ADJACENT = _block(_PAIR, "        "), _block(_PAIR, "    ")
+_MODE = {False: _object("      ", "type", "alpha_deg"),
+         True: _object("      ", "type", "alpha_deg", "n")}
+_LAYOUT = [_object("", "schema_version", "name", ("vehicle", _object("  ", "wheels")),
+                   "segments", "adjacency", *extra) for extra in ((), ("annotations",))]
+
+
+def serialize_check(name: str, reports, ok: bool) -> str:
+    """``json.dumps({"layout": name, "junctions": [r.to_dict() for r in reports],
+    "ok": ok}, indent=2)``, the `check --format json` report, one template per junction."""
+    f = _scalar
+    junctions = [_REPORT.format(
+        _json_str(f"{r.left_id}:{r.right_id}"), f(r.g0_position), f(r.g0_orientation),
+        "null" if r.beta is None else _BETA.format(f(r.beta.beta1), f(r.beta.beta2),
+                                                  f(r.beta.beta3)),
+        f(r.curve_g1), f(r.curve_g2), f(r.curve_g3), f(r.mode_g1), f(r.mode_g2),
+        f(r.verdict), _block([f(note) for note in r.notes], "      ")) for r in reports]
+    return _CHECK.format(f(name), _block(junctions, "  "), f(ok))
 
 
 def serialize_layout(doc: LayoutDocument, annotations: dict | None = None) -> str:
-    """Canonical JSON text for a layout document (stable key order)."""
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "name": doc.name,
-        "vehicle": {"wheels": [
-            {"id": w.id, "position_m": [w.r_w[0], w.r_w[1]],
-             "v_max_mps": w.v_max, "omega_max_degps": math.degrees(w.omega_max)}
-            for w in doc.vehicle.wheels]},
-        "segments": [
-            {"id": ls.id,
-             "control_points_m": [[float(x), float(y)]
-                                  for x, y in ls.segment.curve.control_points],
-             "mode": _mode_to_json(ls.segment.mode),
-             "v_max_mps": ls.segment.v_max}
-            for ls in doc.segments],
-        "adjacency": [[a, b] for a, b in doc.adjacency],
-    }
+    """Canonical JSON text for a layout document (stable key order): the bytes of
+    ``json.dumps(..., indent=2)`` and a newline, one template per record."""
+    f = _scalar
+    wheels = [_WHEEL.format(f(w.id), f(w.r_w[0]), f(w.r_w[1]), f(w.v_max),
+                            f(math.degrees(w.omega_max))) for w in doc.vehicle.wheels]
+    segments = []
+    for ls in doc.segments:
+        mode = ls.segment.mode
+        tag = next(tag for tag, cls in _MODES.items() if isinstance(mode, cls))
+        exponential = tag.startswith("exponential")
+        points = [_POINT.format(f(x), f(y)) for x, y in ls.segment.curve.control_points.tolist()]
+        segments.append(_SEGMENT.format(
+            f(ls.id), _block(points, "      "),
+            _MODE[exponential].format(f(tag), f(math.degrees(mode.alpha)),
+                                      *((f(mode.n),) if exponential else ())),
+            f(ls.segment.v_max)))
+    adjacency = [_ADJACENT.format(f(a), f(b)) for a, b in doc.adjacency]
+    fields = [f(SCHEMA_VERSION), f(doc.name), _block(wheels, "    "), _block(segments, "  "),
+              _block(adjacency, "  ")]
     if annotations:
-        out["annotations"] = annotations
-    return json.dumps(out, indent=2) + "\n"
+        fields.append(_json_text(annotations, "  "))
+    return _LAYOUT[bool(annotations)].format(*fields) + "\n"
 
 
 def load_layout(path: str) -> LayoutDocument:

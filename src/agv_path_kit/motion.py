@@ -219,7 +219,9 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
         return value if not ends else np.where(
             zero, np.where(expo > 0.0, 0.0, np.where(expo == 0.0, 1.0, np.inf)), value)
 
-    g = [1.0 - power(n) if anticipated else power(n), n * power(n - 1.0)]
+    g = [1.0 - power(n) if anticipated else power(n)]
+    if order >= 1:
+        g.append(n * power(n - 1.0))
     if order >= 2:
         g.append((-1.0 if anticipated else 1.0) * n * (n - 1.0) * power(n - 2.0))
     if order >= 3:

@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agv_path_kit
-from agv_path_kit import (ContinuityReport, LayoutError, ShapeParameters, parse_layout,
-                          serialize_layout)
-from agv_path_kit.cli import _json_text, main
+from agv_path_kit import (BezierCurve, ContinuityReport, Crab, ExponentialAnticipated,
+                          ExponentialDelayed, LayoutError, PathSegment, ShapeParameters,
+                          Tangential, VehicleModel, Wheel, cli, parse_layout, serialize_layout)
+from agv_path_kit.cli import main
+from agv_path_kit.layout import LayoutSegment, serialize_check
 from agv_path_kit.layouts import (bundled_layout_names, bundled_layout_path,
                                   bundled_layout_text)
 
@@ -874,4 +876,101 @@ REPORTS = st.builds(ContinuityReport, TEXTS, TEXTS, FLOATS, FLOATS, BETAS, FLOAT
 @given(TEXTS, st.lists(REPORTS, max_size=3), st.booleans())
 def test_check_json_writer_prints_the_bytes_of_json_dumps(layout, reports, ok):
     document = {"layout": layout, "junctions": [r.to_dict() for r in reports], "ok": ok}
-    assert _json_text(document) == json.dumps(document, indent=2)
+    assert serialize_check(layout, reports, ok) == json.dumps(document, indent=2)
+
+
+def layout_dict(doc, annotations):
+    """The layout document ``serialize_layout`` writes, as the dict ``json.dumps`` takes."""
+    def mode(m):
+        tag = {Tangential: "tangential", Crab: "crab", ExponentialDelayed: "exponential_delayed",
+               ExponentialAnticipated: "exponential_anticipated"}[type(m)]
+        return {"type": tag, "alpha_deg": math.degrees(m.alpha),
+                **({"n": m.n} if tag.startswith("exponential") else {})}
+
+    out = {
+        "schema_version": 1,
+        "name": doc.name,
+        "vehicle": {"wheels": [{"id": w.id, "position_m": list(w.r_w), "v_max_mps": w.v_max,
+                                "omega_max_degps": math.degrees(w.omega_max)}
+                               for w in doc.vehicle.wheels]},
+        "segments": [{"id": ls.id, "control_points_m": ls.segment.curve.control_points.tolist(),
+                      "mode": mode(ls.segment.mode), "v_max_mps": ls.segment.v_max}
+                     for ls in doc.segments],
+        "adjacency": [list(pair) for pair in doc.adjacency],
+    }
+    if annotations:
+        out["annotations"] = annotations
+    return out
+
+
+LAYOUT_FLOATS = st.floats(-1e6, 1e6).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+LAYOUT_MODES = st.one_of(
+    st.builds(Tangential, st.floats(-math.pi, math.pi)),
+    st.builds(Crab, st.floats(-math.pi, math.pi)),
+    st.builds(ExponentialDelayed, st.floats(-math.pi, math.pi), st.floats(1.01, 5.0)),
+    st.builds(ExponentialAnticipated, st.floats(-math.pi, math.pi), st.floats(1.01, 5.0)))
+WHEELS = st.builds(Wheel, TEXTS, st.tuples(LAYOUT_FLOATS, LAYOUT_FLOATS),
+                   st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+# Repair's annotation: ints, floats that may be non-finite, nested lists and dicts.
+ANNOTATIONS = st.one_of(st.none(), st.builds(
+    lambda junction, value, parameters, moved: {"repair": {
+        "junction": junction, "objective": "min_travel_time", "objective_value": value,
+        "parameters": parameters, "moved_points": moved, "verdict_after": "smooth"}},
+    TEXTS, FLOATS, st.dictionaries(TEXTS, FLOATS, max_size=3),
+    st.lists(st.fixed_dictionaries({
+        "side": st.sampled_from(["left", "right"]), "index": st.integers(0, 9),
+        "before": st.lists(FLOATS, min_size=2, max_size=2),
+        "after": st.lists(FLOATS, min_size=2, max_size=2)}), max_size=3)))
+
+
+@st.composite
+def layout_documents(draw):
+    """Layouts of one to three wheels and segments, any ids and any adjacency."""
+    wheels = draw(st.lists(WHEELS, min_size=1, max_size=3))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 4))
+        points = np.column_stack([np.arange(degree + 1.0), draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=degree + 1, max_size=degree + 1))])
+        segment = PathSegment(BezierCurve(points), draw(LAYOUT_MODES), draw(st.floats(0.1, 5.0)))
+        segments.append(LayoutSegment(draw(TEXTS), segment))
+    ids = [ls.id for ls in segments]
+    adjacency = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    return agv_path_kit.LayoutDocument(draw(TEXTS), VehicleModel(tuple(wheels)),
+                                       tuple(segments), tuple(adjacency))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_documents(), ANNOTATIONS)
+def test_layout_writer_prints_the_bytes_of_json_dumps(doc, annotations):
+    expected = json.dumps(layout_dict(doc, annotations), indent=2) + "\n"
+    assert serialize_layout(doc, annotations) == expected
+
+
+def test_profile_angle_cells_are_the_degrees_of_each_value(monkeypatch, capsys):
+    # One np.degrees per column prints math.degrees's bits in every cell, also for
+    # non-finite angles and for those whose degrees overflow, with no RuntimeWarning.
+    specials = [math.inf, -math.inf, math.nan, 1e306, -1.7976931348623157e308, 5e-324,
+                -0.0, 0.0, 1.0, math.pi, 3.1e306]
+    plan = cli.plan_velocity
+
+    def planned(*args, **kwargs):
+        profile = plan(*args, **kwargs)
+        n = profile.s.size
+        values = np.resize(np.array(specials), n)
+        return dataclasses.replace(
+            profile, wheel_steering_rates={k: values for k in profile.wheel_steering_rates},
+            wheel_deltas={k: -values[::-1] for k in profile.wheel_deltas})
+
+    monkeypatch.setattr(cli, "plan_velocity", planned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["profile", str(bundled_layout_path("two_wheel_smoothed")), "--samples", "20"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    values = np.resize(np.array(specials), len(rows))
+    for prefix, column in (("omega_w_degps", values), ("delta_deg", -values[::-1])):
+        for name in (name for name in header if name.startswith(prefix)):
+            cells = [row[header.index(name)] for row in rows]
+            assert cells == [repr(math.degrees(x)) for x in column.tolist()]

@@ -353,21 +353,22 @@ class TestSegmentProfile:
                              vehicle, us)) == per_node_set
             # The third derivative of theta needs no call of its own.
             assert len(calls(wheel_curve_jet, seg, w, 0.37, 3)) == per_node_set
-            # A steering angle needs a second node set, on every call: nothing
-            # is kept between calls. On a certified hodograph a tangential law
-            # reads the u = 0 node alone; an exponential law reads the unwrap
-            # grid for its wheels, and the u = 0 node alone for orientation().
+            # A steering angle needs its u = 0 state too, on every call: nothing
+            # is kept between calls. A tangential law reads it from u = +0.0 put
+            # first in its one node set (profile samples start there); an
+            # exponential law reads the unwrap grid for its wheels, and the u = 0
+            # node alone for orientation().
             tangential = isinstance(seg.mode, Tangential)
             grid_sets = 0 if tangential else per_node_set
             for u in (0.37, 0.61):
                 sizes_u = calls(wheel_state, seg, w, u)
-                assert len(sizes_u) == 2 * per_node_set
+                assert sizes_u == [2] if tangential else len(sizes_u) == 2 * per_node_set
                 assert sizes_u.count(_UNWRAP_U.size) == grid_sets
                 assert calls(motion.orientation, seg.mode, seg.curve, u).count(
                     _UNWRAP_U.size) == 0
-            grid = [n for n in calls(profile_segment, seg, vehicle, 1000)
-                    if n == _UNWRAP_U.size]
-            assert len(grid) == grid_sets
+            sizes_profile = calls(profile_segment, seg, vehicle, 1000)
+            assert sizes_profile.count(_UNWRAP_U.size) == grid_sets
+            assert sizes_profile.count(1000) == per_node_set and 1 not in sizes_profile
 
     def test_one_point_limits_build_no_heading_grid(self, layout_exponential,
                                                     monkeypatch):

@@ -27,9 +27,11 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Exponential
                           PathSegment, Tangential, VehicleModel, Wheel, differential_alpha,
                           profile_segment, speed_limit, wheel_speed_limit, wheel_state)
 from agv_path_kit.curve import _BezierStack, _hodograph_certifies, sampled_irregular_parameter
-from agv_path_kit.kinematics import _WHEEL_SINGULAR, _Jets, _steering_tracks, limit_profile_fast
-from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _turns,
-                                 orientation_many, wrap_angle)
+from agv_path_kit.kinematics import (_WHEEL_SINGULAR, _Jets, _ratios_from_derivatives,
+                                     _steering_tracks, _wheel_derivative_arrays,
+                                     limit_profile_fast)
+from agv_path_kit.motion import (_UNWRAP_U, _angle, _branch_nodes, _branch_turns, _orientation,
+                                 _turns, orientation_many, wrap_angle)
 from agv_path_kit.vehicle import _WheelArrays
 
 from test_layout_properties import ANGLE, MOUNT, curves
@@ -122,35 +124,40 @@ def step_turns(angles):
     return turns, np.abs(diff + math.tau * turns) > math.pi / 2
 
 
-def swing_turns(angle_at, a, b, depth=6):
+def swing_turns(angle_at, a, b, depth=6, stopped=None):
     """Whole turns across [a, b] from 64 steps, each step that swings by more
     than a quarter turn split again, ``depth`` levels at most; None if a
-    swing remains there (the angle jumps)."""
+    swing remains there (the angle jumps), or if ``stopped`` marks a node
+    there: the angle of a velocity within rounding of zero is noise."""
     nodes = np.linspace(a, b, 65)
+    if stopped is not None and stopped(nodes).any():
+        return None
     turns, swings = step_turns(angle_at(nodes))
     for i in np.flatnonzero(swings):
-        inner = None if depth == 0 else swing_turns(angle_at, nodes[i], nodes[i + 1], depth - 1)
+        inner = (None if depth == 0 else
+                 swing_turns(angle_at, nodes[i], nodes[i + 1], depth - 1, stopped))
         if inner is None:
             return None
         turns[i] = inner
     return float(np.sum(turns))
 
 
-def refined_turns(us, angle_at, principal, refine, normal=None):
+def refined_turns(us, angle_at, principal, refine, normal=None, stopped=None):
     """Whole turns of the ``principal`` angles at ``us`` from ``angle_at``'s
     angles on the unwrap grid, unwrapped and read at ``us``. With ``refine``,
     a grid step whose angles differ by more than a quarter turn takes its
     turns from finer steps (`swing_turns`): a wheel velocity that passes near
     the origin swings its angle by up to a half turn inside one grid step,
     and unwrapping that step alone may take the wrong way round. Where the
-    angle jumps, as at a cusp, the grid step's own turns stand; with a
-    ``normal``, the step instead ends on the branch nearest normal + 2 pi k,
-    the k nearest the angle where the step starts: a steering angle that flips
-    at a wheel stop stays within a quarter turn of its velocity line's normal."""
+    angle jumps, as at a cusp, or where ``stopped`` marks a stop within
+    rounding, the grid step's own turns stand; with a ``normal``, the step
+    instead ends on the branch nearest normal + 2 pi k, the k nearest the angle
+    where the step starts: a steering angle that flips at a wheel stop stays
+    within a quarter turn of its velocity line's normal."""
     angles = angle_at(_UNWRAP_U)
     turns, swings = step_turns(angles)
     for i in np.flatnonzero(swings & refine):
-        finer = swing_turns(angle_at, _UNWRAP_U[i], _UNWRAP_U[i + 1])
+        finer = swing_turns(angle_at, _UNWRAP_U[i], _UNWRAP_U[i + 1], stopped=stopped)
         if finer is None and normal is not None:
             before = float(np.sum(turns[:i]))
             centre = normal + math.tau * round((angles[i] + math.tau * before - normal) / math.tau)
@@ -159,6 +166,15 @@ def refined_turns(us, angle_at, principal, refine, normal=None):
             turns[i] = finer
     unwrapped = np.concatenate((angles[:1], angles[1:] + math.tau * np.cumsum(turns)))
     return _turns(np.interp(us, _UNWRAP_U, unwrapped), principal)
+
+
+def stopped_within_rounding(jets, wheel) -> np.ndarray:
+    """Nodes where the wheel's |C_w'| is within 64 eps of the size of its terms,
+    |C'| + |theta'| |r_w|: there the computed velocity, and so its angle, is
+    rounding (a wheel whose line passes within rounding of the origin)."""
+    d1 = ref_derivatives(jets, wheel)[1]
+    scale = jets.speed + np.abs(jets.theta[1]) * math.hypot(*wheel.r_w)
+    return np.hypot(d1[:, 0], d1[:, 1]) <= 64.0 * np.finfo(float).eps * scale
 
 
 def velocity_line_normal(mode, wheel) -> float:
@@ -180,8 +196,9 @@ def ref_branches(segment, wheels, us):
     the grid unwrap itself is the rule, and so the reference. Every
     tangential steering angle, and a crab one on a certified hodograph,
     takes the turns of the continuous steering angle zeta_w - theta, grid
-    steps refined, and a tangential one flips at a wheel stop within a quarter
-    turn of `velocity_line_normal`; its heading adds theta's turns. The other
+    steps refined, and a tangential one flips at a wheel stop, also one within
+    rounding (`stopped_within_rounding`), within a quarter turn of
+    `velocity_line_normal`; its heading adds theta's turns. The other
     headings (an exponential law, crab on an uncertified hodograph) take the
     grid unwrap's turns. A steering angle adds the turns `wrap_angle` takes off
     its grid value at u = 0.
@@ -205,10 +222,12 @@ def ref_branches(segment, wheels, us):
         start = zeta_at(_UNWRAP_U)[0] - grid.theta[0][0]
         anchor = round((wrap_angle(start) - start) / math.tau)
         if isinstance(mode, Tangential) or certified and isinstance(mode, Crab):
-            normal = velocity_line_normal(mode, w) if isinstance(mode, Tangential) else None
+            tangential = isinstance(mode, Tangential)
             turns = theta_turns + refined_turns(
                 us, lambda nodes: zeta_at(nodes) - jets_at(nodes).theta[0],
-                zeta - jets.theta[0], True, normal)
+                zeta - jets.theta[0], True, velocity_line_normal(mode, w) if tangential else None,
+                (lambda nodes, w=w: stopped_within_rounding(jets_at(nodes), w)) if tangential
+                else None)
         else:
             turns = refined_turns(us, zeta_at, zeta, False)
         angles.append((zeta + math.tau * turns,
@@ -410,6 +429,37 @@ def branch_steering(draw):
 @example((BezierCurve([[0, 0], [0.75, 0], [1.5, 0], [2.25, 0], [3, 0], [3.75, 0], [4.5, 0],
                        [5.25, 1], [6, -0.5]]), False),
          (Tangential(0.0), [Wheel("w0", (-2.02e-6, -2.0), 1.0, 1.0)]), [1.0])
+# Wheels within rounding of their velocity line's origin, which stop twice: the
+# computed velocity at a stop is rounding, whose angle once took the reference
+# round the -r_w side where the rule flips through +r_w both times.
+@example((BezierCurve([[0.07883059059881717, 0.23724615483889655],
+                       [0.2364917717964515, 0.7117384645166897],
+                       [-1.0293239760392936, 1.659214317787386],
+                       [0.7094753153893545, 2.135215393550069],
+                       [0.945967087185806, 2.8469538580667586],
+                       [0.23347423962667135, 3.8740146849787167],
+                       [1.418950630778709, 4.270430787100138],
+                       [1.6554424025751606, 4.982169251616828],
+                       [1.891934174371612, 5.693907716133517]]), False),
+         (Tangential(math.pi), [Wheel("w0", (-1.8369701987210297e-16, 1.5), 1.0, 1.0)]), [1.0])
+@example((BezierCurve([[-0.10595065697864799, 0.1778662327772064],
+                       [-1.4574264422266379, 0.37051443401290257],
+                       [-0.983256366516132, 1.650656171029438],
+                       [-1.8437052323652208, 1.996002969099516],
+                       [-1.8605620760536161, 3.12344610928167],
+                       [-2.2992149308223584, 3.859841078407786],
+                       [-2.180081505088615, 5.019431266232045],
+                       [-3.1765206403598425, 5.3326310166600175]]), False),
+         (Tangential(0.0), [Wheel("w0", (0.0, 1.0), 1.0, 1.0)]), [1.0])
+@example((BezierCurve([[0.0, 0.0], [1.701527405462968, 4.376996545943173e-17],
+                       [0.8635698434150317, -1.4808857605326005],
+                       [1.2953547651225477, -2.221328640798901],
+                       [0.6512095657638537, -3.589193859058712],
+                       [3.454699649003605, -2.9465907883433484],
+                       [2.5907095302450953, -4.442657281597802],
+                       [3.0224944519526113, -5.183100161864102]]), False),
+         (Tangential(math.pi), [Wheel("w0", (-9.950255243072244e-17, 0.8125000000000001),
+                                      1.0, 1.0)]), [1.0])
 def test_half_plane_turns_equal_the_grid_turns(case, steering, us):
     # On a certified hodograph theta takes its whole turns from its u = 0
     # value under every law, and so does each steering angle of a crab law; a
@@ -447,6 +497,63 @@ def test_headings_that_straddle_the_cut_keep_their_own_start():
     assert _branch_nodes(segment.mode, curve, True).size == 1
     zeta = assert_reference_branches(segment, wheels, us)
     assert zeta[0, 0] > 2.5 and zeta[1, 0] < -2.5
+
+
+def two_pass_tracks(segment, wheels, us, lowest):
+    """`_steering_tracks` with its u = 0 state from a pass of its own: theta and the
+    wheel headings at `_branch_nodes`, the u = 0 node alone in tangential mode."""
+    mode, curve = segment.mode, segment.curve
+    jets = _Jets(curve, mode, us, lowest=lowest)
+    nodes = _branch_nodes(mode, curve, True)
+    tangential = isinstance(mode, Tangential)
+    start = _Jets(curve, mode, nodes[:1] if tangential else nodes, 1, lowest=1)
+    grid = (_orientation(mode, curve, nodes, 0, None, mode.alpha, None)[0]
+            if tangential and nodes.size > 1 else start.theta[0])
+    pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kappa = np.where(singular | unbounded, np.nan, det / safe**3)
+    d1_start = _wheel_derivative_arrays(start, wheels, 1)[1]
+    headings = np.arctan2(d1_start[1], d1_start[0])
+    principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
+    delta0 = headings[:, :1] - start.theta[0][0]
+    if headings.shape[1] > 1:
+        turns = _branch_turns(us, np.vstack((grid, headings)), principal)
+    else:
+        x, y = wheels.mounts.T
+        side = np.where(x * math.cos(mode.alpha) - y * math.sin(mode.alpha) < 0.0, -1.0, 1.0)
+        reference = np.arctan2(side * y, side * x)[:, None] if tangential else delta0
+        body = _branch_turns(us, grid, principal[0])
+        turns = np.vstack((body, body + _turns(reference, principal[1:] - principal[0])
+                           - _turns(reference, delta0)))
+    unwrapped = principal + math.tau * turns
+    anchor = np.rint([(wrap_angle(s) - s) / math.tau for s in delta0[:, 0].tolist()])[:, None]
+    delta = (principal[1:] - principal[0]) + math.tau * ((turns[1:] - turns[0]) + anchor)
+    return jets.theta[1], unwrapped[0], {
+        "position": None if pos is None else np.stack(pos, axis=-1), "zeta_w": unwrapped[1:],
+        "delta_w": delta, "r_v": r_v, "r_omega": r_omega, "kappa_w": kappa,
+        "singular": singular}
+
+
+@settings(deadline=None, max_examples=150)
+@given(branch_curves(), BRANCH_MODES, st.lists(st.tuples(MOUNT, MOUNT), min_size=1, max_size=4),
+       st.sampled_from([0.0, -0.0, 0.4, None]), SAMPLE_SETS, st.sampled_from([0, 1]))
+def test_start_state_from_the_main_pass_equals_its_own_pass(case, mode, mounts, first, us,
+                                                            lowest):
+    # Where the wheels start from u = 0 alone, theta and the headings there are
+    # column 0 of the pass at us when us starts at +0.0, and of a pass with +0.0
+    # put first otherwise (as at -0.0): each node's values are its own, so every
+    # track equals the one with a pass at u = 0 of its own, bit for bit.
+    curve, _ = case
+    segment = PathSegment(curve, mode, 1.5)
+    wheels = _WheelArrays([Wheel(f"w{k}", mount, 1.0, 1.0) for k, mount in enumerate(mounts)])
+    us = np.array(us if first is None else [first, *us])
+    dtheta, theta, tracks = _steering_tracks(segment, wheels, us, lowest)
+    ref_dtheta, ref_theta, ref_tracks = two_pass_tracks(segment, wheels, us, lowest)
+    assert same(dtheta, ref_dtheta) and same(theta, ref_theta)
+    assert tracks.keys() == ref_tracks.keys()
+    for key, rows in tracks.items():
+        assert (rows is None) == (ref_tracks[key] is None) == (key == "position" and lowest == 1)
+        assert rows is None or same(rows, ref_tracks[key])
 
 
 @st.composite
