@@ -405,8 +405,8 @@ def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
     return None
 
 
-def arc_length(curve: BezierCurve, u1: float = 0.0, u2: float | np.ndarray = 1.0,
-               tol: float = 1e-9) -> float | np.ndarray:
+def arc_length(curve: BezierCurve, u1: float = 0.0,
+               u2: float | np.ndarray = 1.0) -> float | np.ndarray:
     """Arc length of ``curve`` over [u1, u2] in meters: S(u2) - S(u1), S one piecewise
     Chebyshev antiderivative of |C'| (Chebfun's cumsum with splitting).
 
@@ -417,9 +417,9 @@ def arc_length(curve: BezierCurve, u1: float = 0.0, u2: float | np.ndarray = 1.0
     NaN splits nothing, nor does a depth with over _CHEB_WIDTH such pieces (subnormal
     samples never pass). S(u) is the integrated series of u's piece by Clenshaw's
     recurrence plus the earlier pieces, each its series at x = 1 less x = -1. The
-    error is absolute, a few eps of the length on a regular curve; ``tol`` is not
-    read. Each length of an array ``u2`` is the scalar call's bit for bit, since S
-    depends on the curve alone; u1 == u2 gives 0.0.
+    error is absolute, a few eps of the length on a regular curve. Each length of an
+    array ``u2`` is the scalar call's bit for bit, since S depends on the curve alone;
+    u1 == u2 gives 0.0.
     """
     ends = np.asarray(u2, dtype=float)
     flat = ends.ravel()

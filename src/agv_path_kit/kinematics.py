@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import (Tangential, _branch_nodes, _branch_turns, _orientation, _turns,
-                     orientation_many, wrap_angle)
+from .motion import (_UNWRAP_U, Crab, Tangential, _branch_nodes, _branch_turns, _orientation,
+                     _turns, orientation_many, wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel, _WheelArrays
 
 __all__ = [
@@ -192,49 +192,45 @@ def _steering_tracks(segment: PathSegment, wheels: _WheelArrays, us: np.ndarray,
     """Theta' and unwrapped theta at ``us``, and the (W, N) wheel tracks; with ``lowest``
     1 the curve is evaluated from C' up and the position track is None.
 
-    Angles are principal values plus whole turns, theta's from `motion._branch_turns`
-    at the `_branch_nodes` nodes. Exponential wheels, and crab ones on an uncertified
-    hodograph, unwrap on that grid (order 1 jets from C' up); a tangential theta alone
-    takes its grid angles from C' there. Any other steering angle
-    zeta_w - theta takes the branch nearest its value at u = 0 (crab) or angle(s r_w),
-    s = sign(r_x cos alpha - r_y sin alpha) or +1 at 0 (tangential; see README,
-    "Conventions worth knowing"), and zeta_w theta's turns plus its own. A steering
-    angle also takes the turns that put its u = 0 value in (-pi, pi]. Where the
-    wheels start from u = 0 alone (tangential, or on one branch node), theta and the
-    headings there are column 0 of the pass at ``us``, with u = +0.0 put first when
-    ``us`` does not start there: each node's values depend on that node alone.
+    Angles are principal values plus whole turns. Theta's come from `motion._branch_turns`
+    at the `_branch_nodes` nodes, which depend on the curve alone, as in `orientation`.
+    Exponential wheels, and crab ones on an uncertified hodograph, unwrap on `_UNWRAP_U`
+    (order 1 jets from C' up, wheel rows only; theta's grid row is read off that pass
+    when it needs one). Any other steering angle zeta_w - theta takes the branch nearest
+    its value at u = 0 (crab) or angle(s r_w), s = sign(r_x cos alpha - r_y sin alpha)
+    or +1 at 0 (tangential; see README, "Conventions worth knowing"), and zeta_w theta's
+    turns plus its own. A steering angle also takes the turns that put its u = 0 value
+    in (-pi, pi]. Theta and the headings at u = 0 are column 0 of the pass at ``us``,
+    with u = +0.0 put first when ``us`` does not start there: each node's values depend
+    on that node alone.
     """
     mode, curve = segment.mode, segment.curve
-    nodes = _branch_nodes(mode, curve, True)
+    nodes = _branch_nodes(curve)
     tangential = isinstance(mode, Tangential)
-    from_main = tangential or nodes.size == 1
-    lead = int(from_main and us[:1].tobytes() != bytes(8))  # +0.0 is eight zero bytes
+    wheel_grid = not tangential and (nodes.size > 1 or not isinstance(mode, Crab))
+    lead = int(us[:1].tobytes() != bytes(8))  # +0.0 is eight zero bytes
     jets = _Jets(curve, mode, np.concatenate((nodes[:1], us)) if lead else us, lowest=lowest)
-    start = None if from_main else _Jets(curve, mode, nodes, 1, lowest=1)
-    start_theta = jets.theta[0][:1] if from_main else start.theta[0]
-    grid = (_orientation(mode, curve, nodes, 0, None, mode.alpha, None)[0]
-            if tangential and nodes.size > 1 else start_theta)
     pos, d1, r_v, r_omega, singular, (det, safe, unbounded) = _ratios_from_derivatives(jets, wheels)
     with np.errstate(invalid="ignore", over="ignore"):
         kappa = np.where(singular | unbounded, np.nan, det / safe**3)
     del det, safe, unbounded  # held through the grid pass, they cost 8 % more page faults
     principal = np.vstack((jets.theta[0], np.arctan2(d1[1], d1[0])))
-    if from_main:
-        headings = principal[1:, :1]
-    else:
-        d1_start = _wheel_derivative_arrays(start, wheels, 1)[1]
-        headings = np.arctan2(d1_start[1], d1_start[0])
+    delta0 = principal[1:, :1] - principal[0, 0]
     principal = principal[:, lead:]
-    delta0 = headings[:, :1] - start_theta[0]
-    if headings.shape[1] > 1:
-        turns = _branch_turns(us, np.vstack((grid, headings)), principal)
-    else:
+    if wheel_grid:
+        start = _Jets(curve, mode, _UNWRAP_U, 1, lowest=1)
+        d1_grid = _wheel_derivative_arrays(start, wheels, 1)[1]
+        wheel_turns = _branch_turns(us, np.arctan2(d1_grid[1], d1_grid[0]), principal[1:])
+    grid = (jets.theta[0][:1] if nodes.size == 1 else start.theta[0] if wheel_grid
+            else _orientation(mode, curve, nodes, 0, None, mode.alpha, None)[0])
+    body = _branch_turns(us, grid, principal[0])
+    if not wheel_grid:
         x, y = wheels.mounts.T
         side = np.where(x * math.cos(mode.alpha) - y * math.sin(mode.alpha) < 0.0, -1.0, 1.0)
         reference = np.arctan2(side * y, side * x)[:, None] if tangential else delta0
-        body = _branch_turns(us, grid, principal[0])
-        turns = np.vstack((body, body + _turns(reference, principal[1:] - principal[0])
-                           - _turns(reference, delta0)))
+        wheel_turns = (body + _turns(reference, principal[1:] - principal[0])
+                       - _turns(reference, delta0))
+    turns = np.vstack((body, wheel_turns))
     unwrapped = principal + math.tau * turns
     anchor = np.rint([(wrap_angle(s) - s) / math.tau for s in delta0[:, 0].tolist()])[:, None]
     delta = (principal[1:] - principal[0]) + math.tau * ((turns[1:] - turns[0]) + anchor)

@@ -122,20 +122,16 @@ def _turns(reference, angle):
     return np.where(np.abs(np.abs(q - np.rint(q)) - 0.5) <= 1e-9, np.trunc(q), np.rint(q))
 
 
-def _branch_nodes(mode, curve: BezierCurve, wheels: bool) -> np.ndarray:
-    """`_UNWRAP_U`'s first node (u = 0) alone, or all of `_UNWRAP_U` where an angle needs
-    it: theta on an uncertified hodograph and, with ``wheels``, the wheels of an exponential
-    law, whose body-frame velocities lie on no fixed line (tangential and crab wheels: see
-    `kinematics._steering_tracks`)."""
-    wheel_grid = wheels and isinstance(mode, (ExponentialDelayed, ExponentialAnticipated))
-    direct = not wheel_grid and _hodograph_certifies(curve.control_points.tolist())
-    return _UNWRAP_U[:1] if direct else _UNWRAP_U
+def _branch_nodes(curve: BezierCurve) -> np.ndarray:
+    """The nodes whose theta fixes theta's whole turns under every law: `_UNWRAP_U`'s
+    first node (u = 0) alone on a certified hodograph, all of `_UNWRAP_U` otherwise."""
+    return _UNWRAP_U[:1] if _hodograph_certifies(curve.control_points.tolist()) else _UNWRAP_U
 
 
 def _branch_turns(us, grid: np.ndarray, principal: np.ndarray) -> np.ndarray:
     """Whole turns of the ``principal`` angles at ``us`` (a row each, or theta alone,
-    1-D) from the same angles at `_branch_nodes`: theta's within a half turn of its
-    u = 0 value, or each row's unwrapped along `_UNWRAP_U` and read at ``us``."""
+    1-D) from the same angles at u = 0 alone (theta, within a half turn of its value
+    there) or on `_UNWRAP_U` (each row unwrapped along it and read at ``us``)."""
     if grid.shape[-1] > 1:
         steps = math.tau * np.cumsum(np.rint(np.diff(grid) / -math.tau), axis=-1)
         grid = np.concatenate((grid[..., :1], grid[..., 1:] + steps), axis=-1)
@@ -279,7 +275,7 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     us, n = _checked(us), getattr(mode, "n", None)
     law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
     if unwrap:
-        nodes = _branch_nodes(mode, curve, False)
+        nodes = _branch_nodes(curve)
         grid = _orientation(mode, curve, nodes, 0, None, mode.alpha, n)[0]
         law = (law[0] + math.tau * _branch_turns(us, grid, law[0]), *law[1:])
     return law

@@ -29,7 +29,8 @@ class VelocityProfile:
     """Time-parameterized speed profile along a path.
 
     ``s`` is arc length from the path start; ``v`` never exceeds the limit
-    curve ``v_limit``; ``t`` is strictly increasing. Per-wheel arrays carry
+    curve ``v_limit``; ``t`` is strictly increasing until it reaches +inf (a time
+    past the float range, as under a subnormal speed limit). Per-wheel arrays carry
     the realized traction speeds (v * R_v) and steering rates
     (v * R_omega, rad/s) plus the sampled steering angles.
     """
@@ -158,7 +159,8 @@ def plan_velocity(path: Path, vehicle: VehicleModel, a_max: float = 0.5,
     if np.any(moving & (pair <= 0.0)):
         raise DiscontinuousPathError(
             "speed limit collapses to zero over an interval of positive length")
-    dt = np.divide(2.0 * ds, pair, out=np.zeros_like(ds), where=moving)
+    with np.errstate(over="ignore"):  # a time past the float range is +inf
+        dt = np.divide(2.0 * ds, pair, out=np.zeros_like(ds), where=moving)
     t = np.concatenate(([0.0], np.cumsum(dt)))
 
     delta, r_v, r_omega, kappa = tracks

@@ -371,6 +371,25 @@ def test_profile_keeps_limits_whose_square_leaves_the_float_range(limit, tmp_pat
     assert [row[v] for row in rows] == ["0.0"] + [row[v_max] for row in rows[1:-1]] + ["0.0"]
 
 
+
+@pytest.mark.parametrize("item", ["segment", "wheel"])
+def test_profile_time_past_the_float_range_is_inf(item, tmp_path, capsys):
+    # Under a subnormal speed limit 2 ds / (v_i + v_i+1) leaves the float range:
+    # that time is +inf, with no RuntimeWarning, and t stays +inf from there on.
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    (doc["segments"] if item == "segment" else doc["vehicle"]["wheels"])[0]["v_max_mps"] = 1e-320
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["profile", str(layout), "--samples", "20"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    t = [float(row[header.index("t_s")]) for row in rows]
+    assert t[0] == 0.0 and t[-1] == math.inf
+    assert all(a < b or a == b == math.inf for a, b in zip(t, t[1:]))
+
 def run_cli(argv):
     """Exit code of the CLI, whether ``main`` returns it or argparse exits."""
     try:

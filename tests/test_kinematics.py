@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Path, PathSegment,
-                          Tangential, VehicleModel, Wheel, curvature, evaluate,
+from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, ExponentialDelayed, Path,
+                          PathSegment, Tangential, VehicleModel, Wheel, curvature, evaluate,
                           plan_velocity, profile_segment, speed_limit,
                           wheel_curve_jet, wheel_speed_limit, wheel_state)
 from agv_path_kit import kinematics, motion
@@ -269,17 +269,17 @@ class TestSegmentProfile:
             assert grid_orders == expected
 
     def test_only_uncertified_theta_and_non_tangential_wheels_take_the_grid(self, monkeypatch):
-        grid_orders, grid_wheel_passes = [], []
-        curve_pass, wheel_pass = BezierCurve.derivatives_many, kinematics._wheel_derivative_arrays
+        grid_calls, branch_grids = [], []
+        curve_pass, branch_turns = BezierCurve.derivatives_many, kinematics._branch_turns
 
         def counting(curve, us, order, **kwargs):
             if np.size(us) == _UNWRAP_U.size:
-                grid_orders.append(order)
+                grid_calls.append((order, us is _UNWRAP_U))
             return curve_pass(curve, us, order, **kwargs)
 
-        def counting_wheels(jets, wheels, order=2):
-            grid_wheel_passes.append(jets.c[1].shape[0] == _UNWRAP_U.size)
-            return wheel_pass(jets, wheels, order)
+        def counting_turns(us, grid, principal):
+            branch_grids.append(grid.shape)
+            return branch_turns(us, grid, principal)
 
         phi = np.linspace(0.0, 1.6 * math.pi, 9)
         winding = BezierCurve(2.0 * np.column_stack((np.cos(phi), np.sin(phi))))
@@ -287,21 +287,34 @@ class TestSegmentProfile:
         assert not _hodograph_certifies(winding.control_points.tolist())
         assert _hodograph_certifies(bend.control_points.tolist())
         vehicle = VehicleModel((wheel("a", 0.8, 0.4), wheel("b", -0.8, -0.4), wheel("c", 0.0, 0.0)))
-        # Tangential: one grid evaluation, of the curve to order 1 (theta's
-        # principal angles read C' alone), and no wheel derivatives on the grid.
-        # Crab on a certified hodograph: no grid. Crab on an uncertified one: the
-        # curve to order 1, theta and the wheels unwrapped on the grid together.
-        for curve, mode, orders, wheels_on_grid in (
-                (winding, Tangential(0.4), [1], False), (bend, Tangential(0.4), [], False),
-                (bend, Crab(0.4), [], False), (winding, Crab(0.4), [1], True)):
-            grid_orders.clear()
-            grid_wheel_passes.clear()
+        # Theta takes its turns from u = 0 on the certified bend and from a grid row
+        # on the winding curve, under every law. Tangential on the winding curve: one
+        # grid evaluation, of the curve to order 1 (theta's principal angles read C'
+        # alone), for theta alone. Crab on an uncertified curve and both exponential
+        # laws on either curve: one wheel pass on `_UNWRAP_U` (order 1 jets; an
+        # exponential law reads the curve to order 2 at g(u) as well), whose turns
+        # are taken for the three wheel rows alone; on the winding curve theta's grid
+        # row is read off that pass, with no evaluation of its own.
+        delayed, anticipated = ExponentialDelayed(0.4, 1.5), ExponentialAnticipated(0.4, 3.0)
+        theta_row, wheel_rows = (_UNWRAP_U.size,), (3, _UNWRAP_U.size)
+        exponential_pass = [(1, True), (2, False)]
+        for curve, mode, calls, grids in (
+                (winding, Tangential(0.4), [(1, True)], [theta_row]),
+                (bend, Tangential(0.4), [], [(1,)]),
+                (bend, Crab(0.4), [], [(1,)]),
+                (winding, Crab(0.4), [(1, True)], [wheel_rows, theta_row]),
+                (bend, delayed, exponential_pass, [wheel_rows, (1,)]),
+                (bend, anticipated, exponential_pass, [wheel_rows, (1,)]),
+                (winding, delayed, exponential_pass, [wheel_rows, theta_row]),
+                (winding, anticipated, exponential_pass, [wheel_rows, theta_row])):
+            grid_calls.clear()
+            branch_grids.clear()
             monkeypatch.setattr(BezierCurve, "derivatives_many", counting)
-            monkeypatch.setattr(kinematics, "_wheel_derivative_arrays", counting_wheels)
+            monkeypatch.setattr(kinematics, "_branch_turns", counting_turns)
             profile_segment(PathSegment(curve, mode, 1.5), vehicle, 200)
             monkeypatch.undo()
-            assert grid_orders == orders
-            assert any(grid_wheel_passes) == wheels_on_grid
+            assert grid_calls == calls
+            assert branch_grids == grids
 
     def test_repeated_profiles_make_the_same_evaluations(self, layout_exponential,
                                                           monkeypatch):

@@ -494,17 +494,21 @@ def test_headings_that_straddle_the_cut_keep_their_own_start():
     segment = PathSegment(curve, Tangential(0.0), 1.5)
     wheels = [Wheel("front", (1.0, 0.5), 1.0, 1.0), Wheel("rear", (-1.0, -0.5), 1.0, 1.0)]
     us = np.linspace(0.0, 1.0, 5)
-    assert _branch_nodes(segment.mode, curve, True).size == 1
+    assert _branch_nodes(curve).size == 1
     zeta = assert_reference_branches(segment, wheels, us)
     assert zeta[0, 0] > 2.5 and zeta[1, 0] < -2.5
 
 
 def two_pass_tracks(segment, wheels, us, lowest):
-    """`_steering_tracks` with its u = 0 state from a pass of its own: theta and the
-    wheel headings at `_branch_nodes`, the u = 0 node alone in tangential mode."""
+    """`_steering_tracks` with its u = 0 state from a pass of its own, under the rule
+    that took theta's turns from the wheels' nodes: theta and the wheel headings on
+    `_UNWRAP_U` for an exponential law or an uncertified hodograph, else at u = 0 alone
+    (the u = 0 node alone in tangential mode)."""
     mode, curve = segment.mode, segment.curve
     jets = _Jets(curve, mode, us, lowest=lowest)
-    nodes = _branch_nodes(mode, curve, True)
+    exponential = isinstance(mode, (ExponentialDelayed, ExponentialAnticipated))
+    certified = _hodograph_certifies(curve.control_points.tolist())
+    nodes = _UNWRAP_U[:1] if certified and not exponential else _UNWRAP_U
     tangential = isinstance(mode, Tangential)
     start = _Jets(curve, mode, nodes[:1] if tangential else nodes, 1, lowest=1)
     grid = (_orientation(mode, curve, nodes, 0, None, mode.alpha, None)[0]
