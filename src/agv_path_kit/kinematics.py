@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BezierCurve, CurveJet, _cross, arc_length
-from .motion import (_UNWRAP_U, Crab, Tangential, _branch_nodes, _branch_turns, _orientation,
-                     _turns, orientation_many, wrap_angle)
+from .curve import BezierCurve, CurveJet, _cross, _parameter, arc_length
+from .motion import (_UNWRAP_U, Crab, Tangential, _branch_nodes, _branch_turns, _end_parameter,
+                     _orientation, _turns, wrap_angle)
 from .vehicle import PathSegment, VehicleModel, Wheel, _WheelArrays
 
 __all__ = [
@@ -96,8 +96,8 @@ class _Jets:
         self.c = curve.derivatives_many(us, order + 1 if tangential else order,
                                         lowest=lowest)
         self.speed = np.hypot(self.c[1][:, 0], self.c[1][:, 1])
-        self.theta = orientation_many(mode, curve, us, False, order,
-                                      self.c if tangential else None)
+        self.theta = _orientation(mode, curve, us, order, self.c if tangential else None,
+                                  mode.alpha, getattr(mode, "n", None))
         self.cos, self.sin = np.cos(self.theta[0]), np.sin(self.theta[0])
 
 
@@ -143,7 +143,7 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
     if not 0 <= order <= 3:
         raise ValueError(f"order must be in 0..3, got {order}")
     k = max(order, 1)
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]), order=k)
+    jets = _Jets(segment.curve, segment.mode, np.array([_parameter(u)]), order=k)
     d = [np.stack(a, axis=-1)[0, 0] for a in
          _wheel_derivative_arrays(jets, _WheelArrays([wheel]), k)]
     zero = np.zeros(2)
@@ -153,9 +153,7 @@ def wheel_curve_jet(segment: PathSegment, wheel: Wheel, u: float,
 
 def wheel_end_jet(segment: PathSegment, wheel: Wheel, end: str) -> CurveJet:
     """One-sided wheel jet up to order 2 at a segment end ("start" or "end")."""
-    if end not in ("start", "end"):
-        raise ValueError(f"end must be 'start' or 'end', got {end!r}")
-    return wheel_curve_jet(segment, wheel, 0.0 if end == "start" else 1.0)
+    return wheel_curve_jet(segment, wheel, _end_parameter(end))
 
 
 def _ratios_from_derivatives(jets: _Jets, wheels: _WheelArrays):
@@ -279,7 +277,7 @@ def fold_steering_angles(deltas: np.ndarray, limit: float = math.pi) -> np.ndarr
 
 def wheel_state(segment: PathSegment, wheel: Wheel, u: float) -> WheelState:
     """Full kinematic state of ``wheel`` at parameter ``u``."""
-    t = _wheel_track_arrays(segment, wheel, np.array([float(u)]))
+    t = _wheel_track_arrays(segment, wheel, np.array([_parameter(u)]))
     scalars = (float(t[key][0]) for key in ("zeta_w", "delta_w", "r_v", "r_omega", "kappa_w"))
     return WheelState(t["position"][0], *scalars, bool(t["singular"][0]))
 
@@ -331,7 +329,7 @@ def speed_limit(segment: PathSegment, vehicle: VehicleModel, u: float,
                 s: float | None = None) -> SpeedLimitSample:
     """Pointwise vehicle speed limit at ``u`` with its binding constraint."""
     wheels = vehicle._arrays
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
+    jets = _Jets(segment.curve, segment.mode, np.array([_parameter(u)]))
     r_v, r_omega, singular = _ratios_from_derivatives(jets, wheels)[2:5]
     v, rows = _limit_from_tracks(segment.v_max, wheels, r_v, r_omega)
     if s is None:
@@ -347,7 +345,7 @@ def wheel_speed_limit(segment: PathSegment, vehicle: VehicleModel,
     ``wheel`` rides along in the vehicle's pass as one more row, which limits nothing.
     """
     wheels = vehicle._arrays
-    jets = _Jets(segment.curve, segment.mode, np.array([float(u)]))
+    jets = _Jets(segment.curve, segment.mode, np.array([_parameter(u)]))
     r_v, r_omega = _ratios_from_derivatives(jets, _WheelArrays([*wheels.wheels, wheel]))[2:4]
     v = _limit_from_tracks(segment.v_max, wheels, r_v[:-1], r_omega[:-1])[0]
     return float(v[0]) * float(r_v[-1, 0])

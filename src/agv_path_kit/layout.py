@@ -74,7 +74,8 @@ class LayoutDocument:
         A chain that closes on itself starts at the first segment in the
         file. Raises `LayoutError` when the adjacency forks, merges or
         leaves a segment off the chain: a profile needs one unbranched path,
-        and `ValueError` naming both segment ids when chained ends do not meet.
+        and `ValueError` naming both segment ids when chained ends do not meet,
+        the closing pair of a closed chain included.
         """
         successor: dict[str, str] = {}
         predecessor: dict[str, str] = {}
@@ -100,9 +101,10 @@ class LayoutDocument:
             raise LayoutError(f"segment {off[0]!r} is not on the chain that starts at "
                               f"{start!r}; a profile needs one unbranched chain",
                               "adjacency")
-        chain = tuple(segments[sid] for sid in order)
-        _check_connected(chain, [repr(sid) for sid in order], Path.g0_tol)
-        return Path(chain)
+        ring = order + [start] if order[-1] in successor else order  # closed: back to start
+        _check_connected([segments[sid] for sid in ring], [repr(sid) for sid in ring],
+                         Path.g0_tol)
+        return Path(tuple(segments[sid] for sid in order))
 
 
 def _is_number(value) -> bool:

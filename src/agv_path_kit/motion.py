@@ -230,11 +230,6 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
 # --------------------------------------------------------------------------
 # Orientation jets.
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when ``a`` and ``b`` hold the same values with the same signs of zero."""
-    return bool(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
 def _guarded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b with the 0 * inf endpoint limits resolved to 0.
 
@@ -252,18 +247,12 @@ def _guarded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
-                     unwrap: bool = True, order: int = 2,
-                     curve_jets: list[np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, ...]:
+                     unwrap: bool = True, order: int = 2) -> tuple[np.ndarray, ...]:
     """Arrays (theta, theta', ...) up to the ``order``-th derivative (1..3).
 
     Each law evaluates the curve once, at its own nodes: ``us`` for
     tangential, g(us) for the exponential modes. That one evaluation, from
-    C' up, gives the heading and its rates. ``curve_jets``, the curve
-    derivatives at ``us`` up to ``order + 1`` (entry 0 may be None), spares
-    the law its evaluation whenever its nodes equal ``us`` bit for bit: in
-    tangential mode always, in an exponential mode where g(u) == u exactly,
-    as at u = +0.0 and u = 1 (a junction end). Theta is principal plus whole
+    C' up, gives the heading and its rates. Theta is principal plus whole
     turns, as in `profile_segment`. Every law reads the tangent at u or at g(u),
     with g(0) = 0 and g([0, 1]) = [0, 1], so on a certified hodograph (C' in an
     open half-plane) theta takes the turns that put it within a half turn of
@@ -273,7 +262,7 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
     if not 1 <= order <= 3:
         raise ValueError(f"order must be in 1..3, got {order}")
     us, n = _checked(us), getattr(mode, "n", None)
-    law = _orientation(mode, curve, us, order, curve_jets, mode.alpha, n)
+    law = _orientation(mode, curve, us, order, None, mode.alpha, n)
     if unwrap:
         nodes = _branch_nodes(curve)
         grid = _orientation(mode, curve, nodes, 0, None, mode.alpha, n)[0]
@@ -282,18 +271,19 @@ def orientation_many(mode: MotionMode, curve: BezierCurve, us: np.ndarray,
 
 
 def _orientation(mode, curve, us, order, curve_jets, alpha, n):
-    """`orientation_many` on checked ``us`` for the mode class of ``mode``, the
-    one copy of every law; ``alpha`` and ``n`` may be arrays, one value per
-    node. `continuity._end_states` runs a class over junction-end rows this
-    way, with ``curve`` None: every law reuses ``curve_jets`` at an end.
-    Order 0 gives theta alone, from the curve read to order 1."""
+    """Principal theta and its derivatives to ``order`` at checked ``us`` under the mode
+    class of ``mode``: the one copy of every law. ``alpha`` and ``n`` may be arrays, one
+    value per node. Order 0 gives theta alone, from the curve read to order 1. Given
+    ``curve_jets`` (C' up to ``order + 1``), the law uses them as is, so they must hold
+    the curve at its own nodes: ``us`` in tangential mode (from `kinematics._Jets`), or
+    junction ends, where g(u) = u bit for bit (from `continuity._end_states`, with
+    ``curve`` None). Without them the law evaluates ``curve`` at its nodes."""
     if isinstance(mode, Crab):
         return (np.full_like(us, alpha),) + (np.zeros_like(us),) * order
     tangential, anticipated = isinstance(mode, Tangential), isinstance(mode, ExponentialAnticipated)
     g = None if tangential else _reparam(anticipated, n, us, order)
-    nodes = us if tangential else g[0]
-    if curve_jets is None or not (nodes is us or _same_bits(nodes, us)):
-        curve_jets = curve.derivatives_many(nodes, order + 1, lowest=1)
+    if curve_jets is None:
+        curve_jets = curve.derivatives_many(us if tangential else g[0], order + 1, lowest=1)
     theta = _angle(curve_jets[1]) + alpha
     if not order:
         return (theta,)
@@ -325,6 +315,11 @@ def orientation_at_end(mode: MotionMode, curve: BezierCurve, end: str) -> Orient
     1 < n < 2 unless the tangent-angle rate vanishes (|zeta'| <= _FLAT_RATE)
     at that end. `_reparam` and `_guarded_product` give these limits.
     """
+    return orientation(mode, curve, _end_parameter(end))
+
+
+def _end_parameter(end: str) -> float:
+    """u at a segment end: 0.0 at "start", 1.0 at "end"; any other name is refused."""
     if end not in ("start", "end"):
         raise ValueError(f"end must be 'start' or 'end', got {end!r}")
-    return orientation(mode, curve, 0.0 if end == "start" else 1.0)
+    return 0.0 if end == "start" else 1.0

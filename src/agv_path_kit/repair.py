@@ -32,7 +32,7 @@ from .curve import (BezierCurve, _BezierStack, _dot, _hodograph_certifies, _pow,
                     sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
-from .motion import ExponentialAnticipated, Tangential, wrap_angle
+from .motion import ExponentialAnticipated, Tangential, _end_parameter, wrap_angle
 from .vehicle import PathSegment, VehicleModel
 
 __all__ = [
@@ -98,8 +98,7 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     order k needs degree >= k. The moved points come from `_jet_net`, the
     rule the repair candidates use too.
     """
-    if end not in ("start", "end"):
-        raise ValueError(f"end must be 'start' or 'end', got {end!r}")
+    _end_parameter(end)
     order = 3 if d3 is not None else 2 if d2 is not None else 1 if d1 is not None else 0
     if order == 0:
         return curve

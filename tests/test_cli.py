@@ -692,9 +692,26 @@ def test_profile_follows_adjacency_not_file_order(tmp_path, capsys):
 
 def test_closed_chain_starts_at_the_first_segment():
     doc = minimal_doc()
+    doc["segments"][1]["control_points_m"] = [[3.0, 0.0], [0.0, 0.0]]  # b ends where a starts
     doc["adjacency"] = [["b", "a"], ["a", "b"]]
     path = parse_layout(json.dumps(doc)).path()
     assert [s.curve.control_points[0, 0] for s in path.segments] == [0.0, 3.0]
+
+
+def test_profile_refuses_a_closed_chain_whose_closing_pair_does_not_meet(tmp_path, capsys):
+    # s2 ends 9.981 m from where s1 starts: check calls s2:s1 discontinuous,
+    # and profile used to plan the open chain s1 -> s2 regardless.
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    doc["adjacency"] = [["s1", "s2"], ["s2", "s1"]]
+    layout = tmp_path / "closed.json"
+    layout.write_text(json.dumps(doc))
+    assert run_cli(["check", str(layout)]) == 1
+    capsys.readouterr()
+    assert run_cli(["profile", str(layout), "--samples", "20"]) == 1
+    captured = capsys.readouterr()
+    assert "segments 's2' and 's1' are not position-connected" in captured.err
+    assert "gap 9.981e+00 m" in captured.err
+    assert captured.out == ""
 
 
 def test_profile_gap_names_segment_ids_not_chain_positions(tmp_path, capsys):

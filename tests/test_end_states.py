@@ -5,7 +5,7 @@ runs each orientation law once per mode class over the stacked end rows,
 with per-row alpha and n. Every context it hands to `analyze_junction` must
 equal, attribute by attribute and byte for byte (signed zeros, infinities
 and NaN included), the `JunctionContext` built for that junction alone, and
-its end jets must equal the public single-end law on the net end points.
+its end jets must equal the single-end law on the net end points.
 """
 
 import math
@@ -22,7 +22,7 @@ from agv_path_kit import continuity, motion
 from agv_path_kit.continuity import analyze_junction, check_junctions
 from agv_path_kit.errors import DegenerateGeometryError
 from agv_path_kit.layouts import bundled_layout_names, bundled_layout_text
-from agv_path_kit.motion import orientation_many
+from agv_path_kit.motion import _orientation
 
 VEHICLE = VehicleModel((Wheel("w1", (1.0, 0.5), 1.7, 0.8), Wheel("w2", (-1.0, -0.5), 1.7, 0.8)))
 ALPHA = st.floats(-3.0, 3.0)
@@ -49,12 +49,13 @@ def context_bytes(ctx) -> tuple:
 
 
 def single_end(segment: PathSegment, u: float) -> tuple:
-    """One end by the public law with the mode's own scalars, on the net end points."""
+    """One end by the law with the mode's own scalars, on the net end points."""
     curve = segment.curve
     end = 0 if u == 0.0 else -1
     rows = [curve._derivative_net(k)[end][None] if k <= curve.degree else np.zeros((1, 2))
             for k in range(4)]
-    law = orientation_many(segment.mode, curve, np.array([u]), False, 2, rows)
+    mode = segment.mode
+    law = _orientation(mode, curve, np.array([u]), 2, rows, mode.alpha, getattr(mode, "n", None))
     return tuple(raw(row[0]) for row in rows) + tuple(raw(t[0]) for t in law)
 
 

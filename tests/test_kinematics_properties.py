@@ -617,6 +617,29 @@ def test_a_swing_inside_one_grid_step_keeps_its_way_round():
     assert np.allclose(zeta[0], [2.08841, 1.40566, 4.08093, 0.18745], rtol=0.0, atol=1e-5)
 
 
+@pytest.mark.xfail(strict=True, reason="exponential-law wheels take a wrong whole turn from "
+                   "the unwrap grid (ROADMAP item 18)")
+def test_an_exponential_law_one_ulp_from_tangential_keeps_its_steering_turns():
+    # With n one ulp above 1, g(u) = u^n is u to about 1e-15 relative, so the
+    # steering angles are the tangential law's. A wheel 1e-7 off the tangential
+    # velocity line swings inside one grid step, and the grid unwrap puts
+    # delta_w a turn (-2 pi) off from u = 0.9 on.
+    curve = BezierCurve([[-0.37911905226287473, -0.9253479044182786],
+                         [0.3791190522628747, -0.9253479044182786],
+                         [0.9193921268879646, -0.3933422390443529],
+                         [0.9310836616736494, 0.3648057222199087],
+                         [0.40747190071255407, 0.9132177451898855],
+                         [-0.3504056522006374, 0.9365980348611916],
+                         [-0.9068262274088039, 0.42150467765318606],
+                         [-0.941889712826583, -0.33592226611443476]])
+    wheels = _WheelArrays([Wheel("w", (-1e-7, 1.0), 1.0, 1.0)])
+    us = np.array([0.9, 1.0])
+    exponential, tangential = (
+        _steering_tracks(PathSegment(curve, mode, 1.5), wheels, us)[2]["delta_w"][0]
+        for mode in (ExponentialDelayed(0.0, 1.0000000000000002), Tangential(0.0)))
+    assert np.allclose(exponential, tangential, rtol=0.0, atol=1e-9)
+
+
 # An S-bend whose curvature runs from -3.73 to 3.73: its hodograph does not certify.
 S_BEND = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 

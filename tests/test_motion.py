@@ -5,14 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated,
                           ExponentialDelayed, PathSegment, Tangential, VehicleModel,
-                          Wheel, orientation, orientation_at_end, profile_segment,
-                          wheel_curve_jet, wheel_state)
-from agv_path_kit.motion import (_UNWRAP_U, _branch_turns, heading_rates,
+                          Wheel, orientation, orientation_at_end, prescribe_endpoint_jet,
+                          profile_segment, wheel_curve_jet, wheel_state)
+from agv_path_kit.kinematics import wheel_end_jet
+from agv_path_kit.motion import (_UNWRAP_U, _branch_turns, _reparam, heading_rates,
                                  orientation_many, unwrapped_heading, wrap_angle)
 
 from conftest import random_regular_curve
@@ -167,9 +168,33 @@ class TestJunctionJets:
             assert np.all(np.isfinite(jet.d3))
 
     def test_end_argument_validated(self):
+        # One rule and one message for every entry that names a segment end.
         curve = BezierCurve([(0, 0), (1, 0)])
-        with pytest.raises(ValueError):
-            orientation_at_end(Tangential(0.0), curve, "middle")
+        segment = PathSegment(curve, Tangential(0.0), 1.0)
+        for entry in (lambda end: orientation_at_end(Tangential(0.0), curve, end),
+                      lambda end: wheel_end_jet(segment, Wheel("w", (0.5, 0.5), 1.0, 1.0), end),
+                      lambda end: prescribe_endpoint_jet(curve, end, d1=(1.0, 0.0))):
+            with pytest.raises(ValueError, match=r"^end must be 'start' or 'end', got 'middle'$"):
+                entry("middle")
+
+
+# Every finite n > 1: one ulp above 1 up to the largest float.
+ANY_N = st.floats(1.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.booleans(), st.one_of(ANY_N, st.tuples(ANY_N, ANY_N).map(np.array)))
+@example(False, math.nextafter(1.0, 2.0))
+@example(True, np.array([math.nextafter(1.0, 2.0), np.finfo(float).max]))
+def test_reparameterizations_fix_the_segment_ends_bit_for_bit(anticipated, n):
+    # A junction end's law reads the curve at u, not at g(u): `_end_states` hands it
+    # the curve at u = 0 and 1, which is right because g(0) is +0.0 and g(1) is 1.0,
+    # for a scalar n and for one n per row. The derivatives of g overflow once n
+    # passes about 5.6e102 (the third one's factor n (n - 1) (n - 2)); only g is
+    # pinned here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _reparam(anticipated, n, np.array([0.0, 1.0]), 3)[0]
+    assert g.tobytes() == np.array([0.0, 1.0]).tobytes()
 
 
 def test_orientation_takes_the_branch_of_the_profile():
