@@ -139,43 +139,52 @@ def cmd_profile(args) -> int:
         return 2
 
 
+_PROFILE_BLOCK_ROWS = 256  # profile CSV rows formatted and written per block
+
+
 def _write_profile(doc: LayoutDocument, path, args) -> int:
     profile = plan_velocity(path, doc.vehicle, a_max=args.a_max, resolution=args.samples,
                             diagnostic=args.diagnostic, tol=args.tolerances)
 
     def cells(values):
-        # Numbers print as Python float reprs, formatted one column at a time.
+        # Numbers print as Python float reprs, formatted one column block at a time.
         return map(repr, values.tolist())
 
     def degrees(values):
-        # One np.degrees per column, the bits of math.degrees per cell; past the range is inf.
+        # One np.degrees per column block, math.degrees's bits per cell; past the range is inf.
         with np.errstate(over="ignore"):
             return cells(np.degrees(values))
 
     # Wheel ids may hold CSV delimiters: quote each distinct binding label once.
     quoted = {label: _csv_text(label) for label in set(profile.binding)}
-    binding = map(quoted.__getitem__, profile.binding)
     header = ["u", "s_m", "t_s", "v_mps", "v_max_mps", "binding"]
-    columns = [cells(profile.u), cells(profile.s), cells(profile.t), cells(profile.v),
-               cells(profile.v_limit), binding]
+    columns = [(profile.u, cells), (profile.s, cells), (profile.t, cells), (profile.v, cells),
+               (profile.v_limit, cells),
+               (profile.binding, lambda labels: map(quoted.__getitem__, labels))]
     for wid in (w.id for w in doc.vehicle.sorted_wheels()):
         header += [_csv_text(f"{name}_{wid}") for name in ("v_w_mps", "omega_w_degps",
                                                             "delta_deg", "omega_ratio",
                                                             "R_v", "kappa_w")]
-        columns += [cells(profile.wheel_speeds[wid]),
-                    degrees(profile.wheel_steering_rates[wid]),
-                    degrees(profile.wheel_deltas[wid]),
-                    cells(profile.wheel_r_omega[wid]), cells(profile.wheel_r_v[wid]),
-                    cells(profile.wheel_kappa[wid])]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
-    text = "\n".join(lines) + "\n"
+        columns += [(profile.wheel_speeds[wid], cells),
+                    (profile.wheel_steering_rates[wid], degrees),
+                    (profile.wheel_deltas[wid], degrees), (profile.wheel_r_omega[wid], cells),
+                    (profile.wheel_r_v[wid], cells), (profile.wheel_kappa[wid], cells)]
+
+    def write(fh):
+        # A block of rows at a time, so the text never outweighs the planned arrays.
+        fh.write(",".join(header) + "\n")
+        for start in range(0, profile.s.size, _PROFILE_BLOCK_ROWS):
+            rows = slice(start, start + _PROFILE_BLOCK_ROWS)
+            block = zip(*(as_text(values[rows]) for values, as_text in columns))
+            fh.write("".join([",".join(row) + "\n" for row in block]))
+
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
         print(f"wrote {profile.s.size} samples to {args.out} "
               f"(total {profile.total_length:.3f} m, {profile.total_time:.3f} s)")
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return 0
 
 
@@ -192,7 +201,7 @@ def _number(accept, requirement: str, convert=float):
 
 
 _TOLERANCE = _number(lambda x: math.isfinite(x) and x >= 0.0, "a finite number >= 0")
-_MAX_SAMPLES = 1_000_000  # 10^6 samples of a segment take about 4 GB
+_MAX_SAMPLES = 1_000_000  # 10^6 samples of a segment take about 1 GB with six wheels
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--samples", default=1000,
                            type=_number(lambda n: 2 <= n <= _MAX_SAMPLES,
                                         f"an integer from 2 to {_MAX_SAMPLES}", int),
-                           help=f"samples per segment, 2 to {_MAX_SAMPLES} (about 4 KB "
+                           help=f"samples per segment, 2 to {_MAX_SAMPLES} (about 1 KB "
                                 "of memory per sample and segment)")
     p_profile.add_argument("--a-max", default=0.5,
                            type=_number(lambda x: x > 0.0, "a number > 0"),

@@ -1,14 +1,16 @@
 """Arc length against an independent reference.
 
 `arc_length` integrates one piecewise Chebyshev series of |C'| per curve.
-The reference is scipy's adaptive Gauss-Kronrod `quad` at 1e-14, run over
-[0, u] split where |C'| is least and at points closing in on it, so that a
-near cusp does not limit the reference. Both read |C'| from the same
-kernel, so they differ by the rules alone. The curves are regular: a cusp
-that falls between a piece's outermost sample and its end is invisible to
-the samples (on [[0.99999, 1], [0, 1], [1, 1]], whose C' vanishes at
-u = 0.4999975, the length is 2.5e-11 short; the doubling Gauss-Legendre
-rule used before was off by up to 1.3e-6 on such curves).
+The reference is scipy's adaptive Gauss-Kronrod `quad` at 1e-14 relative and
+1e-17 max|H_j| absolute (the fixed 1e-14 used before on a curve of scale 1e3,
+but no bound at all on one of scale 1e-98), run over [0, u] split where |C'|
+is least and at points closing in on it, so that a near cusp does not limit
+the reference. Both read |C'| from the same kernel, so they differ by the
+rules alone. The curves are regular: a cusp that falls between a piece's
+outermost sample and its end is invisible to the samples (on [[0.99999, 1],
+[0, 1], [1, 1]], whose C' vanishes at u = 0.4999975, the length is 2.5e-11
+short; the doubling Gauss-Legendre rule used before was off by up to 1.3e-6
+on such curves).
 """
 
 import math
@@ -16,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial import Polynomial
@@ -60,12 +62,13 @@ def reference(curve: BezierCurve, us, at: float) -> np.ndarray:
     on either side of it."""
     marks = sorted({at} | {at + side * 10.0**-k for k in range(2, 10) for side in (-1, 1)})
     f = speed(curve)
+    epsabs = 1e-17 * np.hypot(*curve._derivative_net(1).T).max()
     lengths = []
     for u in us:
         edges = [0.0] + [m for m in marks if 0.0 < m < u] + [u]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # quad's IntegrationWarning on a length of 0
-            lengths.append(sum(quad(f, a, b, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+            lengths.append(sum(quad(f, a, b, epsabs=epsabs, epsrel=1e-14, limit=200)[0]
                                for a, b in zip(edges, edges[1:])))
     return np.array(lengths)
 
@@ -93,6 +96,10 @@ def regular_curves(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(regular_curves(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+# A curve of scale 1e-98, where a reference at an absolute 1e-14 was 3.7e-10 short.
+@example((BezierCurve([[1.448716745559754e-98, 0.0], [1.4501654623053136e-98, 0.0],
+                       [1.4516141790508735e-98, -1.448716745559754e-98]]),
+          4.923689356626476e-13), [0.5])
 def test_length_matches_an_adaptive_reference(case, us):
     curve, at = case
     us = np.array(sorted(us) + [1.0])

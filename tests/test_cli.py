@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -984,8 +985,9 @@ def test_layout_writer_prints_the_bytes_of_json_dumps(doc, annotations):
 
 
 def test_profile_angle_cells_are_the_degrees_of_each_value(monkeypatch, capsys):
-    # One np.degrees per column prints math.degrees's bits in every cell, also for
-    # non-finite angles and for those whose degrees overflow, with no RuntimeWarning.
+    # One np.degrees per column block prints math.degrees's bits in every cell, also for
+    # non-finite angles and for those whose degrees overflow, with no RuntimeWarning;
+    # the second sample count spans several blocks of rows.
     specials = [math.inf, -math.inf, math.nan, 1e306, -1.7976931348623157e308, 5e-324,
                 -0.0, 0.0, 1.0, math.pi, 3.1e306]
     plan = cli.plan_velocity
@@ -999,14 +1001,95 @@ def test_profile_angle_cells_are_the_degrees_of_each_value(monkeypatch, capsys):
             wheel_deltas={k: -values[::-1] for k in profile.wheel_deltas})
 
     monkeypatch.setattr(cli, "plan_velocity", planned)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["profile", str(bundled_layout_path("two_wheel_smoothed")), "--samples", "20"])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    header, *rows = csv.reader(io.StringIO(out, newline=""))
-    values = np.resize(np.array(specials), len(rows))
-    for prefix, column in (("omega_w_degps", values), ("delta_deg", -values[::-1])):
-        for name in (name for name in header if name.startswith(prefix)):
-            cells = [row[header.index(name)] for row in rows]
-            assert cells == [repr(math.degrees(x)) for x in column.tolist()]
+    for samples in (20, 2 * cli._PROFILE_BLOCK_ROWS + 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["profile", str(bundled_layout_path("two_wheel_smoothed")),
+                         "--samples", str(samples)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert len(rows) == 2 * samples - 1
+        values = np.resize(np.array(specials), len(rows))
+        for prefix, column in (("omega_w_degps", values), ("delta_deg", -values[::-1])):
+            for name in (name for name in header if name.startswith(prefix)):
+                cells = [row[header.index(name)] for row in rows]
+                assert cells == [repr(math.degrees(x)) for x in column.tolist()]
+
+
+def whole_profile_text(profile, wheel_ids) -> str:
+    """The profile CSV formatted in one piece, a cell at a time, by the csv module."""
+    names = ("v_w_mps", "omega_w_degps", "delta_deg", "omega_ratio", "R_v", "kappa_w")
+    rows = [["u", "s_m", "t_s", "v_mps", "v_max_mps", "binding"]
+            + [f"{name}_{wid}" for wid in wheel_ids for name in names]]
+    for i in range(profile.s.size):
+        row = [repr(float(column[i])) for column in (profile.u, profile.s, profile.t,
+                                                     profile.v, profile.v_limit)]
+        row.append(profile.binding[i])
+        for wid in wheel_ids:
+            row += [repr(float(profile.wheel_speeds[wid][i])),
+                    repr(math.degrees(profile.wheel_steering_rates[wid][i])),
+                    repr(math.degrees(profile.wheel_deltas[wid][i])),
+                    repr(float(profile.wheel_r_omega[wid][i])),
+                    repr(float(profile.wheel_r_v[wid][i])),
+                    repr(float(profile.wheel_kappa[wid][i]))]
+        rows.append(row)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (3, 7)])
+def test_streamed_profile_bytes_equal_the_whole_text(blocks, extra, tmp_path, monkeypatch,
+                                                      capsys):
+    # Rows go out a block at a time: one block, one block and a row, and several
+    # blocks that do not divide evenly all print the whole text's bytes, on stdout
+    # and in --out. A one-segment path has one row per sample; the wheel id "w,1"
+    # makes header and binding cells quoted.
+    doc = json.loads(bundled_layout_text("two_wheel_smoothed"))
+    doc["segments"] = doc["segments"][:1]
+    doc["vehicle"]["wheels"][0].update(id="w,1", v_max_mps=0.5)     # traction(w,1) binds
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(doc))
+    samples = blocks * cli._PROFILE_BLOCK_ROWS + extra
+    planned, plan = [], cli.plan_velocity
+    monkeypatch.setattr(cli, "plan_velocity",
+                        lambda *args, **kwargs: planned.append(plan(*args, **kwargs))
+                        or planned[-1])
+    argv = ["profile", str(layout), "--samples", str(samples)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "profile.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {samples} samples to ")
+    expected = whole_profile_text(planned[0], ["w,1", "w2"])
+    assert planned[0].s.size == samples and '"traction(w,1)"' in expected
+    assert stdout == expected
+    assert out.read_bytes() == expected.encode()
+
+
+def test_profile_that_exits_1_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "profile.csv"
+    assert main(["profile", str(bundled_layout_path("two_wheel_g1")), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_writing_a_profile_takes_a_small_share_of_its_text(tmp_path, monkeypatch, capsys):
+    # Memory allocated from the planner's return to the end of the write holds a block
+    # of rows, not the whole text (3.2 MB here; writing it whole traced 15 MB).
+    plan = cli.plan_velocity
+
+    def planned(*args, **kwargs):
+        profile = plan(*args, **kwargs)
+        tracemalloc.start()
+        return profile
+
+    monkeypatch.setattr(cli, "plan_velocity", planned)
+    out = tmp_path / "profile.csv"
+    try:
+        assert main(["profile", SMOOTHED, "--samples", "5001", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes().count(b"\n") == 10_002
+    assert peak < out.stat().st_size / 4
