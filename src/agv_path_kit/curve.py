@@ -36,7 +36,6 @@ REGULAR_SPEED = 1e-9
 _REGULARITY_SAMPLES = 1024  # uniform intervals at whose ends sampling checks |C'|
 _REGULARITY_U = np.linspace(0.0, 1.0, _REGULARITY_SAMPLES + 1)
 _REGULARITY_U.setflags(write=False)
-_REGULARITY_ROW = _REGULARITY_U.tobytes()
 _EPS = float(np.finfo(float).eps)
 
 # Arc length's first-kind Chebyshev points on [-1, 1], and DCT rows weighing sample j
@@ -150,12 +149,11 @@ def _derivative_net(nets: list[np.ndarray], k: int) -> np.ndarray:
 
 
 def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarray | None]:
-    """Bernstein bases of degrees n - lowest, ..., n - min(order, n) at ``us``.
-
-    Entry k is the (m+1, *us.shape) table C(m, j) u^j (1-u)^(m-j), m = n - k,
-    built from one pair of power tables shared by every order; they reach
-    degree n - lowest only. Entries below ``lowest`` are None.
-    """
+    """Bernstein bases of degrees n - lowest, ..., n - min(order, n) at ``us``: entry k is
+    the (m+1, 1, *us.shape) table C(m, j) u^j (1-u)^(m-j), m = n - k, a net's (x, y) axis
+    broadcasting along axis 1, from one pair of power tables (up to degree n - lowest)
+    that serves every order. Entries below ``lowest`` are None."""
+    us = us[None]
     top = max(n - lowest, 0)
     up = np.empty((top + 1,) + us.shape)
     down = np.empty((top + 1,) + us.shape)
@@ -169,59 +167,28 @@ def _basis(n: int, us: np.ndarray, order: int, lowest: int = 0) -> list[np.ndarr
                               for m in range(n - lowest, n - min(order, n) - 1, -1)]
 
 
-# Node tables outlive a call only here, as wheel arrays do on their vehicle
-# (`VehicleModel._arrays`); g(u) is computed in each speed-limit pass. The
-# memo is keyed by (degree, node-row bytes, order), and bounded. One search
-# meets at most three keys: (_TIME_US, 3) on a tangential side, and
-# (_TIME_US, 2) plus (g(_TIME_US), 3) on an exponential side, _TIME_US being
-# repair's 192 travel-time nodes; segment validation adds one regularity key
-# per degree. So 8 holds a two-sided search and two degrees.
-@lru_cache(maxsize=8)
-def _row_basis(n: int, row: bytes, order: int) -> tuple[np.ndarray | None, ...]:
-    """Read-only `_basis` tables of degree n from C' up to ``order`` at the
-    node row whose float64 bytes are ``row`` (entry 0 None)."""
-    tables = tuple(_basis(n, np.frombuffer(row), order, 1))
-    for table in tables[1:]:
-        table.setflags(write=False)
+@lru_cache(maxsize=16)
+def _regularity_tables(n: int) -> tuple[np.ndarray | None, ...]:
+    """Read-only tables of C' at `_REGULARITY_U` for degree n, built on first use."""
+    tables = tuple(_basis(n, _REGULARITY_U, 1, 1))
+    tables[1].setflags(write=False)
     return tables
 
 
-def _bernstein(net, n: int, us: np.ndarray, order: int, lowest: int = 0,
-               row: bytes | None = None) -> list[np.ndarray | None]:
-    """Derivatives lowest..order of degree-n Bezier nets at ``us``, each (2, *us.shape).
-
-    Bernstein form, sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over the k-th
-    derivative net D_k = ``net(k)`` (degree m = n - k), with the `_basis`
-    tables of ``us``. ``row``, the bytes of the one node row that every
-    block of ``us`` repeats (_REGULARITY_U is recognised by identity), takes
-    them from `_row_basis` when no position is read; otherwise they are
-    built here, down to degree n - ``lowest``. Both come from the same
-    arithmetic. Entries below ``lowest`` are None and cost nothing, so
-    entry k is still the k-th derivative. ``net(k)`` has the point axis
-    first and the (x, y) axis second, shaped so that D_k[j] broadcasts
-    against ``us``. The sum runs elementwise in j order, so each entry
-    depends on its own u and net only, whatever ``lowest`` is; at u = 0 and
-    u = 1 it is the net's end point plus the other points times +0.0
-    (`_end_rows` reads the end points directly).
+def _bernstein(net, n: int, tables: list, order: int, lowest: int,
+               shape: tuple) -> list[np.ndarray | None]:
+    """Derivatives lowest..order of degree-n Bezier nets, each (2, *shape), from the
+    `_basis` ``tables`` of nodes of ``shape``: sum_j C(m, j) u^j (1-u)^(m-j) D_k[j] over
+    D_k = ``net(k)``, the k-th derivative net (degree m = n - k; point axis first, then
+    (x, y)). Each order is one product, summed by ``np.add.reduce`` along the point axis,
+    the outermost, so each element sums in j order, from -0.0, which adds to the first
+    term exactly (+0.0 would turn a -0.0 sum into +0.0): each entry depends on its own u
+    and net only. Entries below ``lowest`` are None and cost nothing. At u = 0 and u = 1
+    an entry is the net's end point plus the others times +0.0 (`_end_rows` reads ends).
     """
-    if us is _REGULARITY_U:
-        row = _REGULARITY_ROW
-    basis = (_row_basis(n, row, order) if row is not None and lowest >= 1
-             else _basis(n, us, order, lowest))
-    out = []
-    for k in range(order + 1):
-        if k < lowest:
-            out.append(None)
-            continue
-        if k > n:
-            out.append(np.zeros((2,) + us.shape))
-            continue
-        d, b = net(k), basis[k]
-        value = d[0] * b[0]
-        for j in range(1, n - k + 1):
-            value += d[j] * b[j]
-        out.append(value)
-    return out
+    return [None if k < lowest else np.zeros((2,) + shape) if k > n
+            else np.add.reduce(net(k) * tables[k], axis=0, initial=-0.0)
+            for k in range(order + 1)]
 
 
 class BezierCurve:
@@ -262,9 +229,11 @@ class BezierCurve:
         us = np.atleast_1d(np.asarray(us, dtype=float))
         if us.ndim > 1:
             raise ValueError(f"parameters must be a scalar or 1-D, got shape {us.shape}")
+        n = self.degree
+        tables = (_regularity_tables(n) if us is _REGULARITY_U and (order, lowest) == (1, 1)
+                  else _basis(n, us, order, lowest))
         return [None if value is None else value.T for value in _bernstein(
-            lambda k: self._derivative_net(k)[:, :, None], self.degree, us, order,
-            lowest=lowest)]
+            lambda k: self._derivative_net(k)[:, :, None], n, tables, order, lowest, us.shape)]
 
     def jet(self, u: float, order: int = 3) -> CurveJet:
         return evaluate(self, u, order)
@@ -316,29 +285,45 @@ def _end_rows(ends) -> np.ndarray:
 class _BezierStack:
     """K control nets of one degree, evaluated together: node block k on net k.
 
-    It stands in for a `BezierCurve` where only `derivatives_many` is used
-    (`kinematics.limit_profile_fast`), so repair scores candidate nets
-    without a curve each: ``us`` holds K equal blocks of one node row, and
-    the rows of each result follow them. When the blocks are that row bit
-    for bit, the kernel takes the row's tables from `_row_basis`; a byte
-    comparison and a memo lookup are all a new stack repeats of them. Each
-    net broadcasts as (m+1, 2, K, 1) against a (m+1, K, N) or (m+1, N) basis
-    in the one kernel, with the same products summed in the same order, so
-    every row equals the single curve's result bit for bit.
+    It stands in for a `BezierCurve` in `kinematics.limit_profile_fast`, so repair
+    scores candidate nets without a curve each: ``us`` holds K blocks of nodes, and
+    the rows of each result follow them. Each net broadcasts as (m+1, 2, K, 1) against
+    a (m+1, 1, K, N) basis, or a ``plan``'s (m+1, 1, 1, N), so every row equals the
+    single curve's result bit for bit. With a `motion._NodePlan` of K blocks or more,
+    under its mode, a call at ``nodes`` (its row for K blocks) takes its tables and,
+    on a joined row, keeps the g(u) half for the call that `motion._orientation` then
+    makes at the g(u) blocks `law` lends it.
     """
 
-    def __init__(self, nets):
+    def __init__(self, nets, plan=None):
         points = np.array(nets, dtype=float)
         self._count, self.degree = len(nets), points.shape[1] - 1
-        self._nets = [points.transpose(1, 2, 0)[..., None]]
+        self._nets = [np.ascontiguousarray(points.transpose(1, 2, 0)[..., None])]
+        self._plan, self._held = plan, None
+        size = len(nets) * plan.width if plan else 0
+        self.nodes, *self._law = [block[:size] for block in plan.blocks] if plan else [None]
+
+    def law(self, us: np.ndarray) -> list[np.ndarray] | None:
+        """The plan's g, g', g'' for K blocks when ``us`` is ``nodes``, else None."""
+        return self._law if self._law and us is self.nodes else None
 
     def derivatives_many(self, us: np.ndarray, order: int, *,
                          lowest: int = 0) -> list[np.ndarray | None]:
-        blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
-        row = blocks[0].tobytes()
-        return [None if value is None else value.reshape(2, -1).T for value in _bernstein(
-            lambda k: _derivative_net(self._nets, k), self.degree, blocks, order, lowest,
-            row if blocks.tobytes() == row * self._count else None)]
+        held, self._held = self._held, None
+        net, plan = (lambda k: _derivative_net(self._nets, k)), self._plan
+        if held and us is self._law[0] and lowest >= 1 and order <= 3:
+            values = held
+        elif plan and us is self.nodes and lowest >= 1 and order <= 3:
+            values = _bernstein(net, self.degree, plan.tables, 3, 1,
+                                (self._count, plan.width * (1 + bool(self._law))))
+            self._held = self._law and [v if v is None else v[..., plan.width:] for v in values]
+            values = [v if v is None else v[..., :plan.width] for v in values]
+        else:
+            blocks = np.asarray(us, dtype=float).reshape(self._count, -1)
+            values = _bernstein(net, self.degree, _basis(self.degree, blocks, order, lowest),
+                                order, lowest, blocks.shape)
+        return [None if k < lowest or value is None else value.reshape(2, -1).T
+                for k, value in enumerate(values[:order + 1])]
 
 
 def evaluate(curve: BezierCurve, u: float, order: int = 3) -> CurveJet:
@@ -394,8 +379,8 @@ def sampled_irregular_parameter(curve: BezierCurve) -> float | None:
 
     |C'| is sampled at the _REGULARITY_SAMPLES + 1 uniform nodes of
     _REGULARITY_U, u = 0 and u = 1 among them, through `derivatives_many`,
-    whose kernel takes their tables from `_row_basis` (one entry per
-    degree): the curve is regular (None) when every sample exceeds
+    whose kernel takes their tables from `_regularity_tables` (one entry
+    per degree): the curve is regular (None) when every sample exceeds
     REGULAR_SPEED, and irregular near the node of the smallest sample.
     """
     d1 = curve.derivatives_many(_REGULARITY_U, 1, lowest=1)[1]

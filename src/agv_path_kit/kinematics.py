@@ -285,18 +285,20 @@ def wheel_state(segment: PathSegment, wheel: Wheel, u: float) -> WheelState:
 def _limit_from_tracks(v_segment: float, wheels: _WheelArrays, r_v: np.ndarray,
                        r_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Speed limit at each u and the quota rows it is the minimum of: the
-    segment, then traction and then steering per wheel of ``wheels``. A quota
-    past the float range (a ratio within rounding of 0), or NaN, is +inf, as
-    is one over a ratio of 0 or NaN. A quota that this rewrite changes is NaN
-    or -inf, and so then is the limit: quotas are rewritten only then."""
-    mag = np.abs(np.concatenate((r_v, r_omega)))
-    rows = np.empty((mag.shape[0] + 1, mag.shape[1]))
+    segment, then traction and then steering per wheel of ``wheels``, each
+    wheel's limit over |r_v| or |r_omega|, written straight into its row. A
+    quota past the float range (a ratio within rounding of 0), or NaN, is +inf,
+    as is one over a ratio of 0 or NaN. A quota that this rewrite changes is
+    NaN or -inf, and so then is the limit: quotas are rewritten only then."""
+    rows = np.empty((2 * len(r_v) + 1, r_v.shape[1]))
     rows[0], quota = float(v_segment), rows[1:]
+    np.abs(r_v, out=quota[:len(r_v)])
+    np.abs(r_omega, out=quota[len(r_v):])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(wheels.limits, mag, out=quota)
+        np.divide(wheels.limits, quota, out=quota)
         v = rows.min(axis=0)
         if not (v > -np.inf).all():
-            quota[~(mag > 0.0) | np.isnan(quota)] = np.inf
+            quota[~(np.abs(np.concatenate((r_v, r_omega))) > 0.0) | np.isnan(quota)] = np.inf
             v = rows.min(axis=0)
     return v, rows
 

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .curve import BezierCurve, _cross, _dot, _hodograph_certifies, _parameter
+from .curve import BezierCurve, _basis, _BezierStack, _cross, _dot, _hodograph_certifies, _parameter
 
 __all__ = [
     "OrientationJet",
@@ -227,6 +227,19 @@ def _reparam(anticipated: bool, n, us: np.ndarray, order: int) -> list[np.ndarra
     return g
 
 
+class _NodePlan:
+    """What the stacked passes of one search under ``mode`` reuse (`curve._BezierStack`):
+    the (m+1, 1, 1, N) tables of C' to C''' at ``row``, or under an exponential law at
+    [u | g(u)], and the row and g, g', g'' there, repeated for ``count`` blocks."""
+
+    def __init__(self, degree: int, mode: MotionMode, row: np.ndarray, count: int):
+        law = () if isinstance(mode, (Tangential, Crab)) else _reparam(
+            isinstance(mode, ExponentialAnticipated), mode.n, row, 2)
+        self.width = row.size
+        self.tables = _basis(degree, np.concatenate((row, *law[:1]))[None], 3, 1)
+        self.blocks = [np.concatenate((block,) * count) for block in (row, *law)]
+
+
 # --------------------------------------------------------------------------
 # Orientation jets.
 
@@ -277,11 +290,12 @@ def _orientation(mode, curve, us, order, curve_jets, alpha, n):
     ``curve_jets`` (C' up to ``order + 1``), the law uses them as is, so they must hold
     the curve at its own nodes: ``us`` in tangential mode (from `kinematics._Jets`), or
     junction ends, where g(u) = u bit for bit (from `continuity._end_states`, with
-    ``curve`` None). Without them the law evaluates ``curve`` at its nodes."""
+    ``curve`` None). Without them it evaluates ``curve`` at its nodes, g from a stack's plan."""
     if isinstance(mode, Crab):
         return (np.full_like(us, alpha),) + (np.zeros_like(us),) * order
     tangential, anticipated = isinstance(mode, Tangential), isinstance(mode, ExponentialAnticipated)
-    g = None if tangential else _reparam(anticipated, n, us, order)
+    held = curve.law(us) if isinstance(curve, _BezierStack) and order <= 2 else None
+    g = None if tangential else _reparam(anticipated, n, us, order) if held is None else held
     if curve_jets is None:
         curve_jets = curve.derivatives_many(us if tangential else g[0], order + 1, lowest=1)
     theta = _angle(curve_jets[1]) + alpha

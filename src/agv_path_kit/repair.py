@@ -32,7 +32,7 @@ from .curve import (BezierCurve, _BezierStack, _dot, _hodograph_certifies, _pow,
                     sampled_irregular_parameter)
 from .errors import RepairInfeasibleError
 from .kinematics import limit_profile_fast
-from .motion import ExponentialAnticipated, Tangential, _end_parameter, wrap_angle
+from .motion import ExponentialAnticipated, Tangential, _end_parameter, _NodePlan, wrap_angle
 from .vehicle import PathSegment, VehicleModel
 
 __all__ = [
@@ -114,17 +114,13 @@ def prescribe_endpoint_jet(curve: BezierCurve, end: str, d1=None, d2=None,
     return BezierCurve(net)
 
 
-def _travel_times(curves, count: int, mode, v_segment: float,
+def _travel_times(curves, us: np.ndarray, mode, v_segment: float,
                   vehicle: VehicleModel) -> list[float]:
-    """Travel time of each of ``count`` curves, from one speed-limit pass.
-
-    ``curves`` is one `BezierCurve`, or a `_BezierStack` that evaluates its
-    ``count`` curves at their own blocks of the nodes, each block the same
-    _TIME_US row; a stacked curve's value equals its own pass's bit for bit.
-    """
-    v_max, speed = limit_profile_fast(curves, mode, v_segment, vehicle,
-                                      np.concatenate((_TIME_US,) * count))
-    v, c = (a.reshape(count, _TIME_PANELS, -1) for a in (v_max, speed))
+    """Travel time of each curve, from one speed-limit pass at ``us``: one `BezierCurve`
+    at _TIME_US, or a `_BezierStack` at its node plan's ``nodes``, K blocks of _TIME_US,
+    whose curves' values equal their own passes' bit for bit."""
+    v_max, speed = limit_profile_fast(curves, mode, v_segment, vehicle, us)
+    v, c = (a.reshape(-1, _TIME_PANELS, _TIME_GL_NODES.size) for a in (v_max, speed))
     with np.errstate(divide="ignore", invalid="ignore"):  # only collapsed rows meet these
         times = _TIME_HALF * np.add.reduce(np.add.reduce(c / v * _TIME_GL_WEIGHTS, axis=-1),
                                            axis=-1)
@@ -140,7 +136,7 @@ def estimate_travel_time(segment: PathSegment, vehicle: VehicleModel) -> float:
     deliberately ignored so the value responds smoothly to shape changes.
     Returns inf when the limit profile collapses to zero on the sample set.
     """
-    return _travel_times(segment.curve, 1, segment.mode, segment.v_max, vehicle)[0]
+    return _travel_times(segment.curve, _TIME_US, segment.mode, segment.v_max, vehicle)[0]
 
 
 @dataclass
@@ -358,11 +354,11 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
     left alone being its own rows in ``problem._rows``, or None, which scores
     1e9. The objective scores nets: displacement over the edited sides, or
     under ``min_travel_time`` one stacked pass per side over the edited nets
-    of all lockstep starts. Only the winner becomes `BezierCurve`s; its full
-    parameters are the result's under ``names``.
+    of all lockstep starts, on the side's node plan, built on its first pass.
+    Only the winner becomes `BezierCurve`s, with its parameters under ``names``.
     """
     ctx = problem.ctx
-    fixed = (None, *problem._rows)
+    fixed, plans = (None, *problem._rows), {}
 
     def objective(xs):
         built = [candidate(x) for x in xs]
@@ -374,8 +370,10 @@ def _search(problem: RepairProblem, candidate, starts, bounds, names,
             rows = [i for i, b in enumerate(built)
                     if b is not None and b[index] is not fixed[index]]
             if rows:
-                stack = _BezierStack([built[i][index] for i in rows])
-                times = _travel_times(stack, len(rows), segment.mode, segment.v_max,
+                plan = plans.get(index) or plans.setdefault(
+                    index, _NodePlan(segment.curve.degree, segment.mode, _TIME_US, len(starts)))
+                stack = _BezierStack([built[i][index] for i in rows], plan)
+                times = _travel_times(stack, stack.nodes, segment.mode, segment.v_max,
                                       ctx.vehicle)
                 for i, time in zip(rows, times):
                     values[i] += time

@@ -1,6 +1,6 @@
 """Evaluating only the derivative orders a caller reads gives the same bits.
 
-The kernel skips the orders below ``lowest``, and the memoized tables of a
+The kernel skips the orders below ``lowest``, and a node plan's tables of a
 stacked node row hold the orders from C' up; the junction ends read the
 curve to order 3 off its nets and run the law to order 2 on those jets,
 with an exponential law reading them where g(u) == u; the unwrap grid runs
@@ -19,7 +19,7 @@ from agv_path_kit import (BezierCurve, Crab, ExponentialAnticipated, Exponential
                           JunctionContext, PathSegment, Tangential, VehicleModel, Wheel)
 from agv_path_kit.curve import _BezierStack
 from agv_path_kit.kinematics import _Jets, _wheel_derivative_arrays
-from agv_path_kit.motion import _UNWRAP_U
+from agv_path_kit.motion import _NodePlan, _UNWRAP_U
 
 from test_basis_tables import ENTRY, NETS, bits
 
@@ -61,14 +61,18 @@ def stacks(draw):
 @settings(deadline=None, max_examples=200)
 @given(stacks(), st.integers(0, 4), st.integers(0, 5), st.booleans())
 def test_stacked_lowest_equals_the_full_stacked_evaluation(stack, order, lowest, shared):
-    # One shared row takes the memo's tables whenever lowest >= 1; the full
-    # evaluation reads positions and so always builds its own.
+    # One shared row takes a node plan's tables whenever lowest >= 1 and order <= 3;
+    # the full evaluation reads positions and so always builds its own.
     curves, rows = stack
-    us = np.tile(rows[0], len(curves)) if shared else np.concatenate(rows)
+    planned = shared and lowest >= 1 and order <= 3
     with np.errstate(all="ignore"):
         nets = [c.control_points for c in curves]
+        plan = _NodePlan(curves[0].degree, Tangential(0.0), rows[0], len(curves))
+        part_stack = _BezierStack(nets, plan if planned else None)
+        us = (part_stack.nodes if planned
+              else np.tile(rows[0], len(curves)) if shared else np.concatenate(rows))
         full = _BezierStack(nets).derivatives_many(us, order)
-        part = _BezierStack(nets).derivatives_many(us, order, lowest=lowest)
+        part = part_stack.derivatives_many(us, order, lowest=lowest)
     assert_lowest_entries_equal(full, part, lowest)
 
 
